@@ -6,10 +6,10 @@ Compares the exhaustive set-partition search against the pruned
 branch-and-bound backend on synthetic fleets of 8/12/16/20 applications
 and records, per fleet size, the solve wall-clock, the slot count, the
 search-node count and the feasibility cache's effectiveness.  The
-numbers land both in each pytest-benchmark ``extra_info`` and in
-``BENCH_alloc.json`` at the repository root, which CI's smoke job
-uploads alongside the co-simulation and sweep artifacts so the
-allocation trajectory is trackable across commits.
+numbers land in each pytest-benchmark ``extra_info`` and, when
+``REPRO_BENCH_WRITE=1``, in ``BENCH_alloc.json`` at the repository root,
+which CI's smoke job uploads alongside the co-simulation and sweep
+artifacts so the allocation trajectory is trackable across commits.
 
 The exhaustive enumeration is Bell-number-bounded and only runs at
 n=8; branch-and-bound must prove the same optimum there and keep
@@ -33,6 +33,7 @@ from repro.core.timing_params import TimingParameters
 from repro.solvers import allocate
 
 _SMOKE_MAX = int(os.environ.get("REPRO_SCALE_BENCH_MAX", "20"))
+_WRITE = os.environ.get("REPRO_BENCH_WRITE") == "1"
 SIZES = [n for n in (8, 12, 16, 20) if n <= _SMOKE_MAX]
 OUTPUT = Path(__file__).resolve().parents[1] / "BENCH_alloc.json"
 
@@ -71,6 +72,8 @@ def synthetic_fleet(n, seed=7):
 
 
 def _flush_artifact():
+    if not _WRITE:
+        return
     payload = {
         "benchmark": "allocation-scale",
         "smoke": _SMOKE_MAX < 20,

@@ -7,17 +7,17 @@ the most expensive primitive in the pipeline, and the one the
 simulation-mode roster cold (every plant measured from scratch in a
 fresh cache) and then warm (same plants, re-characterised at scaled
 deadlines, so every lookup is served from memory and only the cheap PWL
-fits re-run), and writes both throughputs plus the warm speedup to
+fits re-run), and records both throughputs plus the warm speedup in
 ``BENCH_char.json`` at the repository root — the ROADMAP's
-characterisation-throughput artifact.
+characterisation-throughput artifact — when ``REPRO_BENCH_WRITE=1``.
 
 The warm pass exercises the deadline-sweep hot path: grids re-derive
-timing parameters per deadline but must never re-measure a curve, so
-the speedup is a regression canary for accidental cache-key changes.
-The ``>= 20x`` warm-speedup bar is generous (measured ~600x) and is
-asserted only outside smoke mode; hit/miss accounting is asserted in
-every mode.  Smoke mode for CI: ``REPRO_CHAR_BENCH_SMOKE=1`` coarsens
-the wait stride so the job finishes in a second.
+timing parameters per deadline but must never re-measure a curve.  The
+exact hit/miss accounting, asserted in every mode, is what catches a
+bypassed cache; the warm speedup is recorded but not asserted, because
+a stacked cold pass is fast enough that the wall-clock ratio is noise.
+Smoke mode for CI: ``REPRO_CHAR_BENCH_SMOKE=1`` coarsens the wait
+stride so the job finishes in a second.
 """
 
 import json
@@ -29,6 +29,7 @@ from repro.experiments.casestudy import SIMULATION_CASE_STUDY
 from repro.pipeline import DwellCurveCache
 
 _SMOKE = os.environ.get("REPRO_CHAR_BENCH_SMOKE", "") not in ("", "0")
+_WRITE = os.environ.get("REPRO_BENCH_WRITE") == "1"
 WAIT_STEP = 16 if _SMOKE else 4
 DEADLINE_SCALES = (1.0, 0.9, 0.75)
 OUTPUT = Path(__file__).resolve().parents[1] / "BENCH_char.json"
@@ -90,19 +91,13 @@ def test_bench_char_cold_vs_warm():
         "cache": {"entries": len(cache), "hits": cache.hits, "misses": cache.misses},
         "generated_unix": round(time.time(), 1),
     }
-    OUTPUT.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    if _WRITE:
+        OUTPUT.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
     print(
         f"\ncharacterisation ({roster} plants, wait_step={WAIT_STEP}): "
         f"cold {cold_seconds:.2f}s, warm {warm_seconds * 1e3:.1f}ms/pass, "
-        f"speedup {warm_speedup:.0f}x -> {OUTPUT.name}"
+        f"speedup {warm_speedup:.0f}x" + (f" -> {OUTPUT.name}" if _WRITE else "")
     )
-    # Smoke strides are a handful of samples — too little work for the
-    # ratio to mean anything; full mode asserts the (generous) bar.
-    if not _SMOKE:
-        assert warm_speedup >= 20.0, (
-            f"warm characterisation only {warm_speedup:.1f}x faster than "
-            "cold, below the 20x bar — is the dwell cache being bypassed?"
-        )
 
 
 def test_bench_char_json_is_valid():

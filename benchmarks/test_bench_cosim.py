@@ -9,7 +9,7 @@ cycle-accurate FlexRay fig5 fleet, where the batch kernel precomputes
 the static-segment schedule — plus one run of the ``can-cosim``
 scenario (ISSUE 9's priority-arbitrated CAN backend, event kernel
 only), and writes the numbers to ``BENCH_cosim.json`` at the
-repository root.
+repository root when ``REPRO_BENCH_WRITE=1``.
 
 The co-simulation loop is pure Python, so thread workers serialize on
 the GIL; the process pool is the scaling path.  The ``>= 2x`` speedup
@@ -37,6 +37,7 @@ from repro.pipeline import get_scenario, run_many
 from repro.sim import GLOBAL_ZOH_CACHE
 
 _SMOKE = os.environ.get("REPRO_COSIM_BENCH_SMOKE", "") not in ("", "0")
+_WRITE = os.environ.get("REPRO_BENCH_WRITE") == "1"
 GRID_SIZE = 4 if _SMOKE else 32
 HORIZON = 4.0 if _SMOKE else 20.0
 WAIT_STEP = 16 if _SMOKE else 8
@@ -158,11 +159,12 @@ def test_bench_cosim_grid_thread_vs_process():
         "zoh_cache": GLOBAL_ZOH_CACHE.stats(),
         "generated_unix": round(time.time(), 1),
     }
-    OUTPUT.write_text(json.dumps(payload, indent=2) + "\n")
+    if _WRITE:
+        OUTPUT.write_text(json.dumps(payload, indent=2) + "\n")
     print(
         f"\ncosim grid ({GRID_SIZE} scenarios, {workers} workers): "
         f"thread {thread_seconds:.2f}s, process {process_seconds:.2f}s, "
-        f"speedup {speedup:.2f}x -> {OUTPUT.name}"
+        f"speedup {speedup:.2f}x" + (f" -> {OUTPUT.name}" if _WRITE else "")
     )
     # The acceptance bar needs real cores; a 1-2 core runner cannot
     # express a 2x parallel win and records the honest number instead.

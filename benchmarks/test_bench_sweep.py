@@ -8,7 +8,7 @@ freed budget to high-variance cells), then as the fixed grid that
 reaches the *same* per-cell precision (every cell gets the adaptive
 worst-cell replication count).  The replication savings are recorded in
 ``BENCH_sweep.json`` at the repository root — the ROADMAP's second
-BENCH artifact.
+BENCH artifact — when ``REPRO_BENCH_WRITE=1``.
 
 The savings are seed-deterministic, not timing-dependent, so the
 ``>= 25 %`` acceptance bar is asserted in full mode on any machine;
@@ -24,6 +24,7 @@ from pathlib import Path
 from repro.pipeline import DwellCurveCache, get_scenario, run_sweep
 
 _SMOKE = os.environ.get("REPRO_SWEEP_BENCH_SMOKE", "") not in ("", "0")
+_WRITE = os.environ.get("REPRO_BENCH_WRITE") == "1"
 HORIZON = 6.0 if _SMOKE else 10.0
 CI_TARGET = 0.12  # relative: stop at a half-width of 12 % of |mean|
 MIN_REPLICATIONS = 2
@@ -128,12 +129,13 @@ def test_bench_sweep_adaptive_vs_fixed():
         "savings_fraction": round(savings, 4),
         "generated_unix": round(time.time(), 1),
     }
-    OUTPUT.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    if _WRITE:
+        OUTPUT.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
     print(
         f"\nadaptive sweep: {adaptive.replications_spent} replications "
         f"({adaptive.rounds} rounds, {adaptive_seconds:.1f}s) vs fixed "
         f"{fixed.replications_spent} ({fixed_seconds:.1f}s) at equal CI -> "
-        f"{savings:.0%} saved -> {OUTPUT.name}"
+        f"{savings:.0%} saved" + (f" -> {OUTPUT.name}" if _WRITE else "")
     )
     assert all(within.values()), (
         "fixed grid at the adaptive worst-cell count missed the CI target "

@@ -72,6 +72,7 @@ from repro.core import (
     measure_dwell_curve,
     optimal_allocation,
     paper_application,
+    per_wait_source,
     priority_order,
     simple_monotonic,
     two_segment,
@@ -195,6 +196,7 @@ __all__ = [
     "optimal_allocation",
     "paper_application",
     "paper_bus_config",
+    "per_wait_source",
     "priority_order",
     "register_allocator",
     "register_analysis_method",

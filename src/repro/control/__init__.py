@@ -12,6 +12,7 @@ from repro.control.analysis import (
     norm_trajectory,
     settle_index,
     settling_time,
+    settling_times,
     transient_profile,
 )
 from repro.control.controller import (
@@ -102,6 +103,7 @@ __all__ = [
     "servo_rig",
     "settle_index",
     "settling_time",
+    "settling_times",
     "simulate_autonomous",
     "solve_dare",
     "solve_dare_iterative",

@@ -76,7 +76,11 @@ from repro.core.sensitivity import (
     scale_deadlines,
     static_segment_usage,
 )
-from repro.core.switching import LinearSwitchedSystem, measure_dwell_curve
+from repro.core.switching import (
+    LinearSwitchedSystem,
+    measure_dwell_curve,
+    per_wait_source,
+)
 from repro.core.timing_params import (
     PAPER_TABLE_I,
     TimingParameters,

@@ -21,7 +21,11 @@ from repro.core.pwl import (
     fit_conservative_monotonic,
     fit_two_segment,
 )
-from repro.core.switching import LinearSwitchedSystem, measure_dwell_curve
+from repro.core.switching import (
+    LinearSwitchedSystem,
+    measure_dwell_curve,
+    per_wait_source,
+)
 from repro.core.timing_params import TimingParameters
 from repro.utils.validation import check_positive
 
@@ -85,11 +89,10 @@ def characterize_application(
     wait_step: int = 1,
 ) -> CharacterizationResult:
     """Characterise a designed linear switched application (Eqs. 3-4)."""
-    system = LinearSwitchedSystem.from_application(app, x0)
-    xi_et = system.pure_et_response()
+    source = LinearSwitchedSystem.from_application(app, x0).response_source()
     curve = measure_dwell_curve(
-        system.response_source(),
-        pure_et_response=xi_et,
+        source,
+        pure_et_response=source.pure_et_response(),
         period=app.period,
         wait_step=wait_step,
     )
@@ -139,9 +142,16 @@ def characterize_response_source(
     min_inter_arrival: float,
     wait_step: int = 1,
 ) -> CharacterizationResult:
-    """Characterise a black-box testbed (e.g. the nonlinear servo rig)."""
+    """Characterise a black-box testbed from a per-wait response callable.
+
+    ``response_source`` maps ``wait_samples`` to the total response time
+    in seconds; it is called once per swept wait (:func:`per_wait_source`).
+    Sources that answer a whole wait array at once, such as
+    :meth:`~repro.testbed.servo.ServoTestbed.response_source`, go to
+    :func:`measure_dwell_curve` and :func:`characterize_curve` directly.
+    """
     curve = measure_dwell_curve(
-        response_source,
+        per_wait_source(response_source),
         pure_et_response=pure_et_response,
         period=period,
         wait_step=wait_step,

@@ -12,6 +12,11 @@ plant-state norm at or below ``Eth``.  This module measures the full
 ``kwait -> kdw`` relation either from closed-loop matrices
 (:class:`LinearSwitchedSystem`) or from any black-box response source
 such as the nonlinear servo testbed (:func:`measure_dwell_curve`).
+
+Every swept wait is independent of the others, so a response source is
+*stacked*: it takes the whole array of candidate waits and answers them
+in one pass.  :func:`per_wait_source` adapts a one-wait-at-a-time
+callable to that interface.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from repro.control.analysis import settling_time
+from repro.control.analysis import settling_time, settling_times
 from repro.control.controller import SwitchedApplication
 from repro.core.pwl import DwellCurve
 from repro.utils.linalg import is_schur_stable
@@ -94,16 +99,26 @@ class LinearSwitchedSystem:
             raise ValueError(f"wait_samples must be non-negative, got {wait_samples}")
         return np.linalg.matrix_power(self.a1, wait_samples) @ self.x0
 
-    def dwell_time(self, wait_samples: int) -> float:
-        """``kdw(kwait)`` in seconds: TT settling time from the switch state."""
-        state = self.state_after_wait(wait_samples)
-        return settling_time(
+    def dwell_times(self, waits) -> np.ndarray:
+        """``kdw(kwait)`` in seconds for every wait, in one stacked pass.
+
+        The switch states ``A1^kwait x0`` form a ``(W, n)`` stack that the
+        TT dynamics ``A2`` advance together (:func:`settling_times`).
+        """
+        stack = np.empty((len(waits), self.x0.size))
+        for row, wait in zip(stack, waits):
+            row[:] = self.state_after_wait(int(wait))
+        return settling_times(
             self.a2,
-            state,
+            stack,
             self.threshold,
             norm_selector=self.norm_selector,
             period=self.period,
         )
+
+    def dwell_time(self, wait_samples: int) -> float:
+        """``kdw(kwait)`` in seconds: TT settling time from the switch state."""
+        return float(self.dwell_times([wait_samples])[0])
 
     def response_time(self, wait_samples: int) -> float:
         """Total response ``xi = kwait + kdw(kwait)`` in seconds."""
@@ -123,21 +138,54 @@ class LinearSwitchedSystem:
             period=self.period,
         )
 
-    def response_source(self) -> Callable[[int], float]:
-        """Adapter for :func:`measure_dwell_curve`."""
-        et_samples = int(round(self.pure_et_response() / self.period))
+    def response_source(self) -> "LinearSweep":
+        """Stacked source for :func:`measure_dwell_curve` (see :class:`LinearSweep`)."""
+        return LinearSweep(self)
 
-        def source(wait_samples: int) -> float:
-            if wait_samples >= et_samples:
-                # Already settled in ET mode: no TT dwell needed.
-                return wait_samples * self.period
-            return self.response_time(wait_samples)
 
-        return source
+class LinearSweep:
+    """Total response times of a :class:`LinearSwitchedSystem` at any waits.
+
+    Computes ``xi_ET`` once; calling it with an array of waits measures
+    every TT dwell in one stacked pass (:meth:`LinearSwitchedSystem.dwell_times`).
+    """
+
+    def __init__(self, system: LinearSwitchedSystem):
+        self.system = system
+        self._xi_et = system.pure_et_response()
+
+    def pure_et_response(self) -> float:
+        """``xi_ET`` in seconds."""
+        return self._xi_et
+
+    def __call__(self, waits) -> np.ndarray:
+        """Total response times (seconds) of the runs switched at ``waits``."""
+        system = self.system
+        waits = np.asarray(waits, dtype=int)
+        responses = waits * system.period
+        # Waits past the ET settling time need no TT dwell at all.
+        pending = waits < int(round(self._xi_et / system.period))
+        responses[pending] += system.dwell_times(waits[pending])
+        return responses
+
+
+def per_wait_source(
+    response_time: Callable[[int], float]
+) -> Callable[[np.ndarray], np.ndarray]:
+    """Stack a one-wait-at-a-time black box for :func:`measure_dwell_curve`.
+
+    ``response_time`` maps ``wait_samples`` to the *total* response time
+    in seconds (wait + dwell); the adapter calls it once per wait.
+    """
+
+    def source(waits: np.ndarray) -> np.ndarray:
+        return np.array([response_time(int(wait)) for wait in waits], dtype=float)
+
+    return source
 
 
 def measure_dwell_curve(
-    response_source: Callable[[int], float],
+    response_source: Callable[[np.ndarray], np.ndarray],
     pure_et_response: float,
     period: float,
     wait_step: int = 1,
@@ -148,10 +196,12 @@ def measure_dwell_curve(
     Parameters
     ----------
     response_source:
-        Callable mapping ``wait_samples`` to the *total* response time in
-        seconds (wait + dwell).  Both :class:`LinearSwitchedSystem` (via
-        :meth:`~LinearSwitchedSystem.response_source`) and the nonlinear
-        servo testbed provide this interface.
+        Stacked source: maps the integer array of swept ``wait_samples``
+        to the *total* response time in seconds (wait + dwell) of each.
+        :meth:`LinearSwitchedSystem.response_source` and
+        :meth:`~repro.testbed.servo.ServoTestbed.response_source` answer
+        all waits in one pass; wrap a per-wait callable with
+        :func:`per_wait_source`.
     pure_et_response:
         ``xi_ET`` in seconds; the sweep stops there because later switches
         never use the TT slot.
@@ -167,18 +217,19 @@ def measure_dwell_curve(
     if wait_step < 1:
         raise ValueError(f"wait_step must be >= 1, got {wait_step}")
     end = pure_et_response if max_wait is None else max_wait
-    last_sample = int(np.ceil(end / period))
-    waits, dwells = [], []
-    for wait_samples in range(0, last_sample + 1, wait_step):
-        response = response_source(wait_samples)
-        wait = wait_samples * period
-        waits.append(wait)
-        dwells.append(max(0.0, response - wait))
+    samples = np.arange(0, int(np.ceil(end / period)) + 1, wait_step)
+    responses = np.asarray(response_source(samples), dtype=float)
+    if responses.shape != samples.shape:
+        raise ValueError(
+            f"response_source returned shape {responses.shape} for "
+            f"{samples.size} waits; wrap a per-wait callable with per_wait_source"
+        )
+    waits = samples * period
     return DwellCurve(
-        waits=np.asarray(waits),
-        dwells=np.asarray(dwells),
+        waits=waits,
+        dwells=np.maximum(0.0, responses - waits),
         xi_et=pure_et_response,
     )
 
 
-__all__ = ["LinearSwitchedSystem", "measure_dwell_curve"]
+__all__ = ["LinearSweep", "LinearSwitchedSystem", "measure_dwell_curve", "per_wait_source"]

@@ -182,14 +182,13 @@ def run_threshold_sweep(
     rows = []
     for eth in thresholds:
         testbed = default_servo_testbed(ServoRigConfig(threshold=eth))
-        xi_tt = testbed.response_time(0, max_samples=max_samples)
-        xi_et = testbed.response_time(10**9, max_samples=max_samples)
-        peak = 0.0
-        last_wait = int(xi_et / testbed.config.period)
-        for wait in range(0, last_wait + 1, wait_step):
-            response = testbed.response_time(wait, max_samples=max_samples)
-            peak = max(peak, response - wait * testbed.config.period)
-        rows.append((eth, xi_tt, xi_et, peak))
+        period = testbed.config.period
+        source = testbed.response_source(max_samples=max_samples)
+        xi_et = source.pure_et_response()
+        waits = np.arange(0, int(xi_et / period) + 1, wait_step)
+        responses = source(waits)  # waits[0] == 0: the pure-TT run
+        peak = max(0.0, float(np.max(responses - waits * period)))
+        rows.append((eth, float(responses[0]), xi_et, peak))
     return ThresholdSweepResult(rows=rows)
 
 

@@ -13,10 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.core.characterization import (
-    CharacterizationResult,
-    characterize_response_source,
-)
+from repro.core.characterization import CharacterizationResult, characterize_curve
 from repro.experiments.reporting import format_series, format_table
 from repro.testbed.servo import ServoTestbed
 
@@ -79,45 +76,29 @@ def run_fig3(
     wait_step:
         Sweep stride in samples (2 = every 40 ms).
     max_samples:
-        Simulation horizon per run.
+        Simulation horizon in samples.
     """
+    from repro.pipeline.cache import GLOBAL_DWELL_CACHE, measure_servo
+
     if testbed is None:
         # Default rig: serve the sweep from the pipeline's memoized cache
         # so repeated fig3/fig4 runs and scenario sweeps measure once.
-        from repro.core.characterization import characterize_curve
-        from repro.pipeline.cache import GLOBAL_DWELL_CACHE
-
         measured = GLOBAL_DWELL_CACHE.servo_measurement(
             wait_step=wait_step, max_samples=max_samples
         )
-        characterization = characterize_curve(
-            name="servo-rig",
-            curve=measured.curve,
-            deadline=6.0,
-            min_inter_arrival=6.0,
-        )
-        return Fig3Result(
-            characterization=characterization,
-            xi_tt=measured.xi_tt,
-            xi_et=measured.xi_et,
-        )
-    period = testbed.config.period
-    xi_tt = testbed.response_time(0, max_samples=max_samples)
-    xi_et = testbed.response_time(10**9, max_samples=max_samples)
-
-    def source(wait_samples: int) -> float:
-        return testbed.response_time(wait_samples, max_samples=max_samples)
-
-    characterization = characterize_response_source(
+    else:
+        measured = measure_servo(testbed, wait_step=wait_step, max_samples=max_samples)
+    characterization = characterize_curve(
         name="servo-rig",
-        response_source=source,
-        pure_et_response=xi_et,
-        period=period,
+        curve=measured.curve,
         deadline=6.0,
         min_inter_arrival=6.0,
-        wait_step=wait_step,
     )
-    return Fig3Result(characterization=characterization, xi_tt=xi_tt, xi_et=xi_et)
+    return Fig3Result(
+        characterization=characterization,
+        xi_tt=measured.xi_tt,
+        xi_et=measured.xi_et,
+    )
 
 
 __all__ = [

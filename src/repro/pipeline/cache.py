@@ -1,8 +1,8 @@
 """Memoized dwell-curve measurements — the sweep hot path.
 
 Measuring a dwell/wait curve means designing both mode controllers and
-simulating the switched closed loop once per candidate switch instant;
-at the default stride this costs seconds per plant.  Every scenario in a
+simulating the switched closed loop from every candidate switch instant
+(one stacked pass per application).  Every scenario in a
 grid sweep that shares (plant, ET detuning, stride) re-measures the
 *same* curve — deadlines, dwell-model shape, analysis method and
 allocator all apply downstream of the measurement — so the cache keys on
@@ -261,10 +261,10 @@ def _measure_plant(
         r=np.asarray(plant.r) * et_detuning,
     )
     app = SwitchedApplication(name=plant_name, et=et, tt=tt, threshold=plant.threshold)
-    system = LinearSwitchedSystem.from_application(app, plant.disturbance)
+    source = LinearSwitchedSystem.from_application(app, plant.disturbance).response_source()
     curve = measure_dwell_curve(
-        system.response_source(),
-        pure_et_response=system.pure_et_response(),
+        source,
+        pure_et_response=source.pure_et_response(),
         period=app.period,
         wait_step=wait_step,
     )
@@ -274,21 +274,33 @@ def _measure_plant(
 def _measure_servo(
     threshold: Optional[float], wait_step: int, max_samples: int
 ) -> ServoMeasurement:
-    testbed: ServoTestbed
     if threshold is None:
         testbed = default_servo_testbed()
     else:
         testbed = default_servo_testbed(ServoRigConfig(threshold=threshold))
-    period = testbed.config.period
-    xi_tt = testbed.response_time(0, max_samples=max_samples)
-    xi_et = testbed.response_time(10**9, max_samples=max_samples)
+    return measure_servo(testbed, wait_step, max_samples)
+
+
+def measure_servo(
+    testbed: ServoTestbed, wait_step: int = 2, max_samples: int = 400
+) -> ServoMeasurement:
+    """Sweep a servo testbed's dwell curve in one stacked pass.
+
+    The pure-ET run is the sweep's shared ET row, and the zero-wait point
+    of the curve is the pure-TT run, so ``xi_et``, ``xi_tt`` and every
+    curve point come from the same simulation.
+    """
+    source = testbed.response_source(max_samples=max_samples)
+    xi_et = source.pure_et_response()
     curve = measure_dwell_curve(
-        lambda wait: testbed.response_time(wait, max_samples=max_samples),
+        source,
         pure_et_response=xi_et,
-        period=period,
+        period=testbed.config.period,
         wait_step=wait_step,
     )
-    return ServoMeasurement(curve=curve, xi_tt=xi_tt, xi_et=xi_et, period=period)
+    return ServoMeasurement(
+        curve=curve, xi_tt=curve.xi_tt, xi_et=xi_et, period=testbed.config.period
+    )
 
 
 #: Process-wide default cache shared by the legacy free functions, the
@@ -305,4 +317,5 @@ __all__ = [
     "TT_DELAY",
     "decode_entries",
     "encode_entries",
+    "measure_servo",
 ]

@@ -15,6 +15,7 @@ properties of the closed-loop rig, which this simulator reproduces.
 from repro.testbed.servo import (
     NonlinearServoRig,
     ServoRigConfig,
+    ServoSweep,
     ServoTestbed,
     default_servo_testbed,
 )
@@ -22,6 +23,7 @@ from repro.testbed.servo import (
 __all__ = [
     "NonlinearServoRig",
     "ServoRigConfig",
+    "ServoSweep",
     "ServoTestbed",
     "default_servo_testbed",
 ]

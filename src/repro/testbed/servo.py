@@ -16,12 +16,18 @@ The default configuration (:func:`default_servo_testbed`) is tuned so the
 pure-mode response times land on the paper's measured values:
 ``xi_TT = 0.68 s`` and ``xi_ET ~ 2.2 s`` (paper: 2.16 s), with the
 characteristic non-monotonic dwell/wait relation of Figure 3.
+
+A Figure 3 sweep switches from ET to TT at many candidate instants.  The
+run switched at ``kwait`` *is* the pure-ET run for its first ``kwait``
+samples, so :class:`ServoSweep` simulates that ET row once and starts a
+TT row at each wait from a copy of its ``(theta, omega, u_prev)``; the
+TT rows then advance together, elementwise, in one RK4 pass.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -84,6 +90,47 @@ class ServoRigConfig:
         )
 
 
+def _advance(
+    config: ServoRigConfig, theta, omega, torque, duration: float
+) -> Tuple[np.ndarray, np.ndarray]:
+    """RK4-integrate the rig over ``duration`` at constant ``torque``.
+
+    Elementwise in ``theta``, ``omega`` and ``torque``, which may be
+    scalars or equally long stacks of independent rigs.
+    """
+    if duration < 0:
+        raise ValueError(f"duration must be non-negative, got {duration}")
+    if duration == 0:
+        return theta, omega
+    steps = max(1, int(round(config.substeps * duration / config.period)))
+    dt = duration / steps
+    half, sixth = 0.5 * dt, dt / 6.0
+    pull = config.gravity / config.length
+    drag = config.damping / config.inertia
+    push = torque / config.inertia
+    for _ in range(steps):
+        # Classic RK4 on (theta' = omega, omega' = alpha); ki = (wi, ai).
+        a1 = pull * np.sin(theta) - drag * omega + push
+        t2, w2 = theta + half * omega, omega + half * a1
+        a2 = pull * np.sin(t2) - drag * w2 + push
+        t3, w3 = theta + half * w2, omega + half * a2
+        a3 = pull * np.sin(t3) - drag * w3 + push
+        t4, w4 = theta + dt * w3, omega + dt * a3
+        a4 = pull * np.sin(t4) - drag * w4 + push
+        theta = theta + sixth * (omega + 2 * w2 + 2 * w3 + w4)
+        omega = omega + sixth * (a1 + 2 * a2 + 2 * a3 + a4)
+    return theta, omega
+
+
+def _quantize(config: ServoRigConfig, theta):
+    """Encoder reading of ``theta`` (unchanged without an encoder model)."""
+    counts = config.encoder_counts
+    if counts is None:
+        return theta
+    resolution = 2.0 * np.pi / counts
+    return np.round(theta / resolution) * resolution
+
+
 class NonlinearServoRig:
     """Continuous-time nonlinear rig integrated with RK4.
 
@@ -104,10 +151,7 @@ class NonlinearServoRig:
     def measure(self) -> np.ndarray:
         """Sensor reading, with optional encoder quantisation of theta."""
         state = self._state.copy()
-        counts = self.config.encoder_counts
-        if counts is not None:
-            resolution = 2.0 * np.pi / counts
-            state[0] = np.round(state[0] / resolution) * resolution
+        state[0] = _quantize(self.config, state[0])
         return state
 
     def reset(self, theta: float, omega: float = 0.0) -> None:
@@ -118,36 +162,12 @@ class NonlinearServoRig:
         limit = self.config.max_torque
         return float(np.clip(torque, -limit, limit))
 
-    def _derivative(self, state: np.ndarray, torque: float) -> np.ndarray:
-        cfg = self.config
-        theta, omega = state
-        alpha = (
-            (cfg.gravity / cfg.length) * np.sin(theta)
-            - (cfg.damping / cfg.inertia) * omega
-            + torque / cfg.inertia
-        )
-        return np.array([omega, alpha])
-
-    def _rk4_step(self, state: np.ndarray, torque: float, dt: float) -> np.ndarray:
-        k1 = self._derivative(state, torque)
-        k2 = self._derivative(state + 0.5 * dt * k1, torque)
-        k3 = self._derivative(state + 0.5 * dt * k2, torque)
-        k4 = self._derivative(state + dt * k3, torque)
-        return state + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-
     def advance(self, duration: float, torque: float) -> None:
         """Integrate the rig forward by ``duration`` at constant torque."""
-        if duration < 0:
-            raise ValueError(f"duration must be non-negative, got {duration}")
-        if duration == 0:
-            return
-        steps = max(1, int(round(self.config.substeps * duration / self.config.period)))
-        dt = duration / steps
-        state = self._state
-        saturated = self.saturate(torque)
-        for _ in range(steps):
-            state = self._rk4_step(state, saturated, dt)
-        self._state = state
+        theta, omega = self._state
+        self._state = np.array(
+            _advance(self.config, theta, omega, self.saturate(torque), duration)
+        )
 
 
 @dataclass(frozen=True)
@@ -158,69 +178,134 @@ class ServoTestbed:
     et_controller: ModeController
     tt_controller: ModeController
 
-    def make_rig(self) -> NonlinearServoRig:
-        rig = NonlinearServoRig(self.config)
-        rig.reset(self.config.disturbance_angle, 0.0)
-        return rig
-
-    def run_switched(
-        self,
-        wait_samples: int,
-        max_samples: int = 4000,
-        rig: Optional[NonlinearServoRig] = None,
-    ) -> np.ndarray:
-        """Simulate one disturbance rejection with a fixed ET-to-TT switch.
-
-        The loop runs in ET mode for ``wait_samples`` sampling periods and
-        in TT mode afterwards (pass ``wait_samples >= max_samples`` for a
-        pure-ET run, ``0`` for pure TT).  Returns the norm ``||x[k]||`` at
-        every sampling instant, length ``max_samples``.
-        """
-        if wait_samples < 0:
-            raise ValueError(f"wait_samples must be non-negative, got {wait_samples}")
-        cfg = self.config
-        if rig is None:
-            rig = self.make_rig()
-        norms = np.empty(max_samples)
-        u_prev = 0.0
-        for k in range(max_samples):
-            x = rig.measure()
-            norms[k] = float(np.hypot(x[0], x[1]))
-            in_et = k < wait_samples
-            controller = self.et_controller if in_et else self.tt_controller
-            delay = cfg.et_delay if in_et else cfg.tt_delay
-            u_new = rig.saturate(float(controller.control(x, [u_prev])[0]))
-            # ZOH with delay: previous torque until the new input lands.
-            rig.advance(delay, u_prev)
-            rig.advance(cfg.period - delay, u_new)
-            u_prev = u_new
-        return norms
-
-    def settle_sample(self, norms: np.ndarray) -> Optional[int]:
-        """First sample index after which the norm stays <= threshold."""
-        above = np.flatnonzero(norms > self.config.threshold)
-        if above.size == 0:
-            return 0
-        if above[-1] == norms.size - 1:
-            return None
-        return int(above[-1] + 1)
+    def response_source(self, max_samples: int = 4000) -> "ServoSweep":
+        """Stacked response source over switch instants (see :class:`ServoSweep`)."""
+        return ServoSweep(self, max_samples)
 
     def response_time(self, wait_samples: int, max_samples: int = 4000) -> float:
         """Settling time (seconds) for a given switch point.
+
+        The one-wait case of :class:`ServoSweep`; pass ``wait_samples >=
+        max_samples`` for a pure-ET run, ``0`` for pure TT.
 
         Raises
         ------
         RuntimeError
             If the run does not settle within ``max_samples``.
         """
-        norms = self.run_switched(wait_samples, max_samples=max_samples)
-        settle = self.settle_sample(norms)
-        if settle is None:
+        return float(self.response_source(max_samples)([wait_samples])[0])
+
+
+class ServoSweep:
+    """The testbed's disturbance rejection, switched ET to TT at any wait.
+
+    The shared ET row is the pure-ET run, simulated lazily as far as a
+    call needs it: per sampling instant it records ``(theta, omega,
+    u_prev)`` and the measured norm.  Calling the sweep with an array of
+    waits starts one TT row per wait from the ET row's record at that
+    sample and advances all TT rows together.  Every row does exactly
+    the arithmetic of a run switched at its own wait, so its settle index
+    does not depend on the other rows.
+    """
+
+    def __init__(self, testbed: ServoTestbed, max_samples: int = 4000):
+        if max_samples < 1:
+            raise ValueError(f"max_samples must be >= 1, got {max_samples}")
+        self.testbed = testbed
+        self.max_samples = int(max_samples)
+        # Rows: theta, omega, u_prev at each ET sampling instant, then its norm.
+        self._et_record = np.empty((4, self.max_samples))
+        self._et_samples = 0
+        self._et_state = (np.float64(testbed.config.disturbance_angle), np.float64(0.0), 0.0)
+
+    def pure_et_response(self) -> float:
+        """``xi_ET`` in seconds: the settling time of the ET row."""
+        return float(self([self.max_samples])[0])
+
+    def __call__(self, waits) -> np.ndarray:
+        """Total response times (seconds) of the runs switched at ``waits``.
+
+        A wait of ``max_samples`` or more is the pure-ET run.
+        """
+        waits = np.asarray(waits, dtype=int)
+        if waits.ndim != 1:
+            raise ValueError(f"waits must be one-dimensional, got shape {waits.shape}")
+        if np.any(waits < 0):
+            raise ValueError(f"wait_samples must be non-negative, got {waits.min()}")
+        size = self.max_samples
+        if waits.size:
+            self._extend_et(int(np.minimum(waits + 1, size).max()))
+        norms = self._et_record[3, : self._et_samples]
+        # prefix[k]: last ET sample before k above Eth (-1 if none).
+        above = np.where(norms > self.testbed.config.threshold, np.arange(norms.size), -1)
+        prefix = np.concatenate(([-1], np.maximum.accumulate(above)))
+        last_above = prefix[np.minimum(waits, size)]
+        order = np.argsort(waits, kind="stable")
+        order = order[waits[order] < size]
+        if order.size:
+            last_above[order] = np.maximum(last_above[order], self._tt_rows(waits[order]))
+        unsettled = np.flatnonzero(last_above == size - 1)
+        if unsettled.size:
             raise RuntimeError(
-                f"rig did not settle within {max_samples} samples "
-                f"(wait_samples={wait_samples})"
+                f"rig did not settle within {size} samples "
+                f"(wait_samples={waits[unsettled[0]]})"
             )
-        return settle * self.config.period
+        return (last_above + 1) * self.testbed.config.period
+
+    def _sample(self, controller: ModeController, delay: float, theta, omega, u_prev):
+        """One sampling period in one mode, elementwise over stacked rigs.
+
+        Returns the norm ``||x[k]||`` measured at the sampling instant and
+        the next ``(theta, omega, u_prev)``.  The control law is the
+        batched ``-K @ z`` (one dot product per rig, as
+        :meth:`ModeController.control` computes it).
+        """
+        cfg = self.testbed.config
+        measured = _quantize(cfg, theta)
+        norms = np.hypot(measured, omega)
+        z = np.stack([measured, omega, u_prev], axis=-1)[..., None]
+        command = (-controller.gain @ z)[..., 0, 0]
+        u_new = np.clip(command, -cfg.max_torque, cfg.max_torque)
+        # ZOH with delay: previous torque until the new input lands.
+        theta, omega = _advance(cfg, theta, omega, u_prev, delay)
+        theta, omega = _advance(cfg, theta, omega, u_new, cfg.period - delay)
+        return norms, theta, omega, u_new
+
+    def _extend_et(self, samples: int) -> None:
+        """Simulate the ET row up to (excluding) sampling instant ``samples``."""
+        testbed = self.testbed
+        theta, omega, u_prev = self._et_state
+        for k in range(self._et_samples, samples):
+            self._et_record[:3, k] = theta, omega, u_prev
+            self._et_record[3, k], theta, omega, u_prev = self._sample(
+                testbed.et_controller, testbed.config.et_delay, theta, omega, u_prev
+            )
+        self._et_state = theta, omega, u_prev
+        self._et_samples = max(self._et_samples, samples)
+
+    def _tt_rows(self, starts: np.ndarray) -> np.ndarray:
+        """Last sample above ``Eth`` of the TT rows starting at ``starts``
+        (ascending), or -1 for a row that never exceeds it."""
+        testbed, cfg = self.testbed, self.testbed.config
+        last_above = np.full(starts.size, -1)
+        theta = omega = u_prev = np.empty(0)
+        for k in range(int(starts[0]), self.max_samples):
+            joined = int(np.searchsorted(starts, k, side="right"))
+            if joined > theta.size:
+                count = joined - theta.size
+                theta_k, omega_k, u_k = self._et_record[:3, k]
+                theta = np.concatenate([theta, np.full(count, theta_k)])
+                omega = np.concatenate([omega, np.full(count, omega_k)])
+                u_prev = np.concatenate([u_prev, np.full(count, u_k)])
+                if starts.size == 1:
+                    # A lone rig runs on numpy scalars, several times
+                    # faster than on length-1 arrays; same arithmetic.
+                    theta, omega, u_prev = theta[0], omega[0], u_prev[0]
+            norms, theta, omega, u_prev = self._sample(
+                testbed.tt_controller, cfg.tt_delay, theta, omega, u_prev
+            )
+            last_above[: theta.size][norms > cfg.threshold] = k
+        return last_above
 
 
 # ET closed-loop poles for the default testbed: a lightly damped pair
@@ -267,6 +352,7 @@ __all__ = [
     "DEFAULT_TT_R",
     "NonlinearServoRig",
     "ServoRigConfig",
+    "ServoSweep",
     "ServoTestbed",
     "default_servo_testbed",
 ]
