@@ -25,7 +25,9 @@ non-blocking step (timings on shared runners are noisy).  Exit status
 is 0 unless ``--fail-above`` is given, in which case any metric whose
 relative change exceeds the threshold in the bad direction fails the
 run (metrics matching a ``HIGHER_IS_BETTER`` substring regress
-downward; everything else — timings, counts — regresses upward).
+downward; everything else — timings, counts — regresses upward), and
+so does a metric that the baseline has but the fresh artifact lost, so
+renaming a gated key cannot leave the gate watching nothing.
 ``--only PATTERN`` restricts the diff to matching metric paths, so a
 *blocking* CI gate can watch a robust ratio (e.g.
 ``--only 'kernel.batch_speedup*'``) while raw second-counts stay
@@ -163,6 +165,9 @@ def compare_file(path: Path, ref: str, threshold: float, only: str = None):
         new_s = "-" if new_v is None else f"{new_v:g}"
         if delta is None:
             delta_s, flag = "new/gone", ""
+            if new_v is None and threshold is not None:
+                flag = "  !!"
+                failures += 1
         else:
             worse = is_regression(key, delta)
             flag = ""

@@ -2,11 +2,11 @@
 
 Times a 32-scenario Monte-Carlo co-simulation grid (the Figure 5 fleet,
 sporadic disturbances, FlexRay frame loss, seeds 0..31) through
-``run_many`` with thread workers vs a process pool, plus two **three-way
-kernel shoot-outs** (legacy fixed-step loop / event kernel / batch fast
-path) — one on the fig5 analytic scenario and one on the loss-free
-cycle-accurate FlexRay fig5 fleet, where the batch kernel precomputes
-the static-segment schedule — plus one run of the ``can-cosim``
+``run_many`` with thread workers vs a process pool, plus two **kernel
+shoot-outs** (event kernel vs batch fast path) — one on the fig5
+analytic scenario and one on the loss-free cycle-accurate FlexRay fig5
+fleet, where the batch kernel precomputes the static-segment
+schedule — plus one run of the ``can-cosim``
 scenario (ISSUE 9's priority-arbitrated CAN backend, event kernel
 only), and writes the numbers to ``BENCH_cosim.json`` at the
 repository root when ``REPRO_BENCH_WRITE=1``.
@@ -16,11 +16,10 @@ the GIL; the process pool is the scaling path.  The ``>= 2x`` speedup
 acceptance bar is asserted only where it is physically possible
 (``cpu_count >= 4``) — the JSON records the honest measurement either
 way, including the core count it was taken on.  The kernel bars
-(event/legacy ratio ``<= 1.05``, analytic batch speedup ``>= 3x`` over
-legacy, FlexRay batch speedup ``>= 2x`` over event) are asserted
-outside smoke mode, where horizons are long enough for the ratios to
-mean something; the traces-bitwise-identical cross-checks run in every
-mode.
+(batch speedup over the event kernel ``>= 3x`` on the analytic fleet
+and ``>= 2x`` on the FlexRay fleet) are asserted outside smoke mode,
+where horizons are long enough for the ratios to mean something; the
+traces-bitwise-identical cross-checks run in every mode.
 
 Smoke mode for CI: set ``REPRO_COSIM_BENCH_SMOKE=1`` to shrink the grid
 and horizon so the job finishes in seconds while still exercising both
@@ -128,9 +127,7 @@ def test_bench_cosim_grid_thread_vs_process():
             "scenario": kernels.scenario,
             "batch_cosim_seconds": round(kernels.batch_seconds, 4),
             "event_cosim_seconds": round(kernels.event_seconds, 4),
-            "legacy_cosim_seconds": round(kernels.legacy_seconds, 4),
-            "event_over_legacy_ratio": round(kernels.event_over_legacy, 3),
-            "batch_speedup_vs_legacy": round(kernels.batch_speedup_vs_legacy, 3),
+            "batch_speedup_vs_event": round(kernels.batch_speedup_vs_event, 3),
             "traces_bitwise_identical": kernels.traces_identical,
             "samples": kernels.samples,
         },
@@ -138,12 +135,8 @@ def test_bench_cosim_grid_thread_vs_process():
             "scenario": flexray_kernels.scenario,
             "batch_cosim_seconds": round(flexray_kernels.batch_seconds, 4),
             "event_cosim_seconds": round(flexray_kernels.event_seconds, 4),
-            "legacy_cosim_seconds": round(flexray_kernels.legacy_seconds, 4),
             "batch_speedup_vs_event": round(
                 flexray_kernels.batch_speedup_vs_event, 3
-            ),
-            "batch_speedup_vs_legacy": round(
-                flexray_kernels.batch_speedup_vs_legacy, 3
             ),
             "traces_bitwise_identical": flexray_kernels.traces_identical,
             "samples": flexray_kernels.samples,
@@ -173,17 +166,13 @@ def test_bench_cosim_grid_thread_vs_process():
             f"process pool speedup {speedup:.2f}x below the 2x bar "
             f"on {os.cpu_count()} cores"
         )
-    # ISSUE 5 kernel bars: the event kernel must be at parity with the
-    # legacy loop, and the batch fast path at least 3x faster than it.
-    # Smoke horizons are milliseconds of work — too noisy to assert on.
+    # Kernel bars: on the analytic fleet the batch fast path must run
+    # at least 3x faster than the event kernel.  Smoke horizons are
+    # milliseconds of work — too noisy to assert on.
     if not _SMOKE:
-        assert kernels.event_over_legacy <= 1.05, (
-            f"event kernel at {kernels.event_over_legacy:.2f}x of legacy, "
-            "above the 1.05 parity bar"
-        )
-        assert kernels.batch_speedup_vs_legacy >= 3.0, (
-            f"batch kernel only {kernels.batch_speedup_vs_legacy:.2f}x "
-            "faster than legacy, below the 3x bar"
+        assert kernels.batch_speedup_vs_event >= 3.0, (
+            f"batch kernel only {kernels.batch_speedup_vs_event:.2f}x "
+            "faster than the event kernel, below the 3x bar"
         )
         # ISSUE 8 bar: on the loss-free FlexRay fleet the precomputed
         # schedule must buy at least 2x over the event kernel.
@@ -202,16 +191,12 @@ def test_bench_cosim_json_is_valid():
     assert payload["grid_size"] >= 4
     kernel = payload["kernel"]
     assert kernel["traces_bitwise_identical"] is True
-    assert {"batch_cosim_seconds", "event_cosim_seconds", "legacy_cosim_seconds"} \
-        <= set(kernel)
-    assert kernel["batch_speedup_vs_legacy"] > 0
-    assert kernel["event_over_legacy_ratio"] > 0
+    assert {"batch_cosim_seconds", "event_cosim_seconds"} <= set(kernel)
+    assert kernel["batch_speedup_vs_event"] > 0
     flexray = payload["flexray_kernel"]
     assert flexray["traces_bitwise_identical"] is True
-    assert {"batch_cosim_seconds", "event_cosim_seconds", "legacy_cosim_seconds"} \
-        <= set(flexray)
+    assert {"batch_cosim_seconds", "event_cosim_seconds"} <= set(flexray)
     assert flexray["batch_speedup_vs_event"] > 0
-    assert flexray["batch_speedup_vs_legacy"] > 0
     can = payload["can_cosim"]
     assert can["scenario"] == "can-cosim"
     assert can["kernel_used"] == "event"

@@ -554,7 +554,8 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "co-simulation kernel (auto = batch fast path when the fleet "
             "is capable — analytic network, or loss-free static-slot "
-            "FlexRay; traces are identical across kernels)"
+            "FlexRay — else event; event = always the reference kernel; "
+            "traces are identical across kernels)"
         ),
     )
 

@@ -257,7 +257,8 @@ def run_jitter_ablation(
     from repro.flexray.bus import FlexRayBus
     from repro.flexray.frame import FrameSpec
     from repro.flexray.params import paper_bus_config
-    from repro.sim.cosim import CoSimApplication, CoSimulator, FlexRayNetwork
+    from repro.sim.cosim import CoSimApplication, CoSimulator
+    from repro.sim.network import FlexRayNetwork
     from repro.sim.traffic import heavy_background_traffic
 
     if applications is None:
@@ -376,41 +377,26 @@ def run_qoc_ablation(
 
 
 # ---------------------------------------------------------------------------
-# E12 — event-driven vs legacy fixed-step co-simulation kernel
+# E12 — batch fast path vs the event-driven reference kernel
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class KernelAblationResult:
-    """Cross-check of the three co-simulation kernels on one scenario.
+    """Cross-check of the two co-simulation kernels on one scenario.
 
-    On analytic shared-period fleets all kernels are bitwise-equivalent
-    by construction; this ablation re-verifies that on the full
-    Figure 5 roster and reports each kernel's co-simulation wall-clock
-    (best of ``repeats`` runs, so warm-cache timings are compared).
+    On batch-capable fleets both kernels are bitwise-equivalent by
+    construction; this ablation re-verifies that on the full Figure 5
+    roster and reports each kernel's co-simulation wall-clock (best of
+    ``repeats`` runs, so warm-cache timings are compared).
     """
 
     scenario: str
     event_seconds: float
-    legacy_seconds: float
     batch_seconds: float
     traces_identical: bool
     samples: int
     apps: int
-
-    @property
-    def event_over_legacy(self) -> float:
-        """Event-kernel wall-clock relative to legacy (<= 1 is a win)."""
-        if self.legacy_seconds <= 0:
-            return float("inf") if self.event_seconds > 0 else 1.0
-        return self.event_seconds / self.legacy_seconds
-
-    @property
-    def batch_speedup_vs_legacy(self) -> float:
-        """How many times faster the batch fast path runs than legacy."""
-        if self.batch_seconds <= 0:
-            return float("inf")
-        return self.legacy_seconds / self.batch_seconds
 
     @property
     def batch_speedup_vs_event(self) -> float:
@@ -419,26 +405,17 @@ class KernelAblationResult:
             return float("inf")
         return self.event_seconds / self.batch_seconds
 
-    @property
-    def event_speedup_vs_legacy(self) -> float:
-        """How many times faster the event kernel runs than legacy."""
-        if self.event_seconds <= 0:
-            return float("inf")
-        return self.legacy_seconds / self.event_seconds
-
     def report(self) -> str:
         verdict = "bitwise identical" if self.traces_identical else "DIVERGED"
         rows = [
             ["batch", f"{self.batch_seconds:.3f}",
-             f"{self.batch_speedup_vs_legacy:.2f}x"],
-            ["event", f"{self.event_seconds:.3f}",
-             f"{self.event_speedup_vs_legacy:.2f}x"],
-            ["legacy", f"{self.legacy_seconds:.3f}", "1.00x"],
+             f"{self.batch_speedup_vs_event:.2f}x"],
+            ["event", f"{self.event_seconds:.3f}", "1.00x"],
         ]
         return (
             f"Co-simulation kernel ablation ({self.scenario}; "
             f"{self.apps} apps, {self.samples} samples)\n"
-            + format_table(["kernel", "cosim stage [s]", "vs legacy"], rows)
+            + format_table(["kernel", "cosim stage [s]", "vs event"], rows)
             + f"\ntraces: {verdict}"
         )
 
@@ -462,7 +439,7 @@ def run_kernel_ablation(
     repeats: int = 1,
     scenario: str = "fig5-cosim-analytic",
 ) -> KernelAblationResult:
-    """E12: event and batch kernels must reproduce legacy exactly.
+    """E12: the batch fast path must reproduce the event kernel exactly.
 
     ``repeats`` re-runs each kernel and keeps the fastest co-simulation
     stage (the first pass pays process-wide cache warm-up; benchmarks
@@ -470,14 +447,17 @@ def run_kernel_ablation(
     selects the ablation subject: the default analytic Figure 5 roster
     exercises the analytic batch kernel, while ``"fig5-cosim"`` (a
     loss-free cycle-accurate FlexRay bus) exercises the deterministic
-    FlexRay schedule-precomputation path.
+    FlexRay schedule-precomputation path.  The subject must be
+    batch-capable: ``"auto"`` would otherwise run the event kernel and
+    the ablation would time it against itself, so that raises
+    :class:`ValueError`.
     """
     from repro.pipeline import DesignStudy, get_scenario
 
     base = get_scenario(scenario).derive(wait_step=wait_step, horizon=horizon)
     runs = {}
     seconds = {}
-    for kernel in ("legacy", "event", "batch"):
+    for kernel in ("event", "auto"):
         best = float("inf")
         for _ in range(max(1, repeats)):
             study = (
@@ -488,19 +468,22 @@ def run_kernel_ablation(
             best = min(best, study.stage("cosim").elapsed)
         runs[kernel] = study
         seconds[kernel] = best
-    legacy_trace = runs["legacy"].attachments.trace
-    identical = all(
-        traces_bitwise_equal(runs[kernel].attachments.trace, legacy_trace)
-        for kernel in ("event", "batch")
-    )
+    used = runs["auto"].artifact("cosim")["kernel_used"]
+    if used != "batch":
+        raise ValueError(
+            f"scenario {base.name!r} is not batch-capable (kernel 'auto' ran "
+            f"{used!r}); the kernel ablation needs a batch-capable fleet"
+        )
+    event_trace = runs["event"].attachments.trace
     return KernelAblationResult(
         scenario=base.name,
         event_seconds=seconds["event"],
-        legacy_seconds=seconds["legacy"],
-        batch_seconds=seconds["batch"],
-        traces_identical=identical,
-        samples=sum(len(t.times) for t in legacy_trace.apps.values()),
-        apps=len(legacy_trace.apps),
+        batch_seconds=seconds["auto"],
+        traces_identical=traces_bitwise_equal(
+            runs["auto"].attachments.trace, event_trace
+        ),
+        samples=sum(len(t.times) for t in event_trace.apps.values()),
+        apps=len(event_trace.apps),
     )
 
 

@@ -39,8 +39,8 @@ SIMULATION_CASE_STUDY: Tuple[Tuple[str, float, float, float], ...] = (
 )
 
 #: Multi-rate roster (same tuple layout): a 2 ms motor current loop
-#: beside three 20 ms chassis loops.  Exercises the event-driven
-#: co-simulation kernel — the legacy fixed-step loop rejects it — while
+#: beside three 20 ms chassis loops.  Exercises the co-simulation
+#: kernels' multi-rate mode (per-application sampling grids) while
 #: keeping the canonical six-application roster (and every artefact
 #: derived from it) untouched.
 MULTIRATE_CASE_STUDY: Tuple[Tuple[str, float, float, float], ...] = (

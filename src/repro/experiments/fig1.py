@@ -21,7 +21,8 @@ from repro.control.disturbance import OneShotDisturbance
 from repro.control.plants import dc_motor_speed, servo_rig
 from repro.experiments.reporting import format_table
 from repro.flexray.frame import FrameSpec
-from repro.sim.cosim import AnalyticNetwork, CoSimApplication, CoSimulator
+from repro.sim.cosim import CoSimApplication, CoSimulator
+from repro.sim.network import AnalyticNetwork
 from repro.sim.runtime import CommState
 from repro.sim.trace import SimulationTrace
 

@@ -19,13 +19,8 @@ from repro.experiments.reporting import format_table
 from repro.flexray.bus import FlexRayBus
 from repro.flexray.frame import FrameSpec
 from repro.flexray.params import FlexRayConfig, paper_bus_config
-from repro.sim.cosim import (
-    AnalyticNetwork,
-    CoSimApplication,
-    CoSimulator,
-    FlexRayNetwork,
-    NetworkModel,
-)
+from repro.sim.cosim import CoSimApplication, CoSimulator
+from repro.sim.network import AnalyticNetwork, FlexRayNetwork, NetworkModel
 from repro.sim.trace import SimulationTrace
 
 
@@ -89,10 +84,9 @@ def run_fig5(
         ``True`` runs over the cycle-accurate bus; ``False`` uses the
         analytic worst-case network (faster, deterministic).
     kernel:
-        Co-simulation kernel (``"auto"``, ``"batch"``, ``"event"`` or
-        ``"legacy"``; traces are bitwise identical on this
-        shared-period roster, so the default lets eligible runs take
-        the batched fast path).
+        Co-simulation kernel: ``"auto"`` (the default) lets eligible
+        runs take the batched fast path, ``"event"`` forces the
+        reference kernel; traces are bitwise identical either way.
     """
     if applications is None:
         # Default roster: run the whole chain as the fig5 pipeline

@@ -26,7 +26,8 @@ from repro.core.allocation import first_fit_allocation
 from repro.experiments.casestudy import CaseStudyApplication, simulation_applications
 from repro.experiments.reporting import format_table
 from repro.flexray.frame import FrameSpec
-from repro.sim.cosim import AnalyticNetwork, CoSimApplication, CoSimulator
+from repro.sim.cosim import CoSimApplication, CoSimulator
+from repro.sim.network import AnalyticNetwork
 
 
 def _cosim_apps(

@@ -46,10 +46,10 @@ ALLOCATORS = (
 NETWORKS = ("analytic", "can", "flexray")
 # Co-simulation kernels: KERNELS is re-exported from repro.sim.cosim
 # (imported above) so the accepted names live in one place.  "auto"
-# (default) picks the batched analytic fast path when the fleet is
-# eligible and the event kernel otherwise; all kernels produce
-# bitwise-identical traces on fleets they accept, so the choice is
-# purely about speed and diagnostics.
+# (default) picks the batch fast path when the fleet is capable and the
+# event kernel otherwise; "event" forces the reference kernel.  Both
+# produce bitwise-identical traces, so the choice is purely about speed
+# and diagnostics.
 #: Disturbance arrival processes for the co-simulation stage.
 DISTURBANCES = ("one-shot", "sporadic")
 
@@ -134,12 +134,11 @@ class Scenario:
         Co-simulation length in seconds; ``None`` derives
         1.2x the largest deadline.
     kernel:
-        Co-simulation kernel: ``"auto"`` (default; the batched analytic
-        fast path when eligible, the event kernel otherwise),
-        ``"batch"`` (force the fast path, falling back to the event
-        kernel for ineligible fleets), ``"event"`` (multi-rate capable)
-        or ``"legacy"`` (the original fixed-step loop, shared-period
-        fleets only).  Traces are bitwise identical across kernels, so
+        Co-simulation kernel: ``"auto"`` (default; the batch fast path
+        when the fleet is capable, the event kernel otherwise) or
+        ``"event"`` (always the reference kernel).  The cosim artifact's
+        ``kernel_used`` names the kernel that ran (``"batch"`` or
+        ``"event"``).  Traces are bitwise identical across kernels, so
         sweeps inherit the fast path for free.
     disturbance:
         Arrival process driving the co-simulation: ``"one-shot"`` (every

@@ -316,9 +316,9 @@ def stage_allocate(ctx: StudyContext) -> Dict[str, Any]:
 def stage_cosim(ctx: StudyContext) -> Dict[str, Any]:
     """Verify the allocation by co-simulating all disturbed plants.
 
-    The scenario picks the kernel (``"auto"`` by default — the batched
-    analytic fast path when eligible, the event kernel otherwise; the
-    legacy fixed-step loop rejects multi-rate rosters), the disturbance
+    The scenario picks the kernel (``"auto"`` by default — the batch
+    fast path when the fleet is capable, the event kernel otherwise;
+    ``"event"`` forces the reference kernel), the disturbance
     process, and — through ``seed`` — the randomness of sporadic
     arrivals and FlexRay frame loss, so co-simulation runs are exactly
     reproducible from a scenario document.
@@ -382,8 +382,8 @@ def stage_cosim(ctx: StudyContext) -> Dict[str, Any]:
     artifact = {
         "network": scenario.network,
         "kernel": scenario.kernel,
-        # "auto"/"batch" resolve at run time (eligibility detection);
-        # this records the kernel that actually executed.
+        # "auto" resolves at run time (capability detection); this
+        # records the kernel that actually executed.
         "kernel_used": simulator.last_kernel,
         "disturbance": scenario.disturbance,
         "seed": scenario.seed,

@@ -1,7 +1,7 @@
 """Static analysis for the determinism contract (``repro lint``).
 
 The simulator's headline guarantee — bitwise-identical traces across
-the legacy/event/batch kernels and seed-stable sweeps — rests on
+the event and batch kernels and seed-stable sweeps — rests on
 conventions no generic linter knows about.  This package turns them
 into machine-checked rules over the AST:
 

@@ -1,7 +1,7 @@
 """Determinism rules: seeded randomness, no wall clocks, exact time compares.
 
-These encode the contract behind the kernel-parity guarantee (legacy /
-event / batch traces are bitwise identical) and seed-stable sweeps:
+These encode the contract behind the kernel-parity guarantee (event
+and batch traces are bitwise identical) and seed-stable sweeps:
 every random draw flows from an explicit seed, simulation kernels never
 read the host clock, and event/barrier instants compare by integer-ns
 equality rather than float tolerance.

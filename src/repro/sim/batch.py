@@ -26,8 +26,8 @@ equalization recomputed per sample.  This module removes all of it:
 The fast path reproduces the event kernel **bitwise**: same operation
 sequence per barrier (disturbances, arbitration, state-machine updates,
 controls, plant sweeps), same float products for every recorded time,
-norm and delay.  The test suite asserts trace equality against both the
-event and the legacy kernel.
+norm and delay.  The test suite asserts trace equality against the
+event kernel.
 
 Eligibility is a **capability check**: :func:`batch_capability` asks
 the network's own ``capabilities()`` descriptor (the frozen
@@ -47,8 +47,8 @@ opts into —
   subclasses that do not re-claim a strategy, capability-less
   duck-types) runs on the event kernel;
   :class:`~repro.sim.cosim.CoSimulator` handles the fallback
-  transparently for ``kernel="batch"`` and ``kernel="auto"`` and
-  records the choice in the cosim artifact's ``kernel_used``.
+  transparently under ``kernel="auto"`` and records the choice in the
+  cosim artifact's ``kernel_used``.
 
 On top of the precomputed grids, per-sample **norms** and **control
 products** vectorize across applications: fleet-wide row-stacked
@@ -194,8 +194,8 @@ class _BatchKernel:
     Mirrors the event kernel's two delay-resolution modes:
 
     * **eager** (shared period): each barrier computes controls, delays
-      and plant sweeps for the whole roster at once — the legacy
-      kernel's operation sequence with the per-sample network and
+      and plant sweeps for the whole roster at once — the event
+      kernel's eager operation sequence with the per-sample network and
       bookkeeping costs hoisted out of the loop;
     * **lazy** (multi-rate): each application's interval is stepped at
       its *next* tick, exactly when the event kernel resolves it, so
@@ -437,11 +437,11 @@ class _BatchKernel:
         return self.traces
 
     def _run_eager(self) -> None:
-        """Shared-period sweep: the legacy/event operation sequence with
-        constants hoisted; one pass per sampling instant.
+        """Shared-period sweep: the event kernel's eager operation
+        sequence with constants hoisted; one pass per sampling instant.
 
         Hot-loop structure (the fig5 analytic roster spends ~40 us per
-        sampling instant here, vs ~120 us in the legacy loop):
+        sampling instant here, about a third of the event kernel's cost):
 
         * state-machine updates take a fast path while an application
           sits below threshold in ``ET_STEADY`` — ``update()`` is a

@@ -27,8 +27,8 @@ extend the :mod:`repro.sim.batch` fast path to FlexRay fleets:
   full object machinery.
 * :class:`_FlexRayBatchKernel` plugs the schedule walk into the batch
   kernel's precomputed tick grids; traces are bitwise identical to the
-  event and legacy kernels (asserted by the parity and property tests
-  in ``tests/test_cosim_batch_flexray.py``).
+  event kernel (asserted by the parity and property tests in
+  ``tests/test_cosim_batch_flexray.py``).
 
 Why integer nanoseconds are safe here: every compared instant —
 ``k * period`` releases, ``cycle * L + slot * Psi`` slot starts,

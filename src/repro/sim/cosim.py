@@ -8,47 +8,40 @@ through the non-preemptive deadline-priority arbiter, and everything is
 recorded in :class:`~repro.sim.trace.SimulationTrace` (the data behind
 the paper's Figure 5).
 
-Three simulation kernels are provided (``kernel=`` selects one;
-``"auto"``, the default, picks the fastest applicable):
+Two simulation kernels are provided (``kernel=`` selects between them):
 
-* the **batch kernel** (``kernel="batch"``) is a vectorized fast path
-  for fleets whose communication timeline is precomputable: every
-  application on an :class:`AnalyticNetwork` (state-independent
+* the **event-driven kernel** (``kernel="event"``) is the reference.
+  It schedules sampling ticks, disturbance arrivals, slot grant
+  hand-overs and message transmission on a
+  :class:`~repro.sim.events.EventQueue`.  Applications may use
+  *different* sampling periods — a 2 ms current loop can share the bus
+  with 20 ms chassis loops — and each application's state machine,
+  plant step and trace samples advance at its own rate.
+* the **batch kernel** is a vectorized fast path for fleets whose
+  communication timeline is precomputable: every application on an
+  :class:`~repro.sim.network.AnalyticNetwork` (state-independent
   per-mode delay constants), or a *deterministic* FlexRay fleet —
   ``loss_rate == 0``, no background dynamic-segment traffic, stock bus
   classes — whose grant/transmit instants are replayed from the
   static-segment slot table ahead of the loop (see
   :mod:`repro.sim.batch` and :mod:`repro.sim.batch_flexray`).  It skips
   per-event dispatch entirely: sampling-tick grids are precomputed and
-  same-dynamics plants advance in NumPy-batched sweeps.  Traces are
-  bitwise identical to the event kernel; ineligible fleets (frame loss,
-  dynamic-segment contention, subclassed networks) fall back to it
-  automatically.
-* the **event-driven kernel** (``kernel="event"``) schedules sampling
-  ticks, disturbance arrivals, slot grant hand-overs and message
-  transmission on a :class:`~repro.sim.events.EventQueue`.  Applications
-  may use *different* sampling periods — a 2 ms current loop can share
-  the bus with 20 ms chassis loops — and each application's state
-  machine, plant step and trace samples advance at its own rate.
-* the **legacy fixed-step kernel** (``kernel="legacy"``) is the
-  original polling loop; it requires one shared sampling period.  On
-  any shared-period scenario all kernels produce bitwise-identical
-  traces (they execute the same operations in the same order), which
-  the test suite asserts.
+  same-dynamics plants advance in NumPy-batched sweeps.  ``"auto"``,
+  the default, takes it whenever the fleet is capable and runs the
+  event kernel otherwise (frame loss, dynamic-segment contention,
+  subclassed networks).  Traces are bitwise identical to the event
+  kernel's, which the test suite asserts.
 
 Network backends live in the :mod:`repro.sim.network` package — a
 :class:`~repro.sim.network.NetworkModel` protocol, a decorator registry
 (``analytic``, ``flexray``, ``can`` bundled), composable loss processes
-and a conformance test kit.  :class:`AnalyticNetwork`,
-:class:`FlexRayNetwork`, :class:`Submission` and :class:`Delivery` are
-re-exported here for compatibility (their canonical home moved in the
-network-registry refactor).
+and a conformance test kit.
 
 Multi-rate fleets need the incremental *event interface*
 (:meth:`event_submit` / :meth:`event_advance`), which all bundled
-models implement; third-party :class:`NetworkModel` objects that only
-provide the batch :meth:`~NetworkModel.sample_delays` remain fully
-supported for shared-period fleets.
+models implement; third-party network objects that only provide
+:meth:`~repro.sim.network.NetworkModel.sample_delays` still run
+shared-period fleets.
 """
 
 from __future__ import annotations
@@ -66,13 +59,7 @@ from repro.control.lti import ContinuousStateSpace
 from repro.flexray.frame import FrameSpec
 from repro.sim.arbiter import TTSlotArbiter
 from repro.sim.events import EventQueue
-from repro.sim.network import (
-    AnalyticNetwork,
-    Delivery,
-    FlexRayNetwork,
-    NetworkModel,
-    Submission,
-)
+from repro.sim.network import NetworkModel, Submission
 from repro.sim.stepper import PlantStepperBank
 from repro.sim.runtime import CommState, SwitchingRuntime
 from repro.sim.trace import AppTrace, SimulationTrace
@@ -156,8 +143,10 @@ class _EventKernel:
     Delay resolution runs in one of two modes:
 
     * **eager** (all applications share one period): the network is
-      advanced one full interval at transmission time, exactly like the
-      legacy kernel — same calls, same order, bitwise-equal traces.
+      advanced one full interval at transmission time through
+      :meth:`~repro.sim.network.NetworkModel.sample_delays` — the same
+      calls in the same order as the fixed-step reference loop in
+      ``tests/test_cosim_event.py``, whose traces it must match bitwise.
     * **lazy** (multi-rate fleets): messages are submitted when
       released, the bus advances incrementally at each barrier, and each
       application's interval is resolved at its *next* tick, clamped to
@@ -448,8 +437,8 @@ class _EventKernel:
         inputs: Dict[str, np.ndarray],
         submissions: List[Submission],
     ) -> None:
-        """Shared-period resolution: one batch network call per barrier,
-        the exact call sequence of the legacy fixed-step kernel."""
+        """Shared-period resolution: one ``sample_delays`` call per
+        barrier covering the whole interval."""
         sim = self.sim
         period = self.periods[due[0]]
         delays = self.network.sample_delays(t, period, submissions)
@@ -534,7 +523,7 @@ class _EventKernel:
 
 
 #: Kernel names accepted by :class:`CoSimulator`.
-KERNELS = ("auto", "batch", "event", "legacy")
+KERNELS = ("auto", "event")
 
 
 class CoSimulator:
@@ -543,26 +532,18 @@ class CoSimulator:
     ``kernel=`` selects the simulation kernel:
 
     * ``"auto"`` (default) — the batch fast path when the fleet is
-      eligible (see :func:`repro.sim.batch.batch_capability`: analytic
+      capable (see :func:`repro.sim.batch.batch_capability`: analytic
       network, or deterministic loss-free static-slot FlexRay), the
       event kernel otherwise;
-    * ``"batch"`` — the vectorized fast path (analytic constants or a
-      precomputed FlexRay schedule walk), falling back to the event
-      kernel when the fleet is ineligible (frame loss, background
-      dynamic-segment traffic, subclassed networks);
-    * ``"event"`` — the event-driven kernel; supports fleets with
-      *mixed* sampling periods (disturbance arrivals, per-application
-      ticks and transmissions are queue events);
-    * ``"legacy"`` — the original fixed-step polling loop, which
-      requires all applications to share one sampling period (the
-      paper's case study uses ``h = 20 ms`` throughout).
-      ``legacy=True`` remains as a backward-compatible alias.
+    * ``"event"`` — always the event-driven reference kernel; supports
+      fleets with *mixed* sampling periods (disturbance arrivals,
+      per-application ticks and transmissions are queue events).
 
     Disturbances are applied at the owning application's first sampling
-    instant at or after their arrival time in every kernel, and traces
-    are bitwise identical across all kernels that accept a given fleet.
-    After :meth:`run`, :attr:`last_kernel` names the kernel that
-    actually executed (``"batch"``/``"event"``/``"legacy"``).
+    instant at or after their arrival time in both kernels, and traces
+    are bitwise identical across them.  After :meth:`run`,
+    :attr:`last_kernel` names the kernel that actually executed
+    (``"batch"`` or ``"event"``).
     """
 
     def __init__(
@@ -572,20 +553,10 @@ class CoSimulator:
         period: Optional[float] = None,
         equalize_delays: bool = True,
         tt_allowed: bool = True,
-        legacy: bool = False,
-        kernel: Optional[str] = None,
+        kernel: str = "auto",
     ):
         if not applications:
             raise ValueError("need at least one application")
-        if legacy:
-            if kernel not in (None, "legacy"):
-                raise ValueError(
-                    f"legacy=True conflicts with kernel={kernel!r}; "
-                    "pass one or the other"
-                )
-            kernel = "legacy"
-        elif kernel is None:
-            kernel = "auto"
         if kernel not in KERNELS:
             raise ValueError(
                 f"unknown kernel {kernel!r}; expected one of {list(KERNELS)}"
@@ -594,12 +565,6 @@ class CoSimulator:
         if len(set(names)) != len(names):
             raise ValueError(f"application names must be unique, got {names}")
         periods = {round(a.app.period, 12) for a in applications}
-        if kernel == "legacy" and len(periods) != 1:
-            raise ValueError(
-                "the legacy fixed-step kernel requires one shared sampling "
-                f"period, got {sorted(periods)}; use the event kernel "
-                "(kernel='event') for multi-rate fleets"
-            )
         if period is not None:
             if len(periods) != 1:
                 raise ValueError(
@@ -615,7 +580,6 @@ class CoSimulator:
         else:
             self.period = None  # multi-rate: each application keeps its own
         self.kernel = kernel
-        self.legacy = kernel == "legacy"
         self.last_kernel: Optional[str] = None
         self.applications = list(applications)
         self.network = network
@@ -642,166 +606,26 @@ class CoSimulator:
     def run(self, horizon: float) -> SimulationTrace:
         """Simulate up to ``horizon`` seconds and return the trace."""
         check_positive(horizon, "horizon")
-        kernel = self.kernel
         capability = None
-        if kernel in ("auto", "batch"):
+        if self.kernel == "auto":
             # Imported lazily: repro.sim.batch imports from this module.
             from repro.sim.batch import batch_capability
 
             capability = batch_capability(self)
-            kernel = "batch" if capability else "event"
-        self.last_kernel = kernel
-        if kernel == "legacy":
-            return self._run_legacy(horizon)
-        if kernel == "batch":
-            if capability == "flexray":
-                from repro.sim.batch_flexray import _FlexRayBatchKernel
+        self.last_kernel = "batch" if capability else "event"
+        if capability == "flexray":
+            from repro.sim.batch_flexray import _FlexRayBatchKernel
 
-                return _FlexRayBatchKernel(self, horizon).run()
+            return _FlexRayBatchKernel(self, horizon).run()
+        if capability:
             from repro.sim.batch import _BatchKernel
 
             return _BatchKernel(self, horizon).run()
         return _EventKernel(self, horizon).run()
 
-    def _run_legacy(self, horizon: float) -> SimulationTrace:
-        """The original fixed-step polling loop (shared period only)."""
-        period = self.period
-        steps = int(np.ceil(horizon / period))
-        bank = PlantStepperBank()
-        for a in self.applications:
-            bank.register(a.name, a.dynamics, period)
-        states = {
-            a.name: np.zeros(a.dynamics.n_states) for a in self.applications
-        }
-        held_inputs = {
-            a.name: np.zeros(a.app.et.plant.n_inputs) for a in self.applications
-        }
-        pending_events = {
-            a.name: deque(a.disturbances.events_until(horizon))
-            for a in self.applications
-        }
-        traces = SimulationTrace(horizon=horizon)
-        for app in self.applications:
-            traces.add(
-                AppTrace(
-                    name=app.name,
-                    threshold=app.app.threshold,
-                    deadline=app.deadline,
-                )
-            )
-        slot_owner: Dict[int, Optional[str]] = {a.slot: None for a in self.applications}
-
-        for k in range(steps):
-            time = k * period
-            # 1. Apply disturbances due at this instant.
-            for app in self.applications:
-                events = pending_events[app.name]
-                while events and events[0].time <= time + 1e-12:
-                    event = events.popleft()
-                    states[app.name] = (
-                        states[app.name] + event.magnitude * app.disturbance_state
-                    )
-                    self.runtimes[app.name].on_disturbance(time)
-            # 2. Grant freed slots, then advance every state machine.
-            self.arbiter.grant_pending()
-            comm_states: Dict[str, CommState] = {}
-            for app in self.applications:
-                norm = float(np.linalg.norm(states[app.name]))
-                comm_states[app.name] = self.runtimes[app.name].update(time, norm)
-            # A release in update() may leave a slot claimable this sample.
-            granted = self.arbiter.grant_pending()
-            for name in granted:
-                runtime = self.runtimes[name]
-                if runtime.state is CommState.WAITING:
-                    comm_states[name] = runtime.update(
-                        time, float(np.linalg.norm(states[name]))
-                    )
-            # 3. Propagate slot-ownership changes to the network.
-            for app in self.applications:
-                holder = self.arbiter.holder_of_slot(app.slot)
-                if slot_owner[app.slot] != holder:
-                    spec = None
-                    if holder is not None:
-                        spec = next(
-                            a.frame for a in self.applications if a.name == holder
-                        )
-                    self.network.on_slot_change(app.slot, spec)
-                    slot_owner[app.slot] = holder
-            # 4. Compute control inputs and submit messages.
-            submissions: List[Submission] = []
-            inputs: Dict[str, np.ndarray] = {}
-            for app in self.applications:
-                uses_tt = comm_states[app.name] is CommState.TT_HOLDING
-                controller = app.app.tt if uses_tt else app.app.et
-                u = controller.control(states[app.name], held_inputs[app.name])
-                inputs[app.name] = u
-                submissions.append(
-                    Submission(
-                        name=app.name,
-                        spec=app.frame,
-                        uses_tt=uses_tt,
-                        slot=app.slot if uses_tt else None,
-                        release_time=time,
-                    )
-                )
-            delays = self.network.sample_delays(time, period, submissions)
-            if self.equalize_delays:
-                # Buffer actuation until the design-time offset of the
-                # active mode: the controllers were designed for a fixed
-                # sensor-to-actuator delay, and actuating early (the bus
-                # is usually faster than the worst case) de-tunes the
-                # loop.  This jitter-buffering is standard practice in
-                # networked control; messages slower than the design
-                # offset keep their true delay and are counted as jitter
-                # violations.
-                for app in self.applications:
-                    if not np.isfinite(delays[app.name]):
-                        continue  # lost frame: nothing to equalize
-                    uses_tt = comm_states[app.name] is CommState.TT_HOLDING
-                    design = (app.app.tt if uses_tt else app.app.et).plant.delay
-                    if delays[app.name] <= design + 1e-12:
-                        delays[app.name] = design
-                    else:
-                        self.jitter_violations += 1
-            # 5. Step plants with the experienced delays; record traces.
-            requests: Dict[str, Tuple[np.ndarray, np.ndarray, float]] = {}
-            lost_names = set()
-            for app in self.applications:
-                name = app.name
-                delay = delays[name]
-                lost = not np.isfinite(delay)
-                if lost:
-                    # The command never reached the actuator: the previous
-                    # input holds for the whole period and stays latched.
-                    delay = period
-                    lost_names.add(name)
-                norm = float(np.linalg.norm(states[name]))
-                traces[name].append(time, norm, comm_states[name], delay)
-                requests[name] = (inputs[name], held_inputs[name], delay)
-            bank.step_all(states, requests)
-            for app in self.applications:
-                if app.name not in lost_names:
-                    held_inputs[app.name] = np.asarray(inputs[app.name], dtype=float)
-        # Final norm sample at the horizon for settling checks.
-        for app in self.applications:
-            name = app.name
-            traces[name].append(
-                steps * period,
-                float(np.linalg.norm(states[name])),
-                self.runtimes[name].state,
-                0.0,
-            )
-            traces[name].response_times = self.runtimes[name].response_times()
-        return traces
-
 
 __all__ = [
-    "AnalyticNetwork",
     "CoSimApplication",
     "CoSimulator",
-    "Delivery",
-    "FlexRayNetwork",
     "KERNELS",
-    "NetworkModel",
-    "Submission",
 ]

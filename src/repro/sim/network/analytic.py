@@ -1,9 +1,8 @@
 """The constant-delay analytic network backend.
 
-Re-homed from ``repro.sim.cosim`` (which still re-exports it): the
-design-time model under which the paper's controllers were derived —
-TT messages arrive after the configured slot latency, ET messages
-after the worst-case bound, independent of bus state.
+The design-time model under which the paper's controllers were
+derived: TT messages arrive after the configured slot latency, ET
+messages after the worst-case bound, independent of bus state.
 """
 
 from __future__ import annotations
@@ -32,6 +31,9 @@ class AnalyticNetwork(NetworkModel):
     )
 
     def sample_delays(self, time, period, submissions):
+        # The inherited default would report ``(time + d) - time``, which
+        # is not always ``d`` in floating point; the batch kernel replays
+        # the constants themselves.
         delays = {}
         for sub in submissions:
             delays[sub.name] = min(self.tt_delay if sub.uses_tt else self.et_delay, period)

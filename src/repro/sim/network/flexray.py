@@ -1,7 +1,6 @@
 """The cycle-accurate FlexRay network backend.
 
-Re-homed from ``repro.sim.cosim`` (which still re-exports it).  The
-``loss_rate`` machinery now delegates to
+The ``loss_rate`` machinery delegates to
 :class:`~repro.sim.network.loss.IIDLoss`, bit-for-bit: the same
 ``np.random.default_rng(loss_seed)`` stream, one draw per delivered
 control message, drawn *before* the staleness check — every historical
@@ -50,39 +49,6 @@ class FlexRayNetwork(NetworkModel):
             raise ValueError(f"loss_rate must lie in [0, 1), got {self.loss_rate}")
         if self.loss_rate > 0.0:
             self._loss = IIDLoss(rate=self.loss_rate, seed=self.loss_seed)
-
-    def sample_delays(self, time, period, submissions):
-        if self.traffic is not None:
-            for message in self.traffic.messages_between(time, time + period):
-                self.bus.submit_et(message)
-        for sub in submissions:
-            message = Message(spec=sub.spec, release_time=sub.release_time)
-            self._inflight[message.sequence] = sub.name
-            if sub.uses_tt:
-                self.bus.submit_tt(message)
-            else:
-                self.bus.submit_et(message)
-        delivered = self.bus.advance_to(time + period)
-        delays: Dict[str, float] = {}
-        for message in delivered:
-            name = self._inflight.pop(message.sequence, None)
-            if name is None:
-                continue  # stale message from an earlier interval
-            if self._loss is not None and self._loss.sample():
-                # Failure injection: the frame was corrupted on the wire.
-                # Report an infinite delay; the co-simulator holds the
-                # previous input for the whole period and never latches
-                # the lost command.
-                self.lost += 1
-                delays[name] = float("inf")
-                continue
-            if message.release_time >= time - 1e-12:
-                delays[name] = min(message.delivery_time - time, period)
-        for sub in submissions:
-            if sub.name not in delays:
-                delays[sub.name] = period
-                self.clamped += 1
-        return delays
 
     def on_slot_change(self, slot, spec):
         if spec is None:

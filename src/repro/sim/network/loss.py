@@ -149,31 +149,6 @@ class LossyNetwork(NetworkModel):
             out.append(delivery)
         return out
 
-    def sample_delays(
-        self, time: float, period: float, submissions: Sequence[Submission]
-    ) -> Dict[str, float]:
-        # Mirrors the legacy FlexRay loss path exactly: the loss draw
-        # happens per delivered message *before* the staleness check,
-        # and a lost message yields inf for the interval (the kernel
-        # keeps the previous input latched).
-        self.inner.event_submit(time, time + period, submissions)
-        delays: Dict[str, float] = {}
-        for delivery in self.inner.event_advance(time + period):
-            if delivery.lost:
-                delays[delivery.name] = float("inf")
-                continue
-            if self.loss.sample():
-                self.lost += 1
-                delays[delivery.name] = float("inf")
-                continue
-            if delivery.release_time >= time - 1e-12:
-                delays[delivery.name] = min(delivery.delivery_time - time, period)
-        for sub in submissions:
-            if sub.name not in delays:
-                delays[sub.name] = period
-                self.event_clamped()
-        return delays
-
     def on_slot_change(self, slot: int, spec: Optional[FrameSpec]) -> None:
         self.inner.on_slot_change(slot, spec)
 

@@ -10,12 +10,13 @@ an undocumented duck-type shared by exactly two classes:
   :meth:`NetworkModel.event_advance` runs the transport up to a barrier
   and reports every :class:`Delivery`.  The event kernel resolves
   multi-rate fleets exclusively through this pair.
-* the **batch interface**: :meth:`NetworkModel.sample_delays` answers
-  one whole sampling interval in a single call.  The legacy fixed-step
-  kernel and the event kernel's shared-period fast path use it; a
-  default implementation built on the event interface is provided, so
-  backends only override it when they need a bespoke (or historically
-  bitwise-pinned) formulation.
+* the **shared-period hook**: :meth:`NetworkModel.sample_delays`
+  answers one whole sampling interval in a single call.  The event
+  kernel resolves shared-period fleets through it.  The default
+  implementation is built on the event interface, so backends only
+  override it when they need a different formulation:
+  :class:`~repro.sim.network.analytic.AnalyticNetwork` does, to report
+  its delay constants exactly.
 * **lifecycle**: :meth:`NetworkModel.reset` returns the backend to its
   just-constructed state (idempotent), :meth:`NetworkModel.statistics`
   reports JSON-safe counters, and :meth:`NetworkModel.capabilities`

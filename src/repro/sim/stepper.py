@@ -23,9 +23,10 @@ matmul per shape, gated by :func:`stacked_safe`: a seeded per-shape
 probe that engages the stacked formulation only where this platform's
 batched matmul is bitwise identical, slice for slice, to the scalar
 products (reduction order is shape-dependent, not value-dependent, so
-the probe decides once per shape per process).  Both the event-driven
-and the legacy co-simulation kernels route all stepping through one
-bank, which keeps their traces bitwise identical by construction.
+the probe decides once per shape per process).  The event-driven
+kernel routes all stepping through one bank, and the batch kernel
+stacks states exactly the way the bank does, which keeps their traces
+bitwise identical by construction.
 """
 
 from __future__ import annotations

@@ -170,6 +170,33 @@ class TestRegressionGate:
         assert code == 0
         assert "flexray_kernel" not in out
 
+    def test_gated_key_missing_from_fresh_artifact_fails(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        """A renamed gated metric must not disarm the gate: the baseline
+        still holds the old key, the fresh artifact only the new one."""
+        self._pin_baseline(
+            monkeypatch, {"kernel": {"batch_speedup_vs_legacy": 4.0}}
+        )
+        artifact = write_artifact(
+            tmp_path / "BENCH_x.json", {"kernel": {"batch_speedup_vs_event": 4.0}}
+        )
+        code = compare_bench.main(
+            [str(artifact), "--fail-above", "25", "--only", "kernel.batch_speedup*"]
+        )
+        out = capsys.readouterr().out
+        assert code == 1
+        assert "batch_speedup_vs_legacy" in out
+        assert "regressed beyond" in out
+
+    def test_gone_key_is_only_reported_without_fail_above(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        self._pin_baseline(monkeypatch, {"elapsed": 1.0, "retired": 2.0})
+        artifact = write_artifact(tmp_path / "BENCH_x.json", {"elapsed": 1.0})
+        assert compare_bench.main([str(artifact)]) == 0
+        assert "new/gone" in capsys.readouterr().out
+
     def test_only_filter_with_no_matches_reports_and_passes(
         self, tmp_path, capsys, monkeypatch
     ):

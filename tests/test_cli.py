@@ -32,6 +32,16 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["fig99"])
 
+    def test_kernel_choices_are_auto_and_event(self, capsys):
+        parser = build_parser()
+        assert parser.parse_args(["fig5", "--kernel", "event"]).kernel == "event"
+        for removed in ("legacy", "batch"):
+            with pytest.raises(SystemExit) as excinfo:
+                parser.parse_args(["fig5", "--kernel", removed])
+            assert excinfo.value.code == 2
+            err = capsys.readouterr().err
+            assert "choose from" in err and "auto" in err and "event" in err
+
 
 class TestExecution:
     def test_table1_paper_only(self, capsys):

@@ -2,10 +2,9 @@
 
 The acceptance bar of the batch kernel: on *any* analytic-network fleet
 — shared-period or multi-rate, any disturbance process, any seed — it
-produces traces bitwise identical to the event kernel (and, where the
-legacy kernel applies, to that too).  Ineligible fleets (cycle-accurate
-FlexRay buses, frame loss, subclassed networks) fall back to the event
-kernel transparently.
+produces traces bitwise identical to the event kernel.  Ineligible
+fleets (frame loss, background traffic, subclassed networks) fall back
+to the event kernel transparently.
 """
 
 import random
@@ -100,26 +99,21 @@ def random_multirate_fleet(rng: random.Random):
 
 
 class TestBatchParity:
-    """Bitwise identity against the event (and legacy) kernels."""
+    """Bitwise identity against the event kernel."""
 
     @pytest.mark.parametrize("seed", range(6))
     def test_random_shared_fleets_identical_across_all_kernels(self, seed):
         rng = random.Random(seed)
         horizon = rng.uniform(4.0, 8.0)
         builder = lambda: random_shared_fleet(random.Random(seed))  # noqa: E731
-        traces = {}
-        sims = {}
-        for kernel in ("legacy", "event", "batch"):
-            sims[kernel] = CoSimulator(builder(), AnalyticNetwork(), kernel=kernel)
-            traces[kernel] = sims[kernel].run(horizon)
+        sims = {
+            "event": CoSimulator(builder(), AnalyticNetwork(), kernel="event"),
+            "batch": CoSimulator(builder(), AnalyticNetwork()),
+        }
+        traces = {kernel: sim.run(horizon) for kernel, sim in sims.items()}
         assert sims["batch"].last_kernel == "batch"
         assert traces_bitwise_equal(traces["batch"], traces["event"])
-        assert traces_bitwise_equal(traces["batch"], traces["legacy"])
-        assert (
-            sims["batch"].jitter_violations
-            == sims["event"].jitter_violations
-            == sims["legacy"].jitter_violations
-        )
+        assert sims["batch"].jitter_violations == sims["event"].jitter_violations
 
     @pytest.mark.parametrize("seed", range(6))
     def test_random_multirate_fleets_identical_to_event_kernel(self, seed):
@@ -127,7 +121,7 @@ class TestBatchParity:
         horizon = rng.uniform(3.0, 6.0)
         builder = lambda: random_multirate_fleet(random.Random(1000 + seed))  # noqa: E731
         event_sim = CoSimulator(builder(), AnalyticNetwork(), kernel="event")
-        batch_sim = CoSimulator(builder(), AnalyticNetwork(), kernel="batch")
+        batch_sim = CoSimulator(builder(), AnalyticNetwork())
         event = event_sim.run(horizon)
         batch = batch_sim.run(horizon)
         assert batch_sim.last_kernel == "batch"
@@ -142,7 +136,7 @@ class TestBatchParity:
             shared_fleet(), AnalyticNetwork(), equalize_delays=False, kernel="event"
         ).run(5.0)
         batch = CoSimulator(
-            shared_fleet(), AnalyticNetwork(), equalize_delays=False, kernel="batch"
+            shared_fleet(), AnalyticNetwork(), equalize_delays=False
         ).run(5.0)
         assert traces_bitwise_equal(batch, event)
 
@@ -151,13 +145,13 @@ class TestBatchParity:
             shared_fleet(), AnalyticNetwork(), tt_allowed=False, kernel="event"
         ).run(5.0)
         batch = CoSimulator(
-            shared_fleet(), AnalyticNetwork(), tt_allowed=False, kernel="batch"
+            shared_fleet(), AnalyticNetwork(), tt_allowed=False
         ).run(5.0)
         assert traces_bitwise_equal(batch, event)
 
     def test_parity_for_multirate_reference_fleet(self):
         event = CoSimulator(multirate_fleet(), AnalyticNetwork(), kernel="event").run(6.0)
-        batch = CoSimulator(multirate_fleet(), AnalyticNetwork(), kernel="batch").run(6.0)
+        batch = CoSimulator(multirate_fleet(), AnalyticNetwork()).run(6.0)
         assert traces_bitwise_equal(batch, event)
 
 
@@ -177,7 +171,7 @@ class TestEligibilityAndFallback:
         net = lambda: FlexRayNetwork(  # noqa: E731
             bus=FlexRayBus(config=paper_bus_config()), loss_rate=0.3, loss_seed=7
         )
-        batch_sim = CoSimulator(shared_fleet(dist), net(), kernel="batch")
+        batch_sim = CoSimulator(shared_fleet(dist), net())
         assert not batch_eligible(batch_sim)
         batch_trace = batch_sim.run(6.0)
         assert batch_sim.last_kernel == "event"
@@ -186,11 +180,11 @@ class TestEligibilityAndFallback:
 
     def test_lossfree_multirate_flexray_is_now_batch_eligible(self):
         """Deterministic FlexRay joined the fast path: loss-free,
-        traffic-free, stock-bus fleets select batch under kernel="batch"
-        (the deeper parity assertions live in
+        traffic-free, stock-bus fleets select batch under the default
+        kernel (the deeper parity assertions live in
         tests/test_cosim_batch_flexray.py)."""
         network = FlexRayNetwork(bus=FlexRayBus(config=paper_bus_config()))
-        sim = CoSimulator(multirate_fleet(), network, kernel="batch")
+        sim = CoSimulator(multirate_fleet(), network)
         trace = sim.run(3.0)
         assert sim.last_kernel == "batch"
         assert len(trace.apps) == 3
@@ -206,19 +200,13 @@ class TestEligibilityAndFallback:
         sim.run(2.0)
         assert sim.last_kernel == "event"
 
-    def test_legacy_flag_conflicts_with_other_kernels(self):
-        with pytest.raises(ValueError, match="conflicts"):
-            CoSimulator(shared_fleet(), AnalyticNetwork(), legacy=True, kernel="batch")
-
     def test_unknown_kernel_rejected(self):
-        with pytest.raises(ValueError, match="unknown kernel"):
-            CoSimulator(shared_fleet(), AnalyticNetwork(), kernel="quantum")
-
-    def test_explicit_legacy_kernel_string(self):
-        sim = CoSimulator(shared_fleet(), AnalyticNetwork(), kernel="legacy")
-        assert sim.legacy is True
-        sim.run(2.0)
-        assert sim.last_kernel == "legacy"
+        for kernel in ("quantum", "legacy", "batch"):
+            with pytest.raises(ValueError, match="unknown kernel") as excinfo:
+                CoSimulator(shared_fleet(), AnalyticNetwork(), kernel=kernel)
+            assert "['auto', 'event']" in str(excinfo.value)
+        with pytest.raises(TypeError, match="legacy"):
+            CoSimulator(shared_fleet(), AnalyticNetwork(), legacy=True)
 
 
 class TestProbeGatedVectorization:

@@ -3,9 +3,9 @@
 The acceptance bar of the FlexRay fast path: on *any* loss-free
 static-slot FlexRay fleet — shared-period or multi-rate, any slot
 assignment, any disturbance process, any seed — the batch kernel's
-traces are bitwise identical to the event kernel's (and, where the
-legacy kernel applies, to that too), and the bus statistics written back
-by the schedule mirror match the event kernel's cycle-accurate run.
+traces are bitwise identical to the event kernel's, and the bus
+statistics written back by the schedule mirror match the event kernel's
+cycle-accurate run.
 Anything non-deterministic (loss, background dynamic-segment traffic,
 subclassed components, pre-warmed buses) falls back to the event kernel.
 """
@@ -115,29 +115,22 @@ MULTIRATE_CONFIG = dict(
 
 
 class TestFlexRayBatchParity:
-    """Bitwise identity against the event (and legacy) kernels."""
+    """Bitwise identity against the event kernel."""
 
     def test_shared_fleet_identical_across_all_kernels(self):
-        traces = {}
-        sims = {}
-        nets = {}
-        for kernel in ("legacy", "event", "batch"):
-            nets[kernel] = fresh_network()
-            sims[kernel] = CoSimulator(shared_fleet(), nets[kernel], kernel=kernel)
-            traces[kernel] = sims[kernel].run(6.0)
+        sims = {
+            "event": CoSimulator(shared_fleet(), fresh_network(), kernel="event"),
+            "batch": CoSimulator(shared_fleet(), fresh_network()),
+        }
+        traces = {kernel: sim.run(6.0) for kernel, sim in sims.items()}
         assert sims["batch"].last_kernel == "batch"
         assert traces_bitwise_equal(traces["batch"], traces["event"])
-        assert traces_bitwise_equal(traces["batch"], traces["legacy"])
-        assert (
-            sims["batch"].jitter_violations
-            == sims["event"].jitter_violations
-            == sims["legacy"].jitter_violations
-        )
+        assert sims["batch"].jitter_violations == sims["event"].jitter_violations
 
     def test_multirate_fleet_identical_to_event_kernel(self):
         config = FlexRayConfig(**MULTIRATE_CONFIG)
         batch_net, event_net = fresh_network(config), fresh_network(config)
-        batch_sim = CoSimulator(multirate_fleet(), batch_net, kernel="batch")
+        batch_sim = CoSimulator(multirate_fleet(), batch_net)
         event_sim = CoSimulator(multirate_fleet(), event_net, kernel="event")
         batch = batch_sim.run(6.0)
         event = event_sim.run(6.0)
@@ -148,10 +141,12 @@ class TestFlexRayBatchParity:
     def test_parity_without_delay_equalization(self):
         """Raw bus delays (jitter violations counted, not equalized)."""
         sims = {
-            kernel: CoSimulator(
-                shared_fleet(), fresh_network(), equalize_delays=False, kernel=kernel
-            )
-            for kernel in ("event", "batch")
+            "event": CoSimulator(
+                shared_fleet(), fresh_network(), equalize_delays=False, kernel="event"
+            ),
+            "batch": CoSimulator(
+                shared_fleet(), fresh_network(), equalize_delays=False
+            ),
         }
         traces = {kernel: sim.run(5.0) for kernel, sim in sims.items()}
         assert sims["batch"].last_kernel == "batch"
@@ -163,7 +158,7 @@ class TestFlexRayBatchParity:
     def test_parity_for_pure_et_baseline(self):
         """tt_allowed=False: everything rides the dynamic segment."""
         batch = CoSimulator(
-            shared_fleet(), fresh_network(), tt_allowed=False, kernel="batch"
+            shared_fleet(), fresh_network(), tt_allowed=False
         ).run(5.0)
         event = CoSimulator(
             shared_fleet(), fresh_network(), tt_allowed=False, kernel="event"
@@ -175,19 +170,14 @@ class TestFlexRayBatchParity:
         rng = random.Random(2000 + seed)
         horizon = rng.uniform(4.0, 8.0)
         builder = lambda: random_shared_fleet(random.Random(2000 + seed))  # noqa: E731
-        traces = {}
-        sims = {}
-        for kernel in ("legacy", "event", "batch"):
-            sims[kernel] = CoSimulator(builder(), fresh_network(), kernel=kernel)
-            traces[kernel] = sims[kernel].run(horizon)
+        sims = {
+            "event": CoSimulator(builder(), fresh_network(), kernel="event"),
+            "batch": CoSimulator(builder(), fresh_network()),
+        }
+        traces = {kernel: sim.run(horizon) for kernel, sim in sims.items()}
         assert sims["batch"].last_kernel == "batch"
         assert traces_bitwise_equal(traces["batch"], traces["event"])
-        assert traces_bitwise_equal(traces["batch"], traces["legacy"])
-        assert (
-            sims["batch"].jitter_violations
-            == sims["event"].jitter_violations
-            == sims["legacy"].jitter_violations
-        )
+        assert sims["batch"].jitter_violations == sims["event"].jitter_violations
 
     @pytest.mark.parametrize("seed", range(6))
     def test_random_multirate_fleets_identical_to_event_kernel(self, seed):
@@ -195,7 +185,7 @@ class TestFlexRayBatchParity:
         horizon = rng.uniform(3.0, 6.0)
         builder = lambda: random_multirate_fleet(random.Random(3000 + seed))  # noqa: E731
         config = FlexRayConfig(**MULTIRATE_CONFIG)
-        batch_sim = CoSimulator(builder(), fresh_network(config), kernel="batch")
+        batch_sim = CoSimulator(builder(), fresh_network(config))
         event_sim = CoSimulator(builder(), fresh_network(config), kernel="event")
         batch = batch_sim.run(horizon)
         event = event_sim.run(horizon)
@@ -209,7 +199,7 @@ class TestStatisticsFidelity:
 
     def test_shared_fleet_bus_statistics_match_event_kernel(self):
         batch_net, event_net = fresh_network(), fresh_network()
-        CoSimulator(shared_fleet(), batch_net, kernel="batch").run(6.0)
+        CoSimulator(shared_fleet(), batch_net).run(6.0)
         CoSimulator(shared_fleet(), event_net, kernel="event").run(6.0)
         assert batch_net.bus.statistics == event_net.bus.statistics
         assert batch_net.clamped == event_net.clamped
@@ -220,7 +210,7 @@ class TestStatisticsFidelity:
     def test_multirate_fleet_bus_statistics_match_event_kernel(self):
         config = FlexRayConfig(**MULTIRATE_CONFIG)
         batch_net, event_net = fresh_network(config), fresh_network(config)
-        CoSimulator(multirate_fleet(), batch_net, kernel="batch").run(6.0)
+        CoSimulator(multirate_fleet(), batch_net).run(6.0)
         CoSimulator(multirate_fleet(), event_net, kernel="event").run(6.0)
         assert batch_net.bus.statistics == event_net.bus.statistics
         assert batch_net.clamped == event_net.clamped
@@ -230,7 +220,7 @@ class TestStatisticsFidelity:
     def test_random_fleet_statistics_match(self, seed):
         builder = lambda: random_shared_fleet(random.Random(4000 + seed))  # noqa: E731
         batch_net, event_net = fresh_network(), fresh_network()
-        CoSimulator(builder(), batch_net, kernel="batch").run(5.0)
+        CoSimulator(builder(), batch_net).run(5.0)
         CoSimulator(builder(), event_net, kernel="event").run(5.0)
         assert batch_net.bus.statistics == event_net.bus.statistics
         assert batch_net.clamped == event_net.clamped

@@ -1,11 +1,14 @@
 """Event-driven co-simulation kernel: equivalence and multi-rate tests.
 
-The acceptance bar of the kernel refactor: on shared-period scenarios
-the event kernel and the legacy fixed-step loop produce *bitwise
-identical* traces (same operations, same order), and multi-rate fleets
-— impossible under the legacy loop — run end-to-end with per-application
-sampling grids.
+The acceptance bar of the event kernel: on shared-period scenarios it
+produces traces *bitwise identical* to the fixed-step polling loop it
+replaced (same operations, same order), and multi-rate fleets — which
+that loop could not run — run end-to-end with per-application sampling
+grids.  The polling loop lives on below as a frozen test oracle.
 """
+
+from collections import deque
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 import pytest
@@ -27,10 +30,14 @@ from repro.flexray import FlexRayBus, FrameSpec, paper_bus_config
 from repro.flexray.params import FlexRayConfig
 from repro.sim import (
     AnalyticNetwork,
+    AppTrace,
+    CommState,
     CoSimApplication,
     CoSimulator,
     FlexRayNetwork,
     PlantStepperBank,
+    SimulationTrace,
+    Submission,
     ZOHCache,
 )
 
@@ -75,20 +82,163 @@ def multirate_fleet():
     ]
 
 
+# ---------------------------------------------------------------------------
+# Frozen fixed-step oracle (do not "improve": it is the reference)
+# ---------------------------------------------------------------------------
+
+
+def fixed_step_reference(sim, horizon):
+    """Run ``sim`` through the fixed-step polling loop (shared period only).
+
+    Uses the simulator's applications, network, arbiter and runtimes, and
+    counts jitter violations on it, exactly as a kernel run would.
+    """
+    period = sim.period
+    steps = int(np.ceil(horizon / period))
+    bank = PlantStepperBank()
+    for a in sim.applications:
+        bank.register(a.name, a.dynamics, period)
+    states = {
+        a.name: np.zeros(a.dynamics.n_states) for a in sim.applications
+    }
+    held_inputs = {
+        a.name: np.zeros(a.app.et.plant.n_inputs) for a in sim.applications
+    }
+    pending_events = {
+        a.name: deque(a.disturbances.events_until(horizon))
+        for a in sim.applications
+    }
+    traces = SimulationTrace(horizon=horizon)
+    for app in sim.applications:
+        traces.add(
+            AppTrace(
+                name=app.name,
+                threshold=app.app.threshold,
+                deadline=app.deadline,
+            )
+        )
+    slot_owner: Dict[int, Optional[str]] = {a.slot: None for a in sim.applications}
+
+    for k in range(steps):
+        time = k * period
+        # 1. Apply disturbances due at this instant.
+        for app in sim.applications:
+            events = pending_events[app.name]
+            while events and events[0].time <= time + 1e-12:
+                event = events.popleft()
+                states[app.name] = (
+                    states[app.name] + event.magnitude * app.disturbance_state
+                )
+                sim.runtimes[app.name].on_disturbance(time)
+        # 2. Grant freed slots, then advance every state machine.
+        sim.arbiter.grant_pending()
+        comm_states: Dict[str, CommState] = {}
+        for app in sim.applications:
+            norm = float(np.linalg.norm(states[app.name]))
+            comm_states[app.name] = sim.runtimes[app.name].update(time, norm)
+        # A release in update() may leave a slot claimable this sample.
+        granted = sim.arbiter.grant_pending()
+        for name in granted:
+            runtime = sim.runtimes[name]
+            if runtime.state is CommState.WAITING:
+                comm_states[name] = runtime.update(
+                    time, float(np.linalg.norm(states[name]))
+                )
+        # 3. Propagate slot-ownership changes to the network.
+        for app in sim.applications:
+            holder = sim.arbiter.holder_of_slot(app.slot)
+            if slot_owner[app.slot] != holder:
+                spec = None
+                if holder is not None:
+                    spec = next(
+                        a.frame for a in sim.applications if a.name == holder
+                    )
+                sim.network.on_slot_change(app.slot, spec)
+                slot_owner[app.slot] = holder
+        # 4. Compute control inputs and submit messages.
+        submissions: List[Submission] = []
+        inputs: Dict[str, np.ndarray] = {}
+        for app in sim.applications:
+            uses_tt = comm_states[app.name] is CommState.TT_HOLDING
+            controller = app.app.tt if uses_tt else app.app.et
+            u = controller.control(states[app.name], held_inputs[app.name])
+            inputs[app.name] = u
+            submissions.append(
+                Submission(
+                    name=app.name,
+                    spec=app.frame,
+                    uses_tt=uses_tt,
+                    slot=app.slot if uses_tt else None,
+                    release_time=time,
+                )
+            )
+        delays = sim.network.sample_delays(time, period, submissions)
+        if sim.equalize_delays:
+            # Buffer actuation until the design-time offset of the
+            # active mode: the controllers were designed for a fixed
+            # sensor-to-actuator delay, and actuating early (the bus
+            # is usually faster than the worst case) de-tunes the
+            # loop.  This jitter-buffering is standard practice in
+            # networked control; messages slower than the design
+            # offset keep their true delay and are counted as jitter
+            # violations.
+            for app in sim.applications:
+                if not np.isfinite(delays[app.name]):
+                    continue  # lost frame: nothing to equalize
+                uses_tt = comm_states[app.name] is CommState.TT_HOLDING
+                design = (app.app.tt if uses_tt else app.app.et).plant.delay
+                if delays[app.name] <= design + 1e-12:
+                    delays[app.name] = design
+                else:
+                    sim.jitter_violations += 1
+        # 5. Step plants with the experienced delays; record traces.
+        requests: Dict[str, Tuple[np.ndarray, np.ndarray, float]] = {}
+        lost_names = set()
+        for app in sim.applications:
+            name = app.name
+            delay = delays[name]
+            lost = not np.isfinite(delay)
+            if lost:
+                # The command never reached the actuator: the previous
+                # input holds for the whole period and stays latched.
+                delay = period
+                lost_names.add(name)
+            norm = float(np.linalg.norm(states[name]))
+            traces[name].append(time, norm, comm_states[name], delay)
+            requests[name] = (inputs[name], held_inputs[name], delay)
+        bank.step_all(states, requests)
+        for app in sim.applications:
+            if app.name not in lost_names:
+                held_inputs[app.name] = np.asarray(inputs[app.name], dtype=float)
+    # Final norm sample at the horizon for settling checks.
+    for app in sim.applications:
+        name = app.name
+        traces[name].append(
+            steps * period,
+            float(np.linalg.norm(states[name])),
+            sim.runtimes[name].state,
+            0.0,
+        )
+        traces[name].response_times = sim.runtimes[name].response_times()
+    return traces
+
+
 class TestSharedPeriodEquivalence:
-    """Event kernel == legacy kernel, bit for bit."""
+    """Event kernel == fixed-step oracle, bit for bit."""
 
     def test_analytic_oneshot(self):
-        event = CoSimulator(shared_fleet(), AnalyticNetwork()).run(6.0)
-        legacy = CoSimulator(shared_fleet(), AnalyticNetwork(), legacy=True).run(6.0)
-        assert traces_bitwise_equal(event, legacy)
+        event = CoSimulator(shared_fleet(), AnalyticNetwork(), kernel="event").run(6.0)
+        reference = fixed_step_reference(
+            CoSimulator(shared_fleet(), AnalyticNetwork()), 6.0
+        )
+        assert traces_bitwise_equal(event, reference)
 
     def test_flexray_periodic_disturbances(self):
         dist = lambda i: PeriodicDisturbance(period=2.5, offset=0.31 * i)  # noqa: E731
         net = lambda: FlexRayNetwork(bus=FlexRayBus(config=paper_bus_config()))  # noqa: E731
-        event = CoSimulator(shared_fleet(dist), net()).run(7.3)
-        legacy = CoSimulator(shared_fleet(dist), net(), legacy=True).run(7.3)
-        assert traces_bitwise_equal(event, legacy)
+        event = CoSimulator(shared_fleet(dist), net(), kernel="event").run(7.3)
+        reference = fixed_step_reference(CoSimulator(shared_fleet(dist), net()), 7.3)
+        assert traces_bitwise_equal(event, reference)
 
     def test_flexray_with_frame_loss_and_sporadic_arrivals(self):
         """Loss injection draws from one RNG; its order must match too."""
@@ -98,23 +248,29 @@ class TestSharedPeriodEquivalence:
         net = lambda: FlexRayNetwork(  # noqa: E731
             bus=FlexRayBus(config=paper_bus_config()), loss_rate=0.3, loss_seed=7
         )
-        event_net, legacy_net = net(), net()
-        event = CoSimulator(shared_fleet(dist), event_net).run(9.0)
-        legacy = CoSimulator(shared_fleet(dist), legacy_net, legacy=True).run(9.0)
-        assert traces_bitwise_equal(event, legacy)
-        assert event_net.lost == legacy_net.lost
-        assert event_net.clamped == legacy_net.clamped
+        event_net, reference_net = net(), net()
+        event = CoSimulator(shared_fleet(dist), event_net, kernel="event").run(9.0)
+        reference = fixed_step_reference(
+            CoSimulator(shared_fleet(dist), reference_net), 9.0
+        )
+        assert traces_bitwise_equal(event, reference)
+        assert event_net.lost == reference_net.lost
+        assert event_net.clamped == reference_net.clamped
 
     def test_jitter_violation_counters_match(self):
         net = lambda: FlexRayNetwork(bus=FlexRayBus(config=paper_bus_config()))  # noqa: E731
-        event_sim = CoSimulator(shared_fleet(), net(), equalize_delays=False)
-        legacy_sim = CoSimulator(shared_fleet(), net(), equalize_delays=False, legacy=True)
-        assert traces_bitwise_equal(event_sim.run(3.0), legacy_sim.run(3.0))
-        assert event_sim.jitter_violations == legacy_sim.jitter_violations
+        event_sim = CoSimulator(
+            shared_fleet(), net(), equalize_delays=False, kernel="event"
+        )
+        reference_sim = CoSimulator(shared_fleet(), net(), equalize_delays=False)
+        assert traces_bitwise_equal(
+            event_sim.run(3.0), fixed_step_reference(reference_sim, 3.0)
+        )
+        assert event_sim.jitter_violations == reference_sim.jitter_violations
 
     def test_duplicate_dynamics_still_equivalent(self):
-        """Same-dynamics fleets take the vectorized stepping path; both
-        kernels share it, so equality must survive."""
+        """Same-dynamics fleets take the vectorized stepping path; the
+        kernel and the oracle share it, so equality must survive."""
 
         def fleet():
             return [
@@ -123,9 +279,9 @@ class TestSharedPeriodEquivalence:
                          PeriodicDisturbance(period=3.0, offset=1.0)),
             ]
 
-        event = CoSimulator(fleet(), AnalyticNetwork()).run(6.0)
-        legacy = CoSimulator(fleet(), AnalyticNetwork(), legacy=True).run(6.0)
-        assert traces_bitwise_equal(event, legacy)
+        event = CoSimulator(fleet(), AnalyticNetwork(), kernel="event").run(6.0)
+        reference = fixed_step_reference(CoSimulator(fleet(), AnalyticNetwork()), 6.0)
+        assert traces_bitwise_equal(event, reference)
 
 
 class TestMultiRate:
@@ -158,10 +314,6 @@ class TestMultiRate:
         trace = CoSimulator(multirate_fleet(), AnalyticNetwork()).run(6.0)
         assert len(trace["current"].response_times) >= 1
         assert len(trace["servo"].response_times) == 2  # periodic, 5 s apart
-
-    def test_legacy_kernel_rejects_multirate(self):
-        with pytest.raises(ValueError, match="shared sampling period"):
-            CoSimulator(multirate_fleet(), AnalyticNetwork(), legacy=True)
 
     def test_multirate_needs_event_network_interface(self):
         class BatchOnlyNetwork:
@@ -275,14 +427,16 @@ class TestEventKernelDetails:
             "servo", servo_rig(), 0, 1, 5.0,
             disturbances=OneShotDisturbance(time=0.0305),
         )
-        event = CoSimulator([app], AnalyticNetwork()).run(3.0)
-        legacy = CoSimulator(
-            [make_app("servo", servo_rig(), 0, 1, 5.0,
-                      disturbances=OneShotDisturbance(time=0.0305))],
-            AnalyticNetwork(),
-            legacy=True,
-        ).run(3.0)
-        assert traces_bitwise_equal(event, legacy)
+        event = CoSimulator([app], AnalyticNetwork(), kernel="event").run(3.0)
+        reference = fixed_step_reference(
+            CoSimulator(
+                [make_app("servo", servo_rig(), 0, 1, 5.0,
+                          disturbances=OneShotDisturbance(time=0.0305))],
+                AnalyticNetwork(),
+            ),
+            3.0,
+        )
+        assert traces_bitwise_equal(event, reference)
         norms = event["servo"].norms
         # flat until the 0.04 s sample applies the jump
         assert norms[1] == 0.0 and norms[2] > 0.0

@@ -179,6 +179,14 @@ class TestAblations:
         assert result.apps > 0 and result.samples > 0
         assert "fig5-cosim" in result.report()
 
+    def test_kernel_ablation_rejects_a_fleet_auto_cannot_batch(self):
+        """CAN arbitration always runs on the event kernel; timing it
+        against itself would report a meaningless 1x."""
+        from repro.experiments import run_kernel_ablation
+
+        with pytest.raises(ValueError, match="not batch-capable"):
+            run_kernel_ablation(wait_step=16, horizon=1.0, scenario="can-cosim")
+
     def test_qoc_ablation(self, sim_apps):
         from repro.experiments.ablations import run_qoc_ablation
 

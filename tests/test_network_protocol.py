@@ -243,13 +243,6 @@ class TestNetworksCli:
 
 
 class TestCompatibilityShims:
-    def test_cosim_module_reexports_moved_names(self):
-        from repro.sim import cosim
-
-        assert cosim.AnalyticNetwork is AnalyticNetwork
-        assert cosim.FlexRayNetwork is FlexRayNetwork
-        assert cosim.NetworkModel is NetworkModel
-
     def test_abc_instances_pass_runtime_checks(self):
         assert isinstance(AnalyticNetwork(), NetworkModel)
         assert isinstance(CanBusNetwork(), NetworkModel)

@@ -239,7 +239,7 @@ class TestScenarioCoSimFields:
             source="multirate",
             cosim=True,
             network="flexray",
-            kernel="legacy",
+            kernel="event",
             disturbance="sporadic",
             seed=42,
             loss_rate=0.25,
@@ -265,6 +265,9 @@ class TestScenarioCoSimFields:
     def test_bad_values_rejected(self):
         with pytest.raises(ValueError, match="kernel"):
             Scenario(name="x", kernel="quantum")
+        for removed in ("legacy", "batch"):
+            with pytest.raises(ValueError, match=r"kernel.*'auto', 'event'"):
+                Scenario(name="x", kernel=removed)
         with pytest.raises(ValueError, match="disturbance"):
             Scenario(name="x", disturbance="tsunami")
         with pytest.raises(ValueError, match="loss_rate"):
@@ -297,17 +300,6 @@ class TestMultiRateStudy:
         assert artifact["kernel_used"] == "batch"
         assert artifact["all_deadlines_met"] is True
         assert artifact["qoc"] > 0
-
-    def test_multirate_with_legacy_kernel_fails_cleanly(self):
-        study = DesignStudy(
-            get_scenario("multirate-cosim-analytic").derive(
-                wait_step=4, horizon=3.0, kernel="legacy"
-            ),
-            cache=DwellCurveCache(),
-        ).run()
-        assert not study.ok
-        assert study.stage("cosim").status == "failed"
-        assert "shared sampling period" in study.stage("cosim").detail
 
     def test_seed_reaches_loss_injection(self):
         base = get_scenario("fig5-cosim").derive(
