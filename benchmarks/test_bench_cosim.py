@@ -2,14 +2,15 @@
 
 Times a 32-scenario Monte-Carlo co-simulation grid (the Figure 5 fleet,
 sporadic disturbances, FlexRay frame loss, seeds 0..31) through
-``run_many`` with thread workers vs a process pool, plus two **kernel
+``run_many`` with thread workers vs a process pool, plus three **kernel
 shoot-outs** (event kernel vs batch fast path) — one on the fig5
-analytic scenario and one on the loss-free cycle-accurate FlexRay fig5
+analytic scenario, one on the loss-free cycle-accurate FlexRay fig5
 fleet, where the batch kernel precomputes the static-segment
-schedule — plus one run of the ``can-cosim``
-scenario (ISSUE 9's priority-arbitrated CAN backend, event kernel
-only), and writes the numbers to ``BENCH_cosim.json`` at the
-repository root when ``REPRO_BENCH_WRITE=1``.
+schedule, and one on the ``can-cosim`` fleet, where the batch loop
+drives the live CAN bus — plus one run of the ``can-cosim`` scenario
+(the priority-arbitrated CAN backend), and writes the numbers to
+``BENCH_cosim.json`` at the repository root when
+``REPRO_BENCH_WRITE=1``.
 
 The co-simulation loop is pure Python, so thread workers serialize on
 the GIL; the process pool is the scaling path.  The ``>= 2x`` speedup
@@ -19,7 +20,8 @@ way, including the core count it was taken on.  The kernel bars
 (batch speedup over the event kernel ``>= 3x`` on the analytic fleet
 and ``>= 2x`` on the FlexRay fleet) are asserted outside smoke mode,
 where horizons are long enough for the ratios to mean something; the
-traces-bitwise-identical cross-checks run in every mode.
+CAN ratio is recorded without a bar.  The traces-bitwise-identical
+cross-checks run in every mode.
 
 Smoke mode for CI: set ``REPRO_COSIM_BENCH_SMOKE=1`` to shrink the grid
 and horizon so the job finishes in seconds while still exercising both
@@ -92,6 +94,14 @@ def test_bench_cosim_grid_thread_vs_process():
     )
     assert flexray_kernels.traces_identical
 
+    can_kernels = run_kernel_ablation(
+        wait_step=WAIT_STEP,
+        horizon=HORIZON,
+        repeats=1 if _SMOKE else 3,
+        scenario="can-cosim",
+    )
+    assert can_kernels.traces_identical
+
     # ISSUE 9: the CAN backend rides the same artifact.  One run of the
     # can-cosim scenario records its throughput and bus counters; the
     # keys are new, so compare_bench.py shows them as non-blocking
@@ -105,7 +115,8 @@ def test_bench_cosim_grid_thread_vs_process():
     can_seconds = time.perf_counter() - started
     assert can_result.ok
     can_artifact = can_result.artifact("cosim")
-    assert can_artifact["kernel_used"] == "event"  # arbitration: never batched
+    # No precomputation strategy: the batch loop drives the live bus.
+    assert can_artifact["kernel_used"] == "batch"
 
     speedup = thread_seconds / process_seconds if process_seconds else float("inf")
     payload = {
@@ -140,6 +151,14 @@ def test_bench_cosim_grid_thread_vs_process():
             ),
             "traces_bitwise_identical": flexray_kernels.traces_identical,
             "samples": flexray_kernels.samples,
+        },
+        "can_kernel": {
+            "scenario": can_kernels.scenario,
+            "batch_cosim_seconds": round(can_kernels.batch_seconds, 4),
+            "event_cosim_seconds": round(can_kernels.event_seconds, 4),
+            "batch_speedup_vs_event": round(can_kernels.batch_speedup_vs_event, 3),
+            "traces_bitwise_identical": can_kernels.traces_identical,
+            "samples": can_kernels.samples,
         },
         "can_cosim": {
             "scenario": "can-cosim",
@@ -197,9 +216,12 @@ def test_bench_cosim_json_is_valid():
     assert flexray["traces_bitwise_identical"] is True
     assert {"batch_cosim_seconds", "event_cosim_seconds"} <= set(flexray)
     assert flexray["batch_speedup_vs_event"] > 0
+    can_kernel = payload["can_kernel"]
+    assert can_kernel["traces_bitwise_identical"] is True
+    assert can_kernel["batch_speedup_vs_event"] > 0
     can = payload["can_cosim"]
     assert can["scenario"] == "can-cosim"
-    assert can["kernel_used"] == "event"
+    assert can["kernel_used"] == "batch"
     assert can["cosim_seconds"] > 0
     assert can["network_stats"]["delivered"] > 0
     assert payload["speedup_process_vs_thread"] > 0

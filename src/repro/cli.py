@@ -553,9 +553,10 @@ def build_parser() -> argparse.ArgumentParser:
         default="auto",
         help=(
             "co-simulation kernel (auto = batch fast path when the fleet "
-            "is capable — analytic network, or loss-free static-slot "
-            "FlexRay — else event; event = always the reference kernel; "
-            "traces are identical across kernels)"
+            "is capable — any shared-period fleet, or a multi-rate one on "
+            "an analytic or stock FlexRay network — else event; event = "
+            "always the reference kernel; traces are identical across "
+            "kernels)"
         ),
     )
 

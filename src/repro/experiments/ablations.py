@@ -445,12 +445,13 @@ def run_kernel_ablation(
     stage (the first pass pays process-wide cache warm-up; benchmarks
     that publish ratios should pass ``repeats>=3``).  ``scenario``
     selects the ablation subject: the default analytic Figure 5 roster
-    exercises the analytic batch kernel, while ``"fig5-cosim"`` (a
-    loss-free cycle-accurate FlexRay bus) exercises the deterministic
-    FlexRay schedule-precomputation path.  The subject must be
-    batch-capable: ``"auto"`` would otherwise run the event kernel and
-    the ablation would time it against itself, so that raises
-    :class:`ValueError`.
+    exercises the analytic batch kernel, ``"fig5-cosim"`` (a
+    cycle-accurate FlexRay bus) the FlexRay schedule mirror, and
+    ``"can-cosim"`` the live path that drives the CAN bus from the
+    batch loop.  The subject must be batch-capable: ``"auto"`` would
+    otherwise run the event kernel (a multi-rate fleet on a network
+    without a precomputation strategy) and the ablation would time it
+    against itself, so that raises :class:`ValueError`.
     """
     from repro.pipeline import DesignStudy, get_scenario
 

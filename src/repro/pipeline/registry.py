@@ -225,7 +225,7 @@ register_scenario(
         description=(
             "Multi-rate fleet — a 2 ms motor current loop beside 20 ms "
             "chassis loops — co-simulated over a 1 ms-cycle FlexRay bus "
-            "(loss-free static-slot schedule: batch-kernel eligible)"
+            "(static-slot schedule mirrored by the batch kernel)"
         ),
         source="multirate",
         cosim=True,
@@ -256,7 +256,8 @@ register_scenario(
         description=(
             "Figure 5 fleet co-simulated over a priority-arbitrated "
             "500 kbit/s CAN bus (non-preemptive, lowest frame id wins; "
-            "event kernel — arbitration is contention-dependent)"
+            "the batch kernel drives the live bus — arbitration is "
+            "contention-dependent)"
         ),
         source="simulation",
         cosim=True,

@@ -37,18 +37,21 @@ opts into —
 * ``"analytic"`` — delays are per-mode constants (claimed by stock
   :class:`~repro.sim.network.AnalyticNetwork` instances; subclasses
   could override the delay model, so they never inherit the claim);
-* ``"flexray"`` — a deterministic FlexRay schedule: ``loss_rate == 0``,
-  no background dynamic-segment traffic, stock bus/segment classes and
-  a cold bus (see :func:`repro.sim.batch_flexray.flexray_deterministic`).
-  The static segment is TDMA, so every grant and transmission instant
-  follows from the slot table and is replayed ahead of the event loop
-  by :class:`~repro.sim.batch_flexray._FlexRaySchedule`;
-* ``None`` — anything else (frame loss, dynamic-segment contention,
-  subclasses that do not re-claim a strategy, capability-less
-  duck-types) runs on the event kernel;
-  :class:`~repro.sim.cosim.CoSimulator` handles the fallback
-  transparently under ``kernel="auto"`` and records the choice in the
-  cosim artifact's ``kernel_used``.
+* ``"flexray"`` — a stock FlexRay bus with no background
+  dynamic-segment traffic, stock bus/segment classes and a cold bus
+  (see :func:`repro.sim.batch_flexray.flexray_deterministic`).  The
+  static segment is TDMA, so every grant and transmission instant
+  follows from the slot table and is replayed by
+  :class:`~repro.sim.batch_flexray._FlexRaySchedule`, which also draws
+  the bus's i.i.d. frame loss in delivery order;
+* ``"live"`` — any other shared-period fleet (CAN, loss wrappers,
+  background traffic, subclassed or duck-typed networks): the batch
+  loop drives the real network through ``on_slot_change`` and
+  ``sample_delays`` exactly as the event kernel's eager mode does;
+* ``None`` — a multi-rate fleet on a network without a strategy runs
+  on the event kernel; :class:`~repro.sim.cosim.CoSimulator` handles
+  the fallback transparently under ``kernel="auto"`` and records the
+  choice in the cosim artifact's ``kernel_used``.
 
 On top of the precomputed grids, per-sample **norms** and **control
 products** vectorize across applications: fleet-wide row-stacked
@@ -89,48 +92,52 @@ if TYPE_CHECKING:  # pragma: no cover
 
 
 def batch_capability(sim: "CoSimulator") -> Optional[str]:
-    """Which batch precomputation strategy covers this co-simulation.
+    """Which batch path covers this co-simulation.
 
     The network *describes itself*: its ``capabilities()`` descriptor
     (see :class:`repro.sim.network.NetworkCapabilities`) names the
-    strategy it opts into, so third-party backends can claim a fast
-    path without this module knowing their classes.
+    precomputation strategy it opts into, so third-party backends can
+    claim one without this module knowing their classes.
 
     * ``"analytic"`` — delays are per-mode constants
       (``tt_delay``/``et_delay``); the network needs no cycle-accurate
       stepping.  Claimed by stock
       :class:`~repro.sim.network.AnalyticNetwork` instances.
-    * ``"flexray"`` — a deterministic FlexRay schedule (``loss_rate ==
-      0``, no background dynamic-segment traffic, stock bus/segment
-      classes, cold bus): every grant and transmission instant follows
-      from the slot table and can be replayed ahead of the loop.
-      Claimed by qualifying stock
+    * ``"flexray"`` — a stock FlexRay schedule (no background
+      dynamic-segment traffic, stock bus/segment classes, cold bus):
+      every grant and transmission instant follows from the slot table
+      and is replayed by a mirror that draws the bus's own i.i.d. loss
+      stream.  Claimed by qualifying stock
       :class:`~repro.sim.network.FlexRayNetwork` instances.
-    * ``None`` — not batchable; the fleet runs on the event kernel.
+    * ``"live"`` — no strategy, shared period: the batch loop drives the
+      network object itself (``on_slot_change``/``sample_delays``, the
+      event kernel's eager calls), so delays, loss, clamps and
+      statistics come from the network.
+    * ``None`` — no strategy and mixed sampling periods; the fleet runs
+      on the event kernel, whose lazy resolution needs the network's
+      event interface.
 
     The bundled backends never claim a strategy from a subclass (an
     override could change the delay or transport model the strategy
-    replays), so subclasses fall back to event cleanly — unless they
-    deliberately override ``capabilities()`` to opt back in.  Networks
-    without a ``capabilities()`` descriptor (pre-protocol duck-types)
-    are never batched.
+    replays), so subclasses and capability-less duck-types take the
+    live path — unless they deliberately override ``capabilities()``
+    to opt back in.
     """
     describe = getattr(sim.network, "capabilities", None)
-    if describe is None:
-        return None
-    strategy = describe().batch_strategy
-    if strategy in BATCH_STRATEGIES:
-        return strategy
+    if describe is not None:
+        strategy = describe().batch_strategy
+        if strategy in BATCH_STRATEGIES:
+            return strategy
+    if sim.period is not None:
+        return "live"
     return None
 
 
 def batch_eligible(sim: "CoSimulator") -> bool:
     """Whether the batch fast path can run this co-simulation.
 
-    True iff :func:`batch_capability` names a strategy the kernel
-    implements.  Anything else — frame loss, background
-    dynamic-segment traffic, subclasses that do not re-claim a
-    strategy, capability-less duck-types — runs on the event kernel.
+    True iff :func:`batch_capability` names a path: every shared-period
+    fleet, and multi-rate fleets whose network claims a strategy.
     """
     return batch_capability(sim) is not None
 
@@ -302,8 +309,8 @@ class _BatchKernel:
 
     def _prepare_network(self) -> None:
         """Resolve the network's timing ahead of the loop (analytic
-        base case; the deterministic-FlexRay kernel overrides this to
-        build its schedule mirror instead).
+        base case; the network-driven kernel overrides this to build
+        its schedule mirror or bind the live network instead).
 
         Analytic delays per (application, mode) are constants.  The
         eager kernel sees ``min(c, period)``; the lazy kernel sees
@@ -434,7 +441,15 @@ class _BatchKernel:
             self._run_eager()
         else:
             self._run_lazy()
+        self._settle_network()
         return self.traces
+
+    def _settle_network(self) -> None:
+        """Leave the network's counters where the event kernel would:
+        the analytic network delivers every submitted message."""
+        network = self.sim.network
+        if hasattr(network, "delivered"):
+            network.delivered += sum(self.steps)
 
     def _run_eager(self) -> None:
         """Shared-period sweep: the event kernel's eager operation

@@ -1,20 +1,23 @@
-"""Deterministic-FlexRay schedule precomputation for the batch kernel.
+"""Network-driven batch kernel: the FlexRay schedule mirror and the live path.
 
-The FlexRay static segment is TDMA: for a loss-free static-slot fleet
-every grant and transmission instant is computable ahead of time from
-the slot table alone — nothing on the bus depends on anything the
-schedule walk cannot see.  This module exploits that determinism to
-extend the :mod:`repro.sim.batch` fast path to FlexRay fleets:
+The FlexRay static segment is TDMA: for a static-slot fleet every grant
+and transmission instant is computable ahead of time from the slot
+table alone — nothing on the bus depends on anything the schedule walk
+cannot see.  This module exploits that determinism to extend the
+:mod:`repro.sim.batch` fast path to FlexRay fleets, and runs every
+other shared-period network from the same loop:
 
 * :func:`flexray_deterministic` is the capability check — a
-  :class:`~repro.sim.network.FlexRayNetwork` qualifies iff ``loss_rate ==
-  0`` (no RNG draws), there is no background traffic contending for the
-  dynamic segment, and the bus is a pristine, unmodified
-  :class:`~repro.flexray.bus.FlexRayBus` (exact types, cycle 0, empty
-  queues, no pre-assigned slots — every grant then flows through the
-  arbiter with the default every-cycle
-  :class:`~repro.flexray.static_segment.CycleFilter`).  Anything else
-  falls back to the event kernel, recorded in ``kernel_used``.
+  :class:`~repro.sim.network.FlexRayNetwork` qualifies iff there is no
+  background traffic contending for the dynamic segment and the bus is
+  a pristine, unmodified :class:`~repro.flexray.bus.FlexRayBus` (exact
+  types, cycle 0, empty queues, no pre-assigned slots — every grant
+  then flows through the arbiter with the default every-cycle
+  :class:`~repro.flexray.static_segment.CycleFilter`).  Its i.i.d.
+  frame loss is no obstacle: the mirror draws the network's own
+  :class:`~repro.sim.network.IIDLoss` stream once per mirrored control
+  delivery, in the order the bus delivers (static slots by index, then
+  the dynamic segment).
 * :class:`_FlexRaySchedule` walks the static-segment slot table and the
   dynamic-segment minislot counter exactly like
   :meth:`~repro.flexray.bus.FlexRayBus.run_cycle`, but makes every
@@ -25,10 +28,17 @@ extend the :mod:`repro.sim.batch` fast path to FlexRay fleets:
   (statistics stay faithful), which is where the fast path earns its
   speedup: the event kernel walks every slot of every cycle through the
   full object machinery.
-* :class:`_FlexRayBatchKernel` plugs the schedule walk into the batch
-  kernel's precomputed tick grids; traces are bitwise identical to the
-  event kernel (asserted by the parity and property tests in
-  ``tests/test_cosim_batch_flexray.py``).
+* :class:`_NetworkBatchKernel` plugs the network into the batch
+  kernel's precomputed tick grids.  Behind its eager (shared-period)
+  loop sits either the schedule mirror or — on the **live path**, for
+  CAN, loss wrappers, background traffic and subclassed or duck-typed
+  networks — the real network object, called through
+  ``on_slot_change`` and ``sample_delays`` with the same arguments and
+  in the same order as the event kernel's eager mode, so delays, loss
+  draws, clamps and statistics come from the network itself.  Traces
+  are bitwise identical to the event kernel (asserted by the parity
+  and property tests in ``tests/test_cosim_batch_flexray.py`` and
+  ``tests/test_cosim_batch_networks.py``).
 
 Why integer nanoseconds are safe here: every compared instant —
 ``k * period`` releases, ``cycle * L + slot * Psi`` slot starts,
@@ -39,26 +49,29 @@ comparisons and the round-to-nearest-nanosecond comparisons therefore
 decide identically with the exact-rational grid, so the mirror is
 bitwise faithful *and* honours the QA003 int-ns contract.
 
-After a run the mirror's counters are written back to the real
-``network.bus.statistics`` (cycles, deliveries, unused slots) and
-``network.clamped``, and the bus clock is advanced, so downstream
-consumers (the multi-rate bus-sharing tests, the cosim artifact's
-``loss`` block) see the same numbers the event kernel would have left.
-The bus's slot table and message queues themselves are not replayed —
-the schedule walk owns them for the duration of the run.
+After a mirrored run the mirror's counters are written back to the real
+``network.bus.statistics`` (cycles, deliveries, unused slots),
+``network.clamped`` and ``network.lost``, and the bus clock is
+advanced, so downstream consumers (the multi-rate bus-sharing tests,
+the cosim artifact's ``loss`` block) see the same numbers the event
+kernel would have left.  The bus's slot table and message queues
+themselves are not replayed — the schedule walk owns them for the
+duration of the run.
 """
 
 from __future__ import annotations
 
-from math import sqrt
+from math import inf, isfinite, sqrt
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.flexray.bus import FlexRayBus
 from repro.flexray.dynamic_segment import DynamicSegment
+from repro.flexray.frame import FrameSpec
 from repro.flexray.static_segment import StaticSchedule
 from repro.sim.batch import _BatchKernel
+from repro.sim.network.protocol import Submission
 from repro.sim.runtime import CommState
 from repro.sim.stepper import delay_key
 
@@ -67,16 +80,17 @@ if TYPE_CHECKING:  # pragma: no cover
 
 
 def flexray_deterministic(network: "FlexRayNetwork") -> bool:
-    """Whether this FlexRay network's schedule is fully precomputable.
+    """Whether the schedule mirror models this FlexRay network exactly.
 
-    True iff nothing non-deterministic (loss RNG) or outside the slot
-    table (background dynamic-segment traffic, pre-warmed bus state,
-    subclassed bus components) can influence a delivery instant.  The
-    pristine-bus requirements pin the one configuration the schedule
-    mirror models: ownership driven entirely by the arbiter, with the
-    default every-cycle cycle filter.
+    True iff nothing outside the slot table (background dynamic-segment
+    traffic, pre-warmed bus state, subclassed bus components) can
+    influence a delivery instant.  The pristine-bus requirements pin
+    the one configuration the schedule mirror models: ownership driven
+    entirely by the arbiter, with the default every-cycle cycle filter.
+    Frame loss does not disqualify: the mirror draws the network's own
+    i.i.d. stream in bus delivery order.
     """
-    if network.loss_rate != 0.0 or network.traffic is not None:
+    if network.traffic is not None:
         return False
     bus = network.bus
     if type(bus) is not FlexRayBus:
@@ -120,7 +134,8 @@ class _FlexRaySchedule:
             slot * cfg.static_slot_length for slot in range(cfg.static_slots)
         ]
         self.cycle = 0
-        #: slot -> owning frame id (arbiter-driven, every-cycle filter).
+        #: slot -> owning frame id (arbiter-driven, every-cycle filter),
+        #: in slot-index order.
         self.slot_frame: Dict[int, int] = {}
         self.frame_slot: Dict[int, int] = {}
         #: slot -> FIFO of queued TT entries; the first *eligible* entry
@@ -146,18 +161,22 @@ class _FlexRaySchedule:
 
     # -- arbiter-driven ownership -----------------------------------------
 
-    def on_slot_change(self, slot: int, frame_id: Optional[int]) -> None:
+    def on_slot_change(self, slot: int, spec: Optional[FrameSpec]) -> None:
         """Mirror of ``FlexRayNetwork.on_slot_change``: a release drops
-        the slot's queued messages; a grant re-homes it to ``frame_id``."""
+        the slot's queued messages; a grant re-homes it to ``spec``."""
         dropped = self.tt_queues.pop(slot, None)
         if dropped:
             self.pending -= len(dropped)
         old = self.slot_frame.pop(slot, None)
         if old is not None:
             del self.frame_slot[old]
-        if frame_id is not None:
+        if spec is not None:
+            frame_id = spec.frame_id
             self.slot_frame[slot] = frame_id
             self.frame_slot[frame_id] = slot
+            # The bus walks owned slots in index order, and loss draws
+            # follow delivery order: re-sort here, not per cycle.
+            self.slot_frame = dict(sorted(self.slot_frame.items()))
 
     # -- submissions -------------------------------------------------------
 
@@ -257,30 +276,43 @@ class _FlexRaySchedule:
             self.et_deliveries += 1
 
 
-class _FlexRayBatchKernel(_BatchKernel):
-    """Batch kernel over a precomputed deterministic FlexRay schedule.
+class _NetworkBatchKernel(_BatchKernel):
+    """Batch kernel whose delays come from a network, mirrored or live.
 
     Reuses the analytic batch kernel's tick grids, hoisted operators and
-    plant-sweep machinery; only delay resolution differs — instead of
-    per-mode constants, each barrier submits the roster's messages to
-    the :class:`_FlexRaySchedule` walk and reads the delivery instants
-    back, exactly mirroring the event kernel's submit/advance sequence
-    (eager: one full-interval advance per barrier; lazy: incremental
-    advances with intervals resolved at the owner's next tick).
+    plant-sweep machinery; only delay resolution differs.  With
+    ``live=False`` each barrier submits the roster's messages to the
+    :class:`_FlexRaySchedule` walk and reads the delivery instants back,
+    exactly mirroring the event kernel's submit/advance sequence (eager:
+    one full-interval advance per barrier; lazy: incremental advances
+    with intervals resolved at the owner's next tick).  With
+    ``live=True`` (shared period only) each barrier hands the real
+    network the event kernel's ``sample_delays`` call.
     """
 
-    def _prepare_network(self) -> None:
-        self.mirror = _FlexRaySchedule(
-            self.sim.network.bus, [a.frame for a in self.apps]
-        )
-        self.frame_ids = [a.frame.frame_id for a in self.apps]
-        self.app_slots = [a.slot for a in self.apps]
-        self._clamped = 0
+    def __init__(self, sim, horizon: float, live: bool):
+        super().__init__(sim, horizon)
+        self.live = live
 
-    def run(self):
-        traces = super().run()
-        # Write the schedule walk's accounting back to the real bus so
-        # statistics consumers see what the event kernel would report.
+    def _prepare_network(self) -> None:
+        network = self.sim.network
+        if self.live:
+            self._slot_sink = network.on_slot_change
+            return
+        self.mirror = _FlexRaySchedule(network.bus, [a.frame for a in self.apps])
+        self.frame_ids = [a.frame.frame_id for a in self.apps]
+        self._slot_sink = self.mirror.on_slot_change
+        loss = network._loss
+        self._draw_loss = None if loss is None else loss.sample
+        self._clamped = 0
+        self._lost = 0
+
+    def _settle_network(self) -> None:
+        """Write the schedule walk's accounting back to the real bus so
+        statistics consumers see what the event kernel would report (a
+        live network kept its own counters)."""
+        if self.live:
+            return
         mirror = self.mirror
         network = self.sim.network
         stats = network.bus.statistics
@@ -290,31 +322,71 @@ class _FlexRayBatchKernel(_BatchKernel):
         stats.unused_static_slots += mirror.unused_static_slots
         network.bus._cycle = mirror.cycle
         network.clamped += self._clamped
-        return traces
+        network.lost += self._lost
 
     def _propagate_slots(self, slot_owner: Dict[int, Optional[str]]) -> None:
-        """The event kernel's transmit-phase ownership hand-over, against
-        the schedule mirror instead of the live bus."""
+        """The event kernel's transmit-phase ownership hand-over, told to
+        the schedule mirror or the live network."""
         arbiter = self.sim.arbiter
-        mirror = self.mirror
         names = self.names
-        for i, slot in enumerate(self.app_slots):
+        for app in self.apps:
+            slot = app.slot
             holder = arbiter.holder_of_slot(slot)
             if slot_owner[slot] != holder:
-                frame_id = None
+                spec = None
                 if holder is not None:
-                    frame_id = self.frame_ids[names.index(holder)]
-                mirror.on_slot_change(slot, frame_id)
+                    spec = self.apps[names.index(holder)].frame
+                self._slot_sink(slot, spec)
                 slot_owner[slot] = holder
+
+    def _mirror_delays(self, t: float, period: float, modes: List[int]) -> List:
+        """One interval through the schedule mirror, with the inherited
+        ``sample_delays`` semantics: one loss draw per delivery, before
+        the staleness check (a lost interval reads ``inf``); nothing
+        fresh delivered means clamped to ``period``."""
+        mirror = self.mirror
+        for i, frame_id in enumerate(self.frame_ids):
+            mirror.submit(i, modes[i] == 1, frame_id, t)
+        delays: List[Optional[float]] = [None] * self.n
+        draw = self._draw_loss
+        for index, release, delivery in mirror.advance_to(t + period):
+            if draw is not None and draw():
+                self._lost += 1
+                delays[index] = inf
+            # Exact compare: a fresh delivery's release *is* this
+            # barrier's float; a stale one is at least a period older.
+            elif release == t:
+                delays[index] = min(delivery - t, period)
+        for i, delay in enumerate(delays):
+            if delay is None:
+                delays[i] = period
+                self._clamped += 1
+        return delays
+
+    def _live_delays(self, t: float, period: float, modes: List[int]) -> List:
+        """One interval from the live network: the event kernel's eager
+        ``sample_delays`` call, submissions in roster order."""
+        submissions = [
+            Submission(
+                name=app.name,
+                spec=app.frame,
+                uses_tt=mode == 1,
+                slot=app.slot if mode == 1 else None,
+                release_time=t,
+            )
+            for app, mode in zip(self.apps, modes)
+        ]
+        delays = self.sim.network.sample_delays(t, period, submissions)
+        return [delays[name] for name in self.names]
 
     def _run_eager(self) -> None:
         """Shared-period sweep: the event kernel's eager barrier sequence
         (disturb, grant, update, re-grant, hand over slots, control,
-        submit, advance one interval, equalize, sweep) with the schedule
-        walk replacing the live bus."""
+        resolve one interval, equalize, sweep) with the schedule walk or
+        the live network resolving the interval."""
         sim = self.sim
         arbiter = sim.arbiter
-        mirror = self.mirror
+        resolve = self._live_delays if self.live else self._mirror_delays
         n = self.n
         app_range = range(n)
         period = self.periods[0]
@@ -330,7 +402,6 @@ class _FlexRayBatchKernel(_BatchKernel):
         fastable = [rt.tt_allowed for rt in runtimes]
         dist_state = self.dist_state
         names = self.names
-        frame_ids = self.frame_ids
         group_of = self.group_of
         scalar_control = self.scalar_control
         gain_groups = self.gain_groups
@@ -343,14 +414,13 @@ class _FlexRayBatchKernel(_BatchKernel):
         for i, by_k in enumerate(self.dist_at):
             for k, events in by_k.items():
                 dist_steps.setdefault(k, []).extend((i, e) for e in events)
-        slot_owner: Dict[int, Optional[str]] = {s: None for s in self.app_slots}
+        slot_owner: Dict[int, Optional[str]] = {a.slot: None for a in self.apps}
         norms = [0.0] * n
         comms: List[CommState] = [et_steady] * n
         modes = [0] * n
         us: List[Optional[np.ndarray]] = [None] * n
         token_mats: Dict[Tuple, Tuple] = {}
         violations = 0
-        clamped = 0
         for k in range(steps):
             t = k * period
             events = dist_steps.get(k)
@@ -378,23 +448,20 @@ class _FlexRayBatchKernel(_BatchKernel):
                 modes[i] = mode
                 if scalar_control[i]:
                     us[i] = neg_dots[i][mode](concat((states[i], held[i])))
-                mirror.submit(i, mode == 1, frame_ids[i], t)
             if gain_groups:
                 self._apply_control_groups(modes, us)
-            delays: Dict[int, float] = {}
-            for index, release, delivery in mirror.advance_to(t + period):
-                # Exact compare: a fresh delivery's release *is* this
-                # barrier's float; a stale one is at least a period older.
-                if release == t:
-                    delays[index] = min(delivery - t, period)
+            delays = resolve(t, period, modes)
             buckets: Dict[Tuple, List[int]] = {}
+            lost: List[Tuple[int, np.ndarray]] = []
             for i in app_range:
-                delay = delays.get(i)
-                if delay is None:
-                    # Missed the whole interval: hold the previous input.
+                delay = delays[i]
+                if not isfinite(delay):
+                    # The command never reached the actuator: the
+                    # previous input holds for the whole period and
+                    # stays latched (no equalization either).
                     delay = period
-                    clamped += 1
-                if equalize:
+                    lost.append((i, held[i]))
+                elif equalize:
                     design = designs[i][modes[i]]
                     if delay <= design + 1e-12:
                         delay = design
@@ -417,8 +484,9 @@ class _FlexRayBatchKernel(_BatchKernel):
             self._sweep(buckets, token_mats, states, us, held)
             for i in app_range:
                 held[i] = us[i]
+            for i, previous in lost:
+                held[i] = previous
         sim.jitter_violations += violations
-        self._clamped += clamped
         final_time = steps * period
         for i in app_range:
             x = states[i]
@@ -467,11 +535,12 @@ class _FlexRayBatchKernel(_BatchKernel):
             for k in range(steps[i]):
                 barriers.setdefault(keys[k], ([], []))[0].append((i, k))
             barriers.setdefault(keys[steps[i]], ([], []))[1].append(i)
-        slot_owner: Dict[int, Optional[str]] = {s: None for s in self.app_slots}
-        #: per app: ``[u, release_float, mode, trace_index, delivery]``.
+        slot_owner: Dict[int, Optional[str]] = {a.slot: None for a in self.apps}
+        #: per app: ``[u, release_float, mode, trace_index, delivery, lost]``.
         pending: List[Optional[List]] = [None] * self.n
         lazy_tokens: Dict[Tuple, Tuple] = {}
         norms: Dict[int, float] = {}
+        draw = self._draw_loss
         violations = 0
         clamped = 0
         for key in sorted(barriers):
@@ -482,38 +551,48 @@ class _FlexRayBatchKernel(_BatchKernel):
             #    flushes at the float time of the *last* event popped,
             #    i.e. the max of the coincident k * period products —
             #    and match deliveries to in-flight intervals by exact
-            #    release float (a stale one differs by a full period).
+            #    release float (a stale one differs by a full period),
+            #    drawing loss per delivery before that match.
             for index, release, delivery in mirror.advance_to(max(flush)):
+                lost = draw is not None and draw()
+                if lost:
+                    self._lost += 1
                 record = pending[index]
                 if record is not None and record[1] == release:
                     record[4] = delivery
+                    record[5] = lost
             # 2. Resolve every interval ending at this barrier (the
             #    event kernel's _resolve: due first, then finals).
             buckets: Dict[Tuple, List[int]] = {}
             token_mats: Dict[Tuple, Tuple] = {}
-            resolved: List[Tuple[int, np.ndarray]] = []
+            resolved: List[Tuple[int, np.ndarray, bool]] = []
             us: Dict[int, np.ndarray] = {}
             for i in [*(i for i, _ in due), *finals]:
                 record = pending[i]
                 if record is None:
                     continue  # the very first tick has no interval behind it
                 pending[i] = None
-                u, release, mode, trace_index, delivery = record
-                if delivery is None:
-                    # Missed the whole interval: hold the previous input.
+                u, release, mode, trace_index, delivery, lost = record
+                if lost:
+                    # Never reached the actuator: the previous input
+                    # holds and stays latched, nothing to equalize.
                     delay = periods[i]
-                    clamped += 1
                 else:
-                    delay = min(delivery - release, periods[i])
-                if equalize:
-                    design = designs[i][mode]
-                    if delay <= design + 1e-12:
-                        delay = design
+                    if delivery is None:
+                        # Missed the whole interval: hold the previous input.
+                        delay = periods[i]
+                        clamped += 1
                     else:
-                        violations += 1
+                        delay = min(delivery - release, periods[i])
+                    if equalize:
+                        design = designs[i][mode]
+                        if delay <= design + 1e-12:
+                            delay = design
+                        else:
+                            violations += 1
                 delay_lists[i][trace_index] = delay
                 us[i] = u
-                resolved.append((i, u))
+                resolved.append((i, u, lost))
                 gid = group_of[i]
                 token = (gid, delay_key(delay))
                 if token not in token_mats:
@@ -529,8 +608,9 @@ class _FlexRayBatchKernel(_BatchKernel):
                     bucket.append(i)
             if resolved:
                 self._sweep(buckets, token_mats, states, us, held)
-                for i, u in resolved:
-                    held[i] = u
+                for i, u, lost in resolved:
+                    if not lost:
+                        held[i] = u
             # 3. Horizon samples for applications finishing here.
             for i in finals:
                 x = states[i]
@@ -579,7 +659,7 @@ class _FlexRayBatchKernel(_BatchKernel):
                 append[2](comm)
                 append[3](float("nan"))
                 mirror.submit(i, mode == 1, frame_ids[i], release)
-                pending[i] = [u, release, mode, len(delay_lists[i]) - 1, None]
+                pending[i] = [u, release, mode, len(delay_lists[i]) - 1, None, False]
         sim.jitter_violations += violations
         self._clamped += clamped
 

@@ -17,20 +17,20 @@ Two simulation kernels are provided (``kernel=`` selects between them):
   *different* sampling periods — a 2 ms current loop can share the bus
   with 20 ms chassis loops — and each application's state machine,
   plant step and trace samples advance at its own rate.
-* the **batch kernel** is a vectorized fast path for fleets whose
-  communication timeline is precomputable: every application on an
-  :class:`~repro.sim.network.AnalyticNetwork` (state-independent
-  per-mode delay constants), or a *deterministic* FlexRay fleet —
-  ``loss_rate == 0``, no background dynamic-segment traffic, stock bus
-  classes — whose grant/transmit instants are replayed from the
-  static-segment slot table ahead of the loop (see
-  :mod:`repro.sim.batch` and :mod:`repro.sim.batch_flexray`).  It skips
-  per-event dispatch entirely: sampling-tick grids are precomputed and
-  same-dynamics plants advance in NumPy-batched sweeps.  ``"auto"``,
-  the default, takes it whenever the fleet is capable and runs the
-  event kernel otherwise (frame loss, dynamic-segment contention,
-  subclassed networks).  Traces are bitwise identical to the event
-  kernel's, which the test suite asserts.
+* the **batch kernel** is a vectorized fast path.  It skips per-event
+  dispatch entirely: sampling-tick grids are precomputed and
+  same-dynamics plants advance in NumPy-batched sweeps.  Delays come
+  from per-mode constants on an
+  :class:`~repro.sim.network.AnalyticNetwork`, from a mirror of a stock
+  FlexRay bus's static-segment slot table (its i.i.d. frame loss drawn
+  in delivery order), or — for every other shared-period network (CAN,
+  loss wrappers, background traffic, subclasses) — from the live
+  network's own ``sample_delays`` (see :mod:`repro.sim.batch` and
+  :mod:`repro.sim.batch_flexray`).  ``"auto"``, the default, takes it
+  whenever the fleet is capable and runs the event kernel otherwise
+  (multi-rate fleets on networks that claim no precomputation
+  strategy).  Traces are bitwise identical to the event kernel's,
+  which the test suite asserts.
 
 Network backends live in the :mod:`repro.sim.network` package — a
 :class:`~repro.sim.network.NetworkModel` protocol, a decorator registry
@@ -532,9 +532,9 @@ class CoSimulator:
     ``kernel=`` selects the simulation kernel:
 
     * ``"auto"`` (default) — the batch fast path when the fleet is
-      capable (see :func:`repro.sim.batch.batch_capability`: analytic
-      network, or deterministic loss-free static-slot FlexRay), the
-      event kernel otherwise;
+      capable (see :func:`repro.sim.batch.batch_capability`: every
+      shared-period fleet, and multi-rate fleets on an analytic or
+      stock FlexRay network), the event kernel otherwise;
     * ``"event"`` — always the event-driven reference kernel; supports
       fleets with *mixed* sampling periods (disturbance arrivals,
       per-application ticks and transmissions are queue events).
@@ -613,14 +613,15 @@ class CoSimulator:
 
             capability = batch_capability(self)
         self.last_kernel = "batch" if capability else "event"
-        if capability == "flexray":
-            from repro.sim.batch_flexray import _FlexRayBatchKernel
-
-            return _FlexRayBatchKernel(self, horizon).run()
-        if capability:
+        if capability == "analytic":
             from repro.sim.batch import _BatchKernel
 
             return _BatchKernel(self, horizon).run()
+        if capability:
+            from repro.sim.batch_flexray import _NetworkBatchKernel
+
+            live = capability == "live"
+            return _NetworkBatchKernel(self, horizon, live=live).run()
         return _EventKernel(self, horizon).run()
 
 

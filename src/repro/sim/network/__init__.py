@@ -9,9 +9,9 @@ package registers the bundled backends:
 ========== ============================================================
 name       model
 ========== ============================================================
-analytic   constant design-time delays (batch fast path)
-flexray    cycle-accurate FlexRay bus (batch fast path when loss-free)
-can        priority-arbitrated non-preemptive CAN bus
+analytic   constant design-time delays (batch: per-mode constants)
+flexray    cycle-accurate FlexRay bus (batch: schedule mirror, i.i.d. loss)
+can        priority-arbitrated non-preemptive CAN bus (batch: live path)
 ========== ============================================================
 
 plus the composable loss layer (:class:`IIDLoss`,

@@ -148,9 +148,11 @@ class CanBusNetwork(NetworkModel):
         }
 
     def capabilities(self) -> NetworkCapabilities:
-        # No batch strategy: arbitration is contention-dependent, so
-        # delivery instants cannot be precomputed from the slot table
-        # the way the analytic/FlexRay fast paths do.
+        # No precomputation strategy: arbitration is contention-
+        # dependent, so delivery instants cannot be replayed from a slot
+        # table the way the analytic/FlexRay strategies do.  Shared-
+        # period fleets still run batched on the live path, which calls
+        # this bus's own sample_delays.
         return NetworkCapabilities(
             deterministic=True,
             analytic_delays=False,

@@ -95,10 +95,6 @@ class FlexRayNetwork(NetworkModel):
             )
         return out
 
-    def event_clamped(self):
-        """A message missed its whole sampling interval (kernel hook)."""
-        self.clamped += 1
-
     # -- lifecycle ---------------------------------------------------------
 
     def reset(self) -> None:
@@ -123,10 +119,11 @@ class FlexRayNetwork(NetworkModel):
 
     def capabilities(self) -> NetworkCapabilities:
         # State-dependent by design: the batch strategy replays the
-        # static slot table arithmetically, so it only covers pristine
-        # loss-free stock-class instances (the same predicate the batch
-        # kernel has always enforced).  Subclasses never inherit the
-        # opt-in — override capabilities() to claim it deliberately.
+        # static slot table arithmetically (drawing this instance's
+        # i.i.d. loss stream in delivery order), so it only covers
+        # pristine traffic-free stock-class instances.  Subclasses never
+        # inherit the opt-in — override capabilities() to claim it
+        # deliberately; without it they run the live batch path.
         from repro.sim.batch_flexray import flexray_deterministic
 
         batch = None

@@ -171,7 +171,9 @@ class LossyNetwork(NetworkModel):
             else NetworkCapabilities()
         )
         # Loss is seeded-random, so the composite is reproducible but
-        # not deterministic, and no batch strategy can precompute it.
+        # not deterministic, and no precomputation strategy covers it:
+        # shared-period fleets run the live batch path, which calls this
+        # wrapper's own sample_delays.
         return replace(
             inner_caps,
             deterministic=False,

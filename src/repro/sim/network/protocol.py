@@ -44,7 +44,8 @@ from repro.flexray.frame import FrameSpec
 #: Batch precomputation strategies the co-simulator's fast path knows
 #: how to run (see :func:`repro.sim.batch.batch_capability`).  A
 #: backend's :meth:`NetworkModel.capabilities` may name one of these to
-#: opt in; anything else runs on the event kernel.
+#: opt in; anything else runs on the live batch path (shared period) or
+#: the event kernel (multi-rate).
 BATCH_STRATEGIES = ("analytic", "flexray")
 
 #: Loss-model identifiers used in capability descriptors (extensible:
@@ -89,12 +90,15 @@ class NetworkCapabilities:
         time model); nothing on the wire depends on contention.
     batch_strategy:
         Which batch-kernel precomputation strategy covers this
-        instance, or ``None`` to run on the event kernel.  Must be a
-        member of :data:`BATCH_STRATEGIES`; claiming ``"analytic"``
-        requires ``tt_delay``/``et_delay`` constant-delay attributes
-        with :class:`~repro.sim.network.analytic.AnalyticNetwork`
-        semantics, claiming ``"flexray"`` requires the stock FlexRay
-        transport (the strategy replays its slot table arithmetically).
+        instance, or ``None`` (shared-period fleets then run the live
+        batch path through :meth:`NetworkModel.sample_delays`,
+        multi-rate fleets the event kernel).  Must be a member of
+        :data:`BATCH_STRATEGIES`; claiming ``"analytic"`` requires
+        ``tt_delay``/``et_delay`` constant-delay attributes with
+        :class:`~repro.sim.network.analytic.AnalyticNetwork` semantics,
+        claiming ``"flexray"`` requires the stock FlexRay transport (the
+        strategy replays its slot table arithmetically and draws its
+        i.i.d. loss stream).
     loss:
         Loss-model identifier (``"none"``, ``"iid"``,
         ``"gilbert-elliott"``, or a custom process's ``kind``).
@@ -208,8 +212,9 @@ class NetworkModel(abc.ABC):
     @abc.abstractmethod
     def capabilities(self) -> NetworkCapabilities:
         """Describe this *instance* (state-dependent where it must be:
-        a lossy FlexRay bus reports ``batch_strategy=None`` while the
-        same class loss-free reports ``"flexray"``)."""
+        a FlexRay bus with background traffic reports
+        ``batch_strategy=None`` while the same class traffic-free
+        reports ``"flexray"``)."""
 
 
 __all__ = [

@@ -47,7 +47,8 @@ class NetworkSpec:
     The static metadata describes the *family* (what the CLI table and
     docs show); the authoritative per-instance answer is always the
     built model's ``capabilities()`` descriptor, which may be narrower
-    (a lossy FlexRay instance loses its batch strategy, for example).
+    (a FlexRay instance with background traffic loses its batch
+    strategy, for example).
     """
 
     name: str

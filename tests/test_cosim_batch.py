@@ -2,9 +2,11 @@
 
 The acceptance bar of the batch kernel: on *any* analytic-network fleet
 — shared-period or multi-rate, any disturbance process, any seed — it
-produces traces bitwise identical to the event kernel.  Ineligible
-fleets (frame loss, background traffic, subclassed networks) fall back
-to the event kernel transparently.
+produces traces bitwise identical to the event kernel, and leaves the
+network's statistics where the event kernel would.  Fleets whose
+network claims no strategy (frame loss wrappers, background traffic,
+subclassed networks) run the live path, covered in depth by
+``tests/test_cosim_batch_networks.py``.
 """
 
 import random
@@ -12,6 +14,7 @@ import random
 import numpy as np
 import pytest
 
+from test_cosim_batch_networks import assert_kernels_agree
 from test_cosim_event import make_app, multirate_fleet, shared_fleet
 
 from repro.control.disturbance import (
@@ -114,6 +117,9 @@ class TestBatchParity:
         assert sims["batch"].last_kernel == "batch"
         assert traces_bitwise_equal(traces["batch"], traces["event"])
         assert sims["batch"].jitter_violations == sims["event"].jitter_violations
+        stats = {kernel: sim.network.statistics() for kernel, sim in sims.items()}
+        assert stats["batch"] == stats["event"]
+        assert stats["batch"]["delivered"] > 0
 
     @pytest.mark.parametrize("seed", range(6))
     def test_random_multirate_fleets_identical_to_event_kernel(self, seed):
@@ -127,6 +133,8 @@ class TestBatchParity:
         assert batch_sim.last_kernel == "batch"
         assert traces_bitwise_equal(batch, event)
         assert batch_sim.jitter_violations == event_sim.jitter_violations
+        assert batch_sim.network.statistics() == event_sim.network.statistics()
+        assert batch_sim.network.statistics()["delivered"] > 0
         assert not any(
             np.isnan(np.asarray(batch[a.name].delays)).any() for a in builder()
         )
@@ -162,21 +170,19 @@ class TestEligibilityAndFallback:
         sim.run(3.0)
         assert sim.last_kernel == "batch"
 
-    def test_flexray_fleet_falls_back_to_event_kernel(self):
-        """FlexRay + sporadic arrivals + frame loss: ineligible, and the
-        fallback must not change physics vs. an explicit event run."""
+    def test_lossy_flexray_fleet_runs_the_schedule_mirror(self):
+        """FlexRay + sporadic arrivals + frame loss: the schedule mirror
+        draws the bus's own loss stream, and the physics and counters
+        match an explicit event run."""
         dist = lambda i: SporadicDisturbance(  # noqa: E731
             min_inter_arrival=2.0, mean_extra_gap=0.7, seed=i
         )
         net = lambda: FlexRayNetwork(  # noqa: E731
             bus=FlexRayBus(config=paper_bus_config()), loss_rate=0.3, loss_seed=7
         )
-        batch_sim = CoSimulator(shared_fleet(dist), net())
-        assert not batch_eligible(batch_sim)
-        batch_trace = batch_sim.run(6.0)
-        assert batch_sim.last_kernel == "event"
-        event_sim = CoSimulator(shared_fleet(dist), net(), kernel="event")
-        assert traces_bitwise_equal(batch_trace, event_sim.run(6.0))
+        assert batch_eligible(CoSimulator(shared_fleet(dist), net()))
+        network = assert_kernels_agree(shared_fleet(dist), net, 6.0, "flexray")
+        assert network.lost > 0
 
     def test_lossfree_multirate_flexray_is_now_batch_eligible(self):
         """Deterministic FlexRay joined the fast path: loss-free,
@@ -189,16 +195,16 @@ class TestEligibilityAndFallback:
         assert sim.last_kernel == "batch"
         assert len(trace.apps) == 3
 
-    def test_subclassed_network_is_not_eligible(self):
-        """A subclass may override the delay model — be conservative."""
+    def test_subclassed_network_runs_live(self):
+        """A subclass may override the delay model, so it claims no
+        strategy — the live path calls its own ``sample_delays``."""
 
         class TweakedAnalytic(AnalyticNetwork):
             pass
 
-        sim = CoSimulator(shared_fleet(), TweakedAnalytic(), kernel="auto")
-        assert not batch_eligible(sim)
-        sim.run(2.0)
-        assert sim.last_kernel == "event"
+        assert TweakedAnalytic().capabilities().batch_strategy is None
+        network = assert_kernels_agree(shared_fleet(), TweakedAnalytic, 2.0, "live")
+        assert network.delivered > 0
 
     def test_unknown_kernel_rejected(self):
         for kernel in ("quantum", "legacy", "batch"):

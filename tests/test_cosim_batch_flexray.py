@@ -1,19 +1,20 @@
 """Deterministic-FlexRay batch kernel: parity, statistics, eligibility.
 
-The acceptance bar of the FlexRay fast path: on *any* loss-free
-static-slot FlexRay fleet — shared-period or multi-rate, any slot
-assignment, any disturbance process, any seed — the batch kernel's
-traces are bitwise identical to the event kernel's, and the bus
-statistics written back by the schedule mirror match the event kernel's
-cycle-accurate run.
-Anything non-deterministic (loss, background dynamic-segment traffic,
-subclassed components, pre-warmed buses) falls back to the event kernel.
+The acceptance bar of the FlexRay fast path: on *any* static-slot
+FlexRay fleet — shared-period or multi-rate, any slot assignment, any
+disturbance process, any seed — the batch kernel's traces are bitwise
+identical to the event kernel's, and the bus statistics written back by
+the schedule mirror match the event kernel's cycle-accurate run.
+Frame loss rides the mirror; anything else it does not model
+(background dynamic-segment traffic, subclassed components, pre-warmed
+buses) runs the live path, driving the real network.
 """
 
 import random
 
 import pytest
 
+from test_cosim_batch_networks import assert_kernels_agree, assert_studies_agree
 from test_cosim_event import make_app, multirate_fleet, shared_fleet
 
 from repro.control.disturbance import (
@@ -227,7 +228,7 @@ class TestStatisticsFidelity:
 
 
 class TestEligibility:
-    """flexray_deterministic: what qualifies and what falls back."""
+    """flexray_deterministic: what the mirror models, and what runs live."""
 
     def test_lossfree_stock_fleet_is_flexray_capable(self):
         sim = CoSimulator(shared_fleet(), fresh_network())
@@ -236,17 +237,18 @@ class TestEligibility:
         sim.run(2.0)
         assert sim.last_kernel == "batch"
 
-    def test_frame_loss_falls_back_to_event(self):
-        network = FlexRayNetwork(
+    def test_frame_loss_runs_the_mirror(self):
+        """The mirror draws the network's own i.i.d. loss stream."""
+        net = lambda: FlexRayNetwork(  # noqa: E731
             bus=FlexRayBus(config=paper_bus_config()), loss_rate=0.3, loss_seed=7
         )
-        sim = CoSimulator(shared_fleet(), network, kernel="auto")
-        assert batch_capability(sim) is None
-        sim.run(2.0)
-        assert sim.last_kernel == "event"
+        assert flexray_deterministic(net())
+        network = assert_kernels_agree(shared_fleet(), net, 2.0, "flexray")
+        assert network.lost > 0
 
-    def test_background_traffic_falls_back_to_event(self):
-        """Dynamic-segment contention is not precomputable."""
+    def test_background_traffic_runs_live(self):
+        """Dynamic-segment contention is not precomputable: the live
+        path drives the real bus and its traffic generator."""
         traffic = BackgroundTraffic(
             streams=[
                 TrafficStream(
@@ -255,26 +257,22 @@ class TestEligibility:
                 )
             ]
         )
-        network = FlexRayNetwork(
+        net = lambda: FlexRayNetwork(  # noqa: E731
             bus=FlexRayBus(config=paper_bus_config()), traffic=traffic
         )
-        sim = CoSimulator(shared_fleet(), network, kernel="auto")
-        assert batch_capability(sim) is None
-        sim.run(2.0)
-        assert sim.last_kernel == "event"
+        assert not flexray_deterministic(net())
+        assert_kernels_agree(shared_fleet(), net, 2.0, "live")
 
-    def test_subclassed_network_falls_back(self):
+    def test_subclassed_network_runs_live(self):
         class TweakedFlexRay(FlexRayNetwork):
             pass
 
-        sim = CoSimulator(
+        assert_kernels_agree(
             shared_fleet(),
-            TweakedFlexRay(bus=FlexRayBus(config=paper_bus_config())),
-            kernel="auto",
+            lambda: TweakedFlexRay(bus=FlexRayBus(config=paper_bus_config())),
+            2.0,
+            "live",
         )
-        assert batch_capability(sim) is None
-        sim.run(2.0)
-        assert sim.last_kernel == "event"
 
     def test_subclassed_bus_falls_back(self):
         class TweakedBus(FlexRayBus):
@@ -318,7 +316,7 @@ class TestPipelineIntegration:
         result = DesignStudy(get_scenario("multirate-cosim")).run()
         assert result.artifact("cosim")["kernel_used"] == "batch"
 
-    def test_lossy_scenario_records_event_fallback(self):
+    def test_lossy_scenario_records_batch(self):
         scenario = get_scenario("fig5-cosim").derive(loss_rate=0.05)
-        result = DesignStudy(scenario).run()
-        assert result.artifact("cosim")["kernel_used"] == "event"
+        artifact = assert_studies_agree(scenario)
+        assert artifact["loss"]["lost"] > 0

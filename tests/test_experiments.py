@@ -179,13 +179,19 @@ class TestAblations:
         assert result.apps > 0 and result.samples > 0
         assert "fig5-cosim" in result.report()
 
-    def test_kernel_ablation_rejects_a_fleet_auto_cannot_batch(self):
-        """CAN arbitration always runs on the event kernel; timing it
-        against itself would report a meaningless 1x."""
+    def test_kernel_ablation_rejects_a_fleet_auto_cannot_batch(self, monkeypatch):
+        """A multi-rate fleet on CAN (no precomputation strategy) runs on
+        the event kernel; timing it against itself would report a
+        meaningless 1x."""
         from repro.experiments import run_kernel_ablation
+        from repro.pipeline import get_scenario, registry
 
+        multirate_can = get_scenario("multirate-cosim").derive(
+            name="multirate-can", network="can", bus=None
+        )
+        monkeypatch.setitem(registry._REGISTRY, "multirate-can", multirate_can)
         with pytest.raises(ValueError, match="not batch-capable"):
-            run_kernel_ablation(wait_step=16, horizon=1.0, scenario="can-cosim")
+            run_kernel_ablation(horizon=1.0, scenario="multirate-can")
 
     def test_qoc_ablation(self, sim_apps):
         from repro.experiments.ablations import run_qoc_ablation

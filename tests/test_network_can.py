@@ -21,6 +21,7 @@ from repro.baselines.can_rta import (
 from repro.flexray.frame import FrameSpec
 from repro.pipeline import DesignStudy, get_scenario
 from repro.sim.network import CanBusNetwork, Submission
+from test_cosim_batch_networks import assert_studies_agree
 
 BIT_TIME = 2e-6
 
@@ -187,11 +188,12 @@ class TestCanCosimScenario:
         scenario = get_scenario("can-cosim").derive(
             apps=("servo-rig", "throttle-by-wire"), wait_step=16, horizon=6.0
         )
-        study = DesignStudy(scenario).run()
-        assert study.ok
-        cosim = study.artifact("cosim")
+        # Contention-dependent, so no precomputation strategy: the batch
+        # loop drives the live bus, bitwise equal to the event kernel
+        # (traces, jitter violations, bus statistics).
+        cosim = assert_studies_agree(scenario)
         assert cosim["network"] == "can"
-        assert cosim["kernel_used"] == "event"  # contention: never batched
+        assert cosim["kernel_used"] == "batch"
         assert cosim["all_deadlines_met"]
         stats = cosim["network_stats"]
         assert stats["delivered"] > 0

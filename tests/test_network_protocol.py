@@ -3,9 +3,10 @@
 The registry mirrors ``repro.solvers.registry`` (decorator registration,
 sorted names, readable unknown-name errors); ``batch_capability`` now
 interrogates ``capabilities()`` instead of ``isinstance``-sniffing, so
-third-party backends opt in to the batch fast path by *claiming* a
-strategy — and subclasses of the stock backends are conservatively
-kicked back to the event kernel unless they re-claim one.
+third-party backends opt in to a batch precomputation strategy by
+*claiming* it — and subclasses of the stock backends never inherit the
+claim: they run the live batch path (or the event kernel, when
+multi-rate) unless they re-claim one.
 """
 
 import dataclasses
@@ -35,7 +36,8 @@ from repro.sim.network import (
     register_network,
     unregister_network,
 )
-from test_cosim_event import shared_fleet
+from test_cosim_batch_networks import assert_kernels_agree
+from test_cosim_event import multirate_fleet, shared_fleet
 
 
 class TestRegistry:
@@ -146,7 +148,8 @@ class TestCapabilities:
         lossy = FlexRayNetwork(
             bus=FlexRayBus(config=paper_bus_config()), loss_rate=0.1
         )
-        assert lossy.capabilities().batch_strategy is None
+        # The schedule mirror draws the bus's own i.i.d. loss stream.
+        assert lossy.capabilities().batch_strategy == "flexray"
         assert not lossy.capabilities().deterministic
         assert lossy.capabilities().loss == "iid"
         assert CanBusNetwork().capabilities().batch_strategy is None
@@ -162,7 +165,8 @@ class TestCapabilities:
 
 
 class TestBatchCapabilityDispatch:
-    """``batch_capability`` classifies via ``capabilities()`` only."""
+    """``batch_capability`` classifies via ``capabilities()`` and the
+    fleet's sampling periods, never via ``isinstance``."""
 
     def _sim(self, network):
         return CoSimulator(shared_fleet(), network)
@@ -171,31 +175,43 @@ class TestBatchCapabilityDispatch:
         assert batch_capability(self._sim(AnalyticNetwork())) == "analytic"
         pristine = FlexRayNetwork(bus=FlexRayBus(config=paper_bus_config()))
         assert batch_capability(self._sim(pristine)) == "flexray"
-        lossy = FlexRayNetwork(
+        lossy = lambda: FlexRayNetwork(  # noqa: E731
             bus=FlexRayBus(config=paper_bus_config()), loss_rate=0.1
         )
-        assert batch_capability(self._sim(lossy)) is None
-        assert batch_capability(self._sim(CanBusNetwork())) is None
+        assert batch_capability(self._sim(lossy())) == "flexray"
+        assert batch_capability(self._sim(CanBusNetwork())) == "live"
+        assert_kernels_agree(shared_fleet(), lossy, 3.0, "flexray")
+        assert_kernels_agree(shared_fleet(), CanBusNetwork, 3.0, "live")
 
-    def test_duck_typed_network_never_batches(self):
+    def test_duck_typed_network_runs_live(self):
         class Duck:
             tt_delay = 0.0007
             et_delay = 0.020
 
-            def sample_delays(self, time, submissions, period):
+            def sample_delays(self, time, period, submissions):
                 return {s.name: self.tt_delay for s in submissions}
 
             def on_slot_change(self, slot, frame):
                 pass
 
-        assert batch_capability(self._sim(Duck())) is None
+        assert batch_capability(self._sim(Duck())) == "live"
+        assert_kernels_agree(shared_fleet(), Duck, 3.0, "live")
 
-    def test_subclass_without_override_never_batches(self):
+    def test_subclass_without_override_runs_live(self):
         class Tweaked(AnalyticNetwork):
             pass
 
         assert Tweaked().capabilities().batch_strategy is None
-        assert batch_capability(self._sim(Tweaked())) is None
+        assert batch_capability(self._sim(Tweaked())) == "live"
+        assert_kernels_agree(shared_fleet(), Tweaked, 3.0, "live")
+
+    def test_multirate_fleet_without_strategy_stays_on_event(self):
+        """Only multi-rate fleets on strategy-less networks need the
+        event kernel (lazy resolution through the event interface)."""
+        sim = CoSimulator(multirate_fleet(), CanBusNetwork())
+        assert batch_capability(sim) is None
+        sim.run(0.5)
+        assert sim.last_kernel == "event"
 
     def test_subclass_opting_back_in_runs_batch_bitwise(self):
         """A subclass that keeps the analytic semantics can re-claim the
