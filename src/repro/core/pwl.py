@@ -57,6 +57,8 @@ class DwellCurve:
             raise ValueError("a dwell curve needs at least two samples")
         if waits[0] != 0.0:
             raise ValueError("the dwell curve must include the zero-wait sample")
+        if not (np.all(np.isfinite(waits)) and np.all(np.isfinite(dwells))):
+            raise ValueError("waits and dwells must be finite")
         if not np.all(np.diff(waits) > 0):
             raise ValueError("waits must be strictly increasing")
         if np.any(dwells < 0):
@@ -96,6 +98,10 @@ class PwlDwellModel:
     waits; between breakpoints the model interpolates linearly, beyond
     the last breakpoint the dwell is 0 (the disturbance has been fully
     rejected in ET mode), and the model is clamped at 0 from below.
+
+    :meth:`dwell` evaluates one wait; :meth:`dwell_array` evaluates many
+    at once with the same float operations, so its values are bitwise
+    equal to the scalar ones (the dominance checks and the fits use it).
     """
 
     breakpoints: Tuple[Tuple[float, float], ...]
@@ -151,6 +157,32 @@ class PwlDwellModel:
                 return max(0.0, d0 + fraction * (d1 - d0))
         raise AssertionError("unreachable: wait below last breakpoint not matched")
 
+    def dwell_array(self, waits) -> np.ndarray:
+        """:meth:`dwell` at every wait of an array, bitwise equal to it.
+
+        Each wait takes the first segment whose right end it does not
+        exceed and the scalar path's ``d0 + fraction * (d1 - d0)``; waits
+        at or past the last breakpoint take its dwell.  The clamp keeps
+        ``value`` only where ``value > 0.0``, which is what
+        ``max(0.0, value)`` returns (``np.maximum`` would keep a NaN, and
+        ``np.interp`` rounds differently).  Invalid waits raise the
+        scalar path's :class:`ValueError`.  The segment search needs
+        breakpoint waits without NaN, which every fit of a curve with a
+        positive zero-wait dwell provides.
+        """
+        waits = np.asarray(waits, dtype=float)
+        bad = np.flatnonzero(~(np.isfinite(waits) & (waits >= 0.0)))
+        if bad.size:
+            check_nonnegative(waits.flat[bad[0]], "wait")  # raises
+        w, d = np.array(self.breakpoints).T
+        value = np.full(waits.shape, d[-1])
+        inside = waits < w[-1]
+        x = waits[inside]
+        j = np.searchsorted(w[1:], x, side="left")
+        fraction = (x - w[j]) / (w[j + 1] - w[j])
+        value[inside] = d[j] + fraction * (d[j + 1] - d[j])
+        return np.where(value > 0.0, value, 0.0)
+
     def response_time(self, wait: float) -> float:
         """Total response time ``xi = kwait + kdw`` for a given wait."""
         return wait + self.dwell(wait)
@@ -178,17 +210,13 @@ class PwlDwellModel:
         the measurement could certify deadlines that the real system
         misses.
         """
-        return all(
-            self.dwell(w) >= d - tolerance
-            for w, d in zip(curve.waits, curve.dwells)
+        return bool(
+            np.all(self.dwell_array(curve.waits) >= curve.dwells - tolerance)
         )
 
     def max_violation(self, curve: DwellCurve) -> float:
         """Largest amount by which a sample exceeds the model (0 if none)."""
-        return max(
-            0.0,
-            max(d - self.dwell(w) for w, d in zip(curve.waits, curve.dwells)),
-        )
+        return max(0.0, (curve.dwells - self.dwell_array(curve.waits)).max())
 
 
 def two_segment(xi_tt: float, k_p: float, xi_m: float, xi_et: float) -> PwlDwellModel:
@@ -263,11 +291,10 @@ def fit_two_segment(curve: DwellCurve) -> PwlDwellModel:
     """
     k_p, _ = curve.peak
     xi_tt = curve.xi_tt
-    rising = [
-        (w, d) for w, d in zip(curve.waits, curve.dwells) if 0.0 < w <= k_p
-    ]
-    if rising:
-        slope1 = max((d - xi_tt) / w for w, d in rising)
+    waits, dwells = curve.waits, curve.dwells
+    rising = (waits > 0.0) & (waits <= k_p)
+    if rising.any():
+        slope1 = _first_max((dwells[rising] - xi_tt) / waits[rising])
         slope1 = max(slope1, 0.0)
     else:
         slope1 = 0.0
@@ -278,11 +305,9 @@ def fit_two_segment(curve: DwellCurve) -> PwlDwellModel:
         k_p = float(curve.waits[1]) / 2.0
     xi_m = xi_tt + slope1 * k_p
 
-    falling = [
-        (w, d) for w, d in zip(curve.waits, curve.dwells) if w > k_p
-    ]
-    if falling:
-        slope2 = max((d - xi_m) / (w - k_p) for w, d in falling)
+    falling = waits > k_p
+    if falling.any():
+        slope2 = _first_max((dwells[falling] - xi_m) / (waits[falling] - k_p))
         slope2 = min(slope2, -1e-12)
     else:
         slope2 = -xi_m / max(curve.xi_et - k_p, 1e-12)
@@ -307,12 +332,9 @@ def fit_conservative_monotonic(curve: DwellCurve) -> PwlDwellModel:
     smallest intercept for which the line dominates every sample.
     """
     xi_et = max(curve.xi_et, float(curve.waits[-1]) * (1 + 1e-9))
-    intercepts = [
-        d * xi_et / (xi_et - w)
-        for w, d in zip(curve.waits, curve.dwells)
-        if w < xi_et
-    ]
-    xi_m_mono = max(max(intercepts), curve.xi_tt)
+    below = curve.waits < xi_et
+    intercepts = (curve.dwells[below] * xi_et) / (xi_et - curve.waits[below])
+    xi_m_mono = max(_first_max(intercepts), curve.xi_tt)
     model = PwlDwellModel(
         breakpoints=((0.0, xi_m_mono), (xi_et, 0.0)),
         label="conservative-monotonic",
@@ -336,6 +358,12 @@ def fit_concave_envelope(curve: DwellCurve) -> PwlDwellModel:
     points.append((xi_et, 0.0))
     hull = _upper_concave_hull(points)
     return PwlDwellModel(breakpoints=tuple(hull), label="concave-envelope")
+
+
+def _first_max(values: np.ndarray):
+    """``max(values)`` as Python computes it on NaN-free values: the first
+    maximal element, so a ``-0.0``/``0.0`` tie resolves as a loop would."""
+    return values[int(np.argmax(values))]
 
 
 def _upper_concave_hull(points: Sequence[Tuple[float, float]]):

@@ -76,7 +76,7 @@ def run_segment_ablation(
             analyzed.append(
                 AnalyzedApplication(params=case_app.params, dwell_model=model)
             )
-            bounds.extend(model.dwell(w) for w in curve.waits)
+            bounds.extend(model.dwell_array(curve.waits))
         slot_counts[label] = first_fit_allocation(analyzed).slot_count
         mean_bounds[label] = float(np.mean(bounds))
     return SegmentAblationResult(slot_counts=slot_counts, mean_dwell_bounds=mean_bounds)
@@ -388,7 +388,8 @@ class KernelAblationResult:
     On batch-capable fleets both kernels are bitwise-equivalent by
     construction; this ablation re-verifies that on the full Figure 5
     roster and reports each kernel's co-simulation wall-clock (best of
-    ``repeats`` runs, so warm-cache timings are compared).
+    ``repeats`` runs, so warm-cache timings are compared) and the
+    event/batch ratio of each paired trial (``pair_ratios``).
     """
 
     scenario: str
@@ -397,13 +398,13 @@ class KernelAblationResult:
     traces_identical: bool
     samples: int
     apps: int
+    pair_ratios: Tuple[float, ...]
 
     @property
     def batch_speedup_vs_event(self) -> float:
-        """How many times faster the batch fast path runs than event."""
-        if self.batch_seconds <= 0:
-            return float("inf")
-        return self.event_seconds / self.batch_seconds
+        """How many times faster the batch fast path runs than event:
+        the median of the paired trials' ratios."""
+        return float(np.median(self.pair_ratios))
 
     def report(self) -> str:
         verdict = "bitwise identical" if self.traces_identical else "DIVERGED"
@@ -416,6 +417,7 @@ class KernelAblationResult:
             f"Co-simulation kernel ablation ({self.scenario}; "
             f"{self.apps} apps, {self.samples} samples)\n"
             + format_table(["kernel", "cosim stage [s]", "vs event"], rows)
+            + f"\nspeed-up: median of {len(self.pair_ratios)} paired trial(s)"
             + f"\ntraces: {verdict}"
         )
 
@@ -441,9 +443,14 @@ def run_kernel_ablation(
 ) -> KernelAblationResult:
     """E12: the batch fast path must reproduce the event kernel exactly.
 
-    ``repeats`` re-runs each kernel and keeps the fastest co-simulation
-    stage (the first pass pays process-wide cache warm-up; benchmarks
-    that publish ratios should pass ``repeats>=3``).  ``scenario``
+    ``repeats`` runs that many paired trials, one study per kernel,
+    alternating which kernel goes first, so that an order effect or a
+    slow stretch of the host does not land on one kernel only.  The
+    speed-up is the median of the pairs' event/batch ratios of the
+    co-simulation stage; ``event_seconds``/``batch_seconds`` keep each
+    kernel's fastest stage (the first pass pays process-wide cache
+    warm-up; benchmarks that publish ratios should pass
+    ``repeats>=3``).  ``scenario``
     selects the ablation subject: the default analytic Figure 5 roster
     exercises the analytic batch kernel, ``"fig5-cosim"`` (a
     cycle-accurate FlexRay bus) the FlexRay schedule mirror, and
@@ -457,18 +464,22 @@ def run_kernel_ablation(
 
     base = get_scenario(scenario).derive(wait_step=wait_step, horizon=horizon)
     runs = {}
-    seconds = {}
-    for kernel in ("event", "auto"):
-        best = float("inf")
-        for _ in range(max(1, repeats)):
+    seconds = {"event": float("inf"), "auto": float("inf")}
+    ratios = []
+    for trial in range(max(1, repeats)):
+        pair = {}
+        for kernel in ("event", "auto") if trial % 2 == 0 else ("auto", "event"):
             study = (
                 DesignStudy(base.derive(name=f"{base.name}@{kernel}", kernel=kernel))
                 .run()
                 .raise_for_failure()
             )
-            best = min(best, study.stage("cosim").elapsed)
-        runs[kernel] = study
-        seconds[kernel] = best
+            pair[kernel] = study.stage("cosim").elapsed
+            seconds[kernel] = min(seconds[kernel], pair[kernel])
+            runs[kernel] = study
+        ratios.append(
+            pair["event"] / pair["auto"] if pair["auto"] > 0 else float("inf")
+        )
     used = runs["auto"].artifact("cosim")["kernel_used"]
     if used != "batch":
         raise ValueError(
@@ -485,6 +496,7 @@ def run_kernel_ablation(
         ),
         samples=sum(len(t.times) for t in event_trace.apps.values()),
         apps=len(event_trace.apps),
+        pair_ratios=tuple(ratios),
     )
 
 

@@ -63,10 +63,9 @@ class Fig4Result:
     def tightness_gap(self) -> float:
         """Mean dwell overestimate of the monotonic model relative to the
         non-monotonic one, over the measured waits (seconds)."""
-        gaps = [
-            self.conservative_monotonic.dwell(w) - self.non_monotonic.dwell(w)
-            for w in self.curve.waits
-        ]
+        waits = self.curve.waits
+        monotonic = self.conservative_monotonic.dwell_array(waits)
+        gaps = monotonic - self.non_monotonic.dwell_array(waits)
         return float(np.mean(gaps))
 
     def report(self) -> str:

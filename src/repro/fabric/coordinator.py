@@ -56,7 +56,12 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Deque, Dict, List, Optional, Sequence, Union
 
-from repro.fabric.protocol import ChannelTimeout, LineChannel, ProtocolError
+from repro.fabric.protocol import (
+    ACCEPT_POLL_INTERVAL,
+    ChannelTimeout,
+    LineChannel,
+    ProtocolError,
+)
 from repro.fabric.store import ResultStore
 from repro.pipeline.cache import (
     DwellCurveCache,
@@ -244,7 +249,10 @@ class SweepCoordinator:
         self._server = _Server((self.host, self.port), _Handler)
         self.port = self._server.server_address[1]
         self._server_thread = threading.Thread(
-            target=self._server.serve_forever, name="fabric-coordinator", daemon=True
+            target=self._server.serve_forever,
+            kwargs={"poll_interval": ACCEPT_POLL_INTERVAL},
+            name="fabric-coordinator",
+            daemon=True,
         )
         self._started_at = time.perf_counter()
         self._server_thread.start()

@@ -58,6 +58,11 @@ MESSAGE_TYPES = (
 #: Bytes pulled from the socket per read while assembling a line.
 _RECV_CHUNK = 65536
 
+#: Seconds between a fabric server's shutdown checks
+#: (``serve_forever(poll_interval=...)``); ``stop()`` waits up to one
+#: tick, so the stdlib's 0.5 s default would end every sweep late.
+ACCEPT_POLL_INTERVAL = 0.05
+
 
 class ProtocolError(ValueError):
     """A malformed or unknown-kind message crossed the wire."""
@@ -106,9 +111,17 @@ class LineChannel:
     call.  A peer that dies mid-line (EOF with bytes still buffered)
     raises :class:`ProtocolError` — a torn write is corruption, not a
     clean hangup.
+
+    TCP sockets get ``TCP_NODELAY``: every exchange is one small line
+    answered by the peer, and Nagle's algorithm (holding a short write
+    until the previous one is acknowledged) meeting the peer's delayed
+    ACK would stall each round trip by tens of milliseconds.  Unix
+    socket pairs have no such option and are left as they are.
     """
 
     def __init__(self, sock: socket.socket):
+        if sock.family in (socket.AF_INET, socket.AF_INET6):
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self._sock = sock
         self._rbuf = bytearray()
         self._eof = False
@@ -213,6 +226,7 @@ def parse_endpoint(text: str) -> tuple:
 
 
 __all__ = [
+    "ACCEPT_POLL_INTERVAL",
     "ChannelTimeout",
     "LineChannel",
     "MESSAGE_TYPES",

@@ -36,7 +36,12 @@ import uuid
 from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Dict, Optional, Tuple
 
-from repro.fabric.protocol import ChannelTimeout, LineChannel, connect
+from repro.fabric.protocol import (
+    ACCEPT_POLL_INTERVAL,
+    ChannelTimeout,
+    LineChannel,
+    connect,
+)
 from repro.fabric.resilience import RetryPolicy
 from repro.pipeline.cache import DwellCurveCache, GLOBAL_DWELL_CACHE
 from repro.pipeline.runner import DesignStudy
@@ -150,7 +155,10 @@ class StudyService:
         self._server = _Server((self.host, self.port), _Handler)
         self.port = self._server.server_address[1]
         self._server_thread = threading.Thread(
-            target=self._server.serve_forever, name="study-service", daemon=True
+            target=self._server.serve_forever,
+            kwargs={"poll_interval": ACCEPT_POLL_INTERVAL},
+            name="study-service",
+            daemon=True,
         )
         self._server_thread.start()
 

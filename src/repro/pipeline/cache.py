@@ -219,9 +219,12 @@ class DwellCurveCache:
     ):
         """A fully characterised case-study application.
 
-        Only the measurement is cached; the (cheap) PWL fits and timing
+        Only the measurement is cached; the PWL fits and timing
         parameters are derived fresh for the requested deadline, so
-        deadline sweeps share one measurement per plant.
+        deadline sweeps share one measurement per plant.  The fits and
+        their dominance checks are array expressions over the curve
+        (:meth:`~repro.core.pwl.PwlDwellModel.dwell_array`), so the
+        derivation is cheap next to the measurement.
         """
         return self.characterized_info(
             plant_name, et_detuning, min_inter_arrival, deadline, wait_step

@@ -35,6 +35,9 @@ def to_jsonable(value: Any) -> Any:
     if isinstance(value, np.floating):
         return float(value)
     if isinstance(value, np.ndarray):
+        if value.dtype.kind in "biuf":
+            # tolist() already yields plain bools, ints and floats
+            return value.tolist()
         return [to_jsonable(item) for item in value.tolist()]
     to_dict = getattr(value, "to_dict", None)
     if callable(to_dict):

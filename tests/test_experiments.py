@@ -179,6 +179,24 @@ class TestAblations:
         assert result.apps > 0 and result.samples > 0
         assert "fig5-cosim" in result.report()
 
+    def test_kernel_ablation_pairs_trials_in_alternating_order(self, monkeypatch):
+        import repro.pipeline as pipeline
+        from repro.experiments import run_kernel_ablation
+
+        order = []
+
+        class RecordingStudy(pipeline.DesignStudy):
+            def run(self):
+                order.append(self.scenario.kernel)
+                return super().run()
+
+        monkeypatch.setattr(pipeline, "DesignStudy", RecordingStudy)
+        result = run_kernel_ablation(wait_step=16, horizon=2.0, repeats=3)
+        assert order == ["event", "auto", "auto", "event", "event", "auto"]
+        assert len(result.pair_ratios) == 3
+        assert result.batch_speedup_vs_event == sorted(result.pair_ratios)[1]
+        assert result.traces_identical
+
     def test_kernel_ablation_rejects_a_fleet_auto_cannot_batch(self, monkeypatch):
         """A multi-rate fleet on CAN (no precomputation strategy) runs on
         the event kernel; timing it against itself would report a

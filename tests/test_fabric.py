@@ -23,6 +23,7 @@ from repro.fabric import (
     ServiceClient,
     StudyService,
     SweepCoordinator,
+    connect,
     make_msg,
     parse_endpoint,
     run_fabric_sweep,
@@ -83,6 +84,8 @@ class TestProtocol:
 
     def test_channel_round_trip_and_eof(self):
         left_sock, right_sock = socket.socketpair()
+        # a Unix pair has no TCP_NODELAY; the channel must still wrap it
+        assert left_sock.family == socket.AF_UNIX
         left, right = LineChannel(left_sock), LineChannel(right_sock)
         left.send_msg("hello", worker="w0", n=3)
         msg = right.recv_msg()
@@ -103,6 +106,63 @@ class TestProtocol:
     def test_message_types_cover_both_planes(self):
         for kind in ("lease", "job", "heartbeat", "result", "submit", "fetch"):
             assert kind in MESSAGE_TYPES
+
+
+def nodelay(channel):
+    return channel._sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+
+
+class TestNoDelay:
+    """Every fabric TCP socket turns Nagle's algorithm off: each exchange
+    is one short line answered by the peer, which would otherwise wait
+    on the peer's delayed ACK."""
+
+    @staticmethod
+    def probe(server_cls):
+        """``server_cls`` recording the option on each accepted socket."""
+        accepted = []
+        seen = threading.Event()
+
+        class Probe(server_cls):
+            def _serve_connection(self, channel):
+                accepted.append(nodelay(channel))
+                seen.set()
+                super()._serve_connection(channel)
+
+        return Probe, accepted, seen
+
+    def test_coordinator_accepts_and_worker_dials_with_nodelay(self):
+        Probe, accepted, seen = self.probe(SweepCoordinator)
+        coordinator = Probe(cheap_base(), AXES, cache=DwellCurveCache())
+        coordinator.start()
+        try:
+            worker = FabricWorker(
+                coordinator.host, coordinator.port, cache=DwellCurveCache()
+            )
+            dialed = worker._dial()
+            try:
+                assert nodelay(dialed) != 0
+                assert seen.wait(10.0)
+            finally:
+                dialed.close()
+        finally:
+            coordinator.stop()
+        assert accepted and accepted[0] != 0
+
+    def test_study_service_socket_has_nodelay(self):
+        Probe, accepted, seen = self.probe(StudyService)
+        service = Probe(pool_size=1, cache=DwellCurveCache())
+        service.start()
+        try:
+            dialed = connect(service.host, service.port)
+            try:
+                assert nodelay(dialed) != 0
+                assert seen.wait(10.0)
+            finally:
+                dialed.close()
+        finally:
+            service.stop()
+        assert accepted and accepted[0] != 0
 
 
 class TestResultStore:

@@ -7,6 +7,7 @@ memoization (the acceptance criteria of the pipeline redesign).
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.pipeline import (
@@ -191,6 +192,40 @@ class TestDwellCurveCache:
         cache.measurement("servo-rig", 1000.0, wait_step=16)
         cache.clear()
         assert cache.hits == 0 and cache.misses == 0 and len(cache) == 0
+
+
+class TestToJsonable:
+    def test_real_arrays_become_plain_nested_lists(self):
+        from repro.pipeline.serialize import to_jsonable
+
+        for array in (
+            np.array([True, False]),
+            np.arange(3, dtype=np.int32),
+            np.array([1, 2], dtype=np.uint8),
+            np.array([0.5, -0.0, 1e30], dtype=np.float32),
+            np.linspace(0.0, 1.0, 6).reshape(3, 2),
+        ):
+            out = to_jsonable(array)
+            assert out == array.tolist()
+            flat = out if array.ndim == 1 else [x for row in out for x in row]
+            assert {type(x) for x in flat} <= {bool, int, float}
+            assert json.loads(json.dumps(out)) == out
+
+    def test_zero_dim_array_becomes_its_scalar(self):
+        from repro.pipeline.serialize import to_jsonable
+
+        assert to_jsonable(np.array(2.5)) == 2.5
+        assert type(to_jsonable(np.array(2.5))) is float
+        assert to_jsonable(np.array(7)) == 7
+
+    def test_complex_and_object_arrays_convert_per_item(self):
+        from repro.pipeline.serialize import to_jsonable
+
+        assert to_jsonable(np.array([1 + 2j])) == ["(1+2j)"]
+        assert to_jsonable(np.array([np.float64(1.5), (1, 2)], dtype=object)) == [
+            1.5,
+            [1, 2],
+        ]
 
 
 class TestRunMany:

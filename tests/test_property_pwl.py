@@ -2,20 +2,25 @@
 
 These pin the safety-critical invariants of Section III: fitted models
 must dominate the measurement for *every* curve shape, not just the ones
-we happened to measure.
+we happened to measure.  They also pin the array evaluation path
+(``dwell_array``, the dominance checks and the fits built on it) bit for
+bit against a frozen copy of the scalar per-sample loops.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.pwl import (
     DwellCurve,
+    PwlDwellModel,
     fit_concave_envelope,
     fit_conservative_monotonic,
     fit_two_segment,
     two_segment,
 )
+from repro.utils.validation import check_nonnegative
 
 
 @st.composite
@@ -37,6 +42,248 @@ def dwell_curves(draw):
     waits = np.arange(n) * period
     xi_et = float(waits[-1]) + period
     return DwellCurve(waits=waits, dwells=np.asarray(dwells), xi_et=xi_et)
+
+
+@st.composite
+def ragged_dwell_curves(draw):
+    """The shapes a uniform grid misses: non-uniform waits, plateaus and
+    ties (dwells rounded to a coarse grid), the peak at wait 0 or at the
+    last sample, two-sample curves, and ``xi_et`` below the last wait."""
+    n = draw(st.integers(min_value=2, max_value=30))
+    steps = draw(
+        st.lists(
+            st.floats(min_value=1e-3, max_value=1.0), min_size=n - 1, max_size=n - 1
+        )
+    )
+    waits = np.concatenate(([0.0], np.cumsum(steps)))
+    dwells = draw(
+        st.lists(st.floats(min_value=0.0, max_value=5.0), min_size=n, max_size=n)
+    )
+    if draw(st.booleans()):
+        dwells = [round(d * 2.0) / 2.0 for d in dwells]
+    dwells[0] = max(dwells[0], 0.05)
+    peak = draw(st.sampled_from(["anywhere", "first", "last"]))
+    if peak != "anywhere":
+        dwells[0 if peak == "first" else -1] = max(dwells) + draw(
+            st.sampled_from([0.0, 0.5, 1e-13])
+        )
+    xi_et = float(waits[-1]) * draw(st.floats(min_value=0.1, max_value=2.0))
+    return DwellCurve(waits=waits, dwells=np.asarray(dwells), xi_et=xi_et)
+
+
+any_curve = st.one_of(dwell_curves(), ragged_dwell_curves())
+
+
+@st.composite
+def models_near(draw, curve):
+    """A random PWL model whose breakpoints often sit exactly on the
+    curve's samples, so dominance verdicts go both ways; some dwells are
+    ``-0.0``, which the clamp must turn into ``0.0`` as ``max`` does."""
+    grid = curve.waits.tolist() + [float(curve.waits[-1]) * 1.5]
+    extra = draw(st.lists(st.floats(min_value=1e-6, max_value=50.0), max_size=3))
+    chosen = draw(
+        st.lists(st.sampled_from(grid[1:]), min_size=1, max_size=4, unique=True)
+    )
+    waits = sorted({0.0, *chosen, *extra})
+    dwells = []
+    for w in waits:
+        hits = np.flatnonzero(curve.waits == w)
+        base = float(curve.dwells[hits[0]]) if hits.size else draw(
+            st.floats(min_value=0.0, max_value=5.0)
+        )
+        scale = draw(st.sampled_from([0.0, -0.0, 0.5, 1.0, 1.0 + 1e-10, 2.0]))
+        dwells.append(base * scale)
+    return PwlDwellModel(breakpoints=tuple(zip(waits, dwells)))
+
+
+# -- frozen scalar oracle ----------------------------------------------
+# The per-sample loops the array path replaced, copied verbatim from the
+# scalar implementation (``self`` is the model; the fits' self-checks call
+# the oracle's ``dominates``).
+
+
+def oracle_dwell(self, wait: float) -> float:
+    wait = check_nonnegative(wait, "wait")
+    points = self.breakpoints
+    if wait >= points[-1][0]:
+        return max(0.0, points[-1][1])
+    for (w0, d0), (w1, d1) in zip(points, points[1:]):
+        if wait <= w1:
+            fraction = (wait - w0) / (w1 - w0)
+            return max(0.0, d0 + fraction * (d1 - d0))
+    raise AssertionError("unreachable: wait below last breakpoint not matched")
+
+
+def oracle_dominates(self, curve: DwellCurve, tolerance: float = 1e-9) -> bool:
+    return all(
+        oracle_dwell(self, w) >= d - tolerance
+        for w, d in zip(curve.waits, curve.dwells)
+    )
+
+
+def oracle_max_violation(self, curve: DwellCurve) -> float:
+    return max(
+        0.0,
+        max(d - oracle_dwell(self, w) for w, d in zip(curve.waits, curve.dwells)),
+    )
+
+
+def oracle_fit_two_segment(curve: DwellCurve) -> PwlDwellModel:
+    k_p, _ = curve.peak
+    xi_tt = curve.xi_tt
+    rising = [
+        (w, d) for w, d in zip(curve.waits, curve.dwells) if 0.0 < w <= k_p
+    ]
+    if rising:
+        slope1 = max((d - xi_tt) / w for w, d in rising)
+        slope1 = max(slope1, 0.0)
+    else:
+        slope1 = 0.0
+    if k_p == 0.0:
+        k_p = float(curve.waits[1]) / 2.0
+    xi_m = xi_tt + slope1 * k_p
+
+    falling = [
+        (w, d) for w, d in zip(curve.waits, curve.dwells) if w > k_p
+    ]
+    if falling:
+        slope2 = max((d - xi_m) / (w - k_p) for w, d in falling)
+        slope2 = min(slope2, -1e-12)
+    else:
+        slope2 = -xi_m / max(curve.xi_et - k_p, 1e-12)
+    zero_crossing = k_p - xi_m / slope2
+    xi_et = max(zero_crossing, curve.xi_et, k_p * (1 + 1e-9))
+    model = PwlDwellModel(
+        breakpoints=((0.0, xi_tt), (k_p, xi_m), (xi_et, 0.0)),
+        label="non-monotonic",
+    )
+    if not oracle_dominates(model, curve):
+        raise AssertionError(
+            f"two-segment fit failed to dominate the curve "
+            f"(violation={oracle_max_violation(model, curve):.3e})"
+        )
+    return model
+
+
+def oracle_fit_conservative_monotonic(curve: DwellCurve) -> PwlDwellModel:
+    xi_et = max(curve.xi_et, float(curve.waits[-1]) * (1 + 1e-9))
+    intercepts = [
+        d * xi_et / (xi_et - w)
+        for w, d in zip(curve.waits, curve.dwells)
+        if w < xi_et
+    ]
+    xi_m_mono = max(max(intercepts), curve.xi_tt)
+    model = PwlDwellModel(
+        breakpoints=((0.0, xi_m_mono), (xi_et, 0.0)),
+        label="conservative-monotonic",
+    )
+    if not oracle_dominates(model, curve):
+        raise AssertionError("conservative-monotonic fit failed to dominate")
+    return model
+
+
+def bits(values) -> bytes:
+    """Bit pattern of a float or float sequence (signed zeros differ)."""
+    return np.asarray(values, dtype=float).tobytes()
+
+
+def probe_waits(model: PwlDwellModel, curve: DwellCurve) -> np.ndarray:
+    """The curve's waits plus every breakpoint, midpoints and waits past
+    the last breakpoint."""
+    knots = np.array([w for w, _ in model.breakpoints])
+    return np.concatenate(
+        [curve.waits, knots, (knots[:-1] + knots[1:]) / 2.0, knots[-1] * np.array([1.5, 1e3])]
+    )
+
+
+def fit_outcome(fit, curve):
+    """The fitted model, or the error a fit's own dominance check raised
+    (a near-vertical line can round below a sample)."""
+    try:
+        return fit(curve)
+    except AssertionError as exc:
+        return str(exc)
+
+
+class TestArrayPathMatchesScalarOracle:
+    @given(curve=any_curve)
+    @settings(max_examples=300, deadline=None)
+    def test_fits_bitwise_equal(self, curve):
+        for fit, oracle in (
+            (fit_two_segment, oracle_fit_two_segment),
+            (fit_conservative_monotonic, oracle_fit_conservative_monotonic),
+        ):
+            model, expected = fit_outcome(fit, curve), fit_outcome(oracle, curve)
+            if isinstance(expected, str):
+                assert model == expected
+                continue
+            assert model.label == expected.label
+            assert bits(model.breakpoints) == bits(expected.breakpoints)
+            assert model.dominates(curve) is oracle_dominates(expected, curve)
+            assert bits(model.max_violation(curve)) == bits(
+                oracle_max_violation(expected, curve)
+            )
+
+    @given(data=st.data(), curve=any_curve)
+    @settings(max_examples=300, deadline=None)
+    def test_random_models_bitwise_equal(self, data, curve):
+        model = data.draw(models_near(curve))
+        tolerance = data.draw(st.sampled_from([0.0, 1e-9, 1e-3]))
+        assert model.dominates(curve, tolerance) is oracle_dominates(
+            model, curve, tolerance
+        )
+        assert bits(model.max_violation(curve)) == bits(
+            oracle_max_violation(model, curve)
+        )
+        waits = probe_waits(model, curve)
+        assert bits(model.dwell_array(waits)) == bits(
+            [oracle_dwell(model, w) for w in waits]
+        )
+
+    @given(curve=any_curve)
+    @settings(max_examples=100, deadline=None)
+    def test_dwell_array_on_fitted_breakpoints(self, curve):
+        for model in (fit_outcome(fit_two_segment, curve), fit_concave_envelope(curve)):
+            if isinstance(model, str):
+                continue
+            waits = probe_waits(model, curve)
+            assert bits(model.dwell_array(waits)) == bits(
+                [model.dwell(w) for w in waits]
+            )
+
+    @pytest.mark.parametrize("dwells", [[0.0, -0.0], [-0.0, 0.0], [0.0, -0.0, 0.0]])
+    def test_signed_zero_ties_resolve_like_the_loops(self, dwells):
+        # Python's max keeps the first of tied maxima, ndarray.max the last
+        curve = DwellCurve(
+            waits=np.arange(len(dwells)) * 0.5, dwells=np.array(dwells), xi_et=2.0
+        )
+        with np.errstate(invalid="ignore"):  # 0/0 zero crossing of a flat curve
+            for fit, oracle in (
+                (fit_two_segment, oracle_fit_two_segment),
+                (fit_conservative_monotonic, oracle_fit_conservative_monotonic),
+            ):
+                assert bits(fit(curve).breakpoints) == bits(oracle(curve).breakpoints)
+
+    def test_nan_interpolation_clamps_like_max(self):
+        # an infinite breakpoint dwell interpolates to inf - inf = nan;
+        # max(0.0, nan) is 0.0, where np.maximum would keep the nan
+        model = PwlDwellModel(breakpoints=((0.0, np.inf), (1.0, 0.0), (2.0, np.inf)))
+        waits = np.array([0.0, 0.5, 1.0, 1.5, 2.0, 3.0])
+        with np.errstate(invalid="ignore"):
+            values = model.dwell_array(waits)
+        assert bits(values) == bits([oracle_dwell(model, w) for w in waits])
+
+    @pytest.mark.parametrize(
+        "waits",
+        [[np.nan], [0.5, np.inf], [-np.inf], [0.0, -1e-300, np.nan], [2.0, -3.0]],
+    )
+    def test_invalid_waits_raise_the_oracle_error(self, waits):
+        model = two_segment(xi_tt=0.5, k_p=1.0, xi_m=1.0, xi_et=3.0)
+        with pytest.raises(ValueError) as expected:
+            [oracle_dwell(model, w) for w in np.asarray(waits)]
+        with pytest.raises(ValueError) as raised:
+            model.dwell_array(waits)
+        assert str(raised.value) == str(expected.value)
 
 
 class TestFitDomination:

@@ -37,6 +37,20 @@ class TestDwellCurve:
         with pytest.raises(ValueError, match="negative"):
             DwellCurve(waits=np.array([0.0, 0.1]), dwells=np.array([1.0, -0.1]), xi_et=1.0)
 
+    @pytest.mark.parametrize(
+        "waits, dwells",
+        [
+            ([0.0, 0.1], [1.0, np.nan]),
+            ([0.0, np.inf], [1.0, 0.5]),
+            ([0.0, 0.1], [np.inf, 0.5]),
+        ],
+    )
+    def test_rejects_non_finite_samples(self, waits, dwells):
+        # NaN slips past ``dwells < 0`` and inf past ``diff(waits) > 0``;
+        # the fits would then fail with whichever error they hit first.
+        with pytest.raises(ValueError, match="finite"):
+            DwellCurve(waits=np.array(waits), dwells=np.array(dwells), xi_et=1.0)
+
 
 class TestPwlDwellModel:
     def test_two_segment_evaluation(self):
