@@ -19,18 +19,19 @@ Two simulation kernels are provided (``kernel=`` selects between them):
   plant step and trace samples advance at its own rate.
 * the **batch kernel** is a vectorized fast path.  It skips per-event
   dispatch entirely: sampling-tick grids are precomputed and
-  same-dynamics plants advance in NumPy-batched sweeps.  Delays come
-  from per-mode constants on an
-  :class:`~repro.sim.network.AnalyticNetwork`, from a mirror of a stock
+  same-dynamics plants advance in NumPy-batched sweeps.  It has one
+  eager loop (shared period) and one lazy loop (multi-rate), both
+  reading delays from a *delay source*: per-mode constants on an
+  :class:`~repro.sim.network.AnalyticNetwork`, a mirror of a stock
   FlexRay bus's static-segment slot table (its i.i.d. frame loss drawn
-  in delivery order), or — for every other shared-period network (CAN,
-  loss wrappers, background traffic, subclasses) — from the live
-  network's own ``sample_delays`` (see :mod:`repro.sim.batch` and
-  :mod:`repro.sim.batch_flexray`).  ``"auto"``, the default, takes it
-  whenever the fleet is capable and runs the event kernel otherwise
-  (multi-rate fleets on networks that claim no precomputation
-  strategy).  Traces are bitwise identical to the event kernel's,
-  which the test suite asserts.
+  in delivery order, see :mod:`repro.sim.batch_flexray`), or — for
+  every other shared-period network (CAN, loss wrappers, background
+  traffic, subclasses) — the live network's own ``on_slot_change`` and
+  ``sample_delays`` (see :mod:`repro.sim.batch`).  ``"auto"``, the
+  default, takes it whenever the fleet is capable and runs the event
+  kernel otherwise (multi-rate fleets on networks that claim no
+  precomputation strategy).  Traces are bitwise identical to the event
+  kernel's, which the test suite asserts.
 
 Network backends live in the :mod:`repro.sim.network` package — a
 :class:`~repro.sim.network.NetworkModel` protocol, a decorator registry
@@ -613,15 +614,10 @@ class CoSimulator:
 
             capability = batch_capability(self)
         self.last_kernel = "batch" if capability else "event"
-        if capability == "analytic":
+        if capability:
             from repro.sim.batch import _BatchKernel
 
-            return _BatchKernel(self, horizon).run()
-        if capability:
-            from repro.sim.batch_flexray import _NetworkBatchKernel
-
-            live = capability == "live"
-            return _NetworkBatchKernel(self, horizon, live=live).run()
+            return _BatchKernel(self, horizon, capability).run()
         return _EventKernel(self, horizon).run()
 
 

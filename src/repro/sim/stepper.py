@@ -24,9 +24,12 @@ probe that engages the stacked formulation only where this platform's
 batched matmul is bitwise identical, slice for slice, to the scalar
 products (reduction order is shape-dependent, not value-dependent, so
 the probe decides once per shape per process).  The event-driven
-kernel routes all stepping through one bank, and the batch kernel
-stacks states exactly the way the bank does, which keeps their traces
-bitwise identical by construction.
+kernel routes all stepping through one bank.  The batch kernel stacks
+same-dynamics, same-delay buckets exactly the way the bank does, but
+steps every singleton with the scalar products; for stacked plants of
+different dynamics, the equality of the two kernels' traces therefore
+rests on the :func:`stacked_safe` probe, which the batch-vs-event
+parity suites exercise on the running platform.
 """
 
 from __future__ import annotations

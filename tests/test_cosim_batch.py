@@ -139,6 +139,36 @@ class TestBatchParity:
             np.isnan(np.asarray(batch[a.name].delays)).any() for a in builder()
         )
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.parametrize("equalize", [True, False])
+    @pytest.mark.parametrize("multirate", [False, True])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_analytic_constants_identical_to_event_kernel(
+        self, seed, multirate, equalize
+    ):
+        """Random ``tt_delay``/``et_delay`` pin the clamps the analytic
+        delay source re-implements: ``min(c, period)`` on a shared
+        period, and ``(release + c) - release`` clamped to the period on
+        a multi-rate fleet, including constants at and past the period.
+        An ET delay past 2 ms destabilises the 2 ms loop to infinite
+        norms in both kernels, hence the overflow filter."""
+        rng = random.Random(3000 + seed)
+        build = random_multirate_fleet if multirate else random_shared_fleet
+        fleet = build(rng)
+        shortest = min(a.app.period for a in fleet)
+        tt_delay, et_delay = (
+            rng.choice((0.0, 0.0007, 0.0013, 0.003, shortest, 0.020, 0.041))
+            for _ in range(2)
+        )
+        network = assert_kernels_agree(
+            fleet,
+            lambda: AnalyticNetwork(tt_delay=tt_delay, et_delay=et_delay),
+            rng.uniform(1.5, 3.0),
+            "analytic",
+            equalize_delays=equalize,
+        )
+        assert network.delivered > 0
+
     def test_parity_without_delay_equalization(self):
         event = CoSimulator(
             shared_fleet(), AnalyticNetwork(), equalize_delays=False, kernel="event"
@@ -213,71 +243,3 @@ class TestEligibilityAndFallback:
             assert "['auto', 'event']" in str(excinfo.value)
         with pytest.raises(TypeError, match="legacy"):
             CoSimulator(shared_fleet(), AnalyticNetwork(), legacy=True)
-
-
-class TestProbeGatedVectorization:
-    """Whatever the platform probes decide, the fleet-wide norm and
-    control helpers must reproduce the scalar formulations bitwise."""
-
-    def _prepared_kernel(self, fleet):
-        from repro.sim.batch import _BatchKernel
-
-        kernel = _BatchKernel(CoSimulator(fleet, AnalyticNetwork()), 1.0)
-        kernel._prepare()
-        return kernel
-
-    def same_gain_fleet(self):
-        return [
-            make_app("twin-a", servo_rig(), 0, 1, 5.0),
-            make_app("twin-b", servo_rig(), 1, 2, 5.0),
-            make_app("other", dc_motor_speed(), 0, 3, 6.0),
-        ]
-
-    def test_compute_norms_bitwise_matches_scalar(self):
-        from math import sqrt
-
-        kernel = self._prepared_kernel(self.same_gain_fleet())
-        rng = np.random.default_rng(5)
-        for _ in range(64):
-            for i in range(kernel.n):
-                scale = 10.0 ** float(rng.integers(-6, 7))
-                kernel.states[i] = rng.standard_normal(
-                    kernel.states[i].shape
-                ) * scale
-            norms = [0.0] * kernel.n
-            kernel._compute_norms(norms)
-            for i in range(kernel.n):
-                x = kernel.states[i]
-                assert norms[i] == sqrt(x.dot(x))
-
-    def test_apply_control_groups_bitwise_matches_scalar(self):
-        kernel = self._prepared_kernel(self.same_gain_fleet())
-        rng = np.random.default_rng(11)
-        for trial in range(64):
-            modes = [int(b) for b in rng.integers(0, 2, kernel.n)]
-            for i in range(kernel.n):
-                kernel.states[i] = rng.standard_normal(kernel.states[i].shape)
-                kernel.held[i] = rng.standard_normal(kernel.held[i].shape)
-            us = [None] * kernel.n
-            for i in range(kernel.n):
-                if kernel.scalar_control[i]:
-                    us[i] = kernel.neg_gains[i][modes[i]].dot(
-                        np.concatenate((kernel.states[i], kernel.held[i]))
-                    )
-            kernel._apply_control_groups(modes, us)
-            for i in range(kernel.n):
-                reference = kernel.neg_gains[i][modes[i]].dot(
-                    np.concatenate((kernel.states[i], kernel.held[i]))
-                )
-                np.testing.assert_array_equal(us[i], reference)
-
-    def test_identical_twins_share_one_gain_group_candidate(self):
-        """Same design → byte-identical gains; the twins either form a
-        probe-certified group or both stay scalar — never a mix."""
-        kernel = self._prepared_kernel(self.same_gain_fleet())
-        assert (
-            kernel.scalar_control[0] == kernel.scalar_control[1]
-        )
-        if kernel.gain_groups:
-            (negs, _negs_t, idxs) = kernel.gain_groups[0]
-            assert idxs == [0, 1]
