@@ -32,6 +32,7 @@ from repro.core.characterization import (
     characterize_response_source,
 )
 from repro.core.pwl import (
+    CurveFits,
     DwellCurve,
     PwlDwellModel,
     conservative_monotonic,
@@ -92,6 +93,7 @@ __all__ = [
     "AllocationResult",
     "AnalyzedApplication",
     "CharacterizationResult",
+    "CurveFits",
     "DwellCurve",
     "LinearSwitchedSystem",
     "PAPER_TABLE_I",

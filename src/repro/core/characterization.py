@@ -15,12 +15,7 @@ import numpy as np
 
 from repro.control.controller import SwitchedApplication, design_switched_application
 from repro.control.plants import PlantDefinition
-from repro.core.pwl import (
-    DwellCurve,
-    PwlDwellModel,
-    fit_conservative_monotonic,
-    fit_two_segment,
-)
+from repro.core.pwl import DwellCurve, PwlDwellModel
 from repro.core.switching import (
     LinearSwitchedSystem,
     measure_dwell_curve,
@@ -58,11 +53,15 @@ def characterize_curve(
     deadline: float,
     min_inter_arrival: float,
 ) -> CharacterizationResult:
-    """Derive timing parameters from an already-measured dwell curve."""
+    """Derive timing parameters from an already-measured dwell curve.
+
+    The PWL fits come from :attr:`DwellCurve.fits`, derived once per
+    curve, so only the timing parameters are built per call.
+    """
     check_positive(deadline, "deadline")
     check_positive(min_inter_arrival, "min_inter_arrival")
-    non_monotonic = fit_two_segment(curve)
-    monotonic = fit_conservative_monotonic(curve)
+    non_monotonic = curve.fits.non_monotonic
+    monotonic = curve.fits.monotonic
     params = TimingParameters(
         name=name,
         min_inter_arrival=min_inter_arrival,

@@ -16,12 +16,15 @@ piecewise-linear (PWL) model.  The paper compares three shapes:
 Every model used for schedulability must dominate the measured curve
 (Figure 4's "the actual curve must be entirely below the model");
 the fitting constructors in this module guarantee that by construction
-and :meth:`PwlDwellModel.dominates` verifies it.
+and :meth:`PwlDwellModel.dominates` verifies it.  A measured curve
+keeps both fits and their verdicts (:attr:`DwellCurve.fits`), so a
+cached measurement is fitted once, not once per study.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence, Tuple
 
 import numpy as np
@@ -88,6 +91,26 @@ class DwellCurve:
     def is_monotonic(self, tolerance: float = 1e-9) -> bool:
         """Whether the measured dwell never increases with the wait time."""
         return bool(np.all(np.diff(self.dwells) <= tolerance))
+
+    @cached_property
+    def fits(self) -> "CurveFits":
+        """Both PWL fits of this curve and their dominance verdicts.
+
+        They are pure functions of the samples, so they are derived on
+        first use and then kept in the instance dict.  That puts them in
+        the curve's pickled state too, so they travel with the dwell
+        cache's exports and the fabric's cache blob.  The memo relies on
+        nothing writing ``waits`` or ``dwells`` after construction; no
+        code does.
+        """
+        non_monotonic = fit_two_segment(self)
+        monotonic = fit_conservative_monotonic(self)
+        return CurveFits(
+            non_monotonic=non_monotonic,
+            monotonic=monotonic,
+            non_monotonic_dominates=non_monotonic.dominates(self),
+            monotonic_dominates=monotonic.dominates(self),
+        )
 
 
 @dataclass(frozen=True)
@@ -217,6 +240,20 @@ class PwlDwellModel:
     def max_violation(self, curve: DwellCurve) -> float:
         """Largest amount by which a sample exceeds the model (0 if none)."""
         return max(0.0, (curve.dwells - self.dwell_array(curve.waits)).max())
+
+
+@dataclass(frozen=True)
+class CurveFits:
+    """The two fitted upper bounds of one curve (:attr:`DwellCurve.fits`).
+
+    Each ``*_dominates`` flag is that model's :meth:`PwlDwellModel.dominates`
+    on the curve, evaluated once rather than inferred from the fit.
+    """
+
+    non_monotonic: PwlDwellModel
+    monotonic: PwlDwellModel
+    non_monotonic_dominates: bool
+    monotonic_dominates: bool
 
 
 def two_segment(xi_tt: float, k_p: float, xi_m: float, xi_et: float) -> PwlDwellModel:
@@ -393,6 +430,7 @@ def _check_shape(xi_tt: float, k_p: float, xi_m: float, xi_et: float) -> None:
 
 
 __all__ = [
+    "CurveFits",
     "DwellCurve",
     "PwlDwellModel",
     "conservative_monotonic",

@@ -25,13 +25,20 @@ Fault model:
 * workers ship the dwell-curve entries they measured with each result;
   the coordinator merges them and forwards the fleet-wide cache with
   every grant, so one worker's measurement is every worker's hit;
+* results travel without their measured curves: the characterize
+  artifact's ``curves`` is ``null`` on the wire.  When it keeps
+  results (``keep_results``), the coordinator rebuilds them from its own
+  dwell cache and its own copy of the job's scenario
+  (:func:`~repro.pipeline.stages.measured_curves`), measuring any entry
+  no message delivered; rows never read curves;
 * every connection read carries a deadline (``read_deadline``,
   default ``4 x lease_timeout``): a half-open worker surfaces as a
   typed :class:`~repro.fabric.protocol.ChannelTimeout`, its
   connection is dropped and its leases re-queued, and the handler
   thread is reclaimed — it can never hang the coordinator;
-* a garbled line (:class:`~repro.fabric.protocol.ProtocolError`)
-  fails only the connection that sent it — counted in
+* a garbled line (:class:`~repro.fabric.protocol.ProtocolError`), or
+  a ``result`` that does not decode or carries anything but ``null``
+  curves, fails only the connection that sent it — counted in
   ``config["fabric"]["protocol_errors"]``, leases re-queued, accept
   loop untouched;
 * resuming from a torn JSONL (the artifact of a killed writer)
@@ -47,19 +54,20 @@ survived.
 
 from __future__ import annotations
 
+import dataclasses
 import json
-import socketserver
 import threading
 import time
 from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Deque, Dict, List, Optional, Sequence, Union
+from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.fabric.protocol import (
     ACCEPT_POLL_INTERVAL,
     ChannelTimeout,
     LineChannel,
+    LineServer,
     ProtocolError,
 )
 from repro.fabric.store import ResultStore
@@ -72,7 +80,9 @@ from repro.pipeline.cache import (
 from repro.pipeline.result import StudyResult
 from repro.pipeline.scenario import Scenario
 from repro.pipeline.serialize import to_jsonable
+from repro.pipeline.stages import measured_curves
 from repro.pipeline.sweep import (
+    SweepJob,
     SweepResult,
     crash_row,
     expand_cells,
@@ -199,7 +209,7 @@ class SweepCoordinator:
         self._workers_seen: List[str] = []
         self._lock = threading.Lock()
         self._done = threading.Event()
-        self._server: Optional[socketserver.ThreadingTCPServer] = None
+        self._server: Optional[LineServer] = None
         self._server_thread: Optional[threading.Thread] = None
         self._started_at: Optional[float] = None
         self._elapsed: Optional[float] = None
@@ -236,17 +246,7 @@ class SweepCoordinator:
 
     def start(self) -> None:
         """Bind the listen socket and serve worker connections."""
-        coordinator = self
-
-        class _Handler(socketserver.BaseRequestHandler):
-            def handle(self) -> None:  # one thread per worker connection
-                coordinator._serve_connection(LineChannel(self.request))
-
-        class _Server(socketserver.ThreadingTCPServer):
-            allow_reuse_address = True
-            daemon_threads = True
-
-        self._server = _Server((self.host, self.port), _Handler)
+        self._server = LineServer((self.host, self.port), self)
         self.port = self._server.server_address[1]
         self._server_thread = threading.Thread(
             target=self._server.serve_forever,
@@ -323,7 +323,14 @@ class SweepCoordinator:
                 elif kind == "heartbeat":
                     self._renew(str(msg.get("worker", worker)), msg.get("job_id"))
                 elif kind == "result":
-                    self._land(str(msg.get("worker", worker)), msg)
+                    try:
+                        self._land(str(msg.get("worker", worker)), msg)
+                    except ProtocolError:
+                        # an undecodable result is handled like a
+                        # garbled line: counted, connection dropped
+                        with self._lock:
+                            self.protocol_errors += 1
+                        break
                 else:
                     channel.send_msg(
                         "error", detail=f"unexpected {kind!r} on the sweep plane"
@@ -384,16 +391,12 @@ class SweepCoordinator:
                 lease.deadline = time.monotonic() + self.lease_timeout
 
     def _land(self, worker: str, msg: Dict[str, Any]) -> None:
+        """Record a worker's result; :class:`ProtocolError` if it does
+        not decode (nothing from the message is kept then)."""
         address = msg.get("job_id")
         job = self._jobs_by_address.get(address)
         if job is None:
             return
-        blob = msg.get("cache")
-        if blob:
-            entries = decode_entries(blob)
-            self.cache.merge_entries(entries)
-            with self._lock:
-                self._shipped.setdefault(worker, set()).update(entries)
         result: Optional[StudyResult] = None
         if msg.get("error") is not None:
             # the study itself raised inside the worker — terminal, the
@@ -401,8 +404,17 @@ class SweepCoordinator:
             row = crash_row(job.cell, job.scenario, 0, RuntimeError(msg["error"]))
             row["detail"] = str(msg["error"])
         else:
-            result = StudyResult.from_dict(msg["result"])
-            row = study_row(job.cell, result, 0)
+            result, row = _decode_result(job, msg.get("result"))
+        blob = msg.get("cache")
+        if blob:
+            entries = decode_entries(blob)
+            self.cache.merge_entries(entries)
+            with self._lock:
+                self._shipped.setdefault(worker, set()).update(entries)
+        if self.keep_results and result is not None:
+            # after the merge above, so the curves this message carried
+            # are hits; anything still missing is measured here
+            result = _with_curves(result, job.scenario, self.cache)
         row["worker"] = worker
         row["attempt"] = msg.get("attempt")
         with self._lock:
@@ -532,6 +544,50 @@ class SweepCoordinator:
             results=results,
             config=config,
         )
+
+
+def _decode_result(job: SweepJob, payload: Any) -> Tuple[StudyResult, Dict[str, Any]]:
+    """A worker's ``result`` payload as a :class:`StudyResult` and its row.
+
+    Workers send the characterize artifact's ``curves`` as ``null``
+    (:func:`_with_curves` rebuilds them), so the key must be present
+    and ``null`` exactly where the job's own scenario measures curves.
+    Anything else raises :class:`ProtocolError`.
+    """
+    try:
+        result = StudyResult.from_dict(payload)
+        row = study_row(job.cell, result, 0)
+        record = result.stage("characterize")
+        has_curves = "curves" in record.artifact
+        curves = record.artifact.get("curves")
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ProtocolError(
+            f"undecodable result for job {job.address}: {exc!r}"
+        ) from None
+    measured = record.ok and job.scenario.source != "paper"
+    if has_curves != measured or curves is not None:
+        raise ProtocolError(
+            f"result for job {job.address}: characterize 'curves' must be "
+            + ("present and null" if measured else "absent")
+        )
+    return result, row
+
+
+def _with_curves(
+    result: StudyResult, scenario: Scenario, cache: DwellCurveCache
+) -> StudyResult:
+    """``result`` with the characterize ``curves`` (sent as ``null``)
+    re-derived from ``cache`` for the coordinator's copy of the job's
+    scenario; the key keeps its place in the artifact."""
+    stages = []
+    for record in result.stages:
+        if record.name == "characterize" and "curves" in record.artifact:
+            curves = measured_curves(scenario, cache)
+            record = dataclasses.replace(
+                record, artifact={**record.artifact, "curves": curves}
+            )
+        stages.append(record)
+    return dataclasses.replace(result, stages=tuple(stages))
 
 
 def run_fabric_sweep(

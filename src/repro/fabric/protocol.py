@@ -11,11 +11,15 @@ same framing serves both fabric roles:
 
 Scenarios travel as their ``to_dict()`` JSON (workers never need the
 registry), and dwell-cache entries ride along as pickled-and-armoured
-strings (:func:`repro.pipeline.cache.encode_entries`).  ``make_msg`` /
-``send_msg`` validate the message kind against :data:`MESSAGE_TYPES` at
-runtime, and ``repro lint`` (QA004) resolves kind *literals* against
-the same tuple at lint time, so a typo'd message type fails in CI
-rather than as a mid-sweep protocol error.
+strings (:func:`repro.pipeline.cache.encode_entries`).  A ``result``
+carries its ``StudyResult.to_dict()`` with the characterize artifact's
+``curves`` set to ``null``: the coordinator already holds those curves
+in its dwell cache and re-derives them when it keeps results.
+
+``make_msg`` / ``send_msg`` validate the message kind against
+:data:`MESSAGE_TYPES` at runtime, and ``repro lint`` (QA004) resolves
+kind *literals* against the same tuple at lint time, so a typo'd
+message type fails in CI rather than as a mid-sweep protocol error.
 
 Failure taxonomy — three typed outcomes every reader must handle:
 
@@ -32,9 +36,10 @@ from __future__ import annotations
 
 import json
 import socket
+import socketserver
 import threading
 import time
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Optional, Tuple
 
 #: Every message kind either fabric plane may put on the wire.
 MESSAGE_TYPES = (
@@ -204,6 +209,30 @@ class LineChannel:
             pass
 
 
+class _LineHandler(socketserver.BaseRequestHandler):
+    def handle(self) -> None:  # one thread per connection
+        self.server.owner._serve_connection(LineChannel(self.request))
+
+
+class LineServer(socketserver.ThreadingTCPServer):
+    """Threaded TCP server that hands each accepted connection, as a
+    :class:`LineChannel`, to ``owner._serve_connection``.
+
+    The coordinator and the study service share this module-level
+    class.  A handler class built inside ``start()`` would close over
+    its owner, and classes always sit in reference cycles, so a stopped
+    owner (with its results and leases) would stay alive until the
+    cyclic garbage collector ran.  The owner drops its server on stop.
+    """
+
+    allow_reuse_address = True
+    daemon_threads = True
+
+    def __init__(self, address: Tuple[str, int], owner: Any):
+        self.owner = owner
+        super().__init__(address, _LineHandler)
+
+
 def connect(host: str, port: int, timeout: Optional[float] = None) -> LineChannel:
     """Dial a fabric endpoint and wrap the socket as a channel.
 
@@ -229,6 +258,7 @@ __all__ = [
     "ACCEPT_POLL_INTERVAL",
     "ChannelTimeout",
     "LineChannel",
+    "LineServer",
     "MESSAGE_TYPES",
     "ProtocolError",
     "connect",

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import socketserver
 import threading
 import time
 import uuid
@@ -40,6 +39,7 @@ from repro.fabric.protocol import (
     ACCEPT_POLL_INTERVAL,
     ChannelTimeout,
     LineChannel,
+    LineServer,
     connect,
 )
 from repro.fabric.resilience import RetryPolicy
@@ -136,23 +136,13 @@ class StudyService:
         self._pool = ThreadPoolExecutor(
             max_workers=pool_size, thread_name_prefix="study"
         )
-        self._server: Optional[socketserver.ThreadingTCPServer] = None
+        self._server: Optional[LineServer] = None
         self._server_thread: Optional[threading.Thread] = None
 
     # -- lifecycle ----------------------------------------------------
 
     def start(self) -> None:
-        service = self
-
-        class _Handler(socketserver.BaseRequestHandler):
-            def handle(self) -> None:
-                service._serve_connection(LineChannel(self.request))
-
-        class _Server(socketserver.ThreadingTCPServer):
-            allow_reuse_address = True
-            daemon_threads = True
-
-        self._server = _Server((self.host, self.port), _Handler)
+        self._server = LineServer((self.host, self.port), self)
         self.port = self._server.server_address[1]
         self._server_thread = threading.Thread(
             target=self._server.serve_forever,

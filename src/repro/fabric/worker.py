@@ -11,9 +11,10 @@ Per job the worker:
    cache (fleet-wide sharing, PR 3's ``merge_entries`` seam);
 2. heartbeats on a side thread every ``lease_timeout / 3`` so a slow
    study keeps its lease while a dead process loses it;
-3. runs the study and sends the result row back together with the
-   dwell entries it newly measured (``export_entries`` minus what it
-   already knows the coordinator has).
+3. runs the study and sends the result back together with the dwell
+   entries it newly measured (``export_entries`` minus what it already
+   knows the coordinator has).  The result's characterize ``curves``
+   go out as ``null``; the coordinator re-derives them from its cache.
 
 Resilience (PR 10): every improvised wait became
 :class:`~repro.fabric.resilience.RetryPolicy` — dialing a coordinator
@@ -258,6 +259,10 @@ class FabricWorker:
                     worker=self.worker_id, attempt=attempt
                 )
                 result_dict = result.to_dict()
+                for record in result_dict["stages"]:
+                    if record["name"] == "characterize" and "curves" in record["artifact"]:
+                        # the coordinator re-derives them from its cache
+                        record["artifact"] = {**record["artifact"], "curves": None}
                 exports = self.cache.export_entries(exclude=self._shipped)
                 if exports:
                     self._shipped.update(exports)

@@ -219,12 +219,12 @@ class DwellCurveCache:
     ):
         """A fully characterised case-study application.
 
-        Only the measurement is cached; the PWL fits and timing
-        parameters are derived fresh for the requested deadline, so
-        deadline sweeps share one measurement per plant.  The fits and
-        their dominance checks are array expressions over the curve
-        (:meth:`~repro.core.pwl.PwlDwellModel.dwell_array`), so the
-        derivation is cheap next to the measurement.
+        The measurement is cached, and its curve keeps its PWL fits and
+        their dominance verdicts (:attr:`~repro.core.pwl.DwellCurve.fits`,
+        derived on first use), so they travel with the entry through
+        :meth:`export_entries`.  Only the timing parameters are derived
+        per requested deadline, so deadline sweeps share one measurement
+        and one pair of fits per plant.
         """
         return self.characterized_info(
             plant_name, et_detuning, min_inter_arrival, deadline, wait_step

@@ -15,7 +15,7 @@ reuse them without re-parsing artifacts.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, NamedTuple, Optional
 
 from repro.control.disturbance import OneShotDisturbance, SporadicDisturbance
 from repro.core.allocation import AllocationResult
@@ -115,12 +115,69 @@ def _params_row(p: TimingParameters) -> Dict[str, Any]:
     }
 
 
-def _curve_dict(curve) -> Dict[str, Any]:
+class _Measured(NamedTuple):
+    """One measured application of a scenario's roster."""
+
+    name: str
+    measurement: Any  # MeasuredApplication | ServoMeasurement
+    hit: bool
+    min_inter_arrival: float
+    deadline: float  # before the scenario's deadline_scale
+
+
+def _measure(scenario: Scenario, cache: DwellCurveCache) -> List[_Measured]:
+    """Look up every measured application of ``scenario`` in ``cache``.
+
+    The one place a roster maps to dwell-cache keys; a miss measures.
+    """
+    if scenario.source == "servo":
+        _select_named(["servo-rig"], scenario.apps, lambda n: n, "application")
+        measured, hit = cache.servo_measurement_info(wait_step=scenario.wait_step)
+        return [
+            _Measured(
+                "servo-rig", measured, hit, SERVO_MIN_INTER_ARRIVAL, SERVO_DEADLINE
+            )
+        ]
+    from repro.experiments.casestudy import MULTIRATE_CASE_STUDY, SIMULATION_CASE_STUDY
+
+    rosters = {"simulation": SIMULATION_CASE_STUDY, "multirate": MULTIRATE_CASE_STUDY}
+    if scenario.source not in rosters:
+        raise ValueError(f"{scenario.source!r} scenarios measure no dwell curves")
+    roster = _select_named(
+        list(rosters[scenario.source]), scenario.apps, lambda e: e[0], "plant"
+    )
+    return [
+        _Measured(
+            name,
+            *cache.measurement_info(name, detuning, scenario.wait_step),
+            inter_arrival,
+            deadline,
+        )
+        for name, detuning, inter_arrival, deadline in roster
+    ]
+
+
+def _curves(measured: List[_Measured]) -> Dict[str, Any]:
+    # fresh lists per call: results must not share mutable artifacts
     return {
-        "waits": to_jsonable(curve.waits),
-        "dwells": to_jsonable(curve.dwells),
-        "xi_et": curve.xi_et,
+        m.name: {
+            "waits": to_jsonable(m.measurement.curve.waits),
+            "dwells": to_jsonable(m.measurement.curve.dwells),
+            "xi_et": m.measurement.curve.xi_et,
+        }
+        for m in measured
     }
+
+
+def measured_curves(scenario: Scenario, cache: DwellCurveCache) -> Dict[str, Any]:
+    """The characterize artifact's ``curves`` entry of a simulation,
+    multirate or servo scenario, read from ``cache``.
+
+    The fabric coordinator rebuilds kept results' curves with it, since
+    workers send them as ``null``.  Paper scenarios have no such entry
+    and raise :class:`ValueError`.
+    """
+    return _curves(_measure(scenario, cache))
 
 
 def stage_characterize(ctx: StudyContext) -> Dict[str, Any]:
@@ -138,64 +195,35 @@ def stage_characterize(ctx: StudyContext) -> Dict[str, Any]:
 
         ctx.params = scale_deadlines(rows, scenario.deadline_scale)
         ctx.case_apps = None
-    elif scenario.source in ("simulation", "multirate"):
-        from repro.experiments.casestudy import (
-            MULTIRATE_CASE_STUDY,
-            SIMULATION_CASE_STUDY,
-        )
-
-        full_roster = (
-            SIMULATION_CASE_STUDY
-            if scenario.source == "simulation"
-            else MULTIRATE_CASE_STUDY
-        )
-        roster = _select_named(
-            list(full_roster), scenario.apps, lambda e: e[0], "plant"
-        )
-        hits = 0
-        ctx.case_apps = []
-        for plant_name, detuning, inter_arrival, deadline in roster:
-            case_app, hit = ctx.cache.characterized_info(
-                plant_name,
-                et_detuning=detuning,
-                min_inter_arrival=inter_arrival,
-                deadline=_scaled_deadline(
-                    deadline, inter_arrival, scenario.deadline_scale
-                ),
-                wait_step=scenario.wait_step,
-            )
-            ctx.case_apps.append(case_app)
-            hits += hit
-        ctx.params = [app.params for app in ctx.case_apps]
-        artifact["cache"] = {"hits": hits, "misses": len(roster) - hits}
-        artifact["curves"] = {
-            app.name: _curve_dict(app.characterization.curve)
-            for app in ctx.case_apps
-        }
-    else:  # servo
+    else:
         from repro.experiments.casestudy import CaseStudyApplication
 
-        _select_named(["servo-rig"], scenario.apps, lambda n: n, "application")
-        measured, hit = ctx.cache.servo_measurement_info(
-            wait_step=scenario.wait_step
-        )
-        characterization = characterize_curve(
-            name="servo-rig",
-            curve=measured.curve,
-            deadline=_scaled_deadline(
-                SERVO_DEADLINE, SERVO_MIN_INTER_ARRIVAL, scenario.deadline_scale
-            ),
-            min_inter_arrival=SERVO_MIN_INTER_ARRIVAL,
-        )
-        ctx.case_apps = [
-            CaseStudyApplication(
-                plant=None, app=None, characterization=characterization
+        measured = _measure(scenario, ctx.cache)
+        ctx.case_apps = []
+        for m in measured:
+            characterization = characterize_curve(
+                name=m.name,
+                curve=m.measurement.curve,
+                deadline=_scaled_deadline(
+                    m.deadline, m.min_inter_arrival, scenario.deadline_scale
+                ),
+                min_inter_arrival=m.min_inter_arrival,
             )
-        ]
-        ctx.params = [characterization.params]
-        artifact["cache"] = {"hits": int(hit), "misses": int(not hit)}
-        artifact["curves"] = {"servo-rig": _curve_dict(measured.curve)}
-        artifact["measured"] = {"xi_tt": measured.xi_tt, "xi_et": measured.xi_et}
+            ctx.case_apps.append(
+                CaseStudyApplication(
+                    # the servo rig's measurement has no plant model
+                    plant=getattr(m.measurement, "plant", None),
+                    app=getattr(m.measurement, "app", None),
+                    characterization=characterization,
+                )
+            )
+        ctx.params = [app.params for app in ctx.case_apps]
+        hits = sum(m.hit for m in measured)
+        artifact["cache"] = {"hits": hits, "misses": len(measured) - hits}
+        artifact["curves"] = _curves(measured)
+        if scenario.source == "servo":
+            servo = measured[0].measurement
+            artifact["measured"] = {"xi_tt": servo.xi_tt, "xi_et": servo.xi_et}
     artifact["applications"] = [_params_row(p) for p in ctx.params]
     return artifact
 
@@ -205,18 +233,20 @@ def stage_model(ctx: StudyContext) -> Dict[str, Any]:
     scenario = ctx.scenario
     shape = scenario.dwell_shape
     if ctx.case_apps is not None:
-        models = []
+        # each curve's fits and their verdicts are derived once per curve
+        models, verdicts = [], []
         for case_app in ctx.case_apps:
-            characterization = case_app.characterization
+            fits = case_app.characterization.curve.fits
             if shape == "non-monotonic":
-                models.append(characterization.non_monotonic_model)
+                models.append(fits.non_monotonic)
+                verdicts.append(fits.non_monotonic_dominates)
             else:
-                models.append(characterization.monotonic_model)
+                models.append(fits.monotonic)
+                verdicts.append(fits.monotonic_dominates)
         ctx.analyzed = [
             AnalyzedApplication(params=params, dwell_model=model)
             for params, model in zip(ctx.params, models)
         ]
-        curves = [app.characterization.curve for app in ctx.case_apps]
     else:
         ctx.analyzed = [
             AnalyzedApplication(
@@ -224,9 +254,9 @@ def stage_model(ctx: StudyContext) -> Dict[str, Any]:
             )
             for params in ctx.params
         ]
-        curves = [None] * len(ctx.params)
+        verdicts = [None] * len(ctx.params)
     rows = []
-    for app, curve in zip(ctx.analyzed, curves):
+    for app, verdict in zip(ctx.analyzed, verdicts):
         model = app.dwell_model
         rows.append(
             {
@@ -235,9 +265,7 @@ def stage_model(ctx: StudyContext) -> Dict[str, Any]:
                 "breakpoints": to_jsonable(model.breakpoints),
                 "max_dwell": model.max_dwell,
                 "peak_wait": model.peak_wait,
-                "dominates_measurement": (
-                    None if curve is None else bool(model.dominates(curve))
-                ),
+                "dominates_measurement": verdict,
             }
         )
     return {"shape": shape, "models": rows}
@@ -439,6 +467,7 @@ __all__ = [
     "StageRecord",
     "StageSkipped",
     "StudyContext",
+    "measured_curves",
     "stage_allocate",
     "stage_analyze",
     "stage_characterize",

@@ -8,9 +8,13 @@ as the only additions.  These tests drive real sockets, real threads,
 an injected worker death, and the ``--resume`` round trip.
 """
 
+import functools
+import gc
 import json
 import socket
 import threading
+import time
+import weakref
 
 import pytest
 
@@ -29,7 +33,14 @@ from repro.fabric import (
     run_fabric_sweep,
     sweep_address,
 )
-from repro.pipeline import DwellCurveCache, StudyResult, get_scenario, run_sweep
+from repro.pipeline import (
+    DesignStudy,
+    DwellCurveCache,
+    Scenario,
+    StudyResult,
+    get_scenario,
+    run_sweep,
+)
 from repro.pipeline.sweep import fixed_jobs
 
 #: Same cheap two-plant roster the sweep tests use.
@@ -277,6 +288,242 @@ class TestFabricParity:
         assert stripped(fabric.rows) == stripped(serial.rows)
 
 
+#: One base per source kind whose kept results the fabric must rebuild:
+#: measured plants, the measured servo rig, and a paper table (no curves).
+KEPT_BASES = {
+    "simulation": dict(
+        scenario="sim-table1",
+        apps=("active-suspension", "lateral-dynamics"),
+        wait_step=8,
+    ),
+    "servo": dict(scenario="fig3-servo", wait_step=8),
+    "paper": dict(scenario="paper-table1"),
+}
+KEPT_AXES = {"deadline_scale": [1.0, 1.5]}
+
+
+def kept_base(kind):
+    settings = dict(KEPT_BASES[kind])
+    return get_scenario(settings.pop("scenario")).derive(name=f"kept-{kind}", **settings)
+
+
+@functools.lru_cache(maxsize=None)
+def kept_serial(kind):
+    """Serial ``run_sweep(keep_results=True)`` and the cache it filled."""
+    cache = DwellCurveCache()
+    serial = run_sweep(
+        kept_base(kind),
+        KEPT_AXES,
+        replications=1,
+        seed0=3,
+        max_workers=1,
+        cache=cache,
+        keep_results=True,
+    )
+    return serial, cache
+
+
+def comparable(results):
+    """Kept results as JSON, key order included, minus what may differ:
+    stage ``elapsed``, ``provenance`` and the characterize ``cache``
+    hit/miss block."""
+    out = []
+    for result in results:
+        data = result.to_dict()
+        del data["provenance"]
+        for record in data["stages"]:
+            del record["elapsed"]
+            if record["name"] == "characterize":
+                record["artifact"] = {
+                    k: v for k, v in record["artifact"].items() if k != "cache"
+                }
+        out.append(json.dumps(data))
+    return out
+
+
+class WithholdingCache(DwellCurveCache):
+    """A coordinator cache that never adopts one key, as if every message
+    carrying it had been lost, so the coordinator must measure it."""
+
+    def __init__(self, withheld):
+        super().__init__()
+        self.withheld = withheld
+
+    def merge_entries(self, entries):
+        return super().merge_entries(
+            {key: value for key, value in entries.items() if key != self.withheld}
+        )
+
+
+class TestKeptResults:
+    """With ``keep_results`` the fabric hands back the serial results.
+    Workers send them without curves; the coordinator rebuilds them."""
+
+    @pytest.mark.parametrize(
+        "kind, coordinator_cache",
+        [
+            ("simulation", "warm"),
+            ("simulation", "cold"),
+            ("simulation", "withheld"),
+            ("servo", "warm"),
+            ("servo", "cold"),
+            ("servo", "withheld"),
+            ("paper", "cold"),
+        ],
+    )
+    def test_kept_results_match_serial(self, monkeypatch, kind, coordinator_cache):
+        serial, serial_cache = kept_serial(kind)
+        if coordinator_cache == "warm":
+            cache = DwellCurveCache()
+            cache.merge_entries(serial_cache.export_entries())
+        elif coordinator_cache == "cold":
+            cache = DwellCurveCache()
+        else:
+            cache = WithholdingCache(min(serial_cache.keys_snapshot()))
+        sent = []
+        send_raw = LineChannel.send_raw
+
+        def recording_send_raw(channel, data):
+            sent.append(data)
+            send_raw(channel, data)
+
+        monkeypatch.setattr(LineChannel, "send_raw", recording_send_raw)
+        fabric = run_fabric_sweep(
+            kept_base(kind),
+            KEPT_AXES,
+            replications=1,
+            seed0=3,
+            workers=2,
+            cache=cache,
+            keep_results=True,
+            timeout=300.0,
+        )
+        assert stripped(fabric.rows) == stripped(serial.rows)
+        assert comparable(fabric.results) == comparable(serial.results)
+        # only the withheld entry is measured on the coordinator; the
+        # others arrived warm or through the workers' exports
+        assert cache.misses == (coordinator_cache == "withheld")
+        assert cache.keys_snapshot() == serial_cache.keys_snapshot()
+
+        lines = [line for line in sent if json.loads(line)["type"] == "result"]
+        assert len(lines) == len(serial.results)
+        for line in lines:
+            record = StudyResult.from_dict(json.loads(line)["result"]).stage(
+                "characterize"
+            )
+            if kind == "paper":
+                assert "curves" not in record.artifact
+            else:
+                assert record.artifact["curves"] is None
+                assert b'"curves":null' in line
+
+
+class TestMalformedResult:
+    @pytest.mark.parametrize("payload", ["empty", "with-curves"])
+    def test_bad_result_is_a_counted_protocol_error(self, payload):
+        # a peer's result that does not decode, or that still carries
+        # its curves, fails only that connection; its lease re-queues
+        coordinator = SweepCoordinator(
+            cheap_base(),
+            AXES,
+            replications=2,
+            seed0=3,
+            lease_timeout=5.0,
+            cache=DwellCurveCache(),
+            keep_results=True,
+        )
+        coordinator.start()
+        try:
+            rogue = connect(coordinator.host, coordinator.port)
+            rogue.send_msg("hello", worker="rogue")
+            assert rogue.recv_msg(timeout=5.0)["type"] == "ok"
+            rogue.send_msg("lease", worker="rogue")
+            job = rogue.recv_msg(timeout=5.0)
+            assert job["type"] == "job"
+            result = {}
+            if payload == "with-curves":
+                scenario = Scenario.from_dict(job["scenario"])
+                result = DesignStudy(scenario, cache=DwellCurveCache()).run().to_dict()
+            rogue.send_msg(
+                "result",
+                worker="rogue",
+                job_id=job["job_id"],
+                attempt=job["attempt"],
+                result=result,
+                error=None,
+                cache=None,
+            )
+            assert rogue.recv_msg(timeout=5.0) is None  # dropped
+            rogue.close()
+
+            worker = FabricWorker(
+                coordinator.host,
+                coordinator.port,
+                worker_id="healthy",
+                cache=DwellCurveCache(),
+            )
+            thread = threading.Thread(target=worker.run, daemon=True)
+            thread.start()
+            coordinator.wait(timeout=300.0)
+        finally:
+            coordinator.stop()
+        thread.join(timeout=10.0)
+        fabric = coordinator.result()
+        info = fabric.config["fabric"]
+        assert info["protocol_errors"] == 1
+        assert [event["reason"] for event in info["requeues"]] == ["disconnect"]
+        serial = serial_baseline(keep_results=True)
+        assert stripped(fabric.rows) == stripped(serial.rows)
+        assert comparable(fabric.results) == comparable(serial.results)
+
+
+def freed(ref, timeout=10.0):
+    """Whether ``ref`` dies within ``timeout`` (a handler thread may still
+    be unwinding from its peer's hangup)."""
+    deadline = time.monotonic() + timeout
+    while ref() is not None and time.monotonic() < deadline:
+        time.sleep(0.01)
+    return ref() is None
+
+
+class TestFreedWithoutCyclicGc:
+    """A finished coordinator (with its kept results and store) and a
+    stopped study service are freed by reference counting alone."""
+
+    def test_coordinator_and_service_are_unreachable(self, monkeypatch):
+        refs = []
+        start = SweepCoordinator.start
+
+        def recording_start(coordinator):
+            refs.append(weakref.ref(coordinator))
+            start(coordinator)
+
+        monkeypatch.setattr(SweepCoordinator, "start", recording_start)
+        gc.disable()
+        try:
+            run_fabric_sweep(
+                cheap_base(),
+                AXES,
+                replications=1,
+                seed0=3,
+                workers=2,
+                cache=DwellCurveCache(),
+                keep_results=True,
+                timeout=300.0,
+            )
+            service = StudyService(pool_size=1, cache=DwellCurveCache())
+            service.start()
+            with pytest.raises(RuntimeError, match="unknown job id"):
+                ServiceClient(service.host, service.port).status("job-nope")
+            service.stop()
+            refs.append(weakref.ref(service))
+            del service
+            assert len(refs) == 2
+            assert [freed(ref) for ref in refs] == [True, True]
+        finally:
+            gc.enable()
+
+
 class TestLeaseAndResume:
     def test_killed_worker_requeues_then_resume_completes(self, tmp_path):
         jsonl = tmp_path / "sweep.jsonl"
@@ -310,8 +557,12 @@ class TestLeaseAndResume:
             threading.Thread(target=worker.run, daemon=True)
             for worker in (dier, steady)
         ]
-        for thread in threads:
-            thread.start()
+        # The dier runs alone until it dies holding its second lease.
+        # Started together, the steady worker could take every other
+        # job first, and then nothing would die mid-lease.
+        threads[0].start()
+        threads[0].join(timeout=60.0)
+        threads[1].start()
         coordinator.wait(timeout=300.0)
         coordinator.stop()
         for thread in threads:

@@ -67,7 +67,7 @@ def stripped(rows):
     return [{k: v for k, v in row.items() if k not in FABRIC_ONLY} for row in rows]
 
 
-def serial_baseline():
+def serial_baseline(**kwargs):
     return run_sweep(
         cheap_base(),
         AXES,
@@ -75,6 +75,7 @@ def serial_baseline():
         seed0=3,
         max_workers=1,
         cache=DwellCurveCache(),
+        **kwargs,
     )
 
 
@@ -92,6 +93,23 @@ def assert_parity(fabric_result, serial_result):
             k: v for k, v in ser_stats["metrics"].items() if k != "duration"
         }
         assert fab_stats == ser_stats
+
+
+def kept(results):
+    """Kept results as JSON minus stage ``elapsed``, ``provenance`` and
+    the characterize ``cache`` hit/miss block."""
+    out = []
+    for result in results:
+        data = result.to_dict()
+        del data["provenance"]
+        for record in data["stages"]:
+            del record["elapsed"]
+            if record["name"] == "characterize":
+                record["artifact"] = {
+                    k: v for k, v in record["artifact"].items() if k != "cache"
+                }
+        out.append(json.dumps(data))
+    return out
 
 
 def channel_pair():
@@ -567,6 +585,21 @@ class TestChaosStorms:
         # the recomputed torn row was appended: one line per address again
         lines = [json.loads(l) for l in jsonl.read_text().splitlines()]
         assert len({l["address"] for l in lines}) == 4
+
+    def test_drop_delay_storm_keeps_results(self):
+        # Seed 13 drops the worker's first result, the one whose cache
+        # blob carried both curves; the worker counts them as shipped,
+        # so the coordinator must measure them to rebuild kept results.
+        serial = serial_baseline(keep_results=True)
+        runs = []
+        for _ in range(2):
+            cache = DwellCurveCache()
+            result = storm_sweep("drop-delay", seed=13, cache=cache, keep_results=True)
+            assert_parity(result, serial)
+            assert kept(result.results) == kept(serial.results)
+            runs.append((recovery_ledger(result), cache.misses))
+        assert runs[0] == runs[1]
+        assert runs[0][1] > 0
 
     def test_process_fleet_survives_dup_garble_storm(self):
         serial = serial_baseline()

@@ -7,6 +7,10 @@ we happened to measure.  They also pin the array evaluation path
 bit against a frozen copy of the scalar per-sample loops.
 """
 
+import json
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,6 +24,9 @@ from repro.core.pwl import (
     fit_two_segment,
     two_segment,
 )
+from repro.pipeline import DesignStudy, DwellCurveCache, get_scenario
+from repro.pipeline.cache import ServoMeasurement, decode_entries, encode_entries
+from repro.pipeline.registry import scenario_names
 from repro.utils.validation import check_nonnegative
 
 
@@ -284,6 +291,138 @@ class TestArrayPathMatchesScalarOracle:
         with pytest.raises(ValueError) as raised:
             model.dwell_array(waits)
         assert str(raised.value) == str(expected.value)
+
+
+class TestFitMemo:
+    """``DwellCurve.fits`` is exact: its fits and verdicts equal a fresh
+    fit and a fresh ``dominates`` bit for bit, on first access, on a
+    repeat access and after the dwell cache's wire round trip."""
+
+    @staticmethod
+    def fresh(curve):
+        """``[(model, verdict), ...]`` derived from scratch on a twin curve
+        with its own arrays, or the error a fit's own check raised."""
+        twin = DwellCurve(
+            waits=curve.waits.copy(), dwells=curve.dwells.copy(), xi_et=curve.xi_et
+        )
+        derived = []
+        for fit in (fit_two_segment, fit_conservative_monotonic):
+            model = fit_outcome(fit, twin)
+            if isinstance(model, str):
+                return model
+            derived.append((model, model.dominates(twin)))
+        return derived
+
+    @staticmethod
+    def assert_same(fits, expected):
+        memo = [
+            (fits.non_monotonic, fits.non_monotonic_dominates),
+            (fits.monotonic, fits.monotonic_dominates),
+        ]
+        for (model, verdict), (want, want_verdict) in zip(memo, expected):
+            assert model.label == want.label
+            assert bits(model.breakpoints) == bits(want.breakpoints)
+            assert verdict is want_verdict
+
+    @given(curve=any_curve)
+    @settings(max_examples=200, deadline=None)
+    def test_memo_equals_fresh_derivation(self, curve):
+        expected = self.fresh(curve)
+        if isinstance(expected, str):
+            # nothing is memoised: every access raises the fit's error
+            for _ in range(2):
+                with pytest.raises(AssertionError) as raised:
+                    _ = curve.fits
+                assert str(raised.value) == expected
+            return
+        first = curve.fits
+        self.assert_same(first, expected)
+        assert curve.fits is first
+        self.assert_same(curve.fits, expected)
+
+        key = ("servo", None, 2, 400)
+        measured = ServoMeasurement(
+            curve=curve, xi_tt=curve.xi_tt, xi_et=curve.xi_et, period=0.01
+        )
+        source, target = DwellCurveCache(), DwellCurveCache()
+        source.merge_entries({key: measured})
+        target.merge_entries(decode_entries(encode_entries(source.export_entries())))
+        travelled = target.servo_measurement(None, 2, 400).curve
+        assert target.misses == 0 and travelled is not curve
+        assert "fits" in vars(travelled)  # carried over, not refitted
+        self.assert_same(travelled.fits, expected)
+
+    def test_racing_first_reads_all_see_the_fresh_fits(self):
+        # threads sharing one cached curve race on its first read
+        waits = np.arange(2000) * 0.002
+        dwells = 0.5 + waits * np.exp(-waits) * (1.0 + 0.1 * np.sin(40.0 * waits))
+        curve = DwellCurve(waits=waits, dwells=dwells, xi_et=4.5)
+        expected = self.fresh(curve)
+        readers = 8
+        start = threading.Barrier(readers)
+        seen = []
+
+        def read():
+            start.wait(timeout=10.0)
+            seen.append(curve.fits)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=read) for _ in range(readers)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(seen) == readers
+        for fits in seen:
+            self.assert_same(fits, expected)
+        assert any(curve.fits is fits for fits in seen)
+
+
+def study_json(result):
+    """A StudyResult as JSON minus ``elapsed`` and the characterize
+    ``cache`` hit/miss block."""
+    data = result.to_dict()
+    data["provenance"] = {
+        k: v for k, v in data["provenance"].items() if k != "elapsed"
+    }
+    for record in data["stages"]:
+        del record["elapsed"]
+        if record["name"] == "characterize":
+            record["artifact"] = {
+                k: v for k, v in record["artifact"].items() if k != "cache"
+            }
+    return json.dumps(data)
+
+
+class TestFitMemoInStudies:
+    def test_registered_scenarios_match_fresh_fits(self, monkeypatch):
+        # memoised fits (cold, then warm) against fits and verdicts
+        # derived afresh on every access, as every study once did
+        cache = DwellCurveCache()
+        runs = []
+        for fresh in (False, False, True):
+            if fresh:
+                monkeypatch.setattr(DwellCurve, "fits", property(DwellCurve.fits.func))
+            runs.append(
+                [
+                    study_json(DesignStudy(get_scenario(name), cache=cache).run())
+                    for name in scenario_names()
+                ]
+            )
+        assert runs[0] == runs[1] == runs[2]
+        verdicts = [
+            row["dominates_measurement"]
+            for text in runs[0]
+            for record in json.loads(text)["stages"]
+            if record["name"] == "model"
+            for row in record["artifact"].get("models", [])
+        ]
+        assert True in verdicts and None in verdicts
 
 
 class TestFitDomination:
