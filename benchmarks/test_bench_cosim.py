@@ -7,7 +7,8 @@ shoot-outs** (event kernel vs batch fast path) — one on the fig5
 analytic scenario, one on the loss-free cycle-accurate FlexRay fig5
 fleet, where the batch kernel precomputes the static-segment
 schedule, and one on the ``can-cosim`` fleet, where the batch loop
-drives the live CAN bus — plus one run of the ``can-cosim`` scenario
+drives the CAN bus's own arbitration core — plus one run of the
+``can-cosim`` scenario
 (the priority-arbitrated CAN backend), and writes the numbers to
 ``BENCH_cosim.json`` at the repository root when
 ``REPRO_BENCH_WRITE=1``.
@@ -121,7 +122,7 @@ def test_bench_cosim_grid_thread_vs_process():
     can_seconds = time.perf_counter() - started
     assert can_result.ok
     can_artifact = can_result.artifact("cosim")
-    # No precomputation strategy: the batch loop drives the live bus.
+    # The "can" strategy: the batch loop drives the bus's arbitration core.
     assert can_artifact["kernel_used"] == "batch"
 
     speedup = thread_seconds / process_seconds if process_seconds else float("inf")

@@ -256,8 +256,7 @@ register_scenario(
         description=(
             "Figure 5 fleet co-simulated over a priority-arbitrated "
             "500 kbit/s CAN bus (non-preemptive, lowest frame id wins; "
-            "the batch kernel drives the live bus — arbitration is "
-            "contention-dependent)"
+            "the batch kernel drives the bus's own arbitration core)"
         ),
         source="simulation",
         cosim=True,

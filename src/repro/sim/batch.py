@@ -46,8 +46,14 @@ which asks the network's own ``capabilities()`` descriptor (the frozen
   segment is TDMA, so every grant and transmission instant follows from
   the slot table and is replayed by a schedule mirror, which also draws
   the bus's i.i.d. frame loss in delivery order;
+* ``"can"`` — :class:`_CanDelays`: a stock
+  :class:`~repro.sim.network.CanBusNetwork`, bare or inside one stock
+  :class:`~repro.sim.network.LossyNetwork`.  The source drives the
+  bus's own tuple-level arbitration core, the loop its event interface
+  wraps, so no ``Submission`` or ``Delivery`` is built per message; the
+  bus state is the real one, so nothing is mirrored or written back;
 * ``"live"`` — :class:`_LiveDelays`, for any other shared-period fleet
-  (CAN, loss wrappers, background traffic, subclassed or duck-typed
+  (other loss wrappers, background traffic, subclassed or duck-typed
   networks): the eager loop drives the real network through
   ``on_slot_change`` and ``sample_delays`` exactly as the event
   kernel's eager mode does;
@@ -82,6 +88,7 @@ from repro.sim.batch_flexray import _MirrorDelays
 # Sharing _TIME_TOL matters — the disturbance-to-tick mapping must use
 # the exact same ceil() product as the event kernel.
 from repro.sim.cosim import _TIME_TOL
+from repro.sim.network.can import CanBusNetwork
 from repro.sim.network.protocol import BATCH_STRATEGIES, Submission
 from repro.sim.runtime import CommState
 from repro.sim.stepper import GLOBAL_ZOH_CACHE, _dynamics_key, delay_key
@@ -109,6 +116,11 @@ def batch_capability(sim: "CoSimulator") -> Optional[str]:
       and is replayed by a mirror that draws the bus's own i.i.d. loss
       stream.  Claimed by qualifying stock
       :class:`~repro.sim.network.FlexRayNetwork` instances.
+    * ``"can"`` — a CAN bus driven through its own tuple-level
+      arbitration core, a wrapper's loss drawn once per delivery.
+      Claimed by stock :class:`~repro.sim.network.CanBusNetwork`
+      instances and by a stock
+      :class:`~repro.sim.network.LossyNetwork` around one.
     * ``"live"`` — no strategy, shared period: the batch loop drives the
       network object itself (``on_slot_change``/``sample_delays``, the
       event kernel's eager calls), so delays, loss, clamps and
@@ -193,6 +205,83 @@ class _AnalyticDelays:
         network = self.network
         if hasattr(network, "delivered"):
             network.delivered += self.messages
+
+
+class _CanDelays:
+    """A :class:`~repro.sim.network.CanBusNetwork`, bare or inside one
+    stock :class:`~repro.sim.network.LossyNetwork`, driven through the
+    bus's own tuple core (``_enqueue``/``_advance``, the arbitration
+    loop ``event_advance`` wraps), with each application's wire time
+    computed once by the bus's ``wire_time``.
+
+    Eager intervals follow the outer network's inherited
+    ``sample_delays``: every delivery of a wrapped bus draws the loss
+    process once, before the staleness check, and a lost draw reads
+    ``inf``; a fresh delivery reads ``min(finish - t, period)``, and an
+    application with neither is clamped to ``period``.  Lazy advances
+    draw once per delivery too, stale ones included, as the wrapper's
+    ``event_advance`` does.  The bus state is the real one, so nothing
+    is mirrored; the clamps and losses counted here land on the outer
+    network's ``clamped`` and the wrapper's ``lost`` on settle.
+    """
+
+    #: CAN arbitration ignores slot ownership
+    on_slot_change = None
+
+    def __init__(self, network, apps) -> None:
+        self.network = network
+        if isinstance(network, CanBusNetwork):
+            self.bus, self.draw = network, None
+        else:  # a stock LossyNetwork around the bus
+            self.bus, self.draw = network.inner, network.loss.sample
+        wire_time = self.bus.wire_time
+        #: per app: ``(frame_id, name, wire time)``.
+        self.roster = [
+            (a.frame.frame_id, a.name, wire_time(a.frame.payload_bits))
+            for a in apps
+        ]
+        self.index = {a.name: i for i, a in enumerate(apps)}
+        self.clamped = 0
+        self.lost = 0
+
+    def interval(self, t: float, period: float, modes: List[int]) -> List[float]:
+        enqueue = self.bus._enqueue
+        for frame_id, name, wire in self.roster:
+            enqueue(frame_id, t, name, wire)
+        fresh = t - 1e-12
+        delays: List[Optional[float]] = [None] * len(self.roster)
+        for i, release, finish, lost in self.advance_to(t + period):
+            if lost:
+                delays[i] = inf
+            elif release >= fresh:
+                delays[i] = min(finish - t, period)
+        for i, delay in enumerate(delays):
+            if delay is None:
+                delays[i] = period
+                self.clamped += 1
+        return delays
+
+    def submit(self, i: int, mode: int, release: float) -> None:
+        frame_id, name, wire = self.roster[i]
+        self.bus._enqueue(frame_id, release, name, wire)
+
+    def advance_to(self, t: float) -> List[Tuple[int, float, float, bool]]:
+        index = self.index
+        draw = self.draw
+        out = []
+        for name, release, finish in self.bus._advance(t):
+            lost = draw is not None and draw()
+            if lost:
+                self.lost += 1
+            i = index.get(name)
+            if i is not None:
+                out.append((i, release, finish, lost))
+        return out
+
+    def settle(self) -> None:
+        self.network.clamped += self.clamped
+        if self.lost:  # only a wrapper draws loss
+            self.network.lost += self.lost
 
 
 class _LiveDelays:
@@ -313,6 +402,8 @@ class _BatchKernel:
             self.source = _AnalyticDelays(network, sum(self.steps))
         elif capability == "flexray":
             self.source = _MirrorDelays(network, apps)
+        elif capability == "can":
+            self.source = _CanDelays(network, apps)
         else:
             self.source = _LiveDelays(network, apps)
 

@@ -24,10 +24,11 @@ Two simulation kernels are provided (``kernel=`` selects between them):
   reading delays from a *delay source*: per-mode constants on an
   :class:`~repro.sim.network.AnalyticNetwork`, a mirror of a stock
   FlexRay bus's static-segment slot table (its i.i.d. frame loss drawn
-  in delivery order, see :mod:`repro.sim.batch_flexray`), or — for
-  every other shared-period network (CAN, loss wrappers, background
-  traffic, subclasses) — the live network's own ``on_slot_change`` and
-  ``sample_delays`` (see :mod:`repro.sim.batch`).  ``"auto"``, the
+  in delivery order, see :mod:`repro.sim.batch_flexray`), a stock CAN
+  bus's own arbitration core (bare or behind one loss wrapper), or —
+  for every other shared-period network (other loss wrappers,
+  background traffic, subclasses) — the live network's own
+  ``on_slot_change`` and ``sample_delays`` (see :mod:`repro.sim.batch`).  ``"auto"``, the
   default, takes it whenever the fleet is capable and runs the event
   kernel otherwise (multi-rate fleets on networks that claim no
   precomputation strategy).  Traces are bitwise identical to the event
@@ -534,8 +535,8 @@ class CoSimulator:
 
     * ``"auto"`` (default) — the batch fast path when the fleet is
       capable (see :func:`repro.sim.batch.batch_capability`: every
-      shared-period fleet, and multi-rate fleets on an analytic or
-      stock FlexRay network), the event kernel otherwise;
+      shared-period fleet, and multi-rate fleets on an analytic, stock
+      FlexRay or stock CAN network), the event kernel otherwise;
     * ``"event"`` — always the event-driven reference kernel; supports
       fleets with *mixed* sampling periods (disturbance arrivals,
       per-application ticks and transmissions are queue events).

@@ -11,7 +11,7 @@ name       model
 ========== ============================================================
 analytic   constant design-time delays (batch: per-mode constants)
 flexray    cycle-accurate FlexRay bus (batch: schedule mirror, i.i.d. loss)
-can        priority-arbitrated non-preemptive CAN bus (batch: live path)
+can        priority-arbitrated non-preemptive CAN bus (batch: arbitration core)
 ========== ============================================================
 
 plus the composable loss layer (:class:`IIDLoss`,

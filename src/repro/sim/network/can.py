@@ -15,6 +15,14 @@ only queues, and :meth:`CanBusNetwork.event_advance` replays
 arbitration decisions up to the barrier.  Decisions depend solely on
 the pending set (identifier, release instant, submission order), so
 the transport is fully deterministic.
+
+Both co-simulation kernels share one arbitration loop.  The event
+interface is a thin wrapper over a tuple-level core —
+:meth:`CanBusNetwork._enqueue` and :meth:`CanBusNetwork._advance` —
+which the batch kernel's ``"can"`` delay source drives directly, with
+each application's wire time computed once instead of per message.
+Pending entries stay keyed by message name, so a bus left mid-run by
+either kernel is valid for the other.
 """
 
 from __future__ import annotations
@@ -76,28 +84,22 @@ class CanBusNetwork(NetworkModel):
             payload_bits, self.bit_time, self.overhead_bits
         )
 
-    # -- event interface ---------------------------------------------------
+    # -- tuple core (shared by both kernels) -------------------------------
 
-    def event_submit(
-        self, time: float, window_end: float, submissions: Sequence[Submission]
-    ) -> None:
-        for sub in submissions:
-            self._pending.append(
-                (
-                    sub.spec.frame_id,
-                    sub.release_time,
-                    self._sequence,
-                    sub.name,
-                    self.wire_time(sub.spec.payload_bits),
-                )
-            )
-            self._sequence += 1
+    def _enqueue(self, frame_id: int, release: float, name: str, wire: float) -> None:
+        """Queue one frame whose wire time ``wire`` is already known."""
+        self._pending.append((frame_id, release, self._sequence, name, wire))
+        self._sequence += 1
 
-    def event_advance(self, time: float) -> List[Delivery]:
-        out: List[Delivery] = []
+    def _advance(self, time: float) -> List[Tuple[str, float, float]]:
+        """Replay arbitration up to ``time``; report every completed
+        frame as ``(name, release_time, delivery_time)``."""
+        out: List[Tuple[str, float, float]] = []
+        pending = self._pending
         while True:
-            if self._transmitting is not None:
-                frame_id, release, _seq, name, finish = self._transmitting
+            transmitting = self._transmitting
+            if transmitting is not None:
+                finish = transmitting[4]
                 if finish > time:
                     break
                 # Frame completes within the window: the wire frees at
@@ -105,27 +107,41 @@ class CanBusNetwork(NetworkModel):
                 self._transmitting = None
                 self._busy_until = finish
                 self.delivered += 1
-                out.append(
-                    Delivery(
-                        name=name, release_time=release, delivery_time=finish
-                    )
-                )
-            if not self._pending:
+                out.append((transmitting[3], transmitting[1], finish))
+            if not pending:
                 break
-            earliest = min(entry[1] for entry in self._pending)
+            earliest = min(entry[1] for entry in pending)
             start = max(self._busy_until, earliest)
             if start >= time:
                 # The next arbitration instant lies at/after the
                 # barrier; deferring it is lossless (the winner is a
                 # pure function of the pending set at `start`).
                 break
-            ready = [entry for entry in self._pending if entry[1] <= start]
-            winner = min(ready)
-            self._pending.remove(winner)
+            winner = min([entry for entry in pending if entry[1] <= start])
+            pending.remove(winner)
             frame_id, release, seq, name, wire = winner
             self.busy_time += wire
             self._transmitting = (frame_id, release, seq, name, start + wire)
         return out
+
+    # -- event interface ---------------------------------------------------
+
+    def event_submit(
+        self, time: float, window_end: float, submissions: Sequence[Submission]
+    ) -> None:
+        for sub in submissions:
+            self._enqueue(
+                sub.spec.frame_id,
+                sub.release_time,
+                sub.name,
+                self.wire_time(sub.spec.payload_bits),
+            )
+
+    def event_advance(self, time: float) -> List[Delivery]:
+        return [
+            Delivery(name=name, release_time=release, delivery_time=finish)
+            for name, release, finish in self._advance(time)
+        ]
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -148,15 +164,14 @@ class CanBusNetwork(NetworkModel):
         }
 
     def capabilities(self) -> NetworkCapabilities:
-        # No precomputation strategy: arbitration is contention-
-        # dependent, so delivery instants cannot be replayed from a slot
-        # table the way the analytic/FlexRay strategies do.  Shared-
-        # period fleets still run batched on the live path, which calls
-        # this bus's own sample_delays.
+        # The "can" strategy drives this bus's own tuple core, so it
+        # needs no pristine-bus check.  Only the exact class claims it:
+        # a subclass could override the transport the core implements,
+        # and opts back in by overriding capabilities().
         return NetworkCapabilities(
             deterministic=True,
             analytic_delays=False,
-            batch_strategy=None,
+            batch_strategy="can" if type(self) is CanBusNetwork else None,
             loss="none",
         )
 
@@ -166,7 +181,7 @@ class CanBusNetwork(NetworkModel):
     summary="priority-arbitrated CAN bus (non-preemptive, lowest frame id wins)",
     deterministic=True,
     analytic_delays=False,
-    batch=None,
+    batch="can",
     loss="iid",
 )
 def _build_can(

@@ -23,7 +23,10 @@ invariants the co-simulation kernels rely on:
   along with the delivery state;
 * **batch honesty** — an instance claiming the ``"analytic"`` batch
   strategy actually carries the constant-delay attributes the batch
-  kernel replays.
+  kernel replays, and one claiming ``"can"`` is a CAN transport whose
+  tuple core the batch kernel drives: a
+  :class:`~repro.sim.network.can.CanBusNetwork`, or a stock
+  :class:`~repro.sim.network.loss.LossyNetwork` whose ``inner`` is one.
 
 Use it from any test suite::
 
@@ -40,6 +43,8 @@ import json
 from typing import Any, Callable, List, Sequence, Tuple
 
 from repro.flexray.frame import FrameSpec
+from repro.sim.network.can import CanBusNetwork
+from repro.sim.network.loss import LossyNetwork
 from repro.sim.network.protocol import (
     BATCH_STRATEGIES,
     Delivery,
@@ -217,6 +222,14 @@ def check_network_model(factory: Callable[[], Any]) -> None:
             isinstance(getattr(network, "tt_delay", None), float)
             and isinstance(getattr(network, "et_delay", None), float),
             "claiming the analytic batch strategy requires tt_delay/et_delay",
+            type(network).__name__,
+        )
+    if caps.batch_strategy == "can":
+        bus = network.inner if type(network) is LossyNetwork else network
+        _require(
+            isinstance(bus, CanBusNetwork),
+            "claiming the can batch strategy requires a CanBusNetwork, bare "
+            "or inside a stock LossyNetwork",
             type(network).__name__,
         )
     json.dumps(caps.to_dict())  # descriptor must serialize (CLI table)

@@ -19,6 +19,7 @@ from typing import Any, Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.flexray.frame import FrameSpec
+from repro.sim.network.can import CanBusNetwork
 from repro.sim.network.protocol import (
     Delivery,
     NetworkCapabilities,
@@ -171,13 +172,23 @@ class LossyNetwork(NetworkModel):
             else NetworkCapabilities()
         )
         # Loss is seeded-random, so the composite is reproducible but
-        # not deterministic, and no precomputation strategy covers it:
-        # shared-period fleets run the live batch path, which calls this
+        # not deterministic.  Only the "can" strategy covers a wrapper,
+        # and only this exact class around a bus that claims it: the
+        # source drives the bus's tuple core and draws this loss
+        # process per delivery (a nested wrapper is not a bus).  Every
+        # other composite runs the live batch path through this
         # wrapper's own sample_delays.
+        strategy = None
+        if (
+            type(self) is LossyNetwork
+            and isinstance(self.inner, CanBusNetwork)
+            and inner_caps.batch_strategy == "can"
+        ):
+            strategy = "can"
         return replace(
             inner_caps,
             deterministic=False,
-            batch_strategy=None,
+            batch_strategy=strategy,
             loss=self.loss.kind,
         )
 

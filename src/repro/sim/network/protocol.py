@@ -46,7 +46,18 @@ from repro.flexray.frame import FrameSpec
 #: backend's :meth:`NetworkModel.capabilities` may name one of these to
 #: opt in; anything else runs on the live batch path (shared period) or
 #: the event kernel (multi-rate).
-BATCH_STRATEGIES = ("analytic", "flexray")
+BATCH_STRATEGIES = ("analytic", "flexray", "can")
+
+
+def check_batch_strategy(strategy: Optional[str]) -> None:
+    """Raise ``ValueError`` unless ``strategy`` is ``None`` or a member
+    of :data:`BATCH_STRATEGIES`."""
+    if strategy is not None and strategy not in BATCH_STRATEGIES:
+        raise ValueError(
+            f"unknown batch_strategy {strategy!r}; "
+            f"expected one of {list(BATCH_STRATEGIES)} or None"
+        )
+
 
 #: Loss-model identifiers used in capability descriptors (extensible:
 #: custom :class:`~repro.sim.network.loss.LossProcess` subclasses may
@@ -98,7 +109,12 @@ class NetworkCapabilities:
         :class:`~repro.sim.network.analytic.AnalyticNetwork` semantics,
         claiming ``"flexray"`` requires the stock FlexRay transport (the
         strategy replays its slot table arithmetically and draws its
-        i.i.d. loss stream).
+        i.i.d. loss stream), and claiming ``"can"`` requires a
+        :class:`~repro.sim.network.can.CanBusNetwork`, bare or as the
+        ``inner`` of a stock
+        :class:`~repro.sim.network.loss.LossyNetwork` (the strategy
+        drives the bus's tuple-level arbitration core and draws the
+        wrapper's loss process).
     loss:
         Loss-model identifier (``"none"``, ``"iid"``,
         ``"gilbert-elliott"``, or a custom process's ``kind``).
@@ -115,11 +131,7 @@ class NetworkCapabilities:
     event_interface: bool = True
 
     def __post_init__(self):
-        if self.batch_strategy is not None and self.batch_strategy not in BATCH_STRATEGIES:
-            raise ValueError(
-                f"unknown batch_strategy {self.batch_strategy!r}; "
-                f"expected one of {list(BATCH_STRATEGIES)} or None"
-            )
+        check_batch_strategy(self.batch_strategy)
 
     def to_dict(self) -> Dict[str, Any]:
         return dataclasses.asdict(self)
@@ -224,4 +236,5 @@ __all__ = [
     "NetworkCapabilities",
     "NetworkModel",
     "Submission",
+    "check_batch_strategy",
 ]

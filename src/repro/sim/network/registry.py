@@ -32,6 +32,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional
 
+from repro.sim.network.protocol import check_batch_strategy
+
 
 class UnknownNetworkError(KeyError):
     """Raised when a network-backend name is not in the registry."""
@@ -86,7 +88,13 @@ def register_network(
     loss: str = "none",
     overwrite: bool = False,
 ) -> Callable[[Callable[..., Any]], Callable[..., Any]]:
-    """Class decorator/registration hook for network-backend factories."""
+    """Class decorator/registration hook for network-backend factories.
+
+    ``batch`` must be ``None`` or a strategy the batch kernel knows
+    (:data:`~repro.sim.network.protocol.BATCH_STRATEGIES`); anything
+    else raises ``ValueError``, as a capability descriptor would.
+    """
+    check_batch_strategy(batch)
 
     def decorator(factory: Callable[..., Any]) -> Callable[..., Any]:
         if name in _NETWORK_REGISTRY and not overwrite:

@@ -188,9 +188,9 @@ class TestCanCosimScenario:
         scenario = get_scenario("can-cosim").derive(
             apps=("servo-rig", "throttle-by-wire"), wait_step=16, horizon=6.0
         )
-        # Contention-dependent, so no precomputation strategy: the batch
-        # loop drives the live bus, bitwise equal to the event kernel
-        # (traces, jitter violations, bus statistics).
+        # The "can" strategy: the batch loop drives the bus's own
+        # arbitration core, bitwise equal to the event kernel (traces,
+        # jitter violations, bus statistics).
         cosim = assert_studies_agree(scenario)
         assert cosim["network"] == "can"
         assert cosim["kernel_used"] == "batch"

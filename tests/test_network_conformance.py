@@ -100,6 +100,37 @@ def test_kit_rejects_broken_models(broken):
         check_network_model(lambda: broken())
 
 
+class _ClaimsCan(AnalyticNetwork):
+    """Broken on purpose: claims the ``"can"`` strategy, whose batch
+    source drives a CAN bus's tuple core, without being a CAN bus."""
+
+    def capabilities(self):
+        return dataclasses.replace(super().capabilities(), batch_strategy="can")
+
+
+class _WrapperClaimsCan(LossyNetwork):
+    """Broken on purpose: a wrapper subclass around a real bus claims
+    ``"can"``, but the batch source would bypass its overrides."""
+
+    def capabilities(self):
+        return dataclasses.replace(super().capabilities(), batch_strategy="can")
+
+
+@pytest.mark.parametrize(
+    "impostor",
+    [
+        _ClaimsCan,
+        lambda: _WrapperClaimsCan(
+            inner=CanBusNetwork(), loss=IIDLoss(rate=0.1, seed=0)
+        ),
+    ],
+    ids=["not-a-bus", "wrapper-subclass"],
+)
+def test_kit_rejects_a_can_claim_without_a_can_bus(impostor):
+    with pytest.raises(ConformanceError, match="can batch strategy"):
+        check_network_model(impostor)
+
+
 def test_kit_rejects_missing_surface():
     class NotANetwork:
         pass

@@ -54,7 +54,7 @@ class TestRegistry:
         assert spec.batch == "analytic"
         can = get_network("can")
         assert can.deterministic
-        assert can.batch is None
+        assert can.batch == "can"
 
     def test_unknown_name_error_lists_registered(self):
         with pytest.raises(UnknownNetworkError) as excinfo:
@@ -83,6 +83,17 @@ class TestRegistry:
             )
             def _imposter(**kwargs):
                 raise AssertionError("never built")
+
+    def test_unknown_batch_strategy_rejected(self):
+        """A registry row may only advertise a strategy the batch kernel
+        knows, as a capability descriptor may only claim one."""
+        with pytest.raises(ValueError, match="unknown batch_strategy 'mirrorr'"):
+
+            @register_network("typo-net", batch="mirrorr")
+            def _typo(**kwargs):
+                raise AssertionError("never built")
+
+        assert "typo-net" not in network_names()
 
     def test_register_overwrite_and_unregister(self):
         @register_network(
@@ -152,7 +163,7 @@ class TestCapabilities:
         assert lossy.capabilities().batch_strategy == "flexray"
         assert not lossy.capabilities().deterministic
         assert lossy.capabilities().loss == "iid"
-        assert CanBusNetwork().capabilities().batch_strategy is None
+        assert CanBusNetwork().capabilities().batch_strategy == "can"
 
     def test_loss_wrapper_demotes_capabilities(self):
         wrapped = LossyNetwork(
@@ -162,6 +173,28 @@ class TestCapabilities:
         assert caps.batch_strategy is None
         assert not caps.deterministic
         assert caps.loss == "iid"
+
+
+    def test_loss_wrapper_passes_can_through_around_the_bus_only(self):
+        """The ``"can"`` source drives a bus's tuple core, so only a
+        stock wrapper whose inner *is* a claiming bus keeps the claim."""
+        loss = lambda: IIDLoss(rate=0.2, seed=0)  # noqa: E731
+
+        class TweakedCan(CanBusNetwork):
+            pass
+
+        class TweakedWrapper(LossyNetwork):
+            pass
+
+        wrapped = LossyNetwork(inner=CanBusNetwork(), loss=loss())
+        assert wrapped.capabilities().batch_strategy == "can"
+        assert not wrapped.capabilities().deterministic
+        for composite in (
+            LossyNetwork(inner=wrapped, loss=loss()),
+            LossyNetwork(inner=TweakedCan(), loss=loss()),
+            TweakedWrapper(inner=CanBusNetwork(), loss=loss()),
+        ):
+            assert composite.capabilities().batch_strategy is None
 
 
 class TestBatchCapabilityDispatch:
@@ -179,9 +212,9 @@ class TestBatchCapabilityDispatch:
             bus=FlexRayBus(config=paper_bus_config()), loss_rate=0.1
         )
         assert batch_capability(self._sim(lossy())) == "flexray"
-        assert batch_capability(self._sim(CanBusNetwork())) == "live"
+        assert batch_capability(self._sim(CanBusNetwork())) == "can"
         assert_kernels_agree(shared_fleet(), lossy, 3.0, "flexray")
-        assert_kernels_agree(shared_fleet(), CanBusNetwork, 3.0, "live")
+        assert_kernels_agree(shared_fleet(), CanBusNetwork, 3.0, "can")
 
     def test_duck_typed_network_runs_live(self):
         class Duck:
@@ -207,8 +240,14 @@ class TestBatchCapabilityDispatch:
 
     def test_multirate_fleet_without_strategy_stays_on_event(self):
         """Only multi-rate fleets on strategy-less networks need the
-        event kernel (lazy resolution through the event interface)."""
-        sim = CoSimulator(multirate_fleet(), CanBusNetwork())
+        event kernel (lazy resolution through the event interface).  A
+        CAN subclass is one: it never inherits the bus's claim."""
+
+        class TweakedCan(CanBusNetwork):
+            pass
+
+        assert TweakedCan().capabilities().batch_strategy is None
+        sim = CoSimulator(multirate_fleet(), TweakedCan())
         assert batch_capability(sim) is None
         sim.run(0.5)
         assert sim.last_kernel == "event"
@@ -233,7 +272,7 @@ class TestBatchCapabilityDispatch:
         assert traces_bitwise_equal(trace, reference)
 
     def test_strategies_are_frozen(self):
-        assert BATCH_STRATEGIES == ("analytic", "flexray")
+        assert BATCH_STRATEGIES == ("analytic", "flexray", "can")
 
 
 class TestNetworksCli:
@@ -253,7 +292,7 @@ class TestNetworksCli:
         rows = {spec["name"]: spec for spec in data["networks"]}
         assert set(rows) == set(network_names())
         assert rows["analytic"]["batch"] == "analytic"
-        assert rows["can"]["batch"] is None
+        assert rows["can"]["batch"] == "can"
         assert rows["can"]["loss"] == "iid"
         assert rows["flexray"]["deterministic"] is True
 
