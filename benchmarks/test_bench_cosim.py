@@ -5,12 +5,11 @@ sporadic disturbances, FlexRay frame loss, seeds 0..31) through
 ``run_many`` with thread workers vs a process pool, plus three **kernel
 shoot-outs** (event kernel vs batch fast path) — one on the fig5
 analytic scenario, one on the loss-free cycle-accurate FlexRay fig5
-fleet, where the batch kernel precomputes the static-segment
-schedule, and one on the ``can-cosim`` fleet, where the batch loop
-drives the CAN bus's own arbitration core — plus one run of the
-``can-cosim`` scenario
-(the priority-arbitrated CAN backend), and writes the numbers to
-``BENCH_cosim.json`` at the repository root when
+fleet, where the batch loop drives the FlexRay bus's own cycle core,
+and one on the ``can-cosim`` fleet, where the batch loop drives the
+CAN bus's own arbitration core — plus one run of the ``can-cosim``
+scenario (the priority-arbitrated CAN backend), and writes the numbers
+to ``BENCH_cosim.json`` at the repository root when
 ``REPRO_BENCH_WRITE=1``.
 
 The co-simulation loop is pure Python, so thread workers serialize on
@@ -19,16 +18,21 @@ acceptance bar is asserted only where it is physically possible
 (``cpu_count >= 4``) — the JSON records the honest measurement either
 way, including the core count it was taken on.  The kernel bars
 (batch speedup over the event kernel ``>= 3x`` on the analytic fleet
-and ``>= 2x`` on the FlexRay fleet) are asserted outside smoke mode,
-where horizons are long enough for the ratios to mean something; each
+and ``>= 2x`` on the FlexRay fleet) are asserted in full mode, where
+horizons are long enough for the ratios to mean something; each
 ratio is the median over ``KERNEL_PAIRS`` paired trials that alternate
 which kernel runs first (``run_kernel_ablation``), and the CAN ratio is
 recorded without a bar.  The traces-bitwise-identical
 cross-checks run in every mode.
 
-Smoke mode for CI: set ``REPRO_COSIM_BENCH_SMOKE=1`` to shrink the grid
-and horizon so the job finishes in seconds while still exercising both
-executors end-to-end.
+The file runs in smoke mode (small grid, short horizon, no wall-clock
+bar) unless ``REPRO_COSIM_BENCH_SMOKE=0``, so the test suite never
+asserts a timing.  Run the full mode, bars included, on purpose::
+
+    REPRO_COSIM_BENCH_SMOKE=0 PYTHONPATH=src python -m pytest \
+        benchmarks/test_bench_cosim.py -q --benchmark-disable
+
+CI runs it so in a blocking step of its own.
 """
 
 import json
@@ -40,7 +44,7 @@ from repro.experiments import run_kernel_ablation, simulation_applications
 from repro.pipeline import get_scenario, run_many
 from repro.sim import GLOBAL_ZOH_CACHE
 
-_SMOKE = os.environ.get("REPRO_COSIM_BENCH_SMOKE", "") not in ("", "0")
+_SMOKE = os.environ.get("REPRO_COSIM_BENCH_SMOKE", "1") != "0"
 _WRITE = os.environ.get("REPRO_BENCH_WRITE") == "1"
 GRID_SIZE = 4 if _SMOKE else 32
 HORIZON = 4.0 if _SMOKE else 20.0
@@ -192,16 +196,17 @@ def test_bench_cosim_grid_thread_vs_process():
             f"process pool speedup {speedup:.2f}x below the 2x bar "
             f"on {os.cpu_count()} cores"
         )
-    # Kernel bars: on the analytic fleet the batch fast path must run
-    # at least 3x faster than the event kernel.  Smoke horizons are
-    # milliseconds of work — too noisy to assert on.
+    # Kernel bars (full mode only): on the analytic fleet the batch fast
+    # path must run at least 3x faster than the event kernel.  Smoke
+    # horizons are milliseconds of work — too noisy to assert on.
     if not _SMOKE:
         assert kernels.batch_speedup_vs_event >= 3.0, (
             f"batch kernel only {kernels.batch_speedup_vs_event:.2f}x "
             "faster than the event kernel, below the 3x bar"
         )
-        # ISSUE 8 bar: on the loss-free FlexRay fleet the precomputed
-        # schedule must buy at least 2x over the event kernel.
+        # FlexRay bar: on the loss-free FlexRay fleet the batch loop,
+        # which skips the bus's idle cycles, must buy at least 2x over
+        # the event kernel.
         assert flexray_kernels.batch_speedup_vs_event >= 2.0, (
             f"FlexRay batch kernel only "
             f"{flexray_kernels.batch_speedup_vs_event:.2f}x faster than "

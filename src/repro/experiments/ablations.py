@@ -452,10 +452,10 @@ def run_kernel_ablation(
     warm-up; benchmarks that publish ratios should pass
     ``repeats>=3``).  ``scenario``
     selects the ablation subject: the default analytic Figure 5 roster
-    exercises the analytic batch kernel, ``"fig5-cosim"`` (a
-    cycle-accurate FlexRay bus) the FlexRay schedule mirror, and
-    ``"can-cosim"`` the CAN source that drives the bus's arbitration
-    core from the batch loop.  The subject must be batch-capable: ``"auto"`` would
+    exercises the analytic batch kernel, and ``"fig5-cosim"`` (a
+    cycle-accurate FlexRay bus) and ``"can-cosim"`` the bus source that
+    drives the bus's own tuple core from the batch loop.  The subject
+    must be batch-capable: ``"auto"`` would
     otherwise run the event kernel (a multi-rate fleet on a network
     without a precomputation strategy) and the ablation would time it
     against itself, so that raises :class:`ValueError`.

@@ -5,15 +5,23 @@ into a single bus object that the co-simulation drives cycle by cycle.
 Senders submit messages tagged TT (with their currently owned slot) or
 ET; :meth:`FlexRayBus.advance_to` runs whole communication cycles and
 returns everything delivered on the way.
+
+Both co-simulation kernels drive the same cycle walk.  The public
+:class:`~repro.flexray.frame.Message` API wraps a tuple-level core —
+:meth:`FlexRayBus._enqueue_tt`, :meth:`DynamicSegment._enqueue` and
+:meth:`FlexRayBus._advance` — whose queue entries are keyed by whatever
+the caller submitted: a ``Message``, or an application name from the
+network backend and the batch kernel, which then need no per-message
+objects.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import Any, Dict, List, Tuple
 
 from repro.flexray.dynamic_segment import DynamicSegment
-from repro.flexray.frame import FrameSpec, Message
+from repro.flexray.frame import FrameSpec, Message, _stamp
 from repro.flexray.params import FlexRayConfig
 from repro.flexray.static_segment import StaticSchedule
 
@@ -43,7 +51,11 @@ class FlexRayBus:
     static: StaticSchedule = field(init=False)
     dynamic: DynamicSegment = field(init=False)
     statistics: BusStatistics = field(init=False)
-    _tt_queues: Dict[int, List[Message]] = field(init=False, default_factory=dict)
+    #: slot -> FIFO of ``(release, frame_id, key)`` TT entries
+    _tt_queues: Dict[int, List[Tuple[float, int, Any]]] = field(
+        init=False, default_factory=dict
+    )
+    _tt_queued: int = field(init=False, default=0, repr=False)
     _cycle: int = field(init=False, default=0)
 
     def __post_init__(self):
@@ -69,13 +81,7 @@ class FlexRayBus:
         ValueError
             If the frame does not currently own any static slot.
         """
-        slot = self.static.slot_of(message.spec.frame_id)
-        if slot is None:
-            raise ValueError(
-                f"frame {message.spec.frame_id} owns no static slot; "
-                "submit over the dynamic segment instead"
-            )
-        self._tt_queues.setdefault(slot, []).append(message)
+        self._enqueue_tt(message.spec.frame_id, message.release_time, message)
 
     def submit_et(self, message: Message) -> None:
         """Queue a message for the dynamic segment."""
@@ -83,39 +89,14 @@ class FlexRayBus:
 
     def run_cycle(self) -> List[Message]:
         """Run one full communication cycle; return delivered messages."""
-        cycle = self._cycle
-        delivered: List[Message] = []
-        for slot in range(self.config.static_slots):
-            owner = self.static.owner(slot, cycle)
-            if owner is None:
-                continue
-            start, _ = self.config.static_slot_window(cycle, slot)
-            queue = self._tt_queues.get(slot, [])
-            ready = next(
-                (m for m in queue if m.release_time <= start + 1e-12), None
-            )
-            if ready is None:
-                # Data missed the slot start: the whole slot goes unused
-                # (paper Sec. II-A).
-                self.statistics.unused_static_slots += 1
-                continue
-            self.static.transmit(ready, slot, cycle)
-            queue.remove(ready)
-            delivered.append(ready)
-            self.statistics.tt_deliveries += 1
-        et_delivered = self.dynamic.run_cycle(cycle)
-        self.statistics.et_deliveries += len(et_delivered)
-        delivered.extend(et_delivered)
-        self.statistics.cycles += 1
+        out: List[Tuple[Any, float, float]] = []
+        self._run_cycle(self._cycle, self.static._walk(), out)
         self._cycle += 1
-        return delivered
+        return _stamp(out)
 
     def advance_to(self, time: float) -> List[Message]:
         """Run whole cycles until the bus clock reaches ``time``."""
-        delivered: List[Message] = []
-        while self.time + self.config.cycle_length <= time + 1e-12:
-            delivered.extend(self.run_cycle())
-        return delivered
+        return _stamp(self._advance(time))
 
     def grant_slot(self, slot: int, spec: FrameSpec) -> None:
         """Transfer static-slot ownership to ``spec`` (arbiter action)."""
@@ -124,7 +105,103 @@ class FlexRayBus:
     def release_slot(self, slot: int) -> None:
         """Release a static slot; drops any messages still queued on it."""
         self.static.release(slot)
-        self._tt_queues.pop(slot, None)
+        dropped = self._tt_queues.pop(slot, None)
+        if dropped:
+            self._tt_queued -= len(dropped)
+
+    # -- tuple core (shared by both co-simulation kernels) -----------------
+
+    def _enqueue_tt(self, frame_id: int, release: float, key: Any) -> None:
+        """Queue one TT frame for the slot ``frame_id`` owns."""
+        slot = self.static.slot_of(frame_id)
+        if slot is None:
+            raise ValueError(
+                f"frame {frame_id} owns no static slot; "
+                "submit over the dynamic segment instead"
+            )
+        self._tt_queues.setdefault(slot, []).append((release, frame_id, key))
+        self._tt_queued += 1
+
+    def _advance(self, time: float) -> List[Tuple[Any, float, float]]:
+        """Run whole cycles until the bus clock reaches ``time``; report
+        every delivery as ``(key, release, delivery)`` in bus order
+        (static slots by index, then the dynamic segment)."""
+        out: List[Tuple[Any, float, float]] = []
+        length = self.config.cycle_length
+        limit = time + 1e-12
+        cycle = self._cycle
+        if cycle * length + length <= limit:
+            walk = self.static._walk()
+            every_cycle = walk[2]
+            dynamic = self.dynamic
+            while cycle * length + length <= limit and (
+                self._tt_queued or dynamic._queued or every_cycle is None
+            ):
+                self._run_cycle(cycle, walk, out)
+                cycle += 1
+            # Nothing is queued any more, and nothing is queued during an
+            # advance: every remaining cycle leaves each owned slot unused.
+            idle = cycle
+            while cycle * length + length <= limit:
+                cycle += 1
+            if cycle > idle:
+                self.statistics.cycles += cycle - idle
+                self.statistics.unused_static_slots += (cycle - idle) * every_cycle
+            self._cycle = cycle
+        return out
+
+    def _run_cycle(self, cycle: int, walk: Tuple, out: List) -> None:
+        """One communication cycle over the owned-slot ``walk``.  With
+        no TT frame queued and no slot multiplexed, every owned slot goes
+        unused, so the static segment is counted without walking it."""
+        cfg = self.config
+        cycle_start = cycle * cfg.cycle_length
+        stats = self.statistics
+        slots, _, every_cycle = walk
+        if self._tt_queued or every_cycle is None:
+            self._run_static(cycle, cycle_start, slots, out)
+        else:
+            stats.unused_static_slots += every_cycle
+        stats.et_deliveries += self.dynamic._run(
+            cycle_start + cfg.static_segment_length, out
+        )
+        stats.cycles += 1
+
+    def _run_static(
+        self, cycle: int, cycle_start: float, slots: List[Tuple], out: List
+    ) -> None:
+        """Each owned slot transmits the first entry of its owner in this
+        cycle released by the slot start; other frames queued on a
+        multiplexed slot wait for their own cycles."""
+        queues = self._tt_queues
+        slot_length = self.config.static_slot_length
+        stats = self.statistics
+        for offset, slot, owner, filters in slots:
+            if owner is None:
+                owner = next(
+                    (frame for rep, base, frame in filters if cycle % rep == base),
+                    None,
+                )
+                if owner is None:
+                    continue
+            start = cycle_start + offset
+            queue = queues.get(slot)
+            ready = None
+            if queue:
+                ready_by = start + 1e-12
+                for position, (release, frame_id, _) in enumerate(queue):
+                    if frame_id == owner and release <= ready_by:
+                        ready = position
+                        break
+            if ready is None:
+                # Data missed the slot start: the whole slot goes unused
+                # (paper Sec. II-A).
+                stats.unused_static_slots += 1
+                continue
+            release, _, key = queue.pop(ready)
+            self._tt_queued -= 1
+            out.append((key, release, start + slot_length))
+            stats.tt_deliveries += 1
 
 
 __all__ = ["BusStatistics", "FlexRayBus"]

@@ -16,9 +16,9 @@ lower-quality resource.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
-from repro.flexray.frame import Message
+from repro.flexray.frame import FrameSpec, Message, _stamp
 from repro.flexray.params import FlexRayConfig
 from repro.utils.validation import check_positive
 
@@ -26,6 +26,11 @@ from repro.utils.validation import check_positive
 @dataclass
 class DynamicSegment:
     """Arbitration state for the dynamic segment of one bus.
+
+    Queue entries are ``(release, key, minislots)`` tuples, FIFO per
+    frame ID.  ``key`` is whatever the caller queued: a :class:`Message`
+    through :meth:`enqueue`, or an application name from the
+    co-simulation kernels through :meth:`_enqueue`.
 
     Attributes
     ----------
@@ -37,14 +42,33 @@ class DynamicSegment:
 
     config: FlexRayConfig
     bit_time: float = 1e-7  # 10 Mbit/s
-    _queues: Dict[int, List[Message]] = field(default_factory=dict)
+    _queues: Dict[int, List[Tuple[float, Any, int]]] = field(default_factory=dict)
+    #: highest frame ID ever queued: the slot counter runs up to it
+    _max_id: int = field(default=0, init=False, repr=False)
+    _queued: int = field(default=0, init=False, repr=False)
 
     def __post_init__(self):
         check_positive(self.bit_time, "bit_time")
 
+    def minislots_of(self, spec: FrameSpec) -> int:
+        """Minislots one transmission of ``spec`` occupies on this bus."""
+        return spec.minislots_needed(self.config.minislot_length, self.bit_time)
+
     def enqueue(self, message: Message) -> None:
         """Queue a message for ET transmission (FIFO per frame ID)."""
-        self._queues.setdefault(message.spec.frame_id, []).append(message)
+        self._enqueue(
+            message.spec.frame_id,
+            message.release_time,
+            message,
+            self.minislots_of(message.spec),
+        )
+
+    def _enqueue(self, frame_id: int, release: float, key: Any, minislots: int) -> None:
+        """Queue one frame whose minislot count is already known."""
+        self._queues.setdefault(frame_id, []).append((release, key, minislots))
+        if frame_id > self._max_id:
+            self._max_id = frame_id
+        self._queued += 1
 
     def pending(self, frame_id: Optional[int] = None) -> int:
         """Number of queued messages (for one frame ID or in total)."""
@@ -59,20 +83,32 @@ class DynamicSegment:
         (payloads produced mid-segment wait for the next cycle, matching
         the lockstep slot-counter semantics).
         """
+        out: List[Tuple[Any, float, float]] = []
+        self._run(self.config.dynamic_segment_start(cycle), out)
+        return _stamp(out)
+
+    def _run(self, segment_start: float, out: List[Tuple[Any, float, float]]) -> int:
+        """Arbitrate the segment starting at ``segment_start``: append
+        each delivery as ``(key, release, delivery)`` and return how
+        many there were."""
+        if not self._queued:
+            return 0
         cfg = self.config
-        segment_start = cfg.dynamic_segment_start(cycle)
         total_minislots = cfg.minislots
-        delivered: List[Message] = []
+        psi = cfg.minislot_length
+        ready_by = segment_start + 1e-12
+        queues = self._queues
+        delivered = 0
         minislot = 0  # minislots consumed so far this segment
         counter = 1  # frame-ID slot counter
-        max_id = max(self._queues.keys(), default=0)
+        max_id = self._max_id
         while minislot < total_minislots and counter <= max_id:
-            message = self._eligible_head(counter, segment_start)
-            if message is None:
+            queue = queues.get(counter)
+            if not queue or queue[0][0] > ready_by:
                 minislot += 1
                 counter += 1
                 continue
-            needed = message.spec.minislots_needed(cfg.minislot_length, self.bit_time)
+            release, key, needed = queue[0]
             if minislot + needed > total_minislots:
                 # pLatestTx: cannot finish this cycle; hold the message
                 # (and everything behind it in this queue) for the next.
@@ -81,19 +117,11 @@ class DynamicSegment:
                 continue
             minislot += needed
             counter += 1
-            message.delivery_time = segment_start + minislot * cfg.minislot_length
-            self._queues[message.spec.frame_id].pop(0)
-            delivered.append(message)
+            del queue[0]
+            out.append((key, release, segment_start + minislot * psi))
+            delivered += 1
+        self._queued -= delivered
         return delivered
-
-    def _eligible_head(self, frame_id: int, segment_start: float) -> Optional[Message]:
-        queue = self._queues.get(frame_id)
-        if not queue:
-            return None
-        head = queue[0]
-        if head.release_time > segment_start + 1e-12:
-            return None
-        return head
 
 
 __all__ = ["DynamicSegment"]

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Any, List, Optional, Sequence, Tuple
 
 from repro.utils.validation import check_nonnegative, check_positive
 
@@ -88,6 +88,18 @@ class Message:
         if self.delivery_time is None:
             raise ValueError("message has not been delivered yet")
         return self.delivery_time - self.release_time
+
+
+def _stamp(deliveries: Sequence[Tuple[Any, float, float]]) -> List[Message]:
+    """The :class:`Message` keys of a bus core's ``(key, release,
+    delivery)`` tuples, in order, each stamped with its delivery time;
+    entries queued under other keys (application names) are skipped."""
+    delivered = []
+    for key, _, delivery in deliveries:
+        if isinstance(key, Message):
+            key.delivery_time = delivery
+            delivered.append(key)
+    return delivered
 
 
 __all__ = ["FrameSpec", "Message"]

@@ -13,6 +13,7 @@ dynamic;  :func:`paper_bus_config` builds exactly that bus.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from repro.utils.validation import check_positive
 
@@ -31,6 +32,9 @@ class FlexRayConfig:
         Length ``Psi`` of each static slot (seconds).
     minislot_length:
         Length ``psi`` of each dynamic-segment minislot (seconds).
+
+    The derived segment lengths and minislot count are computed once per
+    instance: the bus reads them every cycle.
     """
 
     cycle_length: float = 0.005
@@ -56,17 +60,17 @@ class FlexRayConfig:
                 f"(psi={self.minislot_length}, Psi={self.static_slot_length})"
             )
 
-    @property
+    @cached_property
     def static_segment_length(self) -> float:
         """Total duration of the static segment (seconds)."""
         return self.static_slots * self.static_slot_length
 
-    @property
+    @cached_property
     def dynamic_segment_length(self) -> float:
         """Total duration of the dynamic segment (seconds)."""
         return self.cycle_length - self.static_segment_length
 
-    @property
+    @cached_property
     def minislots(self) -> int:
         """Number of whole minislots that fit in the dynamic segment."""
         return int(self.dynamic_segment_length / self.minislot_length + 1e-9)

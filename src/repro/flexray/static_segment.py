@@ -11,7 +11,7 @@ occurrence (paper Section II-A).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.flexray.frame import FrameSpec, Message
 from repro.flexray.params import FlexRayConfig
@@ -68,6 +68,10 @@ class StaticSchedule:
     config: FlexRayConfig
     _owners: Dict[int, list] = field(default_factory=dict)
     # slot -> list of (CycleFilter, FrameSpec)
+    #: the slot walk of the current ownership; every change drops it
+    _walk_cache: Optional[Tuple] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def assign(
         self, slot: int, spec: FrameSpec, cycle_filter: CycleFilter = CycleFilter()
@@ -94,6 +98,7 @@ class StaticSchedule:
             (f, s) for f, s in entries if s.frame_id != spec.frame_id
         ]
         entries.append((cycle_filter, spec))
+        self._walk_cache = None
 
     def release(self, slot: int, frame_id: Optional[int] = None) -> None:
         """Return ``slot`` to the free pool.
@@ -102,6 +107,7 @@ class StaticSchedule:
         otherwise the slot is fully cleared.  No-op if already free.
         """
         self._check_slot(slot)
+        self._walk_cache = None
         if frame_id is None:
             self._owners.pop(slot, None)
             return
@@ -126,10 +132,7 @@ class StaticSchedule:
 
     def slot_of(self, frame_id: int) -> Optional[int]:
         """Slot currently owned by ``frame_id`` (None if it owns none)."""
-        for slot, entries in self._owners.items():
-            if any(spec.frame_id == frame_id for _, spec in entries):
-                return slot
-        return None
+        return self._walk()[1].get(frame_id)
 
     def cycle_filter_of(self, frame_id: int) -> Optional[CycleFilter]:
         """Cycle filter under which ``frame_id`` owns its slot."""
@@ -205,6 +208,40 @@ class StaticSchedule:
             cycle_filter.repetition * self.config.cycle_length
             + self.config.static_slot_length
         )
+
+    def _walk(self) -> Tuple[List[Tuple], Dict[int, int], Optional[int]]:
+        """The owned-slot walk the bus runs every cycle, rebuilt only
+        after an ownership change: ``(slots, frame_slot, every_cycle)``.
+
+        ``slots`` lists ``(slot * Psi, slot, owner, filters)`` for every
+        assigned slot in index order, where ``owner`` is the frame id of
+        an every-cycle owner and ``None`` for a multiplexed slot, whose
+        ``filters`` are its ``(repetition, base, frame_id)`` triples in
+        assignment order.  ``frame_slot`` answers :meth:`slot_of`, and
+        ``every_cycle`` is the number of slots owned in every cycle when
+        no slot is multiplexed (``None`` otherwise).
+        """
+        if self._walk_cache is not None:
+            return self._walk_cache
+        owners = self._owners
+        length = self.config.static_slot_length
+        slots = []
+        multiplexed = False
+        for slot in sorted(owners):
+            entries = owners[slot]
+            if len(entries) == 1 and entries[0][0].repetition == 1:
+                slots.append((slot * length, slot, entries[0][1].frame_id, ()))
+            elif entries:
+                multiplexed = True
+                filters = tuple((f.repetition, f.base, s.frame_id) for f, s in entries)
+                slots.append((slot * length, slot, None, filters))
+        frame_slot: Dict[int, int] = {}
+        for slot, entries in owners.items():
+            for _, spec in entries:
+                frame_slot.setdefault(spec.frame_id, slot)
+        every_cycle = None if multiplexed else len(slots)
+        self._walk_cache = (slots, frame_slot, every_cycle)
+        return self._walk_cache
 
     def _check_slot(self, slot: int) -> None:
         if not 0 <= slot < self.config.static_slots:

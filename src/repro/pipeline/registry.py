@@ -225,7 +225,7 @@ register_scenario(
         description=(
             "Multi-rate fleet — a 2 ms motor current loop beside 20 ms "
             "chassis loops — co-simulated over a 1 ms-cycle FlexRay bus "
-            "(static-slot schedule mirrored by the batch kernel)"
+            "(the batch kernel drives the bus's own cycle core)"
         ),
         source="multirate",
         cosim=True,

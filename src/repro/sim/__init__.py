@@ -7,7 +7,7 @@ co-simulator, the pluggable network-backend registry
 """
 
 from repro.sim.arbiter import SlotClient, SlotState, TTSlotArbiter
-from repro.sim.batch import batch_capability, batch_eligible
+from repro.sim.batch import batch_capability
 from repro.sim.cosim import (
     KERNELS,
     CoSimApplication,
@@ -67,7 +67,6 @@ __all__ = [
     "NetworkCapabilities",
     "NetworkModel",
     "batch_capability",
-    "batch_eligible",
     "build_network",
     "check_network_model",
     "network_names",

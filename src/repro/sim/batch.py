@@ -39,22 +39,20 @@ which asks the network's own ``capabilities()`` descriptor (the frozen
 * ``"analytic"`` — :class:`_AnalyticDelays`: per-mode constants of a
   stock :class:`~repro.sim.network.AnalyticNetwork` (subclasses could
   override the delay model, so they never inherit the claim);
-* ``"flexray"`` — :class:`~repro.sim.batch_flexray._MirrorDelays`: a
-  stock FlexRay bus with no background dynamic-segment traffic, stock
-  bus/segment classes and a cold bus (see
-  :func:`repro.sim.batch_flexray.flexray_deterministic`).  The static
-  segment is TDMA, so every grant and transmission instant follows from
-  the slot table and is replayed by a schedule mirror, which also draws
-  the bus's i.i.d. frame loss in delivery order;
-* ``"can"`` — :class:`_CanDelays`: a stock
+* ``"flexray"`` and ``"can"`` — :class:`_BusDelays`: a stock
+  :class:`~repro.sim.network.FlexRayNetwork` without background
+  dynamic-segment traffic, on stock bus and segment classes, or a stock
   :class:`~repro.sim.network.CanBusNetwork`, bare or inside one stock
   :class:`~repro.sim.network.LossyNetwork`.  The source drives the
-  bus's own tuple-level arbitration core, the loop its event interface
-  wraps, so no ``Submission`` or ``Delivery`` is built per message; the
-  bus state is the real one, so nothing is mirrored or written back;
+  bus's own tuple-level core — the FlexRay cycle walk or the CAN
+  arbitration loop, which the event interface wraps — so no
+  ``Submission`` or ``Delivery`` is built per message, and both kernels'
+  deliveries come from the same code.  The bus state is the real one,
+  so a bus a previous run left in use is fine and nothing is written
+  back;
 * ``"live"`` — :class:`_LiveDelays`, for any other shared-period fleet
-  (other loss wrappers, background traffic, subclassed or duck-typed
-  networks): the eager loop drives the real network through
+  (other loss wrappers, background traffic, subclassed networks or bus
+  parts, duck-typed networks): the eager loop drives the real network through
   ``on_slot_change`` and ``sample_delays`` exactly as the event
   kernel's eager mode does;
 * ``None`` — a multi-rate fleet on a network without a strategy runs
@@ -80,8 +78,6 @@ from math import inf, isfinite, sqrt
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 import numpy as np
-
-from repro.sim.batch_flexray import _MirrorDelays
 
 # Importing cosim here is safe: cosim never imports this module at load
 # time (only lazily inside CoSimulator.run), so there is no cycle.
@@ -110,12 +106,11 @@ def batch_capability(sim: "CoSimulator") -> Optional[str]:
       (``tt_delay``/``et_delay``); the network needs no cycle-accurate
       stepping.  Claimed by stock
       :class:`~repro.sim.network.AnalyticNetwork` instances.
-    * ``"flexray"`` — a stock FlexRay schedule (no background
-      dynamic-segment traffic, stock bus/segment classes, cold bus):
-      every grant and transmission instant follows from the slot table
-      and is replayed by a mirror that draws the bus's own i.i.d. loss
-      stream.  Claimed by qualifying stock
-      :class:`~repro.sim.network.FlexRayNetwork` instances.
+    * ``"flexray"`` — a FlexRay bus driven through its own tuple-level
+      cycle core, the network's i.i.d. loss drawn once per control
+      delivery.  Claimed by stock
+      :class:`~repro.sim.network.FlexRayNetwork` instances without
+      background traffic, on stock bus and segment classes.
     * ``"can"`` — a CAN bus driven through its own tuple-level
       arbitration core, a wrapper's loss drawn once per delivery.
       Claimed by stock :class:`~repro.sim.network.CanBusNetwork`
@@ -143,15 +138,6 @@ def batch_capability(sim: "CoSimulator") -> Optional[str]:
     if sim.period is not None:
         return "live"
     return None
-
-
-def batch_eligible(sim: "CoSimulator") -> bool:
-    """Whether the batch fast path can run this co-simulation.
-
-    True iff :func:`batch_capability` names a path: every shared-period
-    fleet, and multi-rate fleets whose network claims a strategy.
-    """
-    return batch_capability(sim) is not None
 
 
 # -- delay sources -----------------------------------------------------------
@@ -207,54 +193,69 @@ class _AnalyticDelays:
             network.delivered += self.messages
 
 
-class _CanDelays:
-    """A :class:`~repro.sim.network.CanBusNetwork`, bare or inside one
-    stock :class:`~repro.sim.network.LossyNetwork`, driven through the
-    bus's own tuple core (``_enqueue``/``_advance``, the arbitration
-    loop ``event_advance`` wraps), with each application's wire time
-    computed once by the bus's ``wire_time``.
+class _BusDelays:
+    """A stock bus driven through its own tuple core: a
+    :class:`~repro.sim.network.FlexRayNetwork`'s ``FlexRayBus``
+    (``"flexray"``), or a :class:`~repro.sim.network.CanBusNetwork`,
+    bare or inside one stock :class:`~repro.sim.network.LossyNetwork`
+    (``"can"``).  Both kernels' deliveries therefore come from the same
+    code; only the enqueue is per bus, with each application's frame
+    id, name and wire time (CAN) or minislot count (FlexRay) computed
+    once.  A FlexRay TT submission goes to the frame's owned slot and an
+    ET one to the dynamic segment; slot ownership follows the network's
+    own ``on_slot_change``.
 
     Eager intervals follow the outer network's inherited
-    ``sample_delays``: every delivery of a wrapped bus draws the loss
-    process once, before the staleness check, and a lost draw reads
-    ``inf``; a fresh delivery reads ``min(finish - t, period)``, and an
-    application with neither is clamped to ``period``.  Lazy advances
-    draw once per delivery too, stale ones included, as the wrapper's
-    ``event_advance`` does.  The bus state is the real one, so nothing
-    is mirrored; the clamps and losses counted here land on the outer
-    network's ``clamped`` and the wrapper's ``lost`` on settle.
+    ``sample_delays``: every delivery keyed by an application name draws
+    the loss process (the FlexRay network's i.i.d. stream, or the
+    wrapper's) once, before the staleness check, and a lost draw reads
+    ``inf``; a fresh delivery reads ``min(delivery - t, period)``, and
+    an application with neither is clamped to ``period``.  Lazy
+    advances draw once per named delivery too, stale ones included, as
+    ``event_advance`` does; deliveries of background ``Message``
+    objects queued before the run are stamped and skipped.  The bus
+    state is the real one, so nothing is mirrored; the clamps and
+    losses counted here land on the outer network's ``clamped`` and
+    ``lost`` on settle.
     """
 
-    #: CAN arbitration ignores slot ownership
-    on_slot_change = None
-
-    def __init__(self, network, apps) -> None:
+    def __init__(self, network, apps, strategy: str) -> None:
         self.network = network
-        if isinstance(network, CanBusNetwork):
-            self.bus, self.draw = network, None
-        else:  # a stock LossyNetwork around the bus
-            self.bus, self.draw = network.inner, network.loss.sample
-        wire_time = self.bus.wire_time
-        #: per app: ``(frame_id, name, wire time)``.
+        self.on_slot_change = None
+        if strategy == "flexray":
+            bus = network.bus
+            dynamic = bus.dynamic
+            loss = network._loss
+            self.on_slot_change = network.on_slot_change
+            self.tt, self.et = bus._enqueue_tt, dynamic._enqueue
+            extras = [dynamic.minislots_of(a.frame) for a in apps]
+        else:
+            bus, loss = network, None
+            if not isinstance(network, CanBusNetwork):  # a stock LossyNetwork
+                bus, loss = network.inner, network.loss
+            self.tt, self.et = None, bus._enqueue
+            extras = [bus.wire_time(a.frame.payload_bits) for a in apps]
+        self.advance = bus._advance
+        self.draw = None if loss is None else loss.sample
+        #: per app: ``(frame_id, name, wire time or minislots)``.
         self.roster = [
-            (a.frame.frame_id, a.name, wire_time(a.frame.payload_bits))
-            for a in apps
+            (a.frame.frame_id, a.name, extra) for a, extra in zip(apps, extras)
         ]
         self.index = {a.name: i for i, a in enumerate(apps)}
         self.clamped = 0
         self.lost = 0
 
     def interval(self, t: float, period: float, modes: List[int]) -> List[float]:
-        enqueue = self.bus._enqueue
-        for frame_id, name, wire in self.roster:
-            enqueue(frame_id, t, name, wire)
+        submit = self.submit
+        for i, mode in enumerate(modes):
+            submit(i, mode, t)
         fresh = t - 1e-12
         delays: List[Optional[float]] = [None] * len(self.roster)
-        for i, release, finish, lost in self.advance_to(t + period):
+        for i, release, delivery, lost in self.advance_to(t + period):
             if lost:
                 delays[i] = inf
             elif release >= fresh:
-                delays[i] = min(finish - t, period)
+                delays[i] = min(delivery - t, period)
         for i, delay in enumerate(delays):
             if delay is None:
                 delays[i] = period
@@ -262,25 +263,31 @@ class _CanDelays:
         return delays
 
     def submit(self, i: int, mode: int, release: float) -> None:
-        frame_id, name, wire = self.roster[i]
-        self.bus._enqueue(frame_id, release, name, wire)
+        frame_id, name, extra = self.roster[i]
+        if mode == 1 and self.tt is not None:
+            self.tt(frame_id, release, name)
+        else:
+            self.et(frame_id, release, name, extra)
 
     def advance_to(self, t: float) -> List[Tuple[int, float, float, bool]]:
         index = self.index
         draw = self.draw
         out = []
-        for name, release, finish in self.bus._advance(t):
+        for key, release, delivery in self.advance(t):
+            if not isinstance(key, str):  # a background Message
+                key.delivery_time = delivery
+                continue
             lost = draw is not None and draw()
             if lost:
                 self.lost += 1
-            i = index.get(name)
+            i = index.get(key)
             if i is not None:
-                out.append((i, release, finish, lost))
+                out.append((i, release, delivery, lost))
         return out
 
     def settle(self) -> None:
         self.network.clamped += self.clamped
-        if self.lost:  # only a wrapper draws loss
+        if self.lost:  # only a loss process draws
             self.network.lost += self.lost
 
 
@@ -400,10 +407,8 @@ class _BatchKernel:
         network = sim.network
         if capability == "analytic":
             self.source = _AnalyticDelays(network, sum(self.steps))
-        elif capability == "flexray":
-            self.source = _MirrorDelays(network, apps)
-        elif capability == "can":
-            self.source = _CanDelays(network, apps)
+        elif capability in ("flexray", "can"):
+            self.source = _BusDelays(network, apps, capability)
         else:
             self.source = _LiveDelays(network, apps)
 
@@ -781,4 +786,4 @@ class _BatchKernel:
         sim.jitter_violations += violations
 
 
-__all__ = ["batch_capability", "batch_eligible"]
+__all__ = ["batch_capability"]

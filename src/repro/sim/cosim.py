@@ -22,13 +22,13 @@ Two simulation kernels are provided (``kernel=`` selects between them):
   same-dynamics plants advance in NumPy-batched sweeps.  It has one
   eager loop (shared period) and one lazy loop (multi-rate), both
   reading delays from a *delay source*: per-mode constants on an
-  :class:`~repro.sim.network.AnalyticNetwork`, a mirror of a stock
-  FlexRay bus's static-segment slot table (its i.i.d. frame loss drawn
-  in delivery order, see :mod:`repro.sim.batch_flexray`), a stock CAN
-  bus's own arbitration core (bare or behind one loss wrapper), or —
-  for every other shared-period network (other loss wrappers,
-  background traffic, subclasses) — the live network's own
-  ``on_slot_change`` and ``sample_delays`` (see :mod:`repro.sim.batch`).  ``"auto"``, the
+  :class:`~repro.sim.network.AnalyticNetwork`, the tuple-level core of
+  a stock FlexRay bus (its i.i.d. frame loss drawn in delivery order)
+  or of a stock CAN bus (bare or behind one loss wrapper), the same
+  code the event kernel's calls reach, or — for every other
+  shared-period network (other loss wrappers, background traffic,
+  subclasses) — the live network's own ``on_slot_change`` and
+  ``sample_delays`` (see :mod:`repro.sim.batch`).  ``"auto"``, the
   default, takes it whenever the fleet is capable and runs the event
   kernel otherwise (multi-rate fleets on networks that claim no
   precomputation strategy).  Traces are bitwise identical to the event

@@ -10,7 +10,7 @@ package registers the bundled backends:
 name       model
 ========== ============================================================
 analytic   constant design-time delays (batch: per-mode constants)
-flexray    cycle-accurate FlexRay bus (batch: schedule mirror, i.i.d. loss)
+flexray    cycle-accurate FlexRay bus (batch: cycle core, i.i.d. loss)
 can        priority-arbitrated non-preemptive CAN bus (batch: arbitration core)
 ========== ============================================================
 

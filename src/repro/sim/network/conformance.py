@@ -23,10 +23,12 @@ invariants the co-simulation kernels rely on:
   along with the delivery state;
 * **batch honesty** — an instance claiming the ``"analytic"`` batch
   strategy actually carries the constant-delay attributes the batch
-  kernel replays, and one claiming ``"can"`` is a CAN transport whose
-  tuple core the batch kernel drives: a
+  kernel replays, and one claiming ``"can"`` or ``"flexray"`` is a
+  transport whose tuple core the batch kernel drives: for ``"can"`` a
   :class:`~repro.sim.network.can.CanBusNetwork`, or a stock
-  :class:`~repro.sim.network.loss.LossyNetwork` whose ``inner`` is one.
+  :class:`~repro.sim.network.loss.LossyNetwork` whose ``inner`` is one;
+  for ``"flexray"`` a :class:`~repro.sim.network.flexray.FlexRayNetwork`
+  whose ``bus`` is a :class:`~repro.flexray.bus.FlexRayBus`.
 
 Use it from any test suite::
 
@@ -42,8 +44,10 @@ from __future__ import annotations
 import json
 from typing import Any, Callable, List, Sequence, Tuple
 
+from repro.flexray.bus import FlexRayBus
 from repro.flexray.frame import FrameSpec
 from repro.sim.network.can import CanBusNetwork
+from repro.sim.network.flexray import FlexRayNetwork
 from repro.sim.network.loss import LossyNetwork
 from repro.sim.network.protocol import (
     BATCH_STRATEGIES,
@@ -230,6 +234,14 @@ def check_network_model(factory: Callable[[], Any]) -> None:
             isinstance(bus, CanBusNetwork),
             "claiming the can batch strategy requires a CanBusNetwork, bare "
             "or inside a stock LossyNetwork",
+            type(network).__name__,
+        )
+    if caps.batch_strategy == "flexray":
+        _require(
+            isinstance(network, FlexRayNetwork)
+            and isinstance(network.bus, FlexRayBus),
+            "claiming the flexray batch strategy requires a FlexRayNetwork "
+            "on a FlexRayBus",
             type(network).__name__,
         )
     json.dumps(caps.to_dict())  # descriptor must serialize (CLI table)

@@ -5,6 +5,16 @@ The ``loss_rate`` machinery delegates to
 ``np.random.default_rng(loss_seed)`` stream, one draw per delivered
 control message, drawn *before* the staleness check — every historical
 trace replays unchanged.
+
+Both co-simulation kernels drive one cycle walk.  The event interface
+queues control messages on the bus's tuple-level core, keyed by
+application name (:meth:`~repro.flexray.bus.FlexRayBus._enqueue_tt`,
+:meth:`~repro.flexray.dynamic_segment.DynamicSegment._enqueue`), and
+wraps :meth:`~repro.flexray.bus.FlexRayBus._advance`, which the batch
+kernel's ``"flexray"`` delay source drives directly.  Background traffic
+stays :class:`~repro.flexray.frame.Message` objects, stamped on delivery
+and never reported, so a bus left mid-run by either kernel is valid for
+the other.
 """
 
 from __future__ import annotations
@@ -13,7 +23,9 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Optional
 
 from repro.flexray.bus import FlexRayBus
+from repro.flexray.dynamic_segment import DynamicSegment
 from repro.flexray.frame import Message
+from repro.flexray.static_segment import StaticSchedule
 from repro.sim.network.loss import IIDLoss
 from repro.sim.network.protocol import (
     Delivery,
@@ -41,7 +53,6 @@ class FlexRayNetwork(NetworkModel):
     loss_seed: int = 0
     clamped: int = 0
     lost: int = 0
-    _inflight: Dict[int, str] = field(default_factory=dict)
     _loss: Optional[IIDLoss] = field(init=False, default=None, repr=False)
 
     def __post_init__(self):
@@ -61,36 +72,39 @@ class FlexRayNetwork(NetworkModel):
 
     def event_submit(self, time, window_end, submissions):
         """Queue background traffic for ``[time, window_end)`` plus the
-        control messages released at ``time``; the bus advances later."""
+        control messages released at ``time``, keyed by application
+        name on the bus's tuple core; the bus advances later."""
+        bus = self.bus
         if self.traffic is not None:
             for message in self.traffic.messages_between(time, window_end):
-                self.bus.submit_et(message)
+                bus.submit_et(message)
+        dynamic = bus.dynamic
         for sub in submissions:
-            message = Message(spec=sub.spec, release_time=sub.release_time)
-            self._inflight[message.sequence] = sub.name
+            frame_id = sub.spec.frame_id
             if sub.uses_tt:
-                self.bus.submit_tt(message)
+                bus._enqueue_tt(frame_id, sub.release_time, sub.name)
             else:
-                self.bus.submit_et(message)
+                dynamic._enqueue(
+                    frame_id, sub.release_time, sub.name, dynamic.minislots_of(sub.spec)
+                )
 
     def event_advance(self, time):
-        """Run whole bus cycles up to ``time``; report every delivery
-        (the kernel matches releases against its in-flight records)."""
+        """Run whole bus cycles up to ``time``; report every control
+        delivery (the kernel matches releases against its in-flight
+        records), each drawing the i.i.d. loss stream once in delivery
+        order.  Background messages are stamped and not reported."""
         out = []
-        for message in self.bus.advance_to(time):
-            name = self._inflight.pop(message.sequence, None)
-            if name is None:
+        loss = self._loss
+        for key, release, delivery in self.bus._advance(time):
+            if isinstance(key, Message):
+                key.delivery_time = delivery
                 continue
-            lost = False
-            if self._loss is not None and self._loss.sample():
+            lost = loss is not None and loss.sample()
+            if lost:
                 self.lost += 1
-                lost = True
             out.append(
                 Delivery(
-                    name=name,
-                    release_time=message.release_time,
-                    delivery_time=message.delivery_time,
-                    lost=lost,
+                    name=key, release_time=release, delivery_time=delivery, lost=lost
                 )
             )
         return out
@@ -100,7 +114,6 @@ class FlexRayNetwork(NetworkModel):
     def reset(self) -> None:
         """Fresh bus (same configuration), rewound loss stream."""
         self.bus = FlexRayBus(config=self.bus.config, bit_time=self.bus.bit_time)
-        self._inflight = {}
         self.clamped = 0
         self.lost = 0
         if self._loss is not None:
@@ -118,16 +131,21 @@ class FlexRayNetwork(NetworkModel):
         }
 
     def capabilities(self) -> NetworkCapabilities:
-        # State-dependent by design: the batch strategy replays the
-        # static slot table arithmetically (drawing this instance's
-        # i.i.d. loss stream in delivery order), so it only covers
-        # pristine traffic-free stock-class instances.  Subclasses never
-        # inherit the opt-in — override capabilities() to claim it
-        # deliberately; without it they run the live batch path.
-        from repro.sim.batch_flexray import flexray_deterministic
-
+        # The "flexray" strategy drives this bus's own tuple core and
+        # draws this instance's i.i.d. loss stream, so any bus state is
+        # fine.  Background traffic keeps the live path (the batch grids
+        # do not reproduce its windows), and so do subclasses and
+        # subclassed bus parts: they could override the cycle walk the
+        # core implements, and opt back in by overriding capabilities().
+        bus = self.bus
         batch = None
-        if type(self) is FlexRayNetwork and flexray_deterministic(self):
+        if (
+            type(self) is FlexRayNetwork
+            and self.traffic is None
+            and type(bus) is FlexRayBus
+            and type(bus.static) is StaticSchedule
+            and type(bus.dynamic) is DynamicSegment
+        ):
             batch = "flexray"
         return NetworkCapabilities(
             deterministic=self.loss_rate == 0.0,

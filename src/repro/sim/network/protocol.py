@@ -107,9 +107,11 @@ class NetworkCapabilities:
         :data:`BATCH_STRATEGIES`; claiming ``"analytic"`` requires
         ``tt_delay``/``et_delay`` constant-delay attributes with
         :class:`~repro.sim.network.analytic.AnalyticNetwork` semantics,
-        claiming ``"flexray"`` requires the stock FlexRay transport (the
-        strategy replays its slot table arithmetically and draws its
-        i.i.d. loss stream), and claiming ``"can"`` requires a
+        claiming ``"flexray"`` requires a
+        :class:`~repro.sim.network.flexray.FlexRayNetwork` on a
+        :class:`~repro.flexray.bus.FlexRayBus` (the strategy drives the
+        bus's tuple-level cycle core and draws the network's i.i.d. loss
+        stream), and claiming ``"can"`` requires a
         :class:`~repro.sim.network.can.CanBusNetwork`, bare or as the
         ``inner`` of a stock
         :class:`~repro.sim.network.loss.LossyNetwork` (the strategy
@@ -224,7 +226,7 @@ class NetworkModel(abc.ABC):
     @abc.abstractmethod
     def capabilities(self) -> NetworkCapabilities:
         """Describe this *instance* (state-dependent where it must be:
-        a FlexRay bus with background traffic reports
+        a FlexRay network with background traffic reports
         ``batch_strategy=None`` while the same class traffic-free
         reports ``"flexray"``)."""
 

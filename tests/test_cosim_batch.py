@@ -34,7 +34,7 @@ from repro.sim import (
     AnalyticNetwork,
     CoSimulator,
     FlexRayNetwork,
-    batch_eligible,
+    batch_capability,
 )
 
 SHARED_PLANTS = [servo_rig, dc_motor_speed, throttle_by_wire]
@@ -196,7 +196,7 @@ class TestBatchParity:
 class TestEligibilityAndFallback:
     def test_auto_picks_batch_on_analytic_fleets(self):
         sim = CoSimulator(shared_fleet(), AnalyticNetwork())
-        assert sim.kernel == "auto" and batch_eligible(sim)
+        assert sim.kernel == "auto" and batch_capability(sim) is not None
         sim.run(3.0)
         assert sim.last_kernel == "batch"
 
@@ -210,7 +210,7 @@ class TestEligibilityAndFallback:
         net = lambda: FlexRayNetwork(  # noqa: E731
             bus=FlexRayBus(config=paper_bus_config()), loss_rate=0.3, loss_seed=7
         )
-        assert batch_eligible(CoSimulator(shared_fleet(dist), net()))
+        assert batch_capability(CoSimulator(shared_fleet(dist), net())) is not None
         network = assert_kernels_agree(shared_fleet(dist), net, 6.0, "flexray")
         assert network.lost > 0
 

@@ -1,13 +1,13 @@
-"""Deterministic-FlexRay batch kernel: parity, statistics, eligibility.
+"""FlexRay batch strategy: parity, statistics, classification.
 
 The acceptance bar of the FlexRay fast path: on *any* static-slot
 FlexRay fleet — shared-period or multi-rate, any slot assignment, any
 disturbance process, any seed — the batch kernel's traces are bitwise
-identical to the event kernel's, and the bus statistics written back by
-the schedule mirror match the event kernel's cycle-accurate run.
-Frame loss rides the mirror; anything else it does not model
-(background dynamic-segment traffic, subclassed components, pre-warmed
-buses) runs the live path, driving the real network.
+identical to the event kernel's, and so are the bus statistics, since
+both kernels drive the same bus through its tuple-level cycle core.
+Frame loss and pre-used buses ride the ``"flexray"`` strategy;
+background dynamic-segment traffic and subclassed networks or bus parts
+run the live path, driving the real network.
 """
 
 import random
@@ -38,9 +38,7 @@ from repro.sim import (
     FlexRayNetwork,
     TrafficStream,
     batch_capability,
-    batch_eligible,
 )
-from repro.sim.batch_flexray import flexray_deterministic
 
 SHARED_PLANTS = [servo_rig, dc_motor_speed, throttle_by_wire]
 
@@ -196,7 +194,7 @@ class TestFlexRayBatchParity:
 
 
 class TestStatisticsFidelity:
-    """The schedule mirror's write-back must match the live bus."""
+    """Both kernels leave the bus with the same statistics."""
 
     def test_shared_fleet_bus_statistics_match_event_kernel(self):
         batch_net, event_net = fresh_network(), fresh_network()
@@ -228,21 +226,20 @@ class TestStatisticsFidelity:
 
 
 class TestEligibility:
-    """flexray_deterministic: what the mirror models, and what runs live."""
+    """What claims the ``"flexray"`` strategy, and what runs live."""
 
     def test_lossfree_stock_fleet_is_flexray_capable(self):
         sim = CoSimulator(shared_fleet(), fresh_network())
         assert batch_capability(sim) == "flexray"
-        assert batch_eligible(sim)
         sim.run(2.0)
         assert sim.last_kernel == "batch"
 
-    def test_frame_loss_runs_the_mirror(self):
-        """The mirror draws the network's own i.i.d. loss stream."""
+    def test_frame_loss_claims_flexray(self):
+        """The source draws the network's own i.i.d. loss stream."""
         net = lambda: FlexRayNetwork(  # noqa: E731
             bus=FlexRayBus(config=paper_bus_config()), loss_rate=0.3, loss_seed=7
         )
-        assert flexray_deterministic(net())
+        assert net().capabilities().batch_strategy == "flexray"
         network = assert_kernels_agree(shared_fleet(), net, 2.0, "flexray")
         assert network.lost > 0
 
@@ -260,7 +257,7 @@ class TestEligibility:
         net = lambda: FlexRayNetwork(  # noqa: E731
             bus=FlexRayBus(config=paper_bus_config()), traffic=traffic
         )
-        assert not flexray_deterministic(net())
+        assert net().capabilities().batch_strategy is None
         assert_kernels_agree(shared_fleet(), net, 2.0, "live")
 
     def test_subclassed_network_runs_live(self):
@@ -275,31 +272,52 @@ class TestEligibility:
         )
 
     def test_subclassed_bus_falls_back(self):
+        """A subclassed bus could override the cycle walk the source
+        drives, so its network claims nothing and runs live."""
+
         class TweakedBus(FlexRayBus):
             pass
 
-        network = FlexRayNetwork(bus=TweakedBus(config=paper_bus_config()))
-        assert not flexray_deterministic(network)
-
-    def test_prewarmed_bus_falls_back(self):
-        network = fresh_network()
-        network.bus.advance_to(0.02)
-        assert not flexray_deterministic(network)
-
-    def test_preassigned_slot_falls_back(self):
-        """A hand-granted slot may carry a non-default cycle filter."""
-        network = fresh_network()
-        network.bus.grant_slot(0, FrameSpec(frame_id=9, sender="static"))
-        assert not flexray_deterministic(network)
-
-    def test_queued_dynamic_message_falls_back(self):
-        network = fresh_network()
-        network.bus.submit_et(
-            Message(
-                spec=FrameSpec(frame_id=9, sender="stray"), release_time=0.0
-            )
+        net = lambda: FlexRayNetwork(  # noqa: E731
+            bus=TweakedBus(config=paper_bus_config())
         )
-        assert not flexray_deterministic(network)
+        assert net().capabilities().batch_strategy is None
+        assert_kernels_agree(shared_fleet(), net, 2.0, "live")
+
+    def test_prewarmed_bus_claims_flexray(self):
+        """The source drives the real bus, so a bus clock already past
+        the run's first intervals is no obstacle."""
+
+        def net():
+            network = fresh_network()
+            network.bus.advance_to(0.02)
+            return network
+
+        assert net().capabilities().batch_strategy == "flexray"
+        assert_kernels_agree(shared_fleet(), net, 2.0, "flexray")
+
+    def test_preassigned_slot_claims_flexray(self):
+        """A hand-granted slot stays owned until the arbiter hands it
+        over, on both kernels."""
+
+        def net():
+            network = fresh_network()
+            network.bus.grant_slot(0, FrameSpec(frame_id=9, sender="static"))
+            return network
+
+        assert net().capabilities().batch_strategy == "flexray"
+        assert_kernels_agree(shared_fleet(), net, 2.0, "flexray")
+
+    def test_queued_dynamic_message_claims_flexray(self):
+        def net():
+            network = fresh_network()
+            network.bus.submit_et(
+                Message(spec=FrameSpec(frame_id=9, sender="stray"), release_time=0.0)
+            )
+            return network
+
+        assert net().capabilities().batch_strategy == "flexray"
+        assert_kernels_agree(shared_fleet(), net, 2.0, "flexray")
 
 
 class TestPipelineIntegration:

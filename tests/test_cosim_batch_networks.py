@@ -1,9 +1,10 @@
-"""Batch kernel over every network: mirror, CAN and live paths.
+"""Batch kernel over every network: FlexRay, CAN and live paths.
 
 Three paths put the fleets the batch kernel used to refuse on it:
 
-* the **mirror** path — a stock FlexRay bus with i.i.d. frame loss: the
-  schedule mirror draws the network's own loss stream once per mirrored
+* the **FlexRay** path — a stock FlexRay bus, i.i.d. frame loss and
+  pre-used bus state included: the batch loops drive the bus's own
+  tuple-level cycle core and draw the network's loss stream once per
   control delivery, in the order the bus delivers (static slots by
   index, then the dynamic segment);
 * the **CAN** path — a stock CAN bus, bare or inside one stock loss
@@ -41,11 +42,10 @@ from repro.control.plants import (
     throttle_by_wire,
 )
 from repro.experiments import traces_bitwise_equal
-from repro.flexray import FlexRayBus, FrameSpec, Message, paper_bus_config
+from repro.flexray import CycleFilter, FlexRayBus, FrameSpec, Message, paper_bus_config
 from repro.flexray.params import FlexRayConfig
 from repro.pipeline import DesignStudy, get_scenario
 from repro.sim import CoSimulator, batch_capability, heavy_background_traffic
-from repro.sim.batch_flexray import _FlexRaySchedule
 from repro.sim.network import (
     AnalyticNetwork,
     CanBusNetwork,
@@ -121,7 +121,7 @@ def _bursty(seed):
 
 
 class TweakedFlexRay(FlexRayNetwork):
-    """A subclass: never inherits the mirror strategy."""
+    """A subclass: never inherits the ``"flexray"`` strategy."""
 
 
 class DuckNetwork:
@@ -273,7 +273,7 @@ class TestClampsAndLoss:
         assert (network.lost > 0) == (loss_rate > 0)
 
     def test_mirror_loses_frames_in_tt_and_et(self):
-        """A lossy mirror run exercises loss on both segments."""
+        """A lossy ``"flexray"`` run exercises loss on both segments."""
         fleet = random_shared_fleet(random.Random(3))
         network = assert_kernels_agree(
             fleet, lambda: _flexray(loss_rate=0.4, loss_seed=9), 4.0, "flexray"
@@ -307,7 +307,8 @@ def assert_studies_agree(scenario):
 
 class TestMultirateMirror:
     """``multirate-cosim`` (2 ms loop beside 20 ms loops) with frame loss
-    runs the mirror's lazy loop, bitwise equal to the event kernel."""
+    runs the ``"flexray"`` source's lazy loop, bitwise equal to the event
+    kernel."""
 
     @pytest.mark.parametrize("disturbance", ["one-shot", "sporadic"])
     @pytest.mark.parametrize("seed", [1, 2])
@@ -454,29 +455,90 @@ class TestWarmCanBus:
         assert_kernels_agree(fleet(), lambda: _warm_can(build, warm()), 3.0, "can")
 
 
-class TestMirrorDeliveryOrder:
-    def test_static_slots_deliver_in_index_order(self):
-        """Slots granted out of index order still deliver (and so draw
-        loss) in the order ``FlexRayBus.run_cycle`` walks them."""
-        frames = [FrameSpec(frame_id=i + 1, sender=f"f{i}") for i in range(4)]
-        bus = FlexRayBus(config=paper_bus_config())
-        mirror = _FlexRaySchedule(bus, frames)
-        for slot, index in ((7, 0), (2, 1), (4, 2)):
-            bus.grant_slot(slot, frames[index])
-            mirror.on_slot_change(slot, frames[index])
-        messages = []
-        for cycle in range(3):
-            release = cycle * bus.config.cycle_length
-            for index, frame in enumerate(frames):
-                uses_tt = index < 3 and cycle != 1
-                message = Message(spec=frame, release_time=release)
-                messages.append(message)
-                (bus.submit_tt if uses_tt else bus.submit_et)(message)
-                mirror.submit(index, uses_tt, frame.frame_id, release)
-        horizon = 3 * bus.config.cycle_length
-        expected = [
-            (frames.index(m.spec), m.release_time, m.delivery_time)
-            for m in bus.advance_to(horizon)
-        ]
-        assert mirror.advance_to(horizon) == expected
-        assert [index for index, _, _ in expected[:3]] == [1, 2, 0]
+def _warm_flexray(loss_rate, prepare):
+    """A paper-bus network that ``prepare(network)`` left in use."""
+    network = _flexray(loss_rate=loss_rate, loss_seed=6)
+    prepare(network)
+    return network
+
+
+def _prewarm_with(fleet):
+    """An event-kernel run of another roster: its 2 ms loop on frame 1
+    overloads the 5 ms bus, so frames under a name the measured roster
+    does not know are left queued, ahead of the roster's own frame 1."""
+
+    def prepare(network):
+        CoSimulator(fleet(), network, kernel="event").run(0.5)
+
+    return prepare
+
+
+def _foreign_multiplexed_slot(network):
+    """Slot 5, which no roster uses, owned on odd cycles only by a foreign
+    frame with a message queued."""
+    spec = FrameSpec(frame_id=9, sender="foreign")
+    network.bus.static.assign(5, spec, CycleFilter(base=1, repetition=2))
+    network.bus.submit_tt(Message(spec=spec, release_time=0.0))
+
+
+def _foreign_dynamic_frame(network):
+    network.bus.submit_et(
+        Message(spec=FrameSpec(frame_id=9, sender="stray"), release_time=0.0)
+    )
+
+
+class TestWarmFlexRayBus:
+    """The ``"flexray"`` source drives the real bus, so it needs no
+    pristine bus: a bus another roster's run left in use, a foreign
+    cycle-multiplexed slot with a queued frame, and a queued foreign
+    dynamic frame replay identically, with and without loss."""
+
+    @pytest.mark.parametrize("loss_rate", [0.0, 0.3])
+    @pytest.mark.parametrize(
+        "warm",
+        ["prewarmed", "multiplexed-slot", "dynamic-frame"],
+    )
+    @pytest.mark.parametrize(
+        "fleet, warm_fleet",
+        [
+            (shared_fleet, multirate_fleet),
+            (multirate_fleet, _foreign_multirate_fleet),
+        ],
+        ids=["shared-period", "multi-rate"],
+    )
+    def test_run_on_a_warm_bus(self, fleet, warm_fleet, warm, loss_rate):
+        prepare = {
+            "prewarmed": _prewarm_with(warm_fleet),
+            "multiplexed-slot": _foreign_multiplexed_slot,
+            "dynamic-frame": _foreign_dynamic_frame,
+        }[warm]
+        warm_bus = _warm_flexray(loss_rate, prepare).bus
+        assert warm_bus.dynamic.pending() + warm_bus._tt_queued > 0
+        network = assert_kernels_agree(
+            fleet(), lambda: _warm_flexray(loss_rate, prepare), 2.0, "flexray"
+        )
+        assert (network.lost > 0) == (loss_rate > 0)
+
+
+def _out_of_order_fleet():
+    """Three loops disturbed at once, contending for slots 7, 2 and 4 in
+    roster order: the bus is granted its slots out of index order."""
+    plants = [servo_rig, dc_motor_speed, throttle_by_wire]
+    return [
+        make_app(f"app{index}", plant(), slot, index + 1, 5.0)
+        for index, (plant, slot) in enumerate(zip(plants, (7, 2, 4)))
+    ]
+
+
+class TestSlotWalkOrder:
+    def test_lossy_fleet_granted_out_of_index_order(self):
+        """Loss draws follow the bus's delivery order, static slots by
+        index; a lossy run on slots granted as 7, 2, 4 matches."""
+        network = assert_kernels_agree(
+            _out_of_order_fleet(),
+            lambda: _flexray(loss_rate=0.3, loss_seed=2),
+            3.0,
+            "flexray",
+        )
+        assert network.lost > 0
+        assert network.statistics()["tt_deliveries"] > 0

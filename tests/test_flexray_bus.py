@@ -91,6 +91,42 @@ class TestFlexRayBus:
         assert m1.delivered and m2.delivered
         assert m2.delivery_time > m1.delivery_time
 
+    def test_static_slots_deliver_in_index_order(self, bus):
+        """Slots granted out of index order still deliver (and so draw
+        loss) in index order, and the name-keyed tuple core the
+        co-simulation kernels drive delivers exactly what the message
+        API does."""
+        frames = [FrameSpec(frame_id=i + 1, sender=f"f{i}") for i in range(4)]
+        core = FlexRayBus(config=bus.config)
+        for slot, index in ((7, 0), (2, 1), (4, 2)):
+            bus.grant_slot(slot, frames[index])
+            core.grant_slot(slot, frames[index])
+        for cycle in range(3):
+            release = cycle * bus.config.cycle_length
+            for index, frame in enumerate(frames):
+                uses_tt = index < 3 and cycle != 1
+                message = Message(spec=frame, release_time=release)
+                if uses_tt:
+                    bus.submit_tt(message)
+                    core._enqueue_tt(frame.frame_id, release, frame.sender)
+                else:
+                    bus.submit_et(message)
+                    core.dynamic._enqueue(
+                        frame.frame_id,
+                        release,
+                        frame.sender,
+                        core.dynamic.minislots_of(frame),
+                    )
+        horizon = 3 * bus.config.cycle_length
+        expected = [
+            (m.spec.sender, m.release_time, m.delivery_time)
+            for m in bus.advance_to(horizon)
+        ]
+        assert core._advance(horizon) == expected
+        assert core.statistics == bus.statistics
+        assert len(expected) == 12
+        assert [name for name, _, _ in expected[:3]] == ["f1", "f2", "f0"]
+
 
 class TestEtTimingAnalysis:
     def test_minislots_before_counts_empty_and_busy(self):

@@ -87,9 +87,29 @@ class TestMultiplexedBus:
         bus.static.assign(0, b, CycleFilter(base=1, repetition=2))
         m_a = Message(spec=a, release_time=0.0)
         m_b = Message(spec=b, release_time=0.0)
-        bus._tt_queues.setdefault(0, []).extend([m_a, m_b])
+        bus.submit_tt(m_a)
+        bus.submit_tt(m_b)
         first = bus.run_cycle()
         second = bus.run_cycle()
         assert m_a in first and m_b not in first
         assert m_b in second
         assert m_b.delivery_time > m_a.delivery_time
+
+    def test_only_the_cycle_owner_transmits(self):
+        """Frame 2's message queued ahead of frame 1's on a slot the two
+        multiplex: cycle 0 belongs to frame 1, so frame 1 transmits and
+        frame 2 waits for its own cycle."""
+        bus = FlexRayBus(config=paper_bus_config())
+        a, b = FrameSpec(frame_id=1), FrameSpec(frame_id=2)
+        bus.static.assign(0, a, CycleFilter(base=0, repetition=2))
+        bus.static.assign(0, b, CycleFilter(base=1, repetition=2))
+        m_b = Message(spec=b, release_time=0.0)
+        m_a = Message(spec=a, release_time=0.0)
+        bus.submit_tt(m_b)
+        bus.submit_tt(m_a)
+        assert bus.run_cycle() == [m_a]
+        assert bus.run_cycle() == [m_b]
+        assert m_a.delivery_time == bus.config.static_slot_window(0, 0)[1]
+        assert m_b.delivery_time == bus.config.static_slot_window(1, 0)[1]
+        assert bus.statistics.tt_deliveries == 2
+        assert bus.statistics.unused_static_slots == 0

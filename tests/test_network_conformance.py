@@ -131,6 +131,36 @@ def test_kit_rejects_a_can_claim_without_a_can_bus(impostor):
         check_network_model(impostor)
 
 
+class _ClaimsFlexRay(AnalyticNetwork):
+    """Broken on purpose: claims the ``"flexray"`` strategy, whose batch
+    source drives a FlexRay bus's tuple core, without being one."""
+
+    def capabilities(self):
+        return dataclasses.replace(super().capabilities(), batch_strategy="flexray")
+
+
+class _DuckFlexRay:
+    """Broken on purpose: a duck type that carries a real FlexRay bus
+    and delegates to a stock network, yet is not a ``FlexRayNetwork``,
+    so the source would bypass it."""
+
+    def __init__(self):
+        self.inner = FlexRayNetwork(bus=FlexRayBus(config=paper_bus_config()))
+        self.bus = self.inner.bus
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
+
+
+@pytest.mark.parametrize(
+    "impostor", [_ClaimsFlexRay, _DuckFlexRay], ids=["not-a-bus", "duck"]
+)
+def test_kit_rejects_a_flexray_claim_without_a_flexray_network(impostor):
+    assert impostor().capabilities().batch_strategy == "flexray"
+    with pytest.raises(ConformanceError, match="flexray batch strategy"):
+        check_network_model(impostor)
+
+
 def test_kit_rejects_missing_surface():
     class NotANetwork:
         pass

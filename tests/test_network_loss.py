@@ -287,6 +287,7 @@ class TestInheritedSampleDelaysReplaysDeletedOverrides:
     )
     def test_default_matches_frozen_override(self, build, override, first_id):
         frozen_net, default_net = build(), build()
+        frozen_net._inflight = {}  # the frozen FlexRay override's message map
         frames = _control_frames(first_id)
         frozen = drive_intervals(frozen_net, override, frames, 600, self.PERIOD, seed=3)
         default = drive_intervals(
