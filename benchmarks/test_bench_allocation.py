@@ -7,9 +7,10 @@ resources.
 
 import pytest
 
-from repro.core.allocation import first_fit_allocation, make_analyzed, optimal_allocation
+from repro.core.allocation import make_analyzed
 from repro.core.timing_params import PAPER_TABLE_I
 from repro.experiments.allocation import run_paper_allocation, run_simulation_allocation
+from repro.solvers import allocate
 
 
 def test_bench_allocation_paper_case_study(benchmark):
@@ -27,13 +28,13 @@ def test_bench_allocation_paper_case_study(benchmark):
 
 def test_bench_allocation_first_fit(benchmark):
     apps = make_analyzed(PAPER_TABLE_I, "non-monotonic")
-    result = benchmark(lambda: first_fit_allocation(apps))
+    result = benchmark(lambda: allocate("first-fit", apps))
     assert result.slot_count == 3
 
 
 def test_bench_allocation_exhaustive_optimum(benchmark):
     apps = make_analyzed(PAPER_TABLE_I, "non-monotonic")
-    result = benchmark(lambda: optimal_allocation(apps))
+    result = benchmark(lambda: allocate("optimal", apps))
     assert result.slot_count == 3
 
 

@@ -12,13 +12,7 @@ Run with::
     python examples/design_space_exploration.py
 """
 
-from repro import PAPER_TABLE_I, make_analyzed, paper_bus_config
-from repro.core.allocation import (
-    best_fit_allocation,
-    first_fit_allocation,
-    optimal_allocation,
-    worst_fit_allocation,
-)
+from repro import PAPER_TABLE_I, allocate, make_analyzed, paper_bus_config
 from repro.core.sensitivity import (
     critical_scale,
     deadline_sensitivity,
@@ -50,14 +44,14 @@ def main() -> None:
     # 3. Heuristic comparison at the paper's deadlines.
     apps = make_analyzed(PAPER_TABLE_I, "non-monotonic")
     heuristics = {
-        "first-fit (paper)": first_fit_allocation,
-        "best-fit": best_fit_allocation,
-        "worst-fit": worst_fit_allocation,
-        "exhaustive optimum": optimal_allocation,
+        "first-fit (paper)": "first-fit",
+        "best-fit": "best-fit",
+        "worst-fit": "worst-fit",
+        "exhaustive optimum": "optimal",
     }
     rows = []
-    for label, allocate in heuristics.items():
-        result = allocate(apps)
+    for label, name in heuristics.items():
+        result = allocate(name, apps)
         rows.append([label, result.slot_count,
                      " | ".join(",".join(s) for s in result.slot_names)])
     print("\nHeuristic comparison")
@@ -66,7 +60,7 @@ def main() -> None:
     # 4. Does it fit the paper's bus (10 static slots)?
     bus = paper_bus_config()
     usage = static_segment_usage(
-        first_fit_allocation(apps).slot_count, bus.static_slots
+        allocate("first-fit", apps).slot_count, bus.static_slots
     )
     print(
         f"\nstatic-segment usage: {usage.slots_used}/{usage.slots_available} slots "

@@ -28,10 +28,10 @@ The library implements the paper's complete stack:
 
 Quickstart::
 
-    from repro import PAPER_TABLE_I, first_fit_allocation, make_analyzed
+    from repro import PAPER_TABLE_I, allocate, make_analyzed
 
     apps = make_analyzed(PAPER_TABLE_I, "non-monotonic")
-    allocation = first_fit_allocation(apps)
+    allocation = allocate("first-fit", apps)
     print(allocation.slot_names)   # [['C3', 'C6'], ['C2', 'C4'], ['C5', 'C1']]
 
 or, declaratively::
@@ -59,8 +59,6 @@ from repro.core import (
     characterize_response_source,
     compare_resource_usage,
     conservative_monotonic,
-    dedicated_allocation,
-    first_fit_allocation,
     fit_concave_envelope,
     fit_conservative_monotonic,
     fit_two_segment,
@@ -70,7 +68,6 @@ from repro.core import (
     max_wait_closed_form,
     max_wait_fixed_point,
     measure_dwell_curve,
-    optimal_allocation,
     paper_application,
     per_wait_source,
     priority_order,
@@ -172,14 +169,12 @@ __all__ = [
     "characterize_response_source",
     "compare_resource_usage",
     "conservative_monotonic",
-    "dedicated_allocation",
     "default_servo_testbed",
     "design_mode_controller",
     "design_switched_application",
     "discretize",
     "discretize_with_delay",
     "dlqr",
-    "first_fit_allocation",
     "fit_concave_envelope",
     "fit_conservative_monotonic",
     "fit_two_segment",
@@ -193,7 +188,6 @@ __all__ = [
     "max_wait_closed_form",
     "max_wait_fixed_point",
     "measure_dwell_curve",
-    "optimal_allocation",
     "paper_application",
     "paper_bus_config",
     "per_wait_source",

@@ -7,7 +7,7 @@ Usage::
     python -m repro table1 [--paper-only]
     python -m repro allocation [--simulated]
     python -m repro fig5 [--plots] [--analytic]
-    python -m repro ablations [--which segments|fixed-point|threshold|all]
+    python -m repro ablations [--which segments|fixed-point|threshold|jitter|kernel|all]
     python -m repro validate [--seeds N]
     python -m repro sensitivity [--scales 0.5 1.0 2.0]
     python -m repro study [--scenario NAME ...] [--grid] [--jobs N] [--seed N]
@@ -560,7 +560,11 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
 
-    p_abl = sub.add_parser("ablations", parents=[common], help="E6-E8 ablations")
+    p_abl = sub.add_parser(
+        "ablations",
+        parents=[common],
+        help="E6-E8, E11 (jitter) and E12 (kernel) ablations",
+    )
     p_abl.add_argument(
         "--which",
         choices=["segments", "fixed-point", "threshold", "jitter", "kernel", "all"],

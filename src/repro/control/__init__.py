@@ -21,13 +21,6 @@ from repro.control.controller import (
     design_mode_controller,
     design_switched_application,
 )
-from repro.control.cost import (
-    LyapunovError,
-    autonomous_cost,
-    solve_dlyap,
-    switched_cost,
-    waiting_penalty,
-)
 from repro.control.dare import LqrResult, RiccatiError, dlqr, solve_dare, solve_dare_iterative
 from repro.control.observer import (
     LuenbergerObserver,
@@ -72,7 +65,6 @@ __all__ = [
     "DisturbanceProcess",
     "LqrResult",
     "LuenbergerObserver",
-    "LyapunovError",
     "ModeController",
     "ObserverDesignError",
     "design_observer_lqe",
@@ -87,15 +79,11 @@ __all__ = [
     "SporadicDisturbance",
     "SwitchedApplication",
     "TransientProfile",
-    "autonomous_cost",
     "design_mode_controller",
     "design_mode_controller_poles",
     "design_switched_application",
     "discretize",
     "place_gain",
-    "solve_dlyap",
-    "switched_cost",
-    "waiting_penalty",
     "discretize_with_delay",
     "dlqr",
     "make_plant",

@@ -8,21 +8,16 @@
   upper-bound fitting (Figure 4);
 * :mod:`repro.core.schedulability` — maximum-wait fixed point, closed-form
   bounds, and worst-case response times (Section IV, Eqs. 5-21);
-* :mod:`repro.core.allocation` — first-fit slot allocation plus optimal
-  and dedicated baselines (Sections IV-V);
+* :mod:`repro.core.allocation` — the slot-allocation result that the
+  :mod:`repro.solvers` backends return (Sections IV-V);
 * :mod:`repro.core.characterization` — the end-to-end pipeline from plant
   to Table-I-style parameters.
 """
 
 from repro.core.allocation import (
     AllocationResult,
-    best_fit_allocation,
     compare_resource_usage,
-    dedicated_allocation,
-    first_fit_allocation,
     make_analyzed,
-    optimal_allocation,
-    worst_fit_allocation,
 )
 from repro.core.characterization import (
     CharacterizationResult,
@@ -57,18 +52,6 @@ from repro.core.schedulability import (
     max_wait_lower_bound,
     split_by_priority,
 )
-from repro.core.critical_instant import (
-    CriticalInstantResult,
-    simulate_critical_instant,
-    wait_time_matches_fixed_point,
-)
-from repro.core.robustness import (
-    DwellMarginResult,
-    dwell_margin,
-    scale_applications,
-    scale_dwell_model,
-    slot_dwell_margin,
-)
 from repro.core.sensitivity import (
     SensitivityPoint,
     StaticSegmentUsage,
@@ -98,16 +81,8 @@ __all__ = [
     "LinearSwitchedSystem",
     "PAPER_TABLE_I",
     "PwlDwellModel",
-    "CriticalInstantResult",
-    "DwellMarginResult",
     "ResponseAnalysis",
-    "dwell_margin",
-    "scale_applications",
-    "scale_dwell_model",
-    "slot_dwell_margin",
     "SensitivityPoint",
-    "simulate_critical_instant",
-    "wait_time_matches_fixed_point",
     "StaticSegmentUsage",
     "TimingParameters",
     "UnschedulableError",
@@ -117,17 +92,13 @@ __all__ = [
     "static_segment_usage",
     "analyze_application",
     "analyze_slot",
-    "best_fit_allocation",
     "blocking_term",
-    "worst_fit_allocation",
     "characterize_application",
     "characterize_curve",
     "characterize_plant",
     "characterize_response_source",
     "compare_resource_usage",
     "conservative_monotonic",
-    "dedicated_allocation",
-    "first_fit_allocation",
     "fit_concave_envelope",
     "fit_conservative_monotonic",
     "fit_two_segment",
@@ -138,7 +109,6 @@ __all__ = [
     "max_wait_closed_form",
     "max_wait_fixed_point",
     "max_wait_lower_bound",
-    "optimal_allocation",
     "paper_application",
     "priority_order",
     "simple_monotonic",

@@ -6,18 +6,14 @@ uses a first-fit heuristic over applications sorted by priority
 (deadline); finding the optimum is NP-hard.
 
 This module holds the allocation *data model* —
-:class:`AllocationResult` and :func:`make_analyzed` — and thin
-deprecation shims over the pluggable backends in :mod:`repro.solvers`:
-``first_fit_allocation`` et al. delegate to the registered allocator of
-the same name.  New code should call the registry directly::
+:class:`AllocationResult` and :func:`make_analyzed` — that every
+backend in :mod:`repro.solvers` returns and consumes.  Allocators run
+through the registry::
 
     from repro.solvers import allocate, get_allocator
 
-    result = allocate("branch-and-bound", apps, method="closed-form")
+    result = allocate("first-fit", apps, method="closed-form")
     get_allocator("anneal").to_dict()   # capability metadata
-
-which also unlocks the backends without legacy wrappers
-(``branch-and-bound``, ``anneal``, and any third-party registration).
 """
 
 from __future__ import annotations
@@ -86,89 +82,6 @@ def make_analyzed(
     ]
 
 
-def first_fit_allocation(
-    apps: Sequence[AnalyzedApplication],
-    method: str = "closed-form",
-    max_slots: Optional[int] = None,
-) -> AllocationResult:
-    """The paper's first-fit heuristic.
-
-    .. deprecated::
-        Shim over the registered ``first-fit`` backend; prefer
-        ``repro.solvers.allocate("first-fit", apps, ...)``.
-    """
-    from repro.solvers import allocate
-
-    return allocate("first-fit", apps, method=method, max_slots=max_slots)
-
-
-def best_fit_allocation(
-    apps: Sequence[AnalyzedApplication],
-    method: str = "closed-form",
-) -> AllocationResult:
-    """Best-fit variant: fullest still-schedulable slot wins.
-
-    .. deprecated::
-        Shim over the registered ``best-fit`` backend; prefer
-        ``repro.solvers.allocate("best-fit", apps, ...)``.
-    """
-    from repro.solvers import allocate
-
-    return allocate("best-fit", apps, method=method)
-
-
-def worst_fit_allocation(
-    apps: Sequence[AnalyzedApplication],
-    method: str = "closed-form",
-) -> AllocationResult:
-    """Worst-fit variant: emptiest feasible slot wins.
-
-    .. deprecated::
-        Shim over the registered ``worst-fit`` backend; prefer
-        ``repro.solvers.allocate("worst-fit", apps, ...)``.
-    """
-    from repro.solvers import allocate
-
-    return allocate("worst-fit", apps, method=method)
-
-
-def dedicated_allocation(
-    apps: Sequence[AnalyzedApplication], method: str = "closed-form"
-) -> AllocationResult:
-    """Baseline: one dedicated TT slot per application (no sharing).
-
-    .. deprecated::
-        Shim over the registered ``dedicated`` backend; prefer
-        ``repro.solvers.allocate("dedicated", apps, ...)``.
-    """
-    from repro.solvers import allocate
-
-    return allocate("dedicated", apps, method=method)
-
-
-def optimal_allocation(
-    apps: Sequence[AnalyzedApplication],
-    method: str = "closed-form",
-    max_apps: int = 10,
-) -> AllocationResult:
-    """Exhaustive minimum-slot partition search (small instances only).
-
-    Oversized instances raise
-    :class:`~repro.solvers.InstanceTooLargeError` (a :class:`ValueError`
-    the CLI maps to a clean exit code 2); the ``branch-and-bound``
-    backend proves the same optimum for instances twice this size.
-
-    .. deprecated::
-        Shim over the registered ``optimal`` backend; prefer
-        ``repro.solvers.allocate("optimal", apps, ...)`` — or
-        ``allocate("branch-and-bound", ...)`` for anything beyond toy
-        sizes.
-    """
-    from repro.solvers import allocate
-
-    return allocate("optimal", apps, method=method, max_apps=max_apps)
-
-
 def compare_resource_usage(
     non_monotonic: AllocationResult, monotonic: AllocationResult
 ) -> float:
@@ -181,11 +94,6 @@ def compare_resource_usage(
 
 __all__ = [
     "AllocationResult",
-    "best_fit_allocation",
     "compare_resource_usage",
-    "dedicated_allocation",
-    "first_fit_allocation",
     "make_analyzed",
-    "optimal_allocation",
-    "worst_fit_allocation",
 ]

@@ -12,8 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence
 
-from repro.core.allocation import first_fit_allocation, make_analyzed
+from repro.core.allocation import make_analyzed
 from repro.core.timing_params import TimingParameters
+from repro.solvers import InfeasibleAllocationError, allocate
 from repro.utils.validation import check_positive
 
 
@@ -53,7 +54,8 @@ def deadline_sensitivity(
     """Slot demand across a sweep of deadline-tightness factors.
 
     A ``None`` slot count means some application misses its deadline even
-    on a dedicated TT slot at that tightness.
+    on a dedicated TT slot at that tightness.  An unregistered ``method``
+    raises :class:`~repro.solvers.UnknownSolverError`.
     """
     points = []
     for scale in scales:
@@ -61,11 +63,11 @@ def deadline_sensitivity(
         counts = {}
         for shape in ("non-monotonic", "conservative-monotonic"):
             try:
-                result = first_fit_allocation(
-                    make_analyzed(scaled, shape), method=method
+                result = allocate(
+                    "first-fit", make_analyzed(scaled, shape), method=method
                 )
                 counts[shape] = result.slot_count
-            except ValueError:
+            except InfeasibleAllocationError:
                 counts[shape] = None
         points.append(
             SensitivityPoint(
@@ -88,22 +90,27 @@ def critical_scale(
     """Smallest deadline-tightness factor that remains feasible.
 
     Bisects on the tightness factor; below the returned value some
-    application cannot meet its deadline even alone on a TT slot.
+    application cannot meet its deadline even alone on a TT slot.  If
+    ``lo`` is already feasible there is no transition inside the
+    bracket, and ``lo`` is returned.
 
     Raises
     ------
     ValueError
-        If even ``hi`` is infeasible or ``lo`` is already feasible
-        (no transition inside the bracket).
+        If even ``hi`` is infeasible.
+    UnknownSolverError
+        If ``method`` is not a registered analysis method.
     """
 
     def feasible(scale: float) -> bool:
         try:
-            first_fit_allocation(
-                make_analyzed(scale_deadlines(params, scale), shape), method=method
+            allocate(
+                "first-fit",
+                make_analyzed(scale_deadlines(params, scale), shape),
+                method=method,
             )
             return True
-        except ValueError:
+        except InfeasibleAllocationError:
             return False
 
     if not feasible(hi):

@@ -5,7 +5,8 @@
 * :mod:`repro.experiments.table1` — E3, timing parameters;
 * :mod:`repro.experiments.allocation` — E4, the slot-allocation case study;
 * :mod:`repro.experiments.fig5` — E5, the six-application co-simulation;
-* :mod:`repro.experiments.ablations` — E6-E8.
+* :mod:`repro.experiments.ablations` — E6-E8, E11 (jitter) and E12
+  (kernel).
 """
 
 from repro.experiments.allocation import (
@@ -26,7 +27,6 @@ from repro.experiments.casestudy import (
     SIMULATION_CASE_STUDY,
     CaseStudyApplication,
     design_case_study_application,
-    paper_applications,
     simulation_applications,
 )
 from repro.experiments.fig1 import Fig1Result, run_fig1
@@ -60,7 +60,6 @@ __all__ = [
     "design_case_study_application",
     "format_series",
     "format_table",
-    "paper_applications",
     "run_fig3",
     "run_fig4",
     "run_fig5",

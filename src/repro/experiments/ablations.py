@@ -1,11 +1,13 @@
-"""Ablation experiments (E6-E8) for DESIGN.md's design decisions.
+"""Ablation experiments (E6-E8, E11, E12) for DESIGN.md's design decisions.
 
 * E6 — number of PWL segments: two-segment (paper) vs the concave
   envelope (the "three or more" extension of Section III) vs the
   monotonic line, measured by slot count and dwell-bound tightness;
 * E7 — closed-form wait bound (Eq. 20) vs exact fixed point (Eq. 5):
   pessimism gap on randomised application sets;
-* E8 — steady-state threshold sweep on the servo testbed.
+* E8 — steady-state threshold sweep on the servo testbed;
+* E11 — actuation-delay equalisation (jitter buffering) on vs off;
+* E12 — the batch co-simulation kernel vs the event-driven reference.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.allocation import first_fit_allocation
 from repro.core.pwl import (
     fit_concave_envelope,
     fit_conservative_monotonic,
@@ -28,6 +29,7 @@ from repro.core.schedulability import (
 from repro.core.timing_params import TimingParameters
 from repro.experiments.casestudy import CaseStudyApplication, simulation_applications
 from repro.experiments.reporting import format_table
+from repro.solvers import allocate
 from repro.testbed.servo import ServoRigConfig, default_servo_testbed
 
 
@@ -77,7 +79,7 @@ def run_segment_ablation(
                 AnalyzedApplication(params=case_app.params, dwell_model=model)
             )
             bounds.extend(model.dwell_array(curve.waits))
-        slot_counts[label] = first_fit_allocation(analyzed).slot_count
+        slot_counts[label] = allocate("first-fit", analyzed).slot_count
         mean_bounds[label] = float(np.mean(bounds))
     return SegmentAblationResult(slot_counts=slot_counts, mean_dwell_bounds=mean_bounds)
 
@@ -253,7 +255,6 @@ def run_jitter_ablation(
     model.  This quantifies the difference under heavy background load.
     """
     from repro.control.disturbance import OneShotDisturbance
-    from repro.core.allocation import first_fit_allocation
     from repro.flexray.bus import FlexRayBus
     from repro.flexray.frame import FrameSpec
     from repro.flexray.params import paper_bus_config
@@ -263,8 +264,8 @@ def run_jitter_ablation(
 
     if applications is None:
         applications = simulation_applications(wait_step=wait_step)
-    allocation = first_fit_allocation(
-        [app.analyzed("non-monotonic") for app in applications]
+    allocation = allocate(
+        "first-fit", [app.analyzed("non-monotonic") for app in applications]
     )
     results: Dict[bool, Dict[str, float]] = {}
     episodes: Dict[bool, Dict[str, int]] = {}
@@ -309,71 +310,6 @@ def run_jitter_ablation(
         equalized_episodes=episodes[True],
         raw_episodes=episodes[False],
     )
-
-
-# ---------------------------------------------------------------------------
-# E12 — quadratic QoC cost vs wait time
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class QocAblationResult:
-    """Quadratic cost of the switched response as the wait grows."""
-
-    rows: List[Tuple[str, float, float, float]]
-    # (app, cost at kwait=0, cost at kwait=max_wait, relative penalty)
-
-    def report(self) -> str:
-        return (
-            "Quadratic QoC cost vs wait time (switched response, Eqs. 3-4)\n"
-            + format_table(
-                ["app", "J(kwait=0)", "J(kwait=max)", "penalty [%]"],
-                [
-                    [name, j0, j1, 100.0 * penalty]
-                    for name, j0, j1, penalty in self.rows
-                ],
-            )
-        )
-
-
-def run_qoc_ablation(
-    applications: Optional[List[CaseStudyApplication]] = None,
-    wait_step: int = 4,
-) -> QocAblationResult:
-    """E12: waiting for the TT slot costs control quality, not just time.
-
-    For each case-study application the infinite-horizon quadratic cost
-    of the switched response is evaluated in closed form at zero wait and
-    at the analysis's maximum wait for its allocated slot.
-    """
-    from repro.control.cost import switched_cost
-    from repro.core.allocation import first_fit_allocation
-
-    if applications is None:
-        applications = simulation_applications(wait_step=wait_step)
-    allocation = first_fit_allocation(
-        [app.analyzed("non-monotonic") for app in applications]
-    )
-    rows = []
-    for case_app in applications:
-        app = case_app.app
-        z0 = app.initial_state(case_app.plant.disturbance)
-        period = app.period
-        max_wait = allocation.analyses[case_app.name].max_wait
-        wait_samples = int(np.ceil(max_wait / period))
-        # Weight the augmented state with the plant's own design weights:
-        # q on the physical states, r on the held input.  This makes the
-        # cost the LQR objective the controllers were tuned for (up to
-        # the one-step input shift), so units are commensurate.
-        n = case_app.plant.model.n_states
-        weight = np.zeros((z0.size, z0.size))
-        weight[:n, :n] = case_app.plant.q
-        weight[n:, n:] = case_app.plant.r
-        j0 = switched_cost(app.a1, app.a2, z0, 0, weight=weight)
-        j1 = switched_cost(app.a1, app.a2, z0, wait_samples, weight=weight)
-        penalty = (j1 - j0) / j0 if j0 > 0 else 0.0
-        rows.append((case_app.name, j0, j1, penalty))
-    return QocAblationResult(rows=rows)
 
 
 # ---------------------------------------------------------------------------
@@ -504,13 +440,11 @@ __all__ = [
     "FixedPointAblationResult",
     "JitterAblationResult",
     "KernelAblationResult",
-    "QocAblationResult",
     "SegmentAblationResult",
     "ThresholdSweepResult",
     "run_fixed_point_ablation",
     "run_jitter_ablation",
     "run_kernel_ablation",
-    "run_qoc_ablation",
     "run_segment_ablation",
     "run_threshold_sweep",
     "traces_bitwise_equal",

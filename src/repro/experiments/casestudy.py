@@ -2,8 +2,9 @@
 
 Two flavours:
 
-* **paper mode** — the six Table I applications taken verbatim.  The
-  paper publishes only their timing parameters, which is all the
+* **paper mode** — the six Table I applications taken verbatim
+  (:data:`repro.core.timing_params.PAPER_TABLE_I`).  The paper
+  publishes only their timing parameters, which is all the
   schedulability analysis needs; this mode reproduces Section V
   *exactly*.
 * **simulation mode** — six automotive plants from the plant zoo,
@@ -23,7 +24,7 @@ from repro.control.controller import SwitchedApplication
 from repro.control.plants import PlantDefinition
 from repro.core.characterization import CharacterizationResult
 from repro.core.schedulability import AnalyzedApplication
-from repro.core.timing_params import PAPER_TABLE_I, TimingParameters
+from repro.core.timing_params import TimingParameters
 
 #: Simulation-mode roster: (plant name, ET detuning factor, min inter-arrival,
 #: deadline).  The detuning factor multiplies the LQR input weight of the
@@ -49,16 +50,6 @@ MULTIRATE_CASE_STUDY: Tuple[Tuple[str, float, float, float], ...] = (
     ("throttle-by-wire", 800.0, 20.0, 8.5),
     ("servo-rig", 1000.0, 6.0, 6.0),
 )
-
-#: TT-mode sensor-to-actuator delay used throughout (the paper's 0.7 ms);
-#: defined alongside the memoized measurement it parameterises.
-from repro.pipeline.cache import TT_DELAY  # noqa: E402  (re-export)
-
-
-def paper_applications() -> List[TimingParameters]:
-    """The six Table I applications, verbatim."""
-    return list(PAPER_TABLE_I)
-
 
 @dataclass(frozen=True)
 class CaseStudyApplication:
@@ -132,9 +123,7 @@ def simulation_applications(wait_step: int = 2) -> List[CaseStudyApplication]:
 __all__ = [
     "MULTIRATE_CASE_STUDY",
     "SIMULATION_CASE_STUDY",
-    "TT_DELAY",
     "CaseStudyApplication",
     "design_case_study_application",
-    "paper_applications",
     "simulation_applications",
 ]

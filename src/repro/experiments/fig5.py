@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 from repro.control.disturbance import OneShotDisturbance
-from repro.core.allocation import first_fit_allocation
 from repro.experiments.casestudy import CaseStudyApplication
 from repro.experiments.reporting import format_table
 from repro.flexray.bus import FlexRayBus
@@ -22,6 +21,7 @@ from repro.flexray.params import FlexRayConfig, paper_bus_config
 from repro.sim.cosim import CoSimApplication, CoSimulator
 from repro.sim.network import AnalyticNetwork, FlexRayNetwork, NetworkModel
 from repro.sim.trace import SimulationTrace
+from repro.solvers import allocate
 
 
 @dataclass(frozen=True)
@@ -106,8 +106,8 @@ def run_fig5(
             trace=study.attachments.trace,
             slot_names=study.attachments.allocation.slot_names,
         )
-    allocation = first_fit_allocation(
-        [app.analyzed("non-monotonic") for app in applications]
+    allocation = allocate(
+        "first-fit", [app.analyzed("non-monotonic") for app in applications]
     )
     if horizon is None:
         horizon = 1.2 * max(app.params.deadline for app in applications)

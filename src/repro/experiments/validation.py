@@ -22,12 +22,12 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.control.disturbance import OneShotDisturbance, SporadicDisturbance
-from repro.core.allocation import first_fit_allocation
 from repro.experiments.casestudy import CaseStudyApplication, simulation_applications
 from repro.experiments.reporting import format_table
 from repro.flexray.frame import FrameSpec
 from repro.sim.cosim import CoSimApplication, CoSimulator
 from repro.sim.network import AnalyticNetwork
+from repro.solvers import allocate
 
 
 def _cosim_apps(
@@ -95,8 +95,8 @@ def run_bound_validation(
     """E9: no simulated response may exceed its certified bound."""
     if applications is None:
         applications = simulation_applications(wait_step=wait_step)
-    allocation = first_fit_allocation(
-        [app.analyzed("non-monotonic") for app in applications]
+    allocation = allocate(
+        "first-fit", [app.analyzed("non-monotonic") for app in applications]
     )
     slot_of = {app.name: allocation.slot_of(app.name) for app in applications}
     bounds = {
@@ -152,8 +152,8 @@ def run_pure_et_baseline(
     """E10: ET alone misses deadlines that the hybrid scheme meets."""
     if applications is None:
         applications = simulation_applications(wait_step=wait_step)
-    allocation = first_fit_allocation(
-        [app.analyzed("non-monotonic") for app in applications]
+    allocation = allocate(
+        "first-fit", [app.analyzed("non-monotonic") for app in applications]
     )
     slot_of = {app.name: allocation.slot_of(app.name) for app in applications}
     if horizon is None:

@@ -7,12 +7,6 @@ the worst-case latency analysis for dynamic-segment messages.
 """
 
 from repro.flexray.bus import BusStatistics, FlexRayBus
-from repro.flexray.config_tools import (
-    ApplicationBusConfig,
-    BusConfigurationError,
-    BusConfigurationPlan,
-    plan_bus_configuration,
-)
 from repro.flexray.dynamic_segment import DynamicSegment
 from repro.flexray.frame import FrameSpec, Message
 from repro.flexray.params import FlexRayConfig, paper_bus_config
@@ -25,12 +19,8 @@ from repro.flexray.timing import (
 )
 
 __all__ = [
-    "ApplicationBusConfig",
-    "BusConfigurationError",
-    "BusConfigurationPlan",
     "BusStatistics",
     "CycleFilter",
-    "plan_bus_configuration",
     "DynamicSegment",
     "EtDelayBound",
     "FlexRayBus",

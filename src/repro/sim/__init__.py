@@ -1,9 +1,9 @@
 """Co-simulation substrate (TrueTime substitute).
 
-Discrete-event kernel, periodic task/ECU model, non-preemptive TT-slot
-arbiter, the Figure 1 threshold-switching runtime, the multi-application
-co-simulator, the pluggable network-backend registry
-(:mod:`repro.sim.network`), and trace recording for Figure 5.
+Discrete-event kernel, non-preemptive TT-slot arbiter, the Figure 1
+threshold-switching runtime, the multi-application co-simulator, the
+pluggable network-backend registry (:mod:`repro.sim.network`), and trace
+recording for Figure 5.
 """
 
 from repro.sim.arbiter import SlotClient, SlotState, TTSlotArbiter
@@ -34,18 +34,15 @@ from repro.sim.runtime import CommState, DisturbanceRecord, SwitchingRuntime
 from repro.sim.stats import Welford, t_critical_95
 from repro.sim.stepper import (
     GLOBAL_ZOH_CACHE,
-    DelayedStepper,
     PlantStepperBank,
     ZOHCache,
 )
-from repro.sim.tasks import ApplicationTasks, Ecu, PeriodicTask, simple_application_tasks
 from repro.sim.trace import AppTrace, SimulationTrace
 from repro.sim.traffic import BackgroundTraffic, TrafficStream, heavy_background_traffic
 
 __all__ = [
     "AnalyticNetwork",
     "AppTrace",
-    "ApplicationTasks",
     "BackgroundTraffic",
     "TrafficStream",
     "heavy_background_traffic",
@@ -53,10 +50,8 @@ __all__ = [
     "CoSimApplication",
     "CoSimulator",
     "CommState",
-    "DelayedStepper",
     "Delivery",
     "DisturbanceRecord",
-    "Ecu",
     "EventQueue",
     "FlexRayNetwork",
     "GLOBAL_ZOH_CACHE",
@@ -71,7 +66,6 @@ __all__ = [
     "check_network_model",
     "network_names",
     "register_network",
-    "PeriodicTask",
     "PlantStepperBank",
     "SimulationTrace",
     "SlotClient",
@@ -81,6 +75,5 @@ __all__ = [
     "TTSlotArbiter",
     "Welford",
     "ZOHCache",
-    "simple_application_tasks",
     "t_critical_95",
 ]

@@ -217,10 +217,6 @@ def check_network_model(factory: Callable[[], Any]) -> None:
         "batch_strategy is known to the batch kernel",
         repr(caps.batch_strategy),
     )
-    _require(
-        caps.event_interface,
-        "ABC-conformant backends expose the event interface",
-    )
     if caps.batch_strategy == "analytic":
         _require(
             isinstance(getattr(network, "tt_delay", None), float)

@@ -120,17 +120,12 @@ class NetworkCapabilities:
     loss:
         Loss-model identifier (``"none"``, ``"iid"``,
         ``"gilbert-elliott"``, or a custom process's ``kind``).
-    event_interface:
-        Whether the incremental event interface is implemented (ABC
-        subclasses always have it; the flag exists so capability
-        descriptors of legacy batch-only duck-types stay expressible).
     """
 
     deterministic: bool = True
     analytic_delays: bool = False
     batch_strategy: Optional[str] = None
     loss: str = "none"
-    event_interface: bool = True
 
     def __post_init__(self):
         check_batch_strategy(self.batch_strategy)

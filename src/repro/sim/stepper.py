@@ -195,29 +195,6 @@ class ZOHCache:
 GLOBAL_ZOH_CACHE = ZOHCache()
 
 
-class DelayedStepper:
-    """Steps one plant with per-sample delays via the shared cache."""
-
-    def __init__(
-        self,
-        dynamics: ContinuousStateSpace,
-        period: float,
-        cache: Optional[ZOHCache] = None,
-    ):
-        cache = cache if cache is not None else GLOBAL_ZOH_CACHE
-        self._disc = cache.plant(dynamics, period)
-
-    @property
-    def phi(self) -> np.ndarray:
-        return self._disc.phi
-
-    def step(
-        self, x: np.ndarray, u: np.ndarray, u_prev: np.ndarray, delay: float
-    ) -> np.ndarray:
-        gamma0, gamma1 = self._disc.gammas(delay)
-        return self._disc.phi @ x + gamma0 @ u + gamma1 @ u_prev
-
-
 class PlantStepperBank:
     """Steps a fleet of plants, vectorizing same-dynamics groups.
 
@@ -334,7 +311,6 @@ class PlantStepperBank:
 
 
 __all__ = [
-    "DelayedStepper",
     "GLOBAL_ZOH_CACHE",
     "PlantStepperBank",
     "ZOHCache",

@@ -3,8 +3,8 @@
 These are the five strategies the pipeline has always shipped — the
 paper's first-fit heuristic, the best-/worst-fit variants, the
 dedicated-slot baseline, and the exhaustive set-partition optimum — now
-implemented against the solver API.  The historical free functions in
-:mod:`repro.core.allocation` are thin shims over these registrations.
+implemented against the solver API.  Call them by name through
+:func:`repro.solvers.allocate`.
 """
 
 from __future__ import annotations

@@ -8,30 +8,24 @@ from repro.utils.validation import (
     check_in_range,
     check_nonnegative,
     check_positive,
-    check_probability,
     check_square,
     check_vector,
     ensure_matrix,
 )
 from repro.utils.linalg import (
     is_schur_stable,
-    matrix_powers,
     spectral_radius,
     state_norms,
-    transient_growth_bound,
 )
 
 __all__ = [
     "check_in_range",
     "check_nonnegative",
     "check_positive",
-    "check_probability",
     "check_square",
     "check_vector",
     "ensure_matrix",
     "is_schur_stable",
-    "matrix_powers",
     "spectral_radius",
     "state_norms",
-    "transient_growth_bound",
 ]

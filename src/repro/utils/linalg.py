@@ -1,17 +1,11 @@
-"""Small linear-algebra utilities shared by the control and core packages.
-
-The switching analysis in :mod:`repro.core` repeatedly evaluates matrix
-powers and transient norm envelopes of closed-loop matrices; the helpers
-here centralise those computations.
-"""
+"""Small linear-algebra utilities shared by the control and core packages:
+spectral radius, Schur stability and trajectory norms."""
 
 from __future__ import annotations
 
-from typing import Iterator
-
 import numpy as np
 
-from repro.utils.validation import check_positive, check_square
+from repro.utils.validation import check_square
 
 
 def spectral_radius(matrix) -> float:
@@ -29,24 +23,6 @@ def is_schur_stable(matrix, tol: float = 1e-9) -> bool:
     return spectral_radius(matrix) < 1.0 - tol
 
 
-def matrix_powers(matrix, count: int) -> Iterator[np.ndarray]:
-    """Yield ``I, A, A^2, ..., A^(count-1)`` without re-multiplying from scratch.
-
-    Parameters
-    ----------
-    matrix:
-        Square matrix ``A``.
-    count:
-        Number of powers to yield (must be positive).
-    """
-    matrix = check_square(matrix, "matrix")
-    count = int(check_positive(count, "count"))
-    power = np.eye(matrix.shape[0])
-    for _ in range(count):
-        yield power
-        power = matrix @ power
-
-
 def state_norms(states: np.ndarray, ord: int = 2) -> np.ndarray:
     """Row-wise vector norms of a trajectory array of shape ``(steps, n)``."""
     states = np.asarray(states, dtype=float)
@@ -55,30 +31,3 @@ def state_norms(states: np.ndarray, ord: int = 2) -> np.ndarray:
     if states.ndim != 2:
         raise ValueError(f"states must be 1-D or 2-D, got ndim={states.ndim}")
     return np.linalg.norm(states, ord=ord, axis=1)
-
-
-def transient_growth_bound(matrix, horizon: int) -> float:
-    """Peak induced 2-norm ``max_k ||A^k||_2`` over ``k in [0, horizon]``.
-
-    For a Schur-stable but non-normal matrix this peak can exceed 1, which
-    is exactly the mechanism behind the paper's non-monotonic dwell/wait
-    relation: the ET closed loop amplifies the state transiently before the
-    asymptotic decay takes over.
-    """
-    matrix = check_square(matrix, "matrix")
-    horizon = int(check_positive(horizon, "horizon"))
-    peak = 0.0
-    for power in matrix_powers(matrix, horizon + 1):
-        peak = max(peak, float(np.linalg.norm(power, 2)))
-    return peak
-
-
-def is_non_normal(matrix, tol: float = 1e-9) -> bool:
-    """Whether ``A A* != A* A`` (the matrix is not normal).
-
-    Normal matrices have monotone ``||A^k x||`` envelopes when Schur
-    stable; non-normality is a necessary condition for transient growth.
-    """
-    matrix = check_square(matrix, "matrix")
-    commutator = matrix @ matrix.T - matrix.T @ matrix
-    return bool(np.linalg.norm(commutator) > tol * max(1.0, np.linalg.norm(matrix) ** 2))

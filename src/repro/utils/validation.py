@@ -8,7 +8,7 @@ close to the caller's mistake rather than deep inside numerics.
 from __future__ import annotations
 
 import math
-from typing import Sequence, Union
+from typing import Union
 
 import numpy as np
 
@@ -29,11 +29,6 @@ def check_nonnegative(value: Number, name: str) -> float:
     if value < 0.0:
         raise ValueError(f"{name} must be non-negative, got {value!r}")
     return value
-
-
-def check_probability(value: Number, name: str) -> float:
-    """Return ``value`` as float after checking it lies in [0, 1]."""
-    return check_in_range(value, name, low=0.0, high=1.0)
 
 
 def check_in_range(
@@ -110,16 +105,6 @@ def check_vector(value, name: str, size: int = None) -> np.ndarray:
         raise ValueError(f"{name} contains non-finite entries")
     if size is not None and arr.shape[0] != size:
         raise ValueError(f"{name} must have length {size}, got {arr.shape[0]}")
-    return arr
-
-
-def check_sorted_unique(values: Sequence[Number], name: str) -> np.ndarray:
-    """Return ``values`` as a float array, checking strict ascending order."""
-    arr = np.asarray(values, dtype=float)
-    if arr.ndim != 1:
-        raise ValueError(f"{name} must be one-dimensional")
-    if arr.size >= 2 and not np.all(np.diff(arr) > 0):
-        raise ValueError(f"{name} must be strictly increasing")
     return arr
 
 

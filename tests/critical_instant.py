@@ -1,4 +1,4 @@
-"""Critical-instant simulation of a shared TT slot (Sec. IV cross-check).
+"""Test oracle: critical-instant simulation of a shared TT slot (Sec. IV).
 
 The fixed-point equation (Eq. 5) encodes a specific worst-case scenario:
 at the moment application ``Ci`` requests the slot, the lower-priority
@@ -11,7 +11,7 @@ This module *simulates that exact scenario* on a continuous timeline and
 measures how long ``Ci`` actually waits.  It provides an independent
 check of the analysis: the simulated wait must equal the least fixed
 point of Eq. 5 (and therefore sit within the closed-form bounds of
-Eqs. 20-21).  The property-based test suite drives this comparison over
+Eqs. 20-21).  :mod:`test_critical_instant` drives this comparison over
 randomised application sets.
 """
 

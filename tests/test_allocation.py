@@ -2,15 +2,10 @@
 
 import pytest
 
-from repro.core.allocation import (
-    compare_resource_usage,
-    dedicated_allocation,
-    first_fit_allocation,
-    make_analyzed,
-    optimal_allocation,
-)
+from repro.core.allocation import compare_resource_usage, make_analyzed
 from repro.core.schedulability import is_slot_schedulable
 from repro.core.timing_params import PAPER_TABLE_I, TimingParameters
+from repro.solvers import allocate
 
 
 def params(name, r, deadline, xi_tt=0.3, xi_et=3.0, xi_m=0.8, k_p=0.5, xi_m_mono=1.0):
@@ -33,13 +28,13 @@ def paper_apps():
 
 class TestFirstFit:
     def test_every_slot_schedulable(self, paper_apps):
-        result = first_fit_allocation(paper_apps)
+        result = allocate("first-fit", paper_apps)
         assert result.all_schedulable()
         for slot in result.slots:
             assert is_slot_schedulable(slot)
 
     def test_every_app_placed_exactly_once(self, paper_apps):
-        result = first_fit_allocation(paper_apps)
+        result = allocate("first-fit", paper_apps)
         names = [name for slot in result.slot_names for name in slot]
         assert sorted(names) == sorted(p.name for p in PAPER_TABLE_I)
 
@@ -51,7 +46,7 @@ class TestFirstFit:
                 params("B", 100.0, 60.0, xi_m=0.5),
             ]
         )
-        result = first_fit_allocation(apps)
+        result = allocate("first-fit", apps)
         assert result.slot_count == 1
         assert result.slot_names == [["A", "B"]]
 
@@ -62,7 +57,7 @@ class TestFirstFit:
                 params("B", 50.0, 30.0, xi_m=5.0, xi_et=40.0, k_p=2.0, xi_m_mono=6.0),
             ]
         )
-        result = first_fit_allocation(apps)
+        result = allocate("first-fit", apps)
         assert result.slot_count == 2
 
     def test_unschedulable_alone_raises(self):
@@ -70,14 +65,14 @@ class TestFirstFit:
             [params("A", 10.0, 0.2, xi_tt=0.3, xi_m=0.4, k_p=0.1, xi_m_mono=0.5)]
         )
         with pytest.raises(ValueError, match="dedicated TT slot"):
-            first_fit_allocation(apps)
+            allocate("first-fit", apps)
 
     def test_max_slots_cap(self, paper_apps):
         with pytest.raises(ValueError, match="more than the available"):
-            first_fit_allocation(paper_apps, max_slots=2)
+            allocate("first-fit", paper_apps, max_slots=2)
 
     def test_slot_of_lookup(self, paper_apps):
-        result = first_fit_allocation(paper_apps)
+        result = allocate("first-fit", paper_apps)
         for index, slot in enumerate(result.slot_names):
             for name in slot:
                 assert result.slot_of(name) == index
@@ -87,7 +82,7 @@ class TestFirstFit:
 
 class TestDedicated:
     def test_one_slot_per_app(self, paper_apps):
-        result = dedicated_allocation(paper_apps)
+        result = allocate("dedicated", paper_apps)
         assert result.slot_count == len(paper_apps)
         assert all(len(slot) == 1 for slot in result.slots)
         assert result.all_schedulable()
@@ -96,8 +91,8 @@ class TestDedicated:
 class TestOptimal:
     def test_matches_first_fit_on_paper_set(self, paper_apps):
         """The heuristic happens to be optimal on the paper's six apps."""
-        heuristic = first_fit_allocation(paper_apps)
-        optimal = optimal_allocation(paper_apps)
+        heuristic = allocate("first-fit", paper_apps)
+        optimal = allocate("optimal", paper_apps)
         assert optimal.slot_count == heuristic.slot_count == 3
         assert optimal.all_schedulable()
 
@@ -111,20 +106,20 @@ class TestOptimal:
             ]
         )
         assert (
-            optimal_allocation(apps).slot_count
-            <= first_fit_allocation(apps).slot_count
+            allocate("optimal", apps).slot_count
+            <= allocate("first-fit", apps).slot_count
         )
 
     def test_refuses_large_instances(self, paper_apps):
         with pytest.raises(ValueError, match="exponential"):
-            optimal_allocation(paper_apps * 2, max_apps=10)
+            allocate("optimal", paper_apps * 2, max_apps=10)
 
 
 class TestComparison:
     def test_paper_resource_gap(self):
-        non_mono = first_fit_allocation(make_analyzed(PAPER_TABLE_I, "non-monotonic"))
-        mono = first_fit_allocation(
-            make_analyzed(PAPER_TABLE_I, "conservative-monotonic")
+        non_mono = allocate("first-fit", make_analyzed(PAPER_TABLE_I, "non-monotonic"))
+        mono = allocate(
+            "first-fit", make_analyzed(PAPER_TABLE_I, "conservative-monotonic")
         )
         gap = compare_resource_usage(non_mono, mono)
         assert gap == pytest.approx(2.0 / 3.0)  # the paper's 67 %

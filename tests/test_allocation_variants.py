@@ -4,15 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.allocation import (
-    best_fit_allocation,
-    dedicated_allocation,
-    first_fit_allocation,
-    make_analyzed,
-    worst_fit_allocation,
-)
+from repro.core.allocation import make_analyzed
 from repro.core.schedulability import is_slot_schedulable
 from repro.core.timing_params import PAPER_TABLE_I, TimingParameters
+from repro.solvers import allocate
 
 
 @pytest.fixture(scope="module")
@@ -22,22 +17,22 @@ def paper_apps():
 
 class TestVariantsOnPaperSet:
     def test_best_fit_matches_first_fit(self, paper_apps):
-        assert best_fit_allocation(paper_apps).slot_count == 3
+        assert allocate("best-fit", paper_apps).slot_count == 3
 
     def test_worst_fit_valid_but_possibly_wider(self, paper_apps):
-        result = worst_fit_allocation(paper_apps)
+        result = allocate("worst-fit", paper_apps)
         assert result.all_schedulable()
         assert 3 <= result.slot_count <= len(paper_apps)
 
     def test_all_variants_schedulable(self, paper_apps):
-        for allocate in (first_fit_allocation, best_fit_allocation, worst_fit_allocation):
-            result = allocate(paper_apps)
+        for name in ("first-fit", "best-fit", "worst-fit"):
+            result = allocate(name, paper_apps)
             for slot in result.slots:
                 assert is_slot_schedulable(slot)
 
     def test_every_app_placed_once(self, paper_apps):
-        for allocate in (best_fit_allocation, worst_fit_allocation):
-            result = allocate(paper_apps)
+        for name in ("best-fit", "worst-fit"):
+            result = allocate(name, paper_apps)
             names = sorted(n for slot in result.slot_names for n in slot)
             assert names == sorted(p.name for p in PAPER_TABLE_I)
 
@@ -72,14 +67,14 @@ class TestVariantProperties:
     @settings(max_examples=60, deadline=None)
     def test_all_heuristics_bounded_by_dedicated(self, apps):
         try:
-            dedicated = dedicated_allocation(apps)
+            dedicated = allocate("dedicated", apps)
         except ValueError:
             return  # some app infeasible even alone: nothing to compare
         if not dedicated.all_schedulable():
             return
-        for allocate in (first_fit_allocation, best_fit_allocation, worst_fit_allocation):
+        for name in ("first-fit", "best-fit", "worst-fit"):
             try:
-                result = allocate(apps)
+                result = allocate(name, apps)
             except ValueError:
                 continue
             assert result.slot_count <= dedicated.slot_count
@@ -89,7 +84,7 @@ class TestVariantProperties:
     @settings(max_examples=60, deadline=None)
     def test_heuristics_place_every_app(self, apps):
         try:
-            result = best_fit_allocation(apps)
+            result = allocate("best-fit", apps)
         except ValueError:
             return
         placed = sorted(n for slot in result.slot_names for n in slot)
@@ -115,29 +110,21 @@ def _infeasible_app():
 class TestInfeasibleErrorPaths:
     """All packing heuristics share the dedicated-slot feasibility guard."""
 
-    @pytest.mark.parametrize(
-        "allocate",
-        [first_fit_allocation, best_fit_allocation, worst_fit_allocation],
-        ids=["first-fit", "best-fit", "worst-fit"],
-    )
-    def test_heuristics_raise_shared_message(self, allocate):
+    @pytest.mark.parametrize("name", ["first-fit", "best-fit", "worst-fit"])
+    def test_heuristics_raise_shared_message(self, name):
         with pytest.raises(
             ValueError, match="cannot meet its deadline even on a dedicated TT slot"
         ):
-            allocate(_infeasible_app())
+            allocate(name, _infeasible_app())
 
     def test_dedicated_reports_unschedulable_without_raising(self):
-        result = dedicated_allocation(_infeasible_app())
+        result = allocate("dedicated", _infeasible_app())
         assert result.slot_count == 1
         assert not result.all_schedulable()
 
-    @pytest.mark.parametrize(
-        "allocate",
-        [best_fit_allocation, worst_fit_allocation],
-        ids=["best-fit", "worst-fit"],
-    )
-    def test_fixed_point_method_propagates(self, paper_apps, allocate):
-        result = allocate(paper_apps, method="fixed-point")
+    @pytest.mark.parametrize("name", ["best-fit", "worst-fit"])
+    def test_fixed_point_method_propagates(self, paper_apps, name):
+        result = allocate(name, paper_apps, method="fixed-point")
         assert result.method == "fixed-point"
         assert result.all_schedulable()
         assert result.slot_count <= len(paper_apps)

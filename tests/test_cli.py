@@ -1,9 +1,12 @@
 """Tests for the command-line interface."""
 
+import argparse
 import json
+import re
 
 import pytest
 
+import repro.cli
 from repro.cli import build_parser, main
 from repro.pipeline import StudyResult
 
@@ -31,6 +34,22 @@ class TestParser:
     def test_unknown_command_rejected(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["fig99"])
+
+    def test_ablations_usage_names_every_choice(self):
+        """The module usage line lists the same ablations, in the same
+        order, as ``--which`` accepts."""
+        sub = next(
+            action
+            for action in build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        )
+        which = next(
+            action
+            for action in sub.choices["ablations"]._actions
+            if action.dest == "which"
+        )
+        usage = re.search(r"ablations \[--which ([\w|-]+)\]", repro.cli.__doc__)
+        assert usage.group(1).split("|") == list(which.choices)
 
     def test_kernel_choices_are_auto_and_event(self, capsys):
         parser = build_parser()

@@ -375,7 +375,7 @@ class TestStepperBank:
         """Two plants with *different* dynamics but one (2, 1) shape:
         where the platform probe holds they advance in one batched
         matmul, and either way the states are bitwise the scalar ones."""
-        from repro.sim.stepper import DelayedStepper, stacked_safe
+        from repro.sim.stepper import stacked_safe
 
         servo, motor = servo_rig(), dc_motor_speed()
         cache = ZOHCache()
@@ -387,12 +387,11 @@ class TestStepperBank:
             "servo": np.array([0.3, -0.1]),
             "motor": np.array([0.2, 0.4]),
         }
-        expected = {
-            name: DelayedStepper(plant.model, plant.period, cache=cache).step(
-                states[name], u, 0 * u, 0.0007
-            )
-            for name, plant in (("servo", servo), ("motor", motor))
-        }
+        expected = {}
+        for name, plant in (("servo", servo), ("motor", motor)):
+            disc = cache.plant(plant.model, plant.period)
+            gamma0, gamma1 = disc.gammas(0.0007)
+            expected[name] = disc.phi @ states[name] + gamma0 @ u + gamma1 @ (0 * u)
         bank.step_all(states, {n: (u, 0 * u, 0.0007) for n in states})
         if stacked_safe(2, 1):
             assert bank.stacked_steps == 2 and bank.scalar_steps == 0

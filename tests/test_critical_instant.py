@@ -3,10 +3,6 @@
 import pytest
 from hypothesis import assume, given, settings
 
-from repro.core.critical_instant import (
-    simulate_critical_instant,
-    wait_time_matches_fixed_point,
-)
 from repro.core.schedulability import (
     AnalyzedApplication,
     interference_utilization,
@@ -15,6 +11,10 @@ from repro.core.schedulability import (
     max_wait_lower_bound,
 )
 from repro.core.timing_params import PAPER_TABLE_I
+from tests.critical_instant import (
+    simulate_critical_instant,
+    wait_time_matches_fixed_point,
+)
 from tests.test_property_schedulability import slot_configurations
 
 

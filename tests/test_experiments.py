@@ -232,15 +232,3 @@ class TestAblations:
         monkeypatch.setitem(registry._REGISTRY, "multirate-plain", multirate_plain)
         with pytest.raises(ValueError, match="not batch-capable"):
             run_kernel_ablation(horizon=1.0, scenario="multirate-plain")
-
-    def test_qoc_ablation(self, sim_apps):
-        from repro.experiments.ablations import run_qoc_ablation
-
-        result = run_qoc_ablation(applications=sim_apps)
-        by_name = {row[0]: row for row in result.rows}
-        # Alone on its slot, cruise-control never waits: zero penalty.
-        assert by_name["cruise-control"][3] == pytest.approx(0.0)
-        # Slot sharers pay a strictly positive quality penalty.
-        assert by_name["servo-rig"][3] > 0.0
-        for _name, j0, j_max, _penalty in result.rows:
-            assert j_max >= j0 - 1e-9

@@ -7,13 +7,10 @@ the two-segment PWL dwell model, exactly as Section V does.
 
 import pytest
 
-from repro.core.allocation import (
-    compare_resource_usage,
-    first_fit_allocation,
-    make_analyzed,
-)
+from repro.core.allocation import compare_resource_usage, make_analyzed
 from repro.core.schedulability import analyze_application
 from repro.core.timing_params import PAPER_TABLE_I, paper_application, priority_order
+from repro.solvers import allocate
 
 
 @pytest.fixture(scope="module")
@@ -89,12 +86,12 @@ class TestSectionVStepByStep:
 
 class TestAllocationOutcome:
     def test_non_monotonic_needs_three_slots(self, non_monotonic):
-        result = first_fit_allocation(list(non_monotonic.values()))
+        result = allocate("first-fit", list(non_monotonic.values()))
         assert result.slot_count == 3
         assert result.slot_names == [["C3", "C6"], ["C2", "C4"], ["C5", "C1"]]
 
     def test_monotonic_needs_five_slots(self, monotonic):
-        result = first_fit_allocation(list(monotonic.values()))
+        result = allocate("first-fit", list(monotonic.values()))
         assert result.slot_count == 5
         assert result.slot_names == [["C3", "C6"], ["C2"], ["C4"], ["C5"], ["C1"]]
 
@@ -106,6 +103,6 @@ class TestAllocationOutcome:
         assert not result.schedulable
 
     def test_sixty_seven_percent_gap(self, non_monotonic, monotonic):
-        nm = first_fit_allocation(list(non_monotonic.values()))
-        mono = first_fit_allocation(list(monotonic.values()))
+        nm = allocate("first-fit", list(non_monotonic.values()))
+        mono = allocate("first-fit", list(monotonic.values()))
         assert compare_resource_usage(nm, mono) == pytest.approx(2.0 / 3.0)

@@ -43,14 +43,14 @@ class TestTopLevelApi:
 
 class TestReadmeQuickstart:
     def test_quickstart_snippet(self):
-        from repro import PAPER_TABLE_I, first_fit_allocation, make_analyzed
+        from repro import PAPER_TABLE_I, allocate, make_analyzed
 
         apps = make_analyzed(PAPER_TABLE_I, "non-monotonic")
-        assert first_fit_allocation(apps).slot_names == [
+        assert allocate("first-fit", apps).slot_names == [
             ["C3", "C6"],
             ["C2", "C4"],
             ["C5", "C1"],
         ]
 
         mono = make_analyzed(PAPER_TABLE_I, "conservative-monotonic")
-        assert first_fit_allocation(mono).slot_count == 5
+        assert allocate("first-fit", mono).slot_count == 5

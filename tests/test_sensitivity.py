@@ -9,6 +9,7 @@ from repro.core.sensitivity import (
     static_segment_usage,
 )
 from repro.core.timing_params import PAPER_TABLE_I
+from repro.solvers import UnknownSolverError
 
 
 class TestScaleDeadlines:
@@ -63,6 +64,18 @@ class TestCriticalScale:
 
     def test_feasible_lo_returns_lo(self):
         assert critical_scale(PAPER_TABLE_I, lo=0.99, hi=1.0) == pytest.approx(0.99)
+
+
+class TestUnknownMethod:
+    """A mistyped analysis method is an error, not an infeasible point."""
+
+    def test_deadline_sensitivity_raises(self):
+        with pytest.raises(UnknownSolverError, match="closed-from"):
+            deadline_sensitivity(PAPER_TABLE_I, [1.0], method="closed-from")
+
+    def test_critical_scale_raises(self):
+        with pytest.raises(UnknownSolverError, match="closed-from"):
+            critical_scale(PAPER_TABLE_I, method="closed-from")
 
 
 class TestStaticSegmentUsage:

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.cli import main
-from repro.core.allocation import make_analyzed, optimal_allocation
+from repro.core.allocation import make_analyzed
 from repro.core.schedulability import analyze_application
 from repro.core.timing_params import PAPER_TABLE_I, TimingParameters
 from repro.pipeline import DesignStudy, Scenario
@@ -136,7 +136,7 @@ class TestBranchAndBound:
             ]
         )
         with pytest.raises(InstanceTooLargeError, match="exponential"):
-            optimal_allocation(apps)
+            allocate("optimal", apps)
         result = allocate("branch-and-bound", apps)
         assert result.all_schedulable()
         assert result.slot_count <= allocate("first-fit", apps).slot_count
@@ -183,7 +183,7 @@ class TestOversizedOptimalErrorPath:
 
     def test_raises_instance_too_large(self, paper_apps):
         with pytest.raises(InstanceTooLargeError, match="exponential"):
-            optimal_allocation(paper_apps * 2, max_apps=10)
+            allocate("optimal", paper_apps * 2, max_apps=10)
         assert issubclass(InstanceTooLargeError, ValueError)
 
     def test_study_marks_stage_failed_instead_of_crashing(self):

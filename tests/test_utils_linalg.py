@@ -3,14 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.utils.linalg import (
-    is_non_normal,
-    is_schur_stable,
-    matrix_powers,
-    spectral_radius,
-    state_norms,
-    transient_growth_bound,
-)
+from repro.utils.linalg import is_schur_stable, spectral_radius, state_norms
 
 
 class TestSpectralRadius:
@@ -40,23 +33,6 @@ class TestIsSchurStable:
         assert not is_schur_stable(np.eye(2))
 
 
-class TestMatrixPowers:
-    def test_yields_identity_first(self):
-        a = np.array([[2.0]])
-        powers = list(matrix_powers(a, 4))
-        assert [float(p[0, 0]) for p in powers] == [1.0, 2.0, 4.0, 8.0]
-
-    def test_matches_matrix_power(self):
-        rng = np.random.default_rng(7)
-        a = rng.normal(size=(3, 3)) * 0.4
-        for k, power in enumerate(matrix_powers(a, 6)):
-            np.testing.assert_allclose(power, np.linalg.matrix_power(a, k), atol=1e-12)
-
-    def test_rejects_zero_count(self):
-        with pytest.raises(ValueError):
-            list(matrix_powers(np.eye(2), 0))
-
-
 class TestStateNorms:
     def test_row_norms(self):
         states = np.array([[3.0, 4.0], [0.0, 1.0]])
@@ -68,24 +44,3 @@ class TestStateNorms:
     def test_infinity_norm(self):
         states = np.array([[3.0, -4.0]])
         assert state_norms(states, ord=np.inf)[0] == pytest.approx(4.0)
-
-
-class TestTransientGrowth:
-    def test_normal_matrix_has_no_growth(self):
-        assert transient_growth_bound(np.diag([0.5, 0.9]), 50) == pytest.approx(1.0)
-
-    def test_jordan_block_grows(self):
-        a = np.array([[0.9, 5.0], [0.0, 0.9]])
-        assert transient_growth_bound(a, 50) > 2.0
-
-    def test_includes_identity(self):
-        # Horizon 1 still includes A^0 = I, so the bound is at least 1.
-        assert transient_growth_bound(np.diag([0.1]), 1) >= 1.0
-
-
-class TestIsNonNormal:
-    def test_symmetric_is_normal(self):
-        assert not is_non_normal(np.array([[1.0, 0.2], [0.2, 0.5]]))
-
-    def test_jordan_block_is_non_normal(self):
-        assert is_non_normal(np.array([[0.9, 1.0], [0.0, 0.9]]))

@@ -9,8 +9,6 @@ from repro.utils.validation import (
     check_in_range,
     check_nonnegative,
     check_positive,
-    check_probability,
-    check_sorted_unique,
     check_square,
     check_vector,
     ensure_matrix,
@@ -73,11 +71,6 @@ class TestCheckInRange:
         with pytest.raises(ValueError, match="delay"):
             check_in_range(2.0, "delay", 0.0, 1.0)
 
-    def test_probability_helper(self):
-        assert check_probability(0.5, "p") == 0.5
-        with pytest.raises(ValueError):
-            check_probability(1.5, "p")
-
 
 class TestEnsureMatrix:
     def test_converts_nested_list(self):
@@ -129,20 +122,3 @@ class TestCheckVector:
     def test_rejects_inf(self):
         with pytest.raises(ValueError, match="non-finite"):
             check_vector([1.0, np.inf], "v")
-
-
-class TestCheckSortedUnique:
-    def test_accepts_increasing(self):
-        out = check_sorted_unique([0.0, 1.0, 2.0], "s")
-        assert list(out) == [0.0, 1.0, 2.0]
-
-    def test_rejects_duplicates(self):
-        with pytest.raises(ValueError, match="strictly increasing"):
-            check_sorted_unique([0.0, 1.0, 1.0], "s")
-
-    def test_rejects_decreasing(self):
-        with pytest.raises(ValueError, match="strictly increasing"):
-            check_sorted_unique([1.0, 0.0], "s")
-
-    def test_singleton_ok(self):
-        assert check_sorted_unique([5.0], "s").size == 1
