@@ -457,7 +457,7 @@ def _cmd_solvers(args):
 
 
 def _cmd_networks(args):
-    """List registered network backends with their capability metadata."""
+    """List registered network backends with their family metadata."""
     from repro.sim.network import network_table
 
     table = network_table()
@@ -466,14 +466,13 @@ def _cmd_networks(args):
             spec["name"],
             "yes" if spec["deterministic"] else "no",
             "yes" if spec["analytic_delays"] else "no",
-            spec["batch"] if spec["batch"] is not None else "-",
             spec["loss"],
             spec["summary"],
         ]
         for spec in table
     ]
     text = "Registered network backends\n" + format_table(
-        ["name", "deterministic", "analytic", "batch", "loss", "summary"], rows
+        ["name", "deterministic", "analytic", "loss", "summary"], rows
     )
     return text, {"networks": table}
 
@@ -552,11 +551,8 @@ def build_parser() -> argparse.ArgumentParser:
         choices=list(KERNELS),
         default="auto",
         help=(
-            "co-simulation kernel (auto = batch fast path when the fleet "
-            "is capable — any shared-period fleet, or a multi-rate one on "
-            "an analytic or stock FlexRay network — else event; event = "
-            "always the reference kernel; traces are identical across "
-            "kernels)"
+            "co-simulation kernel (auto = the batch fast path, event = "
+            "the reference kernel; traces are identical across kernels)"
         ),
     )
 
@@ -825,7 +821,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser(
         "networks",
         parents=[common],
-        help="list registered co-simulation network backends and capabilities",
+        help="list registered co-simulation network backends",
     )
 
     p_lint = sub.add_parser(

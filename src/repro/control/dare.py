@@ -5,11 +5,11 @@ control principles" [refs 9, 10]; we provide a discrete LQR with two
 interchangeable DARE backends:
 
 * :func:`solve_dare_iterative` — a plain fixed-point (value) iteration of
-  the Riccati recursion, self-contained and easy to audit;
-* :func:`solve_dare` — delegates to ``scipy.linalg.solve_discrete_are``
-  when available and falls back to the iteration otherwise.
-
-Both are cross-checked against each other in the test suite.
+  the Riccati recursion, self-contained and easy to audit; it is the
+  reference the test suite checks the fast solver against, and
+  ``dlqr(solver="iterative")`` uses it;
+* :func:`solve_dare` — ``scipy.linalg.solve_discrete_are``, residual
+  checked.
 """
 
 from __future__ import annotations
@@ -17,14 +17,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import solve_discrete_are
 
 from repro.utils.linalg import is_schur_stable
 from repro.utils.validation import check_positive, check_square, ensure_matrix
-
-try:  # pragma: no cover - import guard exercised implicitly
-    from scipy.linalg import solve_discrete_are as _scipy_dare
-except ImportError:  # pragma: no cover
-    _scipy_dare = None
 
 
 class RiccatiError(RuntimeError):
@@ -66,18 +62,15 @@ def solve_dare_iterative(
 
 
 def solve_dare(a: np.ndarray, b: np.ndarray, q: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """Solve the DARE, preferring the scipy backend, verifying the residual."""
+    """Solve the DARE with scipy, verifying the residual."""
     a = check_square(a, "a")
     b = ensure_matrix(b, "b", rows=a.shape[0])
     q = check_square(q, "q")
     r = check_square(r, "r")
     _check_weights(a, b, q, r)
 
-    if _scipy_dare is not None:
-        p = np.asarray(_scipy_dare(a, b, q, r))
-        p = 0.5 * (p + p.T)
-    else:  # pragma: no cover - scipy is an install requirement
-        p = solve_dare_iterative(a, b, q, r)
+    p = np.asarray(solve_discrete_are(a, b, q, r))
+    p = 0.5 * (p + p.T)
     residual = dare_residual(a, b, q, r, p)
     if residual > 1e-6 * max(1.0, float(np.max(np.abs(p)))):
         raise RiccatiError(f"DARE residual too large: {residual:.3e}")

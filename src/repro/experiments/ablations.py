@@ -321,8 +321,7 @@ def run_jitter_ablation(
 class KernelAblationResult:
     """Cross-check of the two co-simulation kernels on one scenario.
 
-    On batch-capable fleets both kernels are bitwise-equivalent by
-    construction; this ablation re-verifies that on the full Figure 5
+    Both kernels are bitwise-equivalent by construction; this ablation re-verifies that on the full Figure 5
     roster and reports each kernel's co-simulation wall-clock (best of
     ``repeats`` runs, so warm-cache timings are compared) and the
     event/batch ratio of each paired trial (``pair_ratios``).
@@ -386,15 +385,10 @@ def run_kernel_ablation(
     co-simulation stage; ``event_seconds``/``batch_seconds`` keep each
     kernel's fastest stage (the first pass pays process-wide cache
     warm-up; benchmarks that publish ratios should pass
-    ``repeats>=3``).  ``scenario``
-    selects the ablation subject: the default analytic Figure 5 roster
-    exercises the analytic batch kernel, and ``"fig5-cosim"`` (a
-    cycle-accurate FlexRay bus) and ``"can-cosim"`` the bus source that
-    drives the bus's own tuple core from the batch loop.  The subject
-    must be batch-capable: ``"auto"`` would
-    otherwise run the event kernel (a multi-rate fleet on a network
-    without a precomputation strategy) and the ablation would time it
-    against itself, so that raises :class:`ValueError`.
+    ``repeats>=3``).  ``scenario`` selects the ablation subject: the
+    default analytic Figure 5 roster, ``"fig5-cosim"`` (a
+    cycle-accurate FlexRay bus) or ``"can-cosim"``; ``"auto"`` runs the
+    batch kernel on each.
     """
     from repro.pipeline import DesignStudy, get_scenario
 
@@ -415,12 +409,6 @@ def run_kernel_ablation(
             runs[kernel] = study
         ratios.append(
             pair["event"] / pair["auto"] if pair["auto"] > 0 else float("inf")
-        )
-    used = runs["auto"].artifact("cosim")["kernel_used"]
-    if used != "batch":
-        raise ValueError(
-            f"scenario {base.name!r} is not batch-capable (kernel 'auto' ran "
-            f"{used!r}); the kernel ablation needs a batch-capable fleet"
         )
     event_trace = runs["event"].attachments.trace
     return KernelAblationResult(

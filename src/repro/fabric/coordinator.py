@@ -310,19 +310,7 @@ class SweepCoordinator:
                 if msg is None:
                     break
                 kind = msg["type"]
-                if kind == "hello":
-                    worker = str(msg.get("worker", "anonymous"))
-                    with self._lock:
-                        if worker not in self._workers_seen:
-                            self._workers_seen.append(worker)
-                        self._shipped.setdefault(worker, set())
-                    channel.send_msg("ok", worker=worker)
-                elif kind == "lease":
-                    worker = str(msg.get("worker", worker or "anonymous"))
-                    self._grant(channel, worker)
-                elif kind == "heartbeat":
-                    self._renew(str(msg.get("worker", worker)), msg.get("job_id"))
-                elif kind == "result":
+                if kind == "result":
                     try:
                         self._land(str(msg.get("worker", worker)), msg)
                     except ProtocolError:
@@ -331,10 +319,28 @@ class SweepCoordinator:
                         with self._lock:
                             self.protocol_errors += 1
                         break
-                else:
-                    channel.send_msg(
-                        "error", detail=f"unexpected {kind!r} on the sweep plane"
-                    )
+                    continue
+                try:
+                    if kind == "hello":
+                        worker = str(msg.get("worker", "anonymous"))
+                        with self._lock:
+                            if worker not in self._workers_seen:
+                                self._workers_seen.append(worker)
+                            self._shipped.setdefault(worker, set())
+                        channel.send_msg("ok", worker=worker)
+                    elif kind == "lease":
+                        worker = str(msg.get("worker", worker or "anonymous"))
+                        self._grant(channel, worker)
+                    elif kind == "heartbeat":
+                        self._renew(str(msg.get("worker", worker)), msg.get("job_id"))
+                    else:
+                        channel.send_msg(
+                            "error", detail=f"unexpected {kind!r} on the sweep plane"
+                        )
+                except OSError:
+                    # the peer hung up before our reply: the connection
+                    # ends here, and its leases re-queue below
+                    break
         finally:
             channel.close()
             if worker is not None:

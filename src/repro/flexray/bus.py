@@ -11,8 +11,8 @@ Both co-simulation kernels drive the same cycle walk.  The public
 :meth:`FlexRayBus._enqueue_tt`, :meth:`DynamicSegment._enqueue` and
 :meth:`FlexRayBus._advance` — whose queue entries are keyed by whatever
 the caller submitted: a ``Message``, or an application name from the
-network backend and the batch kernel, which then need no per-message
-objects.
+network backend, which both kernels drive and which then needs no
+per-message objects.
 """
 
 from __future__ import annotations

@@ -46,10 +46,9 @@ ALLOCATORS = (
 NETWORKS = ("analytic", "can", "flexray")
 # Co-simulation kernels: KERNELS is re-exported from repro.sim.cosim
 # (imported above) so the accepted names live in one place.  "auto"
-# (default) picks the batch fast path when the fleet is capable and the
-# event kernel otherwise; "event" forces the reference kernel.  Both
-# produce bitwise-identical traces, so the choice is purely about speed
-# and diagnostics.
+# (default) runs the batch fast path; "event" the reference kernel.
+# Both produce bitwise-identical traces, so the choice is purely about
+# speed and diagnostics.
 #: Disturbance arrival processes for the co-simulation stage.
 DISTURBANCES = ("one-shot", "sporadic")
 
@@ -134,9 +133,8 @@ class Scenario:
         Co-simulation length in seconds; ``None`` derives
         1.2x the largest deadline.
     kernel:
-        Co-simulation kernel: ``"auto"`` (default; the batch fast path
-        when the fleet is capable, the event kernel otherwise) or
-        ``"event"`` (always the reference kernel).  The cosim artifact's
+        Co-simulation kernel: ``"auto"`` (default; the batch fast path)
+        or ``"event"`` (the reference kernel).  The cosim artifact's
         ``kernel_used`` names the kernel that ran (``"batch"`` or
         ``"event"``).  Traces are bitwise identical across kernels, so
         sweeps inherit the fast path for free.

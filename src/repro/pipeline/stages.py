@@ -345,8 +345,7 @@ def stage_cosim(ctx: StudyContext) -> Dict[str, Any]:
     """Verify the allocation by co-simulating all disturbed plants.
 
     The scenario picks the kernel (``"auto"`` by default — the batch
-    fast path when the fleet is capable, the event kernel otherwise;
-    ``"event"`` forces the reference kernel), the disturbance
+    fast path; ``"event"`` the reference kernel), the disturbance
     process, and — through ``seed`` — the randomness of sporadic
     arrivals and FlexRay frame loss, so co-simulation runs are exactly
     reproducible from a scenario document.
@@ -410,8 +409,7 @@ def stage_cosim(ctx: StudyContext) -> Dict[str, Any]:
     artifact = {
         "network": scenario.network,
         "kernel": scenario.kernel,
-        # "auto" resolves at run time (capability detection); this
-        # records the kernel that actually executed.
+        # the kernel that executed ("auto" runs the batch kernel)
         "kernel_used": simulator.last_kernel,
         "disturbance": scenario.disturbance,
         "seed": scenario.seed,

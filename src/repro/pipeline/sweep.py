@@ -204,29 +204,12 @@ def merge_rows(
         by_name[row["cell"]].record(row)
     for state in states:
         state.stopped_reason = "fixed"
-    cell_stats = [
-        CellStats(
-            name=state.name,
-            runs=state.attempts,
-            failures=state.failures,
-            deadlines_met_rate=state.deadlines_met_rate(),
-            metrics={
-                metric: acc.to_dict()
-                for metric, acc in state.stats.items()
-                if acc.n > 0
-            },
-            stopped_reason=state.stopped_reason,
-            rounds=state.rounds,
-            saved=0,
-        )
-        for state in states
-    ]
     return SweepResult(
         base=base,
         executor=executor,
         elapsed=elapsed,
         rows=list(rows),
-        cells=cell_stats,
+        cells=[CellStats.of(state) for state in states],
         results=list(results),
         mode="fixed",
         rounds=1,
@@ -310,6 +293,24 @@ class CellStats:
     stopped_reason: Optional[str] = None
     rounds: int = 1
     saved: int = 0
+
+    @classmethod
+    def of(cls, state: CellState, saved: int = 0) -> "CellStats":
+        """The statistics of one finished cell's accumulators."""
+        return cls(
+            name=state.name,
+            runs=state.attempts,
+            failures=state.failures,
+            deadlines_met_rate=state.deadlines_met_rate(),
+            metrics={
+                metric: acc.to_dict()
+                for metric, acc in state.stats.items()
+                if acc.n > 0
+            },
+            stopped_reason=state.stopped_reason,
+            rounds=state.rounds,
+            saved=saved,
+        )
 
     def to_dict(self) -> Dict[str, Any]:
         return {
@@ -544,29 +545,12 @@ def run_sweep(
             writer.close()
     elapsed = time.perf_counter() - started
 
-    cell_stats = [
-        CellStats(
-            name=state.name,
-            runs=state.attempts,
-            failures=state.failures,
-            deadlines_met_rate=state.deadlines_met_rate(),
-            metrics={
-                metric: acc.to_dict()
-                for metric, acc in state.stats.items()
-                if acc.n > 0
-            },
-            stopped_reason=state.stopped_reason,
-            rounds=state.rounds,
-            saved=scheduler.saved(state),
-        )
-        for state in scheduler.cells
-    ]
     return SweepResult(
         base=base_scenario,
         executor="serial" if serial else executor,
         elapsed=elapsed,
         rows=rows,
-        cells=cell_stats,
+        cells=[CellStats.of(state, scheduler.saved(state)) for state in scheduler.cells],
         results=results,
         mode="adaptive" if scheduler.adaptive else "fixed",
         rounds=round_no,

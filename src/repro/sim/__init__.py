@@ -7,7 +7,6 @@ recording for Figure 5.
 """
 
 from repro.sim.arbiter import SlotClient, SlotState, TTSlotArbiter
-from repro.sim.batch import batch_capability
 from repro.sim.cosim import (
     KERNELS,
     CoSimApplication,
@@ -22,7 +21,6 @@ from repro.sim.network import (
     GilbertElliottLoss,
     IIDLoss,
     LossyNetwork,
-    NetworkCapabilities,
     NetworkModel,
     Submission,
     build_network,
@@ -59,9 +57,7 @@ __all__ = [
     "IIDLoss",
     "KERNELS",
     "LossyNetwork",
-    "NetworkCapabilities",
     "NetworkModel",
-    "batch_capability",
     "build_network",
     "check_network_model",
     "network_names",

@@ -50,6 +50,9 @@ class TTSlotArbiter:
         self._slots: Dict[int, SlotState] = {}
         self._client_slot: Dict[str, int] = {}
         self._clients: Dict[str, SlotClient] = {}
+        #: holder changes so far: a kernel that saw this count last
+        #: time it walked slot ownership needs no new walk.
+        self.handovers = 0
 
     def register(self, client: SlotClient, slot: int) -> None:
         """Assign ``client`` to contend for ``slot``.
@@ -100,6 +103,7 @@ class TTSlotArbiter:
             return False
         state.holder = client
         state.requesters = [c for c in state.requesters if c.name != name]
+        self.handovers += 1
         return True
 
     def release(self, name: str) -> None:
@@ -113,6 +117,7 @@ class TTSlotArbiter:
         state = self._slots[self.slot_of(name)]
         if state.holder is not None and state.holder.name == name:
             state.holder = None
+            self.handovers += 1
 
     def withdraw(self, name: str) -> None:
         """Remove a queued request (e.g. the state settled while waiting)."""
@@ -131,6 +136,7 @@ class TTSlotArbiter:
             state.requesters.sort(key=lambda c: c.priority_key)
             state.holder = state.requesters.pop(0)
             granted.append(state.holder.name)
+        self.handovers += len(granted)
         return granted
 
 

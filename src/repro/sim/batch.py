@@ -1,8 +1,8 @@
 """Batch fast path for the co-simulator: one eager and one lazy loop.
 
 The event kernel pays full freight for every sample: queue pushes and
-pops per tick, :class:`~repro.sim.network.Submission` objects, and delay
-equalization recomputed per sample.  The batch kernel removes that
+pops per tick, per-interval records, and delay equalization recomputed
+per sample.  The batch kernel removes that
 bookkeeping:
 
 * per-application **sampling-tick grids** are precomputed up front (the
@@ -27,38 +27,23 @@ slot hand-over, controls, delays, plant sweeps), same float products
 for every recorded time, norm and delay.  The test suite asserts trace
 equality against the event kernel.
 
-Two loops mirror the event kernel's delay-resolution modes: **eager**
-for a shared period (the whole roster resolves one interval per
-barrier) and **lazy** for multi-rate fleets (each interval resolves at
-its owner's next tick).  How a barrier's delays are found is the only
-thing that differs between networks, so both loops read them from a
-*delay source* chosen by the strategy :func:`batch_capability` returns —
-which asks the network's own ``capabilities()`` descriptor (the frozen
-:mod:`repro.sim.network` protocol):
+Two loops mirror the event kernel's delay-resolution modes, and both
+drive the network through its own methods, with the same calls in the
+same order as the event kernel:
 
-* ``"analytic"`` — :class:`_AnalyticDelays`: per-mode constants of a
-  stock :class:`~repro.sim.network.AnalyticNetwork` (subclasses could
-  override the delay model, so they never inherit the claim);
-* ``"flexray"`` and ``"can"`` — :class:`_BusDelays`: a stock
-  :class:`~repro.sim.network.FlexRayNetwork` without background
-  dynamic-segment traffic, on stock bus and segment classes, or a stock
-  :class:`~repro.sim.network.CanBusNetwork`, bare or inside one stock
-  :class:`~repro.sim.network.LossyNetwork`.  The source drives the
-  bus's own tuple-level core — the FlexRay cycle walk or the CAN
-  arbitration loop, which the event interface wraps — so no
-  ``Submission`` or ``Delivery`` is built per message, and both kernels'
-  deliveries come from the same code.  The bus state is the real one,
-  so a bus a previous run left in use is fine and nothing is written
-  back;
-* ``"live"`` — :class:`_LiveDelays`, for any other shared-period fleet
-  (other loss wrappers, background traffic, subclassed networks or bus
-  parts, duck-typed networks): the eager loop drives the real network through
-  ``on_slot_change`` and ``sample_delays`` exactly as the event
-  kernel's eager mode does;
-* ``None`` — a multi-rate fleet on a network without a strategy runs
-  on the event kernel; :class:`~repro.sim.cosim.CoSimulator` handles
-  the fallback transparently under ``kernel="auto"`` and records the
-  choice in the cosim artifact's ``kernel_used``.
+* **eager**, for a shared period: ``on_slot_change`` on every
+  ownership hand-over and one ``sample_delays`` per barrier with the
+  roster's submissions in roster order;
+* **lazy**, for multi-rate fleets: at each barrier ``event_advance`` to
+  the barrier's flush instant, ``event_clamped`` per interval that saw
+  no delivery, and one ``event_submit(flush, window_end, submissions)``
+  whose window ends at the next barrier's earliest tick, so backends
+  that synthesize traffic per window see the event kernel's windows.
+
+So every fleet runs here, on any network: delays, loss draws, clamps
+and statistics all stay with the network.  The ownership walk only runs
+when the arbiter moved a holder since the last walk, which changes none
+of the calls the walk makes.
 
 Norms and controls stay per application — ``sqrt(x.dot(x))`` and
 ``(-K).dot(concatenate((x, held)))`` — and plants left alone in their
@@ -84,242 +69,12 @@ import numpy as np
 # Sharing _TIME_TOL matters — the disturbance-to-tick mapping must use
 # the exact same ceil() product as the event kernel.
 from repro.sim.cosim import _TIME_TOL
-from repro.sim.network.can import CanBusNetwork
-from repro.sim.network.protocol import BATCH_STRATEGIES, Submission
 from repro.sim.runtime import CommState
 from repro.sim.stepper import GLOBAL_ZOH_CACHE, _dynamics_key, delay_key
 from repro.sim.trace import AppTrace, SimulationTrace
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.cosim import CoSimulator
-
-
-def batch_capability(sim: "CoSimulator") -> Optional[str]:
-    """Which batch path covers this co-simulation.
-
-    The network *describes itself*: its ``capabilities()`` descriptor
-    (see :class:`repro.sim.network.NetworkCapabilities`) names the
-    precomputation strategy it opts into, so third-party backends can
-    claim one without this module knowing their classes.
-
-    * ``"analytic"`` — delays are per-mode constants
-      (``tt_delay``/``et_delay``); the network needs no cycle-accurate
-      stepping.  Claimed by stock
-      :class:`~repro.sim.network.AnalyticNetwork` instances.
-    * ``"flexray"`` — a FlexRay bus driven through its own tuple-level
-      cycle core, the network's i.i.d. loss drawn once per control
-      delivery.  Claimed by stock
-      :class:`~repro.sim.network.FlexRayNetwork` instances without
-      background traffic, on stock bus and segment classes.
-    * ``"can"`` — a CAN bus driven through its own tuple-level
-      arbitration core, a wrapper's loss drawn once per delivery.
-      Claimed by stock :class:`~repro.sim.network.CanBusNetwork`
-      instances and by a stock
-      :class:`~repro.sim.network.LossyNetwork` around one.
-    * ``"live"`` — no strategy, shared period: the batch loop drives the
-      network object itself (``on_slot_change``/``sample_delays``, the
-      event kernel's eager calls), so delays, loss, clamps and
-      statistics come from the network.
-    * ``None`` — no strategy and mixed sampling periods; the fleet runs
-      on the event kernel, whose lazy resolution needs the network's
-      event interface.
-
-    The bundled backends never claim a strategy from a subclass (an
-    override could change the delay or transport model the strategy
-    replays), so subclasses and capability-less duck-types take the
-    live path — unless they deliberately override ``capabilities()``
-    to opt back in.
-    """
-    describe = getattr(sim.network, "capabilities", None)
-    if describe is not None:
-        strategy = describe().batch_strategy
-        if strategy in BATCH_STRATEGIES:
-            return strategy
-    if sim.period is not None:
-        return "live"
-    return None
-
-
-# -- delay sources -----------------------------------------------------------
-#
-# A delay source answers the two loops' only network question.  The
-# eager loop calls ``interval(t, period, modes)`` once per barrier for
-# the whole roster (``inf`` means lost); the lazy loop calls
-# ``submit(i, mode, release)`` per released sample and
-# ``advance_to(t)`` per barrier, which returns ``(i, release, delivery,
-# lost)`` tuples, and counts the intervals it clamped in ``clamped``.
-# ``on_slot_change`` is the ownership sink (``None`` when the source
-# ignores slot ownership), and ``settle()`` leaves the network's
-# counters where the event kernel would.
-
-
-class _AnalyticDelays:
-    """Per-mode constants of a stock
-    :class:`~repro.sim.network.AnalyticNetwork`.
-
-    Eager intervals see ``min(c, period)``, the network's
-    ``sample_delays``; a lazy submission is delivered at
-    ``release + c`` on the next advance, as ``event_advance`` reports
-    it, so the lazy loop's ``min(delivery - release, period)`` is the
-    event kernel's product.  The analytic network delivers every
-    submitted message.
-    """
-
-    #: ownership is irrelevant for constant delays
-    on_slot_change = None
-    clamped = 0
-
-    def __init__(self, network, messages: int) -> None:
-        self.network = network
-        self.messages = messages
-        #: ``(et, tt)`` delays, indexed by mode.
-        self.constants = (float(network.et_delay), float(network.tt_delay))
-        self.inflight: List[Tuple[int, float, float, bool]] = []
-
-    def interval(self, t: float, period: float, modes: List[int]) -> List[float]:
-        clamped = [min(c, period) for c in self.constants]
-        return [clamped[mode] for mode in modes]
-
-    def submit(self, i: int, mode: int, release: float) -> None:
-        self.inflight.append((i, release, release + self.constants[mode], False))
-
-    def advance_to(self, t: float) -> List[Tuple[int, float, float, bool]]:
-        delivered, self.inflight = self.inflight, []
-        return delivered
-
-    def settle(self) -> None:
-        network = self.network
-        if hasattr(network, "delivered"):
-            network.delivered += self.messages
-
-
-class _BusDelays:
-    """A stock bus driven through its own tuple core: a
-    :class:`~repro.sim.network.FlexRayNetwork`'s ``FlexRayBus``
-    (``"flexray"``), or a :class:`~repro.sim.network.CanBusNetwork`,
-    bare or inside one stock :class:`~repro.sim.network.LossyNetwork`
-    (``"can"``).  Both kernels' deliveries therefore come from the same
-    code; only the enqueue is per bus, with each application's frame
-    id, name and wire time (CAN) or minislot count (FlexRay) computed
-    once.  A FlexRay TT submission goes to the frame's owned slot and an
-    ET one to the dynamic segment; slot ownership follows the network's
-    own ``on_slot_change``.
-
-    Eager intervals follow the outer network's inherited
-    ``sample_delays``: every delivery keyed by an application name draws
-    the loss process (the FlexRay network's i.i.d. stream, or the
-    wrapper's) once, before the staleness check, and a lost draw reads
-    ``inf``; a fresh delivery reads ``min(delivery - t, period)``, and
-    an application with neither is clamped to ``period``.  Lazy
-    advances draw once per named delivery too, stale ones included, as
-    ``event_advance`` does; deliveries of background ``Message``
-    objects queued before the run are stamped and skipped.  The bus
-    state is the real one, so nothing is mirrored; the clamps and
-    losses counted here land on the outer network's ``clamped`` and
-    ``lost`` on settle.
-    """
-
-    def __init__(self, network, apps, strategy: str) -> None:
-        self.network = network
-        self.on_slot_change = None
-        if strategy == "flexray":
-            bus = network.bus
-            dynamic = bus.dynamic
-            loss = network._loss
-            self.on_slot_change = network.on_slot_change
-            self.tt, self.et = bus._enqueue_tt, dynamic._enqueue
-            extras = [dynamic.minislots_of(a.frame) for a in apps]
-        else:
-            bus, loss = network, None
-            if not isinstance(network, CanBusNetwork):  # a stock LossyNetwork
-                bus, loss = network.inner, network.loss
-            self.tt, self.et = None, bus._enqueue
-            extras = [bus.wire_time(a.frame.payload_bits) for a in apps]
-        self.advance = bus._advance
-        self.draw = None if loss is None else loss.sample
-        #: per app: ``(frame_id, name, wire time or minislots)``.
-        self.roster = [
-            (a.frame.frame_id, a.name, extra) for a, extra in zip(apps, extras)
-        ]
-        self.index = {a.name: i for i, a in enumerate(apps)}
-        self.clamped = 0
-        self.lost = 0
-
-    def interval(self, t: float, period: float, modes: List[int]) -> List[float]:
-        submit = self.submit
-        for i, mode in enumerate(modes):
-            submit(i, mode, t)
-        fresh = t - 1e-12
-        delays: List[Optional[float]] = [None] * len(self.roster)
-        for i, release, delivery, lost in self.advance_to(t + period):
-            if lost:
-                delays[i] = inf
-            elif release >= fresh:
-                delays[i] = min(delivery - t, period)
-        for i, delay in enumerate(delays):
-            if delay is None:
-                delays[i] = period
-                self.clamped += 1
-        return delays
-
-    def submit(self, i: int, mode: int, release: float) -> None:
-        frame_id, name, extra = self.roster[i]
-        if mode == 1 and self.tt is not None:
-            self.tt(frame_id, release, name)
-        else:
-            self.et(frame_id, release, name, extra)
-
-    def advance_to(self, t: float) -> List[Tuple[int, float, float, bool]]:
-        index = self.index
-        draw = self.draw
-        out = []
-        for key, release, delivery in self.advance(t):
-            if not isinstance(key, str):  # a background Message
-                key.delivery_time = delivery
-                continue
-            lost = draw is not None and draw()
-            if lost:
-                self.lost += 1
-            i = index.get(key)
-            if i is not None:
-                out.append((i, release, delivery, lost))
-        return out
-
-    def settle(self) -> None:
-        self.network.clamped += self.clamped
-        if self.lost:  # only a loss process draws
-            self.network.lost += self.lost
-
-
-class _LiveDelays:
-    """The network object itself, called exactly as the event kernel's
-    eager mode calls it (shared period only): ``on_slot_change`` on every
-    ownership hand-over and one ``sample_delays`` per barrier with the
-    roster's submissions in roster order, so delays, loss draws, clamps
-    and statistics all stay with the network."""
-
-    def __init__(self, network, apps) -> None:
-        self.network = network
-        self.apps = apps
-        self.names = [a.name for a in apps]
-        self.on_slot_change = network.on_slot_change
-
-    def interval(self, t: float, period: float, modes: List[int]) -> List[float]:
-        submissions = [
-            Submission(
-                name=app.name,
-                spec=app.frame,
-                uses_tt=mode == 1,
-                slot=app.slot if mode == 1 else None,
-                release_time=t,
-            )
-            for app, mode in zip(self.apps, modes)
-        ]
-        delays = self.network.sample_delays(t, period, submissions)
-        return [delays[name] for name in self.names]
-
-    def settle(self) -> None:
-        pass  # the network kept its own counters
 
 
 class _BatchKernel:
@@ -335,12 +90,9 @@ class _BatchKernel:
       its *next* tick, exactly when the event kernel resolves it, so
       the plant-sweep stacking — and therefore the floating-point
       result — matches barrier for barrier.
-
-    ``capability`` is the strategy :func:`batch_capability` returned; it
-    picks the delay source both loops read.
     """
 
-    def __init__(self, sim: "CoSimulator", horizon: float, capability: str):
+    def __init__(self, sim: "CoSimulator", horizon: float):
         self.sim = sim
         self.apps = apps = sim.applications
         self.n = n = len(apps)
@@ -350,6 +102,7 @@ class _BatchKernel:
         self.traces = SimulationTrace(horizon=horizon)
         cache = GLOBAL_ZOH_CACHE
         self.names = [a.name for a in apps]
+        self.frames = [a.frame for a in apps]
         self.runtimes = [sim.runtimes[name] for name in self.names]
         self.states: List[np.ndarray] = []
         self.held: List[np.ndarray] = []
@@ -404,13 +157,10 @@ class _BatchKernel:
         self.token_mats: Dict[Tuple, Tuple] = {}
         #: tuple of ``(app, token)`` members -> plant-sweep plan.
         self.plans: Dict[Tuple, List[Tuple]] = {}
-        network = sim.network
-        if capability == "analytic":
-            self.source = _AnalyticDelays(network, sum(self.steps))
-        elif capability in ("flexray", "can"):
-            self.source = _BusDelays(network, apps, capability)
-        else:
-            self.source = _LiveDelays(network, apps)
+        #: slot -> holder the network was last told about
+        self.slot_owner: Dict[int, Optional[str]] = {a.slot: None for a in apps}
+        #: the arbiter's hand-over count at the last ownership walk
+        self.handovers_seen: Optional[int] = None
 
     # -- the interval rule and the sweep plan ------------------------------
 
@@ -495,11 +245,15 @@ class _BatchKernel:
                 for row, i in enumerate(idxs):
                     states[i] = advanced[row]
 
-    def _propagate_slots(self, slot_owner: Dict[int, Optional[str]]) -> None:
+    def _propagate_slots(self) -> None:
         """The event kernel's transmit-phase ownership hand-over, told to
-        the delay source."""
+        the network; skipped while the arbiter has moved no holder since
+        the last walk, when the walk would find nothing to tell."""
         arbiter = self.sim.arbiter
-        sink = self.source.on_slot_change
+        if arbiter.handovers == self.handovers_seen:
+            return
+        self.handovers_seen = arbiter.handovers
+        slot_owner = self.slot_owner
         names = self.names
         for app in self.apps:
             slot = app.slot
@@ -507,8 +261,8 @@ class _BatchKernel:
             if slot_owner[slot] != holder:
                 spec = None
                 if holder is not None:
-                    spec = self.apps[names.index(holder)].frame
-                sink(slot, spec)
+                    spec = self.frames[names.index(holder)]
+                self.sim.network.on_slot_change(slot, spec)
                 slot_owner[slot] = holder
 
     def _finish(self, i: int) -> None:
@@ -529,7 +283,6 @@ class _BatchKernel:
             self._run_eager()
         else:
             self._run_lazy()
-        self.source.settle()
         return self.traces
 
     def _run_eager(self) -> None:
@@ -549,8 +302,9 @@ class _BatchKernel:
         """
         sim = self.sim
         arbiter = sim.arbiter
-        source = self.source
-        interval = source.interval
+        sample_delays = sim.network.sample_delays
+        names = self.names
+        frames = self.frames
         n = self.n
         app_range = range(n)
         period = self.periods[0]
@@ -564,7 +318,7 @@ class _BatchKernel:
         thresholds = [rt.threshold for rt in runtimes]
         fastable = [rt.tt_allowed for rt in runtimes]
         dist_state = self.dist_state
-        idx_of = {name: i for i, name in enumerate(self.names)}
+        idx_of = {name: i for i, name in enumerate(names)}
         et_steady = CommState.ET_STEADY
         tt_holding = CommState.TT_HOLDING
         waiting = CommState.WAITING
@@ -574,12 +328,11 @@ class _BatchKernel:
         for i, by_k in enumerate(self.dist_at):
             for k, events in by_k.items():
                 dist_steps.setdefault(k, []).extend((i, e) for e in events)
-        slot_owner = None
-        if source.on_slot_change is not None:
-            slot_owner = {a.slot: None for a in self.apps}
         norms = [0.0] * n
         comms: List[CommState] = [et_steady] * n
-        modes = [0] * n
+        #: per app: whether this sample goes over the TT slot (the mode
+        #: index of ``controls``, ``rules`` and ``designs``)
+        modes = [False] * n
         us: List[Optional[np.ndarray]] = [None] * n
         members: List[Optional[Tuple]] = [None] * n
         violations = 0
@@ -591,6 +344,7 @@ class _BatchKernel:
                     states[i] = states[i] + event.magnitude * dist_state[i]
                     runtimes[i].on_disturbance(t)
             arbiter.grant_pending()
+            handovers = arbiter.handovers
             for i in app_range:
                 x = states[i]
                 norm = sqrt(x.dot(x))
@@ -599,25 +353,32 @@ class _BatchKernel:
                 if fastable[i] and rt.state is et_steady and norm <= thresholds[i]:
                     # update() is a no-op below threshold in ET_STEADY.
                     comms[i] = et_steady
-                    modes[i] = 0
+                    modes[i] = False
                 else:
                     comm = comms[i] = rt.update(t, norm)
-                    modes[i] = 1 if comm is tt_holding else 0
-            for name in arbiter.grant_pending():
-                i = idx_of[name]
-                if runtimes[i].state is waiting:
-                    comm = comms[i] = runtimes[i].update(t, norms[i])
-                    modes[i] = 1 if comm is tt_holding else 0
-            if slot_owner is not None:
-                self._propagate_slots(slot_owner)
-            delays = interval(t, period, modes)
+                    modes[i] = comm is tt_holding
+            if arbiter.handovers != handovers:
+                # Only a holder change can free a slot the first grant
+                # pass left to a requester.
+                for name in arbiter.grant_pending():
+                    i = idx_of[name]
+                    if runtimes[i].state is waiting:
+                        comm = comms[i] = runtimes[i].update(t, norms[i])
+                        modes[i] = comm is tt_holding
+            self._propagate_slots()
+            delays = sample_delays(
+                t,
+                period,
+                [(name, frame, tt, t) for name, frame, tt in zip(names, frames, modes)],
+            )
             latched = []
             for i in app_range:
                 mode = modes[i]
                 us[i] = controls[i][mode](concat((states[i], held[i])))
-                rule = rules[i][mode].get(delays[i])
+                raw = delays[names[i]]
+                rule = rules[i][mode].get(raw)
                 if rule is None:
-                    rule = self._rule(i, mode, delays[i])
+                    rule = self._rule(i, mode, raw)
                 delay, violation, members[i], lost = rule
                 violations += violation
                 if lost:
@@ -640,14 +401,19 @@ class _BatchKernel:
             self._finish(i)
 
     def _run_lazy(self) -> None:
-        """Multi-rate sweep: barriers on integer-ns timestamps; the delay
-        source advances to each barrier's flush instant (the float time
+        """Multi-rate sweep: barriers on integer-ns timestamps; the
+        network advances to each barrier's flush instant (the float time
         of the last event the event kernel pops there) and each interval
         resolves at the owner's next tick, matched by exact
         release-float equality."""
         sim = self.sim
         arbiter = sim.arbiter
-        source = self.source
+        network = sim.network
+        event_submit = network.event_submit
+        event_advance = network.event_advance
+        clamp = getattr(network, "event_clamped", None)
+        names = self.names
+        frames = self.frames
         states = self.states
         held = self.held
         runtimes = self.runtimes
@@ -659,16 +425,17 @@ class _BatchKernel:
         dist_state = self.dist_state
         periods = self.periods
         steps = self.steps
-        idx_of = {name: i for i, name in enumerate(self.names)}
+        idx_of = {name: i for i, name in enumerate(names)}
         tt_holding = CommState.TT_HOLDING
         waiting = CommState.WAITING
         concat = np.concatenate
-        delay_lists = [self.traces[name].delays for name in self.names]
+        delay_lists = [self.traces[name].delays for name in names]
         # Per-application tick grids (floats are the same k * period
         # products the event kernel schedules), bucketed into barriers
-        # ``[due (app, k) pairs, finishing apps, flush instant]``.  The
-        # event kernel flushes at the float time of the *last* event it
-        # pops, i.e. the largest coincident k * period.
+        # ``[due (app, k) pairs, finishing apps, flush instant, earliest
+        # tick]``.  The event kernel flushes at the float time of the
+        # *last* event it pops, i.e. the largest coincident k * period,
+        # and its traffic window ends at the next barrier's earliest.
         times_f: List[List[float]] = []
         barriers: Dict[int, List] = {}
         for i in range(self.n):
@@ -678,27 +445,31 @@ class _BatchKernel:
             for k, key in enumerate(np.rint(grid * 1e9).astype(np.int64).tolist()):
                 barrier = barriers.get(key)
                 if barrier is None:
-                    barrier = barriers[key] = [[], [], times[k]]
+                    barrier = barriers[key] = [[], [], times[k], times[k]]
                 elif times[k] > barrier[2]:
                     barrier[2] = times[k]
+                elif times[k] < barrier[3]:
+                    barrier[3] = times[k]
                 if k < steps[i]:
                     barrier[0].append((i, k))
                 else:
                     barrier[1].append(i)
-        slot_owner = None
-        if source.on_slot_change is not None:
-            slot_owner = {a.slot: None for a in self.apps}
+        keys = sorted(barriers)
+        window_ends = [barriers[key][3] for key in keys[1:]] + [None]
         #: per app: ``[u, release_float, mode, trace_index, delivery, lost]``.
         pending: List[Optional[List]] = [None] * self.n
         us: List[Optional[np.ndarray]] = [None] * self.n
         norms: Dict[int, float] = {}
         violations = 0
-        for key in sorted(barriers):
-            due, finals, flush = barriers[key]
-            # 1. Advance the source to this barrier and match deliveries
+        for key, window_end in zip(keys, window_ends):
+            due, finals, flush, _ = barriers[key]
+            # 1. Advance the network to this barrier and match deliveries
             #    to in-flight intervals by exact release float (a stale
             #    one differs by a full period).
-            for index, release, delivery, lost in source.advance_to(flush):
+            for name, release, delivery, lost in event_advance(flush):
+                index = idx_of.get(name)
+                if index is None:
+                    continue
                 record = pending[index]
                 if record is not None and record[1] == release:
                     record[4] = delivery
@@ -720,7 +491,8 @@ class _BatchKernel:
                 elif delivery is None:
                     # Missed the whole interval: hold the previous input.
                     delay = periods[i]
-                    source.clamped += 1
+                    if clamp is not None:
+                        clamp()
                 else:
                     delay = min(delivery - release, periods[i])
                 rule = rules[i][mode].get(delay)
@@ -745,6 +517,9 @@ class _BatchKernel:
             for i in finals:
                 self._finish(i)
             if not due:
+                if window_end is not None:
+                    # Keep background traffic flowing between barriers.
+                    event_submit(flush, window_end, [])
                 continue
             # 4. Disturbances, arbitration and state machines.
             for i, k in due:
@@ -755,6 +530,7 @@ class _BatchKernel:
                         states[i] = states[i] + event.magnitude * dist_state[i]
                         runtimes[i].on_disturbance(tick)
             arbiter.grant_pending()
+            handovers = arbiter.handovers
             comms: Dict[int, CommState] = {}
             ticks: Dict[int, float] = {}
             for i, k in due:
@@ -764,16 +540,17 @@ class _BatchKernel:
                 tick = times_f[i][k]
                 ticks[i] = tick
                 comms[i] = runtimes[i].update(tick, norm)
-            for name in arbiter.grant_pending():
-                i = idx_of[name]
-                if i in comms and runtimes[i].state is waiting:
-                    comms[i] = runtimes[i].update(ticks[i], norms[i])
+            if arbiter.handovers != handovers:
+                for name in arbiter.grant_pending():
+                    i = idx_of[name]
+                    if i in comms and runtimes[i].state is waiting:
+                        comms[i] = runtimes[i].update(ticks[i], norms[i])
             # 5. Slot hand-over, controls, submissions.
-            if slot_owner is not None:
-                self._propagate_slots(slot_owner)
+            self._propagate_slots()
+            submissions = []
             for i, k in due:
                 comm = comms[i]
-                mode = 1 if comm is tt_holding else 0
+                mode = comm is tt_holding
                 release = times_f[i][k]
                 u = controls[i][mode](concat((states[i], held[i])))
                 append = appenders[i]
@@ -781,9 +558,7 @@ class _BatchKernel:
                 append[1](norms[i])
                 append[2](comm)
                 append[3](float("nan"))
-                source.submit(i, mode, release)
+                submissions.append((names[i], frames[i], mode, release))
                 pending[i] = [u, release, mode, len(delay_lists[i]) - 1, None, False]
+            event_submit(flush, flush if window_end is None else window_end, submissions)
         sim.jitter_violations += violations
-
-
-__all__ = ["batch_capability"]

@@ -17,27 +17,19 @@ Two simulation kernels are provided (``kernel=`` selects between them):
   *different* sampling periods — a 2 ms current loop can share the bus
   with 20 ms chassis loops — and each application's state machine,
   plant step and trace samples advance at its own rate.
-* the **batch kernel** is a vectorized fast path.  It skips per-event
-  dispatch entirely: sampling-tick grids are precomputed and
-  same-dynamics plants advance in NumPy-batched sweeps.  It has one
-  eager loop (shared period) and one lazy loop (multi-rate), both
-  reading delays from a *delay source*: per-mode constants on an
-  :class:`~repro.sim.network.AnalyticNetwork`, the tuple-level core of
-  a stock FlexRay bus (its i.i.d. frame loss drawn in delivery order)
-  or of a stock CAN bus (bare or behind one loss wrapper), the same
-  code the event kernel's calls reach, or — for every other
-  shared-period network (other loss wrappers, background traffic,
-  subclasses) — the live network's own ``on_slot_change`` and
-  ``sample_delays`` (see :mod:`repro.sim.batch`).  ``"auto"``, the
-  default, takes it whenever the fleet is capable and runs the event
-  kernel otherwise (multi-rate fleets on networks that claim no
-  precomputation strategy).  Traces are bitwise identical to the event
-  kernel's, which the test suite asserts.
+* the **batch kernel** (``kernel="auto"``, the default) is a vectorized
+  fast path.  It skips per-event dispatch entirely: sampling-tick grids
+  are precomputed and same-dynamics plants advance in NumPy-batched
+  sweeps.  It has one eager loop (shared period) and one lazy loop
+  (multi-rate), and both drive the network through the same calls, in
+  the same order, as the event kernel (see :mod:`repro.sim.batch`), so
+  it runs every fleet on every network.  Traces are bitwise identical
+  to the event kernel's, which the test suite asserts.
 
 Network backends live in the :mod:`repro.sim.network` package — a
-:class:`~repro.sim.network.NetworkModel` protocol, a decorator registry
-(``analytic``, ``flexray``, ``can`` bundled), composable loss processes
-and a conformance test kit.
+:class:`~repro.sim.network.NetworkModel` protocol on plain-tuple
+records, a decorator registry (``analytic``, ``flexray``, ``can``
+bundled), composable loss processes and a conformance test kit.
 
 Multi-rate fleets need the incremental *event interface*
 (:meth:`event_submit` / :meth:`event_advance`), which all bundled
@@ -163,18 +155,6 @@ class _EventKernel:
         self.index = {a.name: i for i, a in enumerate(self.apps)}
         self.periods = {a.name: sim.period_of(a) for a in self.apps}
         self.eager = len({round(p, 12) for p in self.periods.values()}) == 1
-        if not self.eager:
-            missing = [
-                m
-                for m in ("event_submit", "event_advance")
-                if not hasattr(self.network, m)
-            ]
-            if missing:
-                raise ValueError(
-                    "multi-rate co-simulation needs a network model with the "
-                    f"event interface; {type(self.network).__name__} lacks "
-                    f"{missing} (shared-period fleets only need sample_delays)"
-                )
         self.horizon = horizon
         self.steps = {
             name: int(np.ceil(horizon / p)) for name, p in self.periods.items()
@@ -379,13 +359,7 @@ class _EventKernel:
             u = controller.control(self.states[name], self.held[name])
             inputs[name] = u
             submissions.append(
-                Submission(
-                    name=name,
-                    spec=app.frame,
-                    uses_tt=uses_tt,
-                    slot=app.slot if uses_tt else None,
-                    release_time=t if eager else self._tick_time(name),
-                )
+                (name, app.frame, uses_tt, t if eager else self._tick_time(name))
             )
         if self.eager:
             self._resolve_eager(t, due, inputs, submissions)
@@ -478,16 +452,16 @@ class _EventKernel:
         """Multi-rate resolution: advance the bus to ``t`` and settle
         every interval that ends at this barrier."""
         sim = self.sim
-        for delivery in self.network.event_advance(t):
-            record = self.inflight.get(delivery.name)
+        for name, release, delivery, lost in self.network.event_advance(t):
+            record = self.inflight.get(name)
             if record is None:
                 continue
             # Exact compare: both values are the same tick_index * period
             # product, so a live interval matches bitwise and a stale one
             # differs by at least a full period.
-            if delivery.release_time == record.release:
-                record.delivery = delivery.delivery_time
-                record.lost = delivery.lost
+            if release == record.release:
+                record.delivery = delivery
+                record.lost = lost
             # else: stale delivery from an interval already clamped
         requests: Dict[str, Tuple[np.ndarray, np.ndarray, float]] = {}
         resolved: List[Tuple[str, _InFlight, bool]] = []
@@ -533,19 +507,16 @@ class CoSimulator:
 
     ``kernel=`` selects the simulation kernel:
 
-    * ``"auto"`` (default) — the batch fast path when the fleet is
-      capable (see :func:`repro.sim.batch.batch_capability`: every
-      shared-period fleet, and multi-rate fleets on an analytic, stock
-      FlexRay or stock CAN network), the event kernel otherwise;
-    * ``"event"`` — always the event-driven reference kernel; supports
-      fleets with *mixed* sampling periods (disturbance arrivals,
-      per-application ticks and transmissions are queue events).
+    * ``"auto"`` (default) — the batch fast path, for every fleet;
+    * ``"event"`` — the event-driven reference kernel (disturbance
+      arrivals, per-application ticks and transmissions are queue
+      events).
 
-    Disturbances are applied at the owning application's first sampling
-    instant at or after their arrival time in both kernels, and traces
-    are bitwise identical across them.  After :meth:`run`,
-    :attr:`last_kernel` names the kernel that actually executed
-    (``"batch"`` or ``"event"``).
+    Both run fleets with *mixed* sampling periods.  Disturbances are
+    applied at the owning application's first sampling instant at or
+    after their arrival time in both kernels, and traces are bitwise
+    identical across them.  After :meth:`run`, :attr:`last_kernel` names
+    the kernel that executed (``"batch"`` or ``"event"``).
     """
 
     def __init__(
@@ -608,19 +579,26 @@ class CoSimulator:
     def run(self, horizon: float) -> SimulationTrace:
         """Simulate up to ``horizon`` seconds and return the trace."""
         check_positive(horizon, "horizon")
-        capability = None
-        if self.kernel == "auto":
-            # Imported lazily: repro.sim.batch imports from this module.
-            from repro.sim.batch import batch_capability
+        if self.period is None:
+            missing = [
+                m
+                for m in ("event_submit", "event_advance")
+                if not hasattr(self.network, m)
+            ]
+            if missing:
+                raise ValueError(
+                    "multi-rate co-simulation needs a network model with the "
+                    f"event interface; {type(self.network).__name__} lacks "
+                    f"{missing} (shared-period fleets only need sample_delays)"
+                )
+        if self.kernel == "event":
+            self.last_kernel = "event"
+            return _EventKernel(self, horizon).run()
+        # Imported lazily: repro.sim.batch imports from this module.
+        from repro.sim.batch import _BatchKernel
 
-            capability = batch_capability(self)
-        self.last_kernel = "batch" if capability else "event"
-        if capability:
-            from repro.sim.batch import _BatchKernel
-
-            return _BatchKernel(self, horizon, capability).run()
-        return _EventKernel(self, horizon).run()
-
+        self.last_kernel = "batch"
+        return _BatchKernel(self, horizon).run()
 
 __all__ = [
     "CoSimApplication",

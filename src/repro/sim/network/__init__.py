@@ -1,31 +1,26 @@
 """Pluggable network backends for the co-simulator.
 
 The frozen contract lives in :mod:`repro.sim.network.protocol`
-(:class:`NetworkModel` + :class:`NetworkCapabilities`), the decorator
-registry in :mod:`repro.sim.network.registry`, and the executable
-contract in :mod:`repro.sim.network.conformance`.  Importing this
-package registers the bundled backends:
+(:class:`NetworkModel`, with plain-tuple :data:`Submission` and
+:data:`Delivery` records), the decorator registry in
+:mod:`repro.sim.network.registry`, and the executable contract in
+:mod:`repro.sim.network.conformance`.  Both co-simulation kernels drive
+every backend through that one interface.  Importing this package
+registers the bundled backends:
 
 ========== ============================================================
 name       model
 ========== ============================================================
-analytic   constant design-time delays (batch: per-mode constants)
-flexray    cycle-accurate FlexRay bus (batch: cycle core, i.i.d. loss)
-can        priority-arbitrated non-preemptive CAN bus (batch: arbitration core)
+analytic   constant design-time delays
+flexray    cycle-accurate FlexRay bus (i.i.d. frame loss built in)
+can        priority-arbitrated non-preemptive CAN bus
 ========== ============================================================
 
 plus the composable loss layer (:class:`IIDLoss`,
 :class:`GilbertElliottLoss`, :class:`LossyNetwork`).
 """
 
-from repro.sim.network.protocol import (
-    BATCH_STRATEGIES,
-    LOSS_KINDS,
-    Delivery,
-    NetworkCapabilities,
-    NetworkModel,
-    Submission,
-)
+from repro.sim.network.protocol import Delivery, NetworkModel, Submission
 from repro.sim.network.registry import (
     NetworkSpec,
     UnknownNetworkError,
@@ -52,17 +47,14 @@ from repro.sim.network.conformance import ConformanceError, check_network_model
 
 __all__ = [
     "AnalyticNetwork",
-    "BATCH_STRATEGIES",
     "CanBusNetwork",
     "ConformanceError",
     "Delivery",
     "FlexRayNetwork",
     "GilbertElliottLoss",
     "IIDLoss",
-    "LOSS_KINDS",
     "LossProcess",
     "LossyNetwork",
-    "NetworkCapabilities",
     "NetworkModel",
     "NetworkSpec",
     "Submission",

@@ -10,12 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List
 
-from repro.sim.network.protocol import (
-    Delivery,
-    NetworkCapabilities,
-    NetworkModel,
-    Submission,
-)
+from repro.sim.network.protocol import NetworkModel, Submission
 from repro.sim.network.registry import register_network
 
 
@@ -32,31 +27,21 @@ class AnalyticNetwork(NetworkModel):
 
     def sample_delays(self, time, period, submissions):
         # The inherited default would report ``(time + d) - time``, which
-        # is not always ``d`` in floating point; the batch kernel replays
-        # the constants themselves.
-        delays = {}
-        for sub in submissions:
-            delays[sub.name] = min(self.tt_delay if sub.uses_tt else self.et_delay, period)
+        # is not always ``d`` in floating point.
+        tt, et = min(self.tt_delay, period), min(self.et_delay, period)
         self.delivered += len(submissions)
-        return delays
+        return {name: tt if uses_tt else et for name, _, uses_tt, _ in submissions}
 
-    def on_slot_change(self, slot, spec):
-        pass  # ownership is irrelevant for constant delays
-
-    # -- event interface (multi-rate kernels) -----------------------------
+    # -- event interface (multi-rate fleets) ------------------------------
 
     def event_submit(self, time, window_end, submissions):
         self._pending.extend(submissions)
 
     def event_advance(self, time):
+        tt, et = self.tt_delay, self.et_delay
         out = [
-            Delivery(
-                name=sub.name,
-                release_time=sub.release_time,
-                delivery_time=sub.release_time
-                + (self.tt_delay if sub.uses_tt else self.et_delay),
-            )
-            for sub in self._pending
+            (name, release, release + (tt if uses_tt else et), False)
+            for name, _, uses_tt, release in self._pending
         ]
         self._pending = []
         self.delivered += len(out)
@@ -71,26 +56,12 @@ class AnalyticNetwork(NetworkModel):
     def statistics(self) -> Dict[str, Any]:
         return {"delivered": self.delivered, "pending": len(self._pending)}
 
-    def capabilities(self) -> NetworkCapabilities:
-        # Subclasses do NOT inherit the batch opt-in: the batch kernel
-        # replays exactly this class's delay arithmetic, so an override
-        # anywhere would silently be ignored.  Subclasses that keep the
-        # semantics may override capabilities() to opt back in.
-        batch = "analytic" if type(self) is AnalyticNetwork else None
-        return NetworkCapabilities(
-            deterministic=True,
-            analytic_delays=True,
-            batch_strategy=batch,
-            loss="none",
-        )
-
 
 @register_network(
     "analytic",
     summary="constant design-time delays (TT slot latency / ET worst case)",
     deterministic=True,
     analytic_delays=True,
-    batch="analytic",
     loss="none",
 )
 def _build_analytic(

@@ -16,12 +16,9 @@ arbitration decisions up to the barrier.  Decisions depend solely on
 the pending set (identifier, release instant, submission order), so
 the transport is fully deterministic.
 
-Both co-simulation kernels share one arbitration loop.  The event
-interface is a thin wrapper over a tuple-level core —
-:meth:`CanBusNetwork._enqueue` and :meth:`CanBusNetwork._advance` —
-which the batch kernel's ``"can"`` delay source drives directly, with
-each application's wire time computed once instead of per message.
-Pending entries stay keyed by message name, so a bus left mid-run by
+Both co-simulation kernels drive the bus through the event interface
+alone, on tuples: each payload size's wire time is computed once, and
+pending entries are keyed by message name, so a bus left mid-run by
 either kernel is valid for the other.
 """
 
@@ -34,12 +31,7 @@ from repro.baselines.can_rta import (
     CAN_FRAME_OVERHEAD_BITS,
     frame_transmission_time,
 )
-from repro.sim.network.protocol import (
-    Delivery,
-    NetworkCapabilities,
-    NetworkModel,
-    Submission,
-)
+from repro.sim.network.protocol import Delivery, NetworkModel, Submission
 from repro.sim.network.registry import register_network
 from repro.utils.validation import check_positive
 
@@ -72,6 +64,10 @@ class CanBusNetwork(NetworkModel):
     _transmitting: Optional[_Entry] = field(init=False, repr=False, default=None)
     _busy_until: float = field(init=False, repr=False, default=0.0)
     _sequence: int = field(init=False, repr=False, default=0)
+    #: payload bits -> wire time of one frame
+    _wire: Dict[int, float] = field(
+        init=False, repr=False, default_factory=dict, compare=False
+    )
 
     def __post_init__(self):
         check_positive(self.bit_time, "bit_time")
@@ -84,17 +80,26 @@ class CanBusNetwork(NetworkModel):
             payload_bits, self.bit_time, self.overhead_bits
         )
 
-    # -- tuple core (shared by both kernels) -------------------------------
+    # -- event interface ---------------------------------------------------
 
-    def _enqueue(self, frame_id: int, release: float, name: str, wire: float) -> None:
-        """Queue one frame whose wire time ``wire`` is already known."""
-        self._pending.append((frame_id, release, self._sequence, name, wire))
-        self._sequence += 1
+    def event_submit(
+        self, time: float, window_end: float, submissions: Sequence[Submission]
+    ) -> None:
+        pending = self._pending
+        wires = self._wire
+        sequence = self._sequence
+        for name, frame, _, release in submissions:
+            wire = wires.get(frame.payload_bits)
+            if wire is None:
+                wire = wires[frame.payload_bits] = self.wire_time(frame.payload_bits)
+            pending.append((frame.frame_id, release, sequence, name, wire))
+            sequence += 1
+        self._sequence = sequence
 
-    def _advance(self, time: float) -> List[Tuple[str, float, float]]:
+    def event_advance(self, time: float) -> List[Delivery]:
         """Replay arbitration up to ``time``; report every completed
-        frame as ``(name, release_time, delivery_time)``."""
-        out: List[Tuple[str, float, float]] = []
+        frame."""
+        out: List[Delivery] = []
         pending = self._pending
         while True:
             transmitting = self._transmitting
@@ -107,7 +112,7 @@ class CanBusNetwork(NetworkModel):
                 self._transmitting = None
                 self._busy_until = finish
                 self.delivered += 1
-                out.append((transmitting[3], transmitting[1], finish))
+                out.append((transmitting[3], transmitting[1], finish, False))
             if not pending:
                 break
             earliest = min(entry[1] for entry in pending)
@@ -123,25 +128,6 @@ class CanBusNetwork(NetworkModel):
             self.busy_time += wire
             self._transmitting = (frame_id, release, seq, name, start + wire)
         return out
-
-    # -- event interface ---------------------------------------------------
-
-    def event_submit(
-        self, time: float, window_end: float, submissions: Sequence[Submission]
-    ) -> None:
-        for sub in submissions:
-            self._enqueue(
-                sub.spec.frame_id,
-                sub.release_time,
-                sub.name,
-                self.wire_time(sub.spec.payload_bits),
-            )
-
-    def event_advance(self, time: float) -> List[Delivery]:
-        return [
-            Delivery(name=name, release_time=release, delivery_time=finish)
-            for name, release, finish in self._advance(time)
-        ]
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -163,25 +149,12 @@ class CanBusNetwork(NetworkModel):
             "busy_time": self.busy_time,
         }
 
-    def capabilities(self) -> NetworkCapabilities:
-        # The "can" strategy drives this bus's own tuple core, so it
-        # needs no pristine-bus check.  Only the exact class claims it:
-        # a subclass could override the transport the core implements,
-        # and opts back in by overriding capabilities().
-        return NetworkCapabilities(
-            deterministic=True,
-            analytic_delays=False,
-            batch_strategy="can" if type(self) is CanBusNetwork else None,
-            loss="none",
-        )
-
 
 @register_network(
     "can",
     summary="priority-arbitrated CAN bus (non-preemptive, lowest frame id wins)",
     deterministic=True,
     analytic_delays=False,
-    batch="can",
     loss="iid",
 )
 def _build_can(

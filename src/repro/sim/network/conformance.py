@@ -5,9 +5,9 @@ factory must build *fresh, independently seeded* instances) and drives
 it through a synthetic submission schedule, asserting the protocol
 invariants the co-simulation kernels rely on:
 
-* **surface** — the event interface, lifecycle methods and a coherent
-  :class:`~repro.sim.network.protocol.NetworkCapabilities` descriptor
-  exist;
+* **surface** — the event interface, the hooks and the lifecycle
+  methods exist, and deliveries are ``(name, release, delivery, lost)``
+  tuples;
 * **causality** — no delivery before its submission's release, none
   after the advance barrier (beyond the transport's boundary epsilon);
 * **monotone time** — each application's delivery instants never
@@ -20,15 +20,7 @@ invariants the co-simulation kernels rely on:
   same sequence again, and ``reset(); reset()`` is harmless;
 * **statistics consistency** — ``statistics()`` is JSON-safe, its
   counters cover the reported deliveries, and ``reset()`` rewinds them
-  along with the delivery state;
-* **batch honesty** — an instance claiming the ``"analytic"`` batch
-  strategy actually carries the constant-delay attributes the batch
-  kernel replays, and one claiming ``"can"`` or ``"flexray"`` is a
-  transport whose tuple core the batch kernel drives: for ``"can"`` a
-  :class:`~repro.sim.network.can.CanBusNetwork`, or a stock
-  :class:`~repro.sim.network.loss.LossyNetwork` whose ``inner`` is one;
-  for ``"flexray"`` a :class:`~repro.sim.network.flexray.FlexRayNetwork`
-  whose ``bus`` is a :class:`~repro.flexray.bus.FlexRayBus`.
+  along with the delivery state.
 
 Use it from any test suite::
 
@@ -44,17 +36,8 @@ from __future__ import annotations
 import json
 from typing import Any, Callable, List, Sequence, Tuple
 
-from repro.flexray.bus import FlexRayBus
 from repro.flexray.frame import FrameSpec
-from repro.sim.network.can import CanBusNetwork
-from repro.sim.network.flexray import FlexRayNetwork
-from repro.sim.network.loss import LossyNetwork
-from repro.sim.network.protocol import (
-    BATCH_STRATEGIES,
-    Delivery,
-    NetworkCapabilities,
-    Submission,
-)
+from repro.sim.network.protocol import Delivery, Submission
 
 #: Barrier spacing of the synthetic schedule (seconds).  Chosen to be
 #: one paper bus cycle so slot-table transports deliver within a few
@@ -92,14 +75,7 @@ def _schedule(n_apps: int = 3) -> List[Tuple[float, List[Submission]]]:
     for k in range(_BARRIERS):
         time = k * _PERIOD
         submissions = [
-            Submission(
-                name=spec.sender,
-                spec=spec,
-                uses_tt=(i % 2 == 0),
-                slot=i,
-                release_time=time,
-            )
-            for i, spec in enumerate(specs)
+            (spec.sender, spec, i % 2 == 0, time) for i, spec in enumerate(specs)
         ]
         schedule.append((time, submissions))
     return schedule
@@ -124,6 +100,12 @@ def _drive(network: Any) -> List[Delivery]:
         deliveries.extend(network.event_advance(window_end))
     # Drain: a final long advance flushes anything still on the wire.
     deliveries.extend(network.event_advance(schedule[-1][0] + 10 * _PERIOD))
+    for delivery in deliveries:
+        _require(
+            isinstance(delivery, tuple) and len(delivery) == 4,
+            "deliveries are (name, release, delivery, lost) tuples",
+            repr(delivery),
+        )
     return deliveries
 
 
@@ -131,33 +113,33 @@ def _check_causality(deliveries: Sequence[Delivery]) -> None:
     # Release instants are matched on the integer-nanosecond grid, the
     # same coalescing rule the event kernel uses for its barriers.
     released = {}
-    for time, submissions in _schedule():
-        for sub in submissions:
-            released.setdefault(sub.name, set()).add(round(sub.release_time * 1e9))
+    for _, submissions in _schedule():
+        for name, _, _, release in submissions:
+            released.setdefault(name, set()).add(round(release * 1e9))
     last_per_app: dict = {}
-    for delivery in deliveries:
+    for name, release, delivery, _ in deliveries:
         _require(
-            delivery.name in released,
+            name in released,
             "deliveries name submitted messages",
-            f"unknown delivery {delivery.name!r}",
+            f"unknown delivery {name!r}",
         )
         _require(
-            round(delivery.release_time * 1e9) in released[delivery.name],
-            "delivery release_time matches a submission",
-            f"{delivery.name!r} at release {delivery.release_time}",
+            round(release * 1e9) in released[name],
+            "delivery release matches a submission",
+            f"{name!r} at release {release}",
         )
         _require(
-            delivery.delivery_time >= delivery.release_time - 1e-12,
+            delivery >= release - 1e-12,
             "no delivery before its submission",
-            f"{delivery.name!r}: {delivery.delivery_time} < {delivery.release_time}",
+            f"{name!r}: {delivery} < {release}",
         )
-        previous = last_per_app.get(delivery.name, float("-inf"))
+        previous = last_per_app.get(name, float("-inf"))
         _require(
-            delivery.delivery_time >= previous - 1e-12,
+            delivery >= previous - 1e-12,
             "per-application delivery instants are non-decreasing",
-            f"{delivery.name!r}: {delivery.delivery_time} after {previous}",
+            f"{name!r}: {delivery} after {previous}",
         )
-        last_per_app[delivery.name] = max(previous, delivery.delivery_time)
+        last_per_app[name] = max(previous, delivery)
 
 
 def _check_statistics(network: Any) -> None:
@@ -199,48 +181,12 @@ def check_network_model(factory: Callable[[], Any]) -> None:
         "on_slot_change",
         "reset",
         "statistics",
-        "capabilities",
     ):
         _require(
             callable(getattr(network, method, None)),
             f"backend implements {method}()",
             type(network).__name__,
         )
-    caps = network.capabilities()
-    _require(
-        isinstance(caps, NetworkCapabilities),
-        "capabilities() returns a NetworkCapabilities",
-        repr(caps),
-    )
-    _require(
-        caps.batch_strategy is None or caps.batch_strategy in BATCH_STRATEGIES,
-        "batch_strategy is known to the batch kernel",
-        repr(caps.batch_strategy),
-    )
-    if caps.batch_strategy == "analytic":
-        _require(
-            isinstance(getattr(network, "tt_delay", None), float)
-            and isinstance(getattr(network, "et_delay", None), float),
-            "claiming the analytic batch strategy requires tt_delay/et_delay",
-            type(network).__name__,
-        )
-    if caps.batch_strategy == "can":
-        bus = network.inner if type(network) is LossyNetwork else network
-        _require(
-            isinstance(bus, CanBusNetwork),
-            "claiming the can batch strategy requires a CanBusNetwork, bare "
-            "or inside a stock LossyNetwork",
-            type(network).__name__,
-        )
-    if caps.batch_strategy == "flexray":
-        _require(
-            isinstance(network, FlexRayNetwork)
-            and isinstance(network.bus, FlexRayBus),
-            "claiming the flexray batch strategy requires a FlexRayNetwork "
-            "on a FlexRayBus",
-            type(network).__name__,
-        )
-    json.dumps(caps.to_dict())  # descriptor must serialize (CLI table)
 
     # -- first pass: causality + statistics -------------------------------
     first = _drive(network)
@@ -248,8 +194,8 @@ def check_network_model(factory: Callable[[], Any]) -> None:
     _check_causality(first)
     _check_statistics(network)
     stats = network.statistics()
-    delivered = sum(1 for d in first if not d.lost)
-    lost = sum(1 for d in first if d.lost)
+    lost = sum(1 for d in first if d[3])
+    delivered = len(first) - lost
     if "lost" in stats:
         _require(
             int(stats["lost"]) == lost,
@@ -290,14 +236,6 @@ def check_network_model(factory: Callable[[], Any]) -> None:
         network.statistics() == stats,
         "reset() rewinds the statistics counters",
         f"{network.statistics()} != {stats}",
-    )
-
-    # -- capabilities stable across reset ---------------------------------
-    network.reset()
-    _require(
-        network.capabilities() == caps,
-        "capabilities() is stable across reset()",
-        type(network).__name__,
     )
 
 

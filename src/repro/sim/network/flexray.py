@@ -6,12 +6,13 @@ The ``loss_rate`` machinery delegates to
 control message, drawn *before* the staleness check — every historical
 trace replays unchanged.
 
-Both co-simulation kernels drive one cycle walk.  The event interface
-queues control messages on the bus's tuple-level core, keyed by
-application name (:meth:`~repro.flexray.bus.FlexRayBus._enqueue_tt`,
-:meth:`~repro.flexray.dynamic_segment.DynamicSegment._enqueue`), and
-wraps :meth:`~repro.flexray.bus.FlexRayBus._advance`, which the batch
-kernel's ``"flexray"`` delay source drives directly.  Background traffic
+Both co-simulation kernels drive the bus through this network's event
+interface, which queues control messages on the bus's tuple-level core
+keyed by application name
+(:meth:`~repro.flexray.bus.FlexRayBus._enqueue_tt`,
+:meth:`~repro.flexray.dynamic_segment.DynamicSegment._enqueue`, with
+each payload size's minislot count computed once) and wraps
+:meth:`~repro.flexray.bus.FlexRayBus._advance`.  Background traffic
 stays :class:`~repro.flexray.frame.Message` objects, stamped on delivery
 and never reported, so a bus left mid-run by either kernel is valid for
 the other.
@@ -23,15 +24,9 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Optional
 
 from repro.flexray.bus import FlexRayBus
-from repro.flexray.dynamic_segment import DynamicSegment
 from repro.flexray.frame import Message
-from repro.flexray.static_segment import StaticSchedule
 from repro.sim.network.loss import IIDLoss
-from repro.sim.network.protocol import (
-    Delivery,
-    NetworkCapabilities,
-    NetworkModel,
-)
+from repro.sim.network.protocol import NetworkModel
 from repro.sim.network.registry import register_network
 from repro.sim.traffic import BackgroundTraffic
 
@@ -54,6 +49,10 @@ class FlexRayNetwork(NetworkModel):
     clamped: int = 0
     lost: int = 0
     _loss: Optional[IIDLoss] = field(init=False, default=None, repr=False)
+    #: payload bits -> minislots one dynamic-segment frame occupies
+    _minislots: Dict[int, int] = field(
+        init=False, default_factory=dict, repr=False, compare=False
+    )
 
     def __post_init__(self):
         if not 0.0 <= self.loss_rate < 1.0:
@@ -68,7 +67,7 @@ class FlexRayNetwork(NetworkModel):
             self.bus.release_slot(slot)
             self.bus.grant_slot(slot, spec)
 
-    # -- event interface (multi-rate kernels) -----------------------------
+    # -- event interface ---------------------------------------------------
 
     def event_submit(self, time, window_end, submissions):
         """Queue background traffic for ``[time, window_end)`` plus the
@@ -79,14 +78,15 @@ class FlexRayNetwork(NetworkModel):
             for message in self.traffic.messages_between(time, window_end):
                 bus.submit_et(message)
         dynamic = bus.dynamic
-        for sub in submissions:
-            frame_id = sub.spec.frame_id
-            if sub.uses_tt:
-                bus._enqueue_tt(frame_id, sub.release_time, sub.name)
-            else:
-                dynamic._enqueue(
-                    frame_id, sub.release_time, sub.name, dynamic.minislots_of(sub.spec)
-                )
+        minislots = self._minislots
+        for name, frame, uses_tt, release in submissions:
+            if uses_tt:
+                bus._enqueue_tt(frame.frame_id, release, name)
+                continue
+            count = minislots.get(frame.payload_bits)
+            if count is None:
+                count = minislots[frame.payload_bits] = dynamic.minislots_of(frame)
+            dynamic._enqueue(frame.frame_id, release, name, count)
 
     def event_advance(self, time):
         """Run whole bus cycles up to ``time``; report every control
@@ -102,11 +102,7 @@ class FlexRayNetwork(NetworkModel):
             lost = loss is not None and loss.sample()
             if lost:
                 self.lost += 1
-            out.append(
-                Delivery(
-                    name=key, release_time=release, delivery_time=delivery, lost=lost
-                )
-            )
+            out.append((key, release, delivery, lost))
         return out
 
     # -- lifecycle ---------------------------------------------------------
@@ -130,37 +126,12 @@ class FlexRayNetwork(NetworkModel):
             "lost": self.lost,
         }
 
-    def capabilities(self) -> NetworkCapabilities:
-        # The "flexray" strategy drives this bus's own tuple core and
-        # draws this instance's i.i.d. loss stream, so any bus state is
-        # fine.  Background traffic keeps the live path (the batch grids
-        # do not reproduce its windows), and so do subclasses and
-        # subclassed bus parts: they could override the cycle walk the
-        # core implements, and opt back in by overriding capabilities().
-        bus = self.bus
-        batch = None
-        if (
-            type(self) is FlexRayNetwork
-            and self.traffic is None
-            and type(bus) is FlexRayBus
-            and type(bus.static) is StaticSchedule
-            and type(bus.dynamic) is DynamicSegment
-        ):
-            batch = "flexray"
-        return NetworkCapabilities(
-            deterministic=self.loss_rate == 0.0,
-            analytic_delays=False,
-            batch_strategy=batch,
-            loss="iid" if self.loss_rate > 0.0 else "none",
-        )
-
 
 @register_network(
     "flexray",
     summary="cycle-accurate FlexRay bus (TDMA static segment + minislot dynamic segment)",
     deterministic=True,
     analytic_delays=False,
-    batch="flexray",
     loss="iid",
 )
 def _build_flexray(

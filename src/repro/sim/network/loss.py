@@ -13,26 +13,17 @@ order, draw *before* the staleness check).
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence
 
 import numpy as np
 
 from repro.flexray.frame import FrameSpec
-from repro.sim.network.can import CanBusNetwork
-from repro.sim.network.protocol import (
-    Delivery,
-    NetworkCapabilities,
-    NetworkModel,
-    Submission,
-)
+from repro.sim.network.protocol import Delivery, NetworkModel, Submission
 
 
 class LossProcess(abc.ABC):
     """One seeded boolean stream: ``sample()`` per delivered message."""
-
-    #: Capability identifier reported by wrapped backends.
-    kind: str = "custom"
 
     @abc.abstractmethod
     def sample(self) -> bool:
@@ -55,8 +46,6 @@ class IIDLoss(LossProcess):
 
     rate: float
     seed: int = 0
-
-    kind = "iid"
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.rate < 1.0:
@@ -89,8 +78,6 @@ class GilbertElliottLoss(LossProcess):
     p_loss_good: float = 0.0
     p_loss_bad: float = 0.5
     seed: int = 0
-
-    kind = "gilbert-elliott"
 
     def __post_init__(self) -> None:
         for label in ("p_good_to_bad", "p_bad_to_good", "p_loss_good", "p_loss_bad"):
@@ -139,14 +126,9 @@ class LossyNetwork(NetworkModel):
     def event_advance(self, time: float) -> List[Delivery]:
         out: List[Delivery] = []
         for delivery in self.inner.event_advance(time):
-            if not delivery.lost and self.loss.sample():
+            if not delivery[3] and self.loss.sample():
                 self.lost += 1
-                delivery = Delivery(
-                    name=delivery.name,
-                    release_time=delivery.release_time,
-                    delivery_time=delivery.delivery_time,
-                    lost=True,
-                )
+                delivery = (*delivery[:3], True)
             out.append(delivery)
         return out
 
@@ -164,33 +146,6 @@ class LossyNetwork(NetworkModel):
         stats["lost"] = int(stats.get("lost", 0)) + self.lost
         stats["clamped"] = int(stats.get("clamped", 0)) + self.clamped
         return stats
-
-    def capabilities(self) -> NetworkCapabilities:
-        inner_caps = (
-            self.inner.capabilities()
-            if hasattr(self.inner, "capabilities")
-            else NetworkCapabilities()
-        )
-        # Loss is seeded-random, so the composite is reproducible but
-        # not deterministic.  Only the "can" strategy covers a wrapper,
-        # and only this exact class around a bus that claims it: the
-        # source drives the bus's tuple core and draws this loss
-        # process per delivery (a nested wrapper is not a bus).  Every
-        # other composite runs the live batch path through this
-        # wrapper's own sample_delays.
-        strategy = None
-        if (
-            type(self) is LossyNetwork
-            and isinstance(self.inner, CanBusNetwork)
-            and inner_caps.batch_strategy == "can"
-        ):
-            strategy = "can"
-        return replace(
-            inner_caps,
-            deterministic=False,
-            batch_strategy=strategy,
-            loss=self.loss.kind,
-        )
 
 
 __all__ = [

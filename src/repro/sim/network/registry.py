@@ -1,7 +1,7 @@
 """Decorator registry of co-simulable network backends.
 
 Mirrors :mod:`repro.solvers.registry`: backends register a *factory*
-under a short name together with capability metadata, and everything
+under a short name together with family metadata, and everything
 downstream — ``Scenario.network`` validation, the pipeline's
 ``stage_cosim``, the ``repro networks`` CLI table, QA004's literal
 resolution, and the CI conformance job — resolves backends through
@@ -30,9 +30,7 @@ which historically ignores loss and traffic (documented below).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional
-
-from repro.sim.network.protocol import check_batch_strategy
+from typing import Any, Callable, Dict, List
 
 
 class UnknownNetworkError(KeyError):
@@ -44,13 +42,14 @@ class UnknownNetworkError(KeyError):
 
 @dataclass(frozen=True)
 class NetworkSpec:
-    """Registry entry: factory plus static capability metadata.
+    """Registry entry: factory plus static metadata describing the
+    backend *family* (what the CLI table and docs show).
 
-    The static metadata describes the *family* (what the CLI table and
-    docs show); the authoritative per-instance answer is always the
-    built model's ``capabilities()`` descriptor, which may be narrower
-    (a FlexRay instance with background traffic loses its batch
-    strategy, for example).
+    ``deterministic`` means delivery instants are a pure function of the
+    submissions (seeded loss is reproducible but not deterministic in
+    this sense), ``analytic_delays`` that delays are state-independent
+    per-mode constants, and ``loss`` names the loss model the factory's
+    ``loss_rate`` wires up (``"none"`` when it ignores it).
     """
 
     name: str
@@ -58,7 +57,6 @@ class NetworkSpec:
     summary: str = ""
     deterministic: bool = True
     analytic_delays: bool = False
-    batch: Optional[str] = None
     loss: str = "none"
 
     def build(self, **kwargs: Any) -> Any:
@@ -70,7 +68,6 @@ class NetworkSpec:
             "summary": self.summary,
             "deterministic": self.deterministic,
             "analytic_delays": self.analytic_delays,
-            "batch": self.batch,
             "loss": self.loss,
         }
 
@@ -84,17 +81,10 @@ def register_network(
     summary: str = "",
     deterministic: bool = True,
     analytic_delays: bool = False,
-    batch: Optional[str] = None,
     loss: str = "none",
     overwrite: bool = False,
 ) -> Callable[[Callable[..., Any]], Callable[..., Any]]:
-    """Class decorator/registration hook for network-backend factories.
-
-    ``batch`` must be ``None`` or a strategy the batch kernel knows
-    (:data:`~repro.sim.network.protocol.BATCH_STRATEGIES`); anything
-    else raises ``ValueError``, as a capability descriptor would.
-    """
-    check_batch_strategy(batch)
+    """Class decorator/registration hook for network-backend factories."""
 
     def decorator(factory: Callable[..., Any]) -> Callable[..., Any]:
         if name in _NETWORK_REGISTRY and not overwrite:
@@ -108,7 +98,6 @@ def register_network(
             summary=summary,
             deterministic=deterministic,
             analytic_delays=analytic_delays,
-            batch=batch,
             loss=loss,
         )
         return factory

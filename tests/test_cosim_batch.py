@@ -1,12 +1,11 @@
-"""Batch fast-path kernel: parity, eligibility and fallback tests.
+"""Batch fast-path kernel: parity and kernel-selection tests.
 
 The acceptance bar of the batch kernel: on *any* analytic-network fleet
 — shared-period or multi-rate, any disturbance process, any seed — it
 produces traces bitwise identical to the event kernel, and leaves the
-network's statistics where the event kernel would.  Fleets whose
-network claims no strategy (frame loss wrappers, background traffic,
-subclassed networks) run the live path, covered in depth by
-``tests/test_cosim_batch_networks.py``.
+network's statistics where the event kernel would.  Every other network
+(frame loss wrappers, background traffic, subclassed networks) is
+covered in depth by ``tests/test_cosim_batch_networks.py``.
 """
 
 import random
@@ -34,7 +33,6 @@ from repro.sim import (
     AnalyticNetwork,
     CoSimulator,
     FlexRayNetwork,
-    batch_capability,
 )
 
 SHARED_PLANTS = [servo_rig, dc_motor_speed, throttle_by_wire]
@@ -147,7 +145,7 @@ class TestBatchParity:
         self, seed, multirate, equalize
     ):
         """Random ``tt_delay``/``et_delay`` pin the clamps the analytic
-        delay source re-implements: ``min(c, period)`` on a shared
+        network computes for both kernels: ``min(c, period)`` on a shared
         period, and ``(release + c) - release`` clamped to the period on
         a multi-rate fleet, including constants at and past the period.
         An ET delay past 2 ms destabilises the 2 ms loop to infinite
@@ -164,7 +162,6 @@ class TestBatchParity:
             fleet,
             lambda: AnalyticNetwork(tt_delay=tt_delay, et_delay=et_delay),
             rng.uniform(1.5, 3.0),
-            "analytic",
             equalize_delays=equalize,
         )
         assert network.delivered > 0
@@ -196,22 +193,22 @@ class TestBatchParity:
 class TestEligibilityAndFallback:
     def test_auto_picks_batch_on_analytic_fleets(self):
         sim = CoSimulator(shared_fleet(), AnalyticNetwork())
-        assert sim.kernel == "auto" and batch_capability(sim) is not None
+        assert sim.kernel == "auto"
         sim.run(3.0)
         assert sim.last_kernel == "batch"
 
     def test_lossy_flexray_fleet_runs_the_schedule_mirror(self):
-        """FlexRay + sporadic arrivals + frame loss: the schedule mirror
-        draws the bus's own loss stream, and the physics and counters
-        match an explicit event run."""
+        """FlexRay + sporadic arrivals + frame loss: the batch kernel
+        draws the network's own loss stream through the network's own
+        methods, and the physics and counters match an explicit event
+        run."""
         dist = lambda i: SporadicDisturbance(  # noqa: E731
             min_inter_arrival=2.0, mean_extra_gap=0.7, seed=i
         )
         net = lambda: FlexRayNetwork(  # noqa: E731
             bus=FlexRayBus(config=paper_bus_config()), loss_rate=0.3, loss_seed=7
         )
-        assert batch_capability(CoSimulator(shared_fleet(dist), net())) is not None
-        network = assert_kernels_agree(shared_fleet(dist), net, 6.0, "flexray")
+        network = assert_kernels_agree(shared_fleet(dist), net, 6.0)
         assert network.lost > 0
 
     def test_lossfree_multirate_flexray_is_now_batch_eligible(self):
@@ -226,14 +223,13 @@ class TestEligibilityAndFallback:
         assert len(trace.apps) == 3
 
     def test_subclassed_network_runs_live(self):
-        """A subclass may override the delay model, so it claims no
-        strategy — the live path calls its own ``sample_delays``."""
+        """A subclass may override the delay model, and the batch kernel
+        calls its own ``sample_delays``, as the event kernel does."""
 
         class TweakedAnalytic(AnalyticNetwork):
             pass
 
-        assert TweakedAnalytic().capabilities().batch_strategy is None
-        network = assert_kernels_agree(shared_fleet(), TweakedAnalytic, 2.0, "live")
+        network = assert_kernels_agree(shared_fleet(), TweakedAnalytic, 2.0)
         assert network.delivered > 0
 
     def test_unknown_kernel_rejected(self):

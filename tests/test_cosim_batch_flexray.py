@@ -1,13 +1,12 @@
-"""FlexRay batch strategy: parity, statistics, classification.
+"""FlexRay on the batch kernel: parity and statistics.
 
 The acceptance bar of the FlexRay fast path: on *any* static-slot
 FlexRay fleet — shared-period or multi-rate, any slot assignment, any
 disturbance process, any seed — the batch kernel's traces are bitwise
 identical to the event kernel's, and so are the bus statistics, since
-both kernels drive the same bus through its tuple-level cycle core.
-Frame loss and pre-used buses ride the ``"flexray"`` strategy;
-background dynamic-segment traffic and subclassed networks or bus parts
-run the live path, driving the real network.
+both kernels drive the same bus through the network's own methods.
+Frame loss, pre-used buses, background dynamic-segment traffic and
+subclassed networks or bus parts all run the batch kernel.
 """
 
 import random
@@ -37,7 +36,6 @@ from repro.sim import (
     CoSimulator,
     FlexRayNetwork,
     TrafficStream,
-    batch_capability,
 )
 
 SHARED_PLANTS = [servo_rig, dc_motor_speed, throttle_by_wire]
@@ -226,26 +224,24 @@ class TestStatisticsFidelity:
 
 
 class TestEligibility:
-    """What claims the ``"flexray"`` strategy, and what runs live."""
+    """Every FlexRay network runs the batch kernel, bitwise."""
 
     def test_lossfree_stock_fleet_is_flexray_capable(self):
         sim = CoSimulator(shared_fleet(), fresh_network())
-        assert batch_capability(sim) == "flexray"
         sim.run(2.0)
         assert sim.last_kernel == "batch"
 
     def test_frame_loss_claims_flexray(self):
-        """The source draws the network's own i.i.d. loss stream."""
+        """The batch kernel draws the network's own i.i.d. loss stream."""
         net = lambda: FlexRayNetwork(  # noqa: E731
             bus=FlexRayBus(config=paper_bus_config()), loss_rate=0.3, loss_seed=7
         )
-        assert net().capabilities().batch_strategy == "flexray"
-        network = assert_kernels_agree(shared_fleet(), net, 2.0, "flexray")
+        network = assert_kernels_agree(shared_fleet(), net, 2.0)
         assert network.lost > 0
 
     def test_background_traffic_runs_live(self):
-        """Dynamic-segment contention is not precomputable: the live
-        path drives the real bus and its traffic generator."""
+        """The batch kernel drives the real bus and its traffic
+        generator, over the event kernel's windows."""
         traffic = BackgroundTraffic(
             streams=[
                 TrafficStream(
@@ -257,8 +253,7 @@ class TestEligibility:
         net = lambda: FlexRayNetwork(  # noqa: E731
             bus=FlexRayBus(config=paper_bus_config()), traffic=traffic
         )
-        assert net().capabilities().batch_strategy is None
-        assert_kernels_agree(shared_fleet(), net, 2.0, "live")
+        assert_kernels_agree(shared_fleet(), net, 2.0)
 
     def test_subclassed_network_runs_live(self):
         class TweakedFlexRay(FlexRayNetwork):
@@ -268,12 +263,11 @@ class TestEligibility:
             shared_fleet(),
             lambda: TweakedFlexRay(bus=FlexRayBus(config=paper_bus_config())),
             2.0,
-            "live",
         )
 
     def test_subclassed_bus_falls_back(self):
-        """A subclassed bus could override the cycle walk the source
-        drives, so its network claims nothing and runs live."""
+        """A subclassed bus could override the cycle walk; the batch
+        kernel drives it through the network, as the event kernel does."""
 
         class TweakedBus(FlexRayBus):
             pass
@@ -281,20 +275,18 @@ class TestEligibility:
         net = lambda: FlexRayNetwork(  # noqa: E731
             bus=TweakedBus(config=paper_bus_config())
         )
-        assert net().capabilities().batch_strategy is None
-        assert_kernels_agree(shared_fleet(), net, 2.0, "live")
+        assert_kernels_agree(shared_fleet(), net, 2.0)
 
     def test_prewarmed_bus_claims_flexray(self):
-        """The source drives the real bus, so a bus clock already past
-        the run's first intervals is no obstacle."""
+        """The batch kernel drives the real bus, so a bus clock already
+        past the run's first intervals is no obstacle."""
 
         def net():
             network = fresh_network()
             network.bus.advance_to(0.02)
             return network
 
-        assert net().capabilities().batch_strategy == "flexray"
-        assert_kernels_agree(shared_fleet(), net, 2.0, "flexray")
+        assert_kernels_agree(shared_fleet(), net, 2.0)
 
     def test_preassigned_slot_claims_flexray(self):
         """A hand-granted slot stays owned until the arbiter hands it
@@ -305,8 +297,7 @@ class TestEligibility:
             network.bus.grant_slot(0, FrameSpec(frame_id=9, sender="static"))
             return network
 
-        assert net().capabilities().batch_strategy == "flexray"
-        assert_kernels_agree(shared_fleet(), net, 2.0, "flexray")
+        assert_kernels_agree(shared_fleet(), net, 2.0)
 
     def test_queued_dynamic_message_claims_flexray(self):
         def net():
@@ -316,8 +307,7 @@ class TestEligibility:
             )
             return network
 
-        assert net().capabilities().batch_strategy == "flexray"
-        assert_kernels_agree(shared_fleet(), net, 2.0, "flexray")
+        assert_kernels_agree(shared_fleet(), net, 2.0)
 
 
 class TestPipelineIntegration:

@@ -1,23 +1,16 @@
-"""Batch kernel over every network: FlexRay, CAN and live paths.
+"""Batch kernel over every network, through the network's own methods.
 
-Three paths put the fleets the batch kernel used to refuse on it:
+Both kernels drive a network through the same calls: ``on_slot_change``
+and one ``sample_delays`` per barrier for a shared period,
+``event_advance``/``event_submit``/``event_clamped`` per barrier for a
+multi-rate fleet.  So ``kernel="auto"`` batches every fleet on every
+network: stock FlexRay and CAN buses (frame loss and pre-used bus state
+included), loss wrappers (nested ones too), background traffic,
+subclassed networks and duck types.
 
-* the **FlexRay** path — a stock FlexRay bus, i.i.d. frame loss and
-  pre-used bus state included: the batch loops drive the bus's own
-  tuple-level cycle core and draw the network's loss stream once per
-  control delivery, in the order the bus delivers (static slots by
-  index, then the dynamic segment);
-* the **CAN** path — a stock CAN bus, bare or inside one stock loss
-  wrapper, shared-period or multi-rate: the batch loops drive the bus's
-  own tuple-level arbitration core and draw the wrapper's loss process
-  once per delivery;
-* the **live** path — other loss wrappers, background traffic,
-  subclassed and duck-typed networks: the batch loop calls the real
-  network's ``on_slot_change``/``sample_delays`` exactly as the event
-  kernel's eager mode does.
-
-The bar on all three: traces, ``jitter_violations``, ``lost``,
-``clamped`` and ``statistics()`` bitwise equal to ``kernel="event"``.
+The bar on each: traces, ``jitter_violations``, ``lost``, ``clamped``,
+the duck types' logged call sequences and ``statistics()`` bitwise
+equal to ``kernel="event"``.
 """
 
 import dataclasses
@@ -45,7 +38,7 @@ from repro.experiments import traces_bitwise_equal
 from repro.flexray import CycleFilter, FlexRayBus, FrameSpec, Message, paper_bus_config
 from repro.flexray.params import FlexRayConfig
 from repro.pipeline import DesignStudy, get_scenario
-from repro.sim import CoSimulator, batch_capability, heavy_background_traffic
+from repro.sim import CoSimulator, heavy_background_traffic
 from repro.sim.network import (
     AnalyticNetwork,
     CanBusNetwork,
@@ -59,10 +52,11 @@ PLANTS = {"servo": servo_rig, "motor": dc_motor_speed, "throttle": throttle_by_w
 
 
 @functools.lru_cache(maxsize=None)
-def _designed(name, plant):
-    """One controller design per (name, plant): designs dominate the
-    cost of a random fleet, and the fleet fields vary around them."""
-    return make_app(name, PLANTS[plant](), slot=0, frame_id=1, deadline=5.0)
+def _designed(name, plant, period=None):
+    """One controller design per (name, plant, period): designs dominate
+    the cost of a random fleet, and the fleet fields vary around them."""
+    plantdef = {**PLANTS, "current": motor_current_loop}[plant]()
+    return make_app(name, plantdef, slot=0, frame_id=1, deadline=5.0, period=period)
 
 
 def random_disturbance(rng: random.Random):
@@ -99,6 +93,41 @@ def random_shared_fleet(rng: random.Random, first_id: int = 1):
     return fleet
 
 
+def random_sporadic(rng: random.Random):
+    return SporadicDisturbance(
+        min_inter_arrival=rng.uniform(1.0, 2.0),
+        mean_extra_gap=rng.uniform(0.0, 1.0),
+        seed=rng.randrange(1000),
+    )
+
+
+def random_multirate_fleet(rng: random.Random):
+    """A 2 ms current loop beside 1-3 loops at 10 or 20 ms, on random
+    slots of the paper bus, every one disturbed sporadically."""
+    slots = rng.sample(range(paper_bus_config().static_slots), 3)
+    fleet = [
+        dataclasses.replace(
+            _designed("current", "current", 0.002),
+            slot=rng.choice(slots),
+            deadline=rng.uniform(0.3, 0.6),
+            disturbances=random_sporadic(rng),
+        )
+    ]
+    for index in range(rng.randint(1, 3)):
+        name = f"app{index}"
+        period = rng.choice((0.01, 0.02))
+        fleet.append(
+            dataclasses.replace(
+                _designed(name, rng.choice(sorted(PLANTS)), period),
+                slot=rng.choice(slots),
+                frame=FrameSpec(frame_id=2 + index, sender=name),
+                deadline=rng.uniform(3.0, 6.0),
+                disturbances=random_sporadic(rng),
+            )
+        )
+    return fleet
+
+
 def _flexray(config=None, **kwargs):
     bus = FlexRayBus(config=config or paper_bus_config())
     return FlexRayNetwork(bus=bus, **kwargs)
@@ -121,11 +150,11 @@ def _bursty(seed):
 
 
 class TweakedFlexRay(FlexRayNetwork):
-    """A subclass: never inherits the ``"flexray"`` strategy."""
+    """A subclass: the kernels call its (inherited) methods."""
 
 
 class DuckNetwork:
-    """Only the eager hooks — no ``capabilities()``, no event interface.
+    """Only the eager hooks — no base class, no event interface.
 
     Delays are seeded draws (some lost, some past the period), and every
     call is logged so the two kernels' call sequences can be compared.
@@ -141,67 +170,87 @@ class DuckNetwork:
     def sample_delays(self, time, period, submissions):
         self.calls.append(("sample", time, period, list(submissions)))
         delays = {}
-        for sub in submissions:
+        for name, _, uses_tt, _ in submissions:
             draw = self.rng.random()
             if draw < 0.05:
-                delays[sub.name] = float("inf")
-            elif sub.uses_tt:
-                delays[sub.name] = 0.0007
+                delays[name] = float("inf")
+            elif uses_tt:
+                delays[name] = 0.0007
             else:
-                delays[sub.name] = min(1.2 * period * draw, period)
+                delays[name] = min(1.2 * period * draw, period)
         return delays
 
 
-#: network kind -> (builder from a seed, expected batch path)
+class EventDuckNetwork:
+    """Only the event interface and the slot hook — no base class, no
+    ``sample_delays``, no ``event_clamped``.
+
+    Each message takes a seeded draw (some lost, some past the next
+    tick, never overtaking its own application's previous message), and
+    every call is logged so the two kernels' call sequences can be
+    compared.
+    """
+
+    def __init__(self, seed):
+        self.rng = random.Random(seed)
+        self.calls = []
+        self.queued = []
+        self.last = {}
+
+    def on_slot_change(self, slot, spec):
+        self.calls.append(("slot", slot, spec))
+
+    def event_submit(self, time, window_end, submissions):
+        self.calls.append(("submit", time, window_end, list(submissions)))
+        for name, _, uses_tt, release in submissions:
+            draw = self.rng.random()
+            delay = 0.0007 if uses_tt else 0.03 * draw
+            delivery = max(release + delay, self.last.get(name, 0.0))
+            self.last[name] = delivery
+            self.queued.append((name, release, delivery, draw < 0.05))
+
+    def event_advance(self, time):
+        self.calls.append(("advance", time))
+        out = [d for d in self.queued if d[2] <= time]
+        self.queued = [d for d in self.queued if d[2] > time]
+        return out
+
+
+#: network kind -> network factory taking a seed
 NETWORKS = {
-    "flexray-iid": (lambda s: _flexray(loss_rate=0.2, loss_seed=s), "flexray"),
-    "flexray-iid-slow-bus": (
-        lambda s: _flexray(SLOW_BUS, loss_rate=0.3, loss_seed=s),
-        "flexray",
+    "flexray-iid": lambda s: _flexray(loss_rate=0.2, loss_seed=s),
+    "flexray-iid-slow-bus": lambda s: _flexray(SLOW_BUS, loss_rate=0.3, loss_seed=s),
+    "lossy-flexray-iid": lambda s: LossyNetwork(
+        inner=_flexray(), loss=IIDLoss(rate=0.2, seed=s)
     ),
-    "lossy-flexray-iid": (
-        lambda s: LossyNetwork(inner=_flexray(), loss=IIDLoss(rate=0.2, seed=s)),
-        "live",
+    "lossy-flexray-ge": lambda s: LossyNetwork(inner=_flexray(), loss=_bursty(s)),
+    "lossy-can-iid": lambda s: LossyNetwork(
+        inner=CanBusNetwork(), loss=IIDLoss(rate=0.2, seed=s)
     ),
-    "lossy-flexray-ge": (
-        lambda s: LossyNetwork(inner=_flexray(), loss=_bursty(s)),
-        "live",
+    "lossy-can-ge": lambda s: LossyNetwork(inner=CanBusNetwork(), loss=_bursty(s)),
+    "nested-lossy-can": lambda s: LossyNetwork(
+        inner=LossyNetwork(inner=CanBusNetwork(), loss=IIDLoss(rate=0.1, seed=s)),
+        loss=_bursty(s),
     ),
-    "lossy-can-iid": (
-        lambda s: LossyNetwork(inner=CanBusNetwork(), loss=IIDLoss(rate=0.2, seed=s)),
-        "can",
+    "lossy-analytic-iid": lambda s: LossyNetwork(
+        inner=AnalyticNetwork(), loss=IIDLoss(rate=0.2, seed=s)
     ),
-    "lossy-can-ge": (
-        lambda s: LossyNetwork(inner=CanBusNetwork(), loss=_bursty(s)),
-        "can",
+    "lossy-analytic-ge": lambda s: LossyNetwork(
+        inner=AnalyticNetwork(), loss=_bursty(s)
     ),
-    "nested-lossy-can": (
-        lambda s: LossyNetwork(
-            inner=LossyNetwork(inner=CanBusNetwork(), loss=IIDLoss(rate=0.1, seed=s)),
-            loss=_bursty(s),
-        ),
-        "live",
+    "can": lambda s: CanBusNetwork(),
+    "flexray-traffic": lambda s: _flexray(traffic=heavy_background_traffic(count=8)),
+    "subclassed-flexray": lambda s: TweakedFlexRay(
+        bus=FlexRayBus(config=paper_bus_config())
     ),
-    "lossy-analytic-iid": (
-        lambda s: LossyNetwork(
-            inner=AnalyticNetwork(), loss=IIDLoss(rate=0.2, seed=s)
-        ),
-        "live",
-    ),
-    "lossy-analytic-ge": (
-        lambda s: LossyNetwork(inner=AnalyticNetwork(), loss=_bursty(s)),
-        "live",
-    ),
-    "can": (lambda s: CanBusNetwork(), "can"),
-    "flexray-traffic": (
-        lambda s: _flexray(traffic=heavy_background_traffic(count=8)),
-        "live",
-    ),
-    "subclassed-flexray": (
-        lambda s: TweakedFlexRay(bus=FlexRayBus(config=paper_bus_config())),
-        "live",
-    ),
-    "duck": (DuckNetwork, "live"),
+    "duck": DuckNetwork,
+}
+
+#: The multi-rate matrix: every kind with the event interface, and a
+#: duck type given it in place of the eager-only one.
+MULTIRATE_NETWORKS = {
+    **{kind: build for kind, build in NETWORKS.items() if kind != "duck"},
+    "event-duck": EventDuckNetwork,
 }
 
 
@@ -210,12 +259,11 @@ def _statistics(network):
     return None if describe is None else describe()
 
 
-def assert_kernels_agree(fleet, build, horizon, path, **options):
+def assert_kernels_agree(fleet, build, horizon, **options):
     """Run ``fleet`` on ``auto`` and on ``event`` over two fresh networks
     and require bitwise-equal physics and network counters."""
     auto_net, event_net = build(), build()
     auto = CoSimulator(fleet, auto_net, **options)
-    assert batch_capability(auto) == path
     event = CoSimulator(fleet, event_net, kernel="event", **options)
     auto_trace, event_trace = auto.run(horizon), event.run(horizon)
     assert auto.last_kernel == "batch"
@@ -239,17 +287,49 @@ class TestRandomSharedFleets:
     )
     @settings(max_examples=4, deadline=None)
     def test_batch_matches_event_kernel(self, kind, seed, equalize, tt_allowed):
-        build, path = NETWORKS[kind]
+        build = NETWORKS[kind]
         rng = random.Random(seed)
         fleet = random_shared_fleet(rng)
         assert_kernels_agree(
             fleet,
             lambda: build(seed),
             rng.uniform(2.0, 3.5),
-            path,
             equalize_delays=equalize,
             tt_allowed=tt_allowed,
         )
+
+
+class TestRandomMultirateFleets:
+    """Every network kind with the event interface, random multi-rate
+    fleets under sporadic disturbances, both equalization options.
+    Under the nested wrapper's heavy loss an unequalized 2 ms loop can
+    grow past the float range of its squared norm in both kernels,
+    hence the overflow filter."""
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.parametrize("equalize", [True, False])
+    @pytest.mark.parametrize("kind", sorted(MULTIRATE_NETWORKS))
+    @given(seed=st.integers(0, 2**16))
+    @settings(max_examples=3, deadline=None)
+    def test_batch_matches_event_kernel(self, kind, equalize, seed):
+        build = MULTIRATE_NETWORKS[kind]
+        rng = random.Random(seed)
+        fleet = random_multirate_fleet(rng)
+        assert_kernels_agree(
+            fleet,
+            lambda: build(seed),
+            rng.uniform(1.5, 2.5),
+            equalize_delays=equalize,
+        )
+
+    @pytest.mark.parametrize("kernel", ["auto", "event"])
+    def test_eager_only_network_is_refused(self, kernel):
+        """The one kind left out of the matrix, the eager-only duck, has
+        no ``event_submit``/``event_advance``: a multi-rate fleet on it
+        is refused with the same error whichever kernel is asked for."""
+        sim = CoSimulator(multirate_fleet(), DuckNetwork(0), kernel=kernel)
+        with pytest.raises(ValueError, match="lacks \\['event_submit', 'event_advance'\\]"):
+            sim.run(1.0)
 
 
 class TestClampsAndLoss:
@@ -267,16 +347,15 @@ class TestClampsAndLoss:
                 loss_seed=5,
             ),
             4.0,
-            "live",
         )
         assert network.clamped > 100
         assert (network.lost > 0) == (loss_rate > 0)
 
     def test_mirror_loses_frames_in_tt_and_et(self):
-        """A lossy ``"flexray"`` run exercises loss on both segments."""
+        """A lossy FlexRay run exercises loss on both segments."""
         fleet = random_shared_fleet(random.Random(3))
         network = assert_kernels_agree(
-            fleet, lambda: _flexray(loss_rate=0.4, loss_seed=9), 4.0, "flexray"
+            fleet, lambda: _flexray(loss_rate=0.4, loss_seed=9), 4.0
         )
         stats = network.statistics()
         assert network.lost > 0
@@ -307,7 +386,7 @@ def assert_studies_agree(scenario):
 
 class TestMultirateMirror:
     """``multirate-cosim`` (2 ms loop beside 20 ms loops) with frame loss
-    runs the ``"flexray"`` source's lazy loop, bitwise equal to the event
+    runs the batch kernel's lazy loop, bitwise equal to the event
     kernel."""
 
     @pytest.mark.parametrize("disturbance", ["one-shot", "sporadic"])
@@ -335,7 +414,6 @@ class TestMultirateMirror:
             multirate_fleet(),
             lambda: _flexray(config, loss_rate=0.3, loss_seed=4),
             3.0,
-            "flexray",
         )
         assert network.clamped > 100
         assert network.lost > 0
@@ -361,9 +439,9 @@ MULTIRATE_CAN = {
 
 
 class TestMultirateCan:
-    """Multi-rate CAN fleets leave the event kernel: the ``"can"``
-    source's lazy loop drives the bus's tuple core, bitwise equal to
-    the event kernel's event interface."""
+    """Multi-rate CAN fleets run the batch kernel's lazy loop, which
+    drives the bus through its event interface, bitwise equal to the
+    event kernel."""
 
     @pytest.mark.parametrize("equalize", [True, False])
     @pytest.mark.parametrize("seed", [1, 2])
@@ -373,7 +451,6 @@ class TestMultirateCan:
             multirate_fleet(),
             lambda: MULTIRATE_CAN[kind](seed),
             3.0,
-            "can",
             equalize_delays=equalize,
         )
 
@@ -388,7 +465,6 @@ class TestMultirateCan:
                 loss=IIDLoss(rate=0.3, seed=4),
             ),
             3.0,
-            "can",
         )
         assert network.clamped > 100
         assert network.clamped > network.statistics()["pending"]
@@ -425,7 +501,7 @@ def _warm_can(build, fleet):
 
 
 class TestWarmCanBus:
-    """The ``"can"`` source drives the real bus, so it needs no pristine
+    """The batch kernel drives the real bus, so it needs no pristine
     bus: a bus a previous run left congested replays identically.  Each
     warm-up roster overloads the 25 kbit/s bus with a 2 ms loop on frame
     1, the top priority, whose name the measured roster does not know:
@@ -452,7 +528,7 @@ class TestWarmCanBus:
     )
     def test_run_on_a_warm_bus(self, build, warm, fleet):
         assert _warm_can(build, warm()).statistics()["pending"] > 0
-        assert_kernels_agree(fleet(), lambda: _warm_can(build, warm()), 3.0, "can")
+        assert_kernels_agree(fleet(), lambda: _warm_can(build, warm()), 3.0)
 
 
 def _warm_flexray(loss_rate, prepare):
@@ -488,7 +564,7 @@ def _foreign_dynamic_frame(network):
 
 
 class TestWarmFlexRayBus:
-    """The ``"flexray"`` source drives the real bus, so it needs no
+    """The batch kernel drives the real bus, so it needs no
     pristine bus: a bus another roster's run left in use, a foreign
     cycle-multiplexed slot with a queued frame, and a queued foreign
     dynamic frame replay identically, with and without loss."""
@@ -515,7 +591,7 @@ class TestWarmFlexRayBus:
         warm_bus = _warm_flexray(loss_rate, prepare).bus
         assert warm_bus.dynamic.pending() + warm_bus._tt_queued > 0
         network = assert_kernels_agree(
-            fleet(), lambda: _warm_flexray(loss_rate, prepare), 2.0, "flexray"
+            fleet(), lambda: _warm_flexray(loss_rate, prepare), 2.0
         )
         assert (network.lost > 0) == (loss_rate > 0)
 
@@ -538,7 +614,6 @@ class TestSlotWalkOrder:
             _out_of_order_fleet(),
             lambda: _flexray(loss_rate=0.3, loss_seed=2),
             3.0,
-            "flexray",
         )
         assert network.lost > 0
         assert network.statistics()["tt_deliveries"] > 0

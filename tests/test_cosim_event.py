@@ -163,15 +163,7 @@ def fixed_step_reference(sim, horizon):
             controller = app.app.tt if uses_tt else app.app.et
             u = controller.control(states[app.name], held_inputs[app.name])
             inputs[app.name] = u
-            submissions.append(
-                Submission(
-                    name=app.name,
-                    spec=app.frame,
-                    uses_tt=uses_tt,
-                    slot=app.slot if uses_tt else None,
-                    release_time=time,
-                )
-            )
+            submissions.append((app.name, app.frame, uses_tt, time))
         delays = sim.network.sample_delays(time, period, submissions)
         if sim.equalize_delays:
             # Buffer actuation until the design-time offset of the
@@ -318,7 +310,7 @@ class TestMultiRate:
     def test_multirate_needs_event_network_interface(self):
         class BatchOnlyNetwork:
             def sample_delays(self, time, period, submissions):
-                return {s.name: 0.0 for s in submissions}
+                return {name: 0.0 for name, _, _, _ in submissions}
 
             def on_slot_change(self, slot, spec):
                 pass
@@ -329,7 +321,10 @@ class TestMultiRate:
     def test_batch_only_network_fine_for_shared_period(self):
         class BatchOnlyNetwork:
             def sample_delays(self, time, period, submissions):
-                return {s.name: 0.0007 if s.uses_tt else period for s in submissions}
+                return {
+                    name: 0.0007 if uses_tt else period
+                    for name, _, uses_tt, _ in submissions
+                }
 
             def on_slot_change(self, slot, spec):
                 pass

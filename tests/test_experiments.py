@@ -196,39 +196,3 @@ class TestAblations:
         assert len(result.pair_ratios) == 3
         assert result.batch_speedup_vs_event == sorted(result.pair_ratios)[1]
         assert result.traces_identical
-
-    @pytest.fixture
-    def strategyless_network(self):
-        """A registered backend with no precomputation strategy (a CAN
-        bus subclass, which never inherits the bus's claim); every
-        built-in backend has one."""
-        from repro.sim.network import (
-            CanBusNetwork,
-            register_network,
-            unregister_network,
-        )
-
-        class PlainCan(CanBusNetwork):
-            pass
-
-        register_network("test-strategyless", summary="no batch strategy")(
-            lambda **kwargs: PlainCan()
-        )
-        yield "test-strategyless"
-        unregister_network("test-strategyless")
-
-    def test_kernel_ablation_rejects_a_fleet_auto_cannot_batch(
-        self, monkeypatch, strategyless_network
-    ):
-        """A multi-rate fleet on a network without a precomputation
-        strategy runs on the event kernel; timing it against itself
-        would report a meaningless 1x."""
-        from repro.experiments import run_kernel_ablation
-        from repro.pipeline import get_scenario, registry
-
-        multirate_plain = get_scenario("multirate-cosim").derive(
-            name="multirate-plain", network=strategyless_network, bus=None
-        )
-        monkeypatch.setitem(registry._REGISTRY, "multirate-plain", multirate_plain)
-        with pytest.raises(ValueError, match="not batch-capable"):
-            run_kernel_ablation(horizon=1.0, scenario="multirate-plain")

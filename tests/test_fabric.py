@@ -418,6 +418,51 @@ class TestKeptResults:
                 assert b'"curves":null' in line
 
 
+class _HungUpChannel:
+    """A worker channel whose peer hangs up right after asking for a
+    lease: every reply from then on raises ``ConnectionResetError``."""
+
+    def __init__(self):
+        self.inbox = [
+            {"type": "hello", "worker": "gone"},
+            {"type": "lease", "worker": "gone"},
+        ]
+        self.hung_up = False
+        self.closed = False
+
+    def recv_msg(self, timeout=None):
+        if not self.inbox:
+            return None
+        msg = self.inbox.pop(0)
+        self.hung_up = msg["type"] == "lease"
+        return msg
+
+    def send_msg(self, kind, **fields):
+        if self.hung_up:
+            raise ConnectionResetError("peer hung up")
+
+    def close(self):
+        self.closed = True
+
+
+class TestHungUpWorker:
+    def test_failed_reply_ends_the_connection_and_requeues(self):
+        """The job reply to a worker that already hung up ends only that
+        connection (nothing escapes into the server thread), and the
+        lease granted just before it re-queues as a disconnect."""
+        coordinator = SweepCoordinator(
+            cheap_base(), axes=None, replications=1, seed0=0, cache=DwellCurveCache()
+        )
+        channel = _HungUpChannel()
+        try:
+            coordinator._serve_connection(channel)
+        finally:
+            coordinator.stop()
+        assert channel.closed
+        assert [r["reason"] for r in coordinator.requeues] == ["disconnect"]
+        assert coordinator.requeues[0]["worker"] == "gone"
+
+
 class TestMalformedResult:
     @pytest.mark.parametrize("payload", ["empty", "with-curves"])
     def test_bad_result_is_a_counted_protocol_error(self, payload):

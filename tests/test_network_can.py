@@ -20,7 +20,7 @@ from repro.baselines.can_rta import (
 )
 from repro.flexray.frame import FrameSpec
 from repro.pipeline import DesignStudy, get_scenario
-from repro.sim.network import CanBusNetwork, Submission
+from repro.sim.network import CanBusNetwork
 from test_cosim_batch_networks import assert_studies_agree
 
 BIT_TIME = 2e-6
@@ -30,20 +30,18 @@ def _submission(frame_id, release, payload_bits=64, name=None):
     spec = FrameSpec(
         frame_id=frame_id, payload_bits=payload_bits, sender=name or f"f{frame_id}"
     )
-    return Submission(
-        name=spec.sender, spec=spec, uses_tt=False, slot=0, release_time=release
-    )
+    return (spec.sender, spec, False, release)
 
 
 def _drive(net, submissions, horizon, step=0.001):
     """Feed releases barrier by barrier; return deliveries in order."""
-    pending = sorted(submissions, key=lambda s: s.release_time)
+    pending = sorted(submissions, key=lambda s: s[3])
     deliveries = []
     time = 0.0
     while time < horizon:
         window_end = time + step
-        batch = [s for s in pending if s.release_time < window_end]
-        pending = [s for s in pending if s.release_time >= window_end]
+        batch = [s for s in pending if s[3] < window_end]
+        pending = [s for s in pending if s[3] >= window_end]
         net.event_submit(time, window_end, batch)
         deliveries.extend(net.event_advance(window_end))
         time = window_end
@@ -59,9 +57,9 @@ class TestArbitration:
 
     def test_idle_bus_delivers_after_one_wire_time(self):
         net = CanBusNetwork(bit_time=BIT_TIME)
-        [only] = _drive(net, [_submission(1, 0.0)], horizon=0.01)
-        assert only.delivery_time == pytest.approx(net.wire_time(64))
-        assert not only.lost
+        [(_, _, delivery, lost)] = _drive(net, [_submission(1, 0.0)], horizon=0.01)
+        assert delivery == pytest.approx(net.wire_time(64))
+        assert not lost
 
     def test_lowest_identifier_wins_contention(self):
         """Three frames released together transmit in identifier order,
@@ -69,10 +67,10 @@ class TestArbitration:
         net = CanBusNetwork(bit_time=BIT_TIME)
         subs = [_submission(fid, 0.0) for fid in (3, 1, 2)]
         deliveries = _drive(net, subs, horizon=0.01)
-        assert [d.name for d in deliveries] == ["f1", "f2", "f3"]
+        assert [d[0] for d in deliveries] == ["f1", "f2", "f3"]
         wire = net.wire_time(64)
         for rank, delivery in enumerate(deliveries, start=1):
-            assert delivery.delivery_time == pytest.approx(rank * wire)
+            assert delivery[2] == pytest.approx(rank * wire)
 
     def test_non_preemptive_blocking(self):
         """A high-priority frame arriving mid-transmission waits for the
@@ -82,9 +80,9 @@ class TestArbitration:
         low = _submission(9, 0.0)
         high = _submission(1, 0.4 * wire)
         deliveries = _drive(net, [low, high], horizon=0.01, step=0.1 * wire)
-        assert [d.name for d in deliveries] == ["f9", "f1"]
-        assert deliveries[0].delivery_time == pytest.approx(wire)
-        assert deliveries[1].delivery_time == pytest.approx(2 * wire)
+        assert [d[0] for d in deliveries] == ["f9", "f1"]
+        assert deliveries[0][2] == pytest.approx(wire)
+        assert deliveries[1][2] == pytest.approx(2 * wire)
 
     def test_fifo_within_one_identifier(self):
         net = CanBusNetwork(bit_time=BIT_TIME)
@@ -94,8 +92,8 @@ class TestArbitration:
             _submission(1, 0.0, name="second"),
         ]
         deliveries = _drive(net, subs, horizon=0.01)
-        assert [d.name for d in deliveries] == ["first", "second"]
-        assert deliveries[1].delivery_time == pytest.approx(2 * wire)
+        assert [d[0] for d in deliveries] == ["first", "second"]
+        assert deliveries[1][2] == pytest.approx(2 * wire)
 
     def test_busy_time_accounts_every_transmission(self):
         net = CanBusNetwork(bit_time=BIT_TIME)
@@ -149,24 +147,13 @@ class TestRtaSoundness:
         for spec, period in fleet:
             k = 0
             while k * period < horizon:
-                submissions.append(
-                    Submission(
-                        name=spec.sender,
-                        spec=spec,
-                        uses_tt=False,
-                        slot=0,
-                        release_time=k * period,
-                    )
-                )
+                submissions.append((spec.sender, spec, False, k * period))
                 k += 1
         net = CanBusNetwork(bit_time=BIT_TIME)
         deliveries = _drive(net, submissions, horizon, step=min(self.PERIODS))
         worst_seen = {}
-        for delivery in deliveries:
-            wait = delivery.delivery_time - delivery.release_time
-            worst_seen[delivery.name] = max(
-                worst_seen.get(delivery.name, 0.0), wait
-            )
+        for name, release, delivery, _ in deliveries:
+            worst_seen[name] = max(worst_seen.get(name, 0.0), delivery - release)
         assert set(worst_seen) == {spec.sender for spec, _ in fleet}
         checked = 0
         for message in messages:
@@ -188,9 +175,9 @@ class TestCanCosimScenario:
         scenario = get_scenario("can-cosim").derive(
             apps=("servo-rig", "throttle-by-wire"), wait_step=16, horizon=6.0
         )
-        # The "can" strategy: the batch loop drives the bus's own
-        # arbitration core, bitwise equal to the event kernel (traces,
-        # jitter violations, bus statistics).
+        # The batch loop drives the bus through the network's own
+        # methods, bitwise equal to the event kernel (traces, jitter
+        # violations, bus statistics).
         cosim = assert_studies_agree(scenario)
         assert cosim["network"] == "can"
         assert cosim["kernel_used"] == "batch"

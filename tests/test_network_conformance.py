@@ -7,8 +7,6 @@ fails here before a co-simulation silently diverges.  A deliberately
 broken model proves the kit actually rejects violations.
 """
 
-import dataclasses
-
 import pytest
 
 from repro.flexray import FlexRayBus, paper_bus_config
@@ -68,8 +66,8 @@ class _DroppedSubmission(AnalyticNetwork):
     def event_advance(self, time):
         deliveries = super().event_advance(time)
         return [
-            dataclasses.replace(d, release_time=d.release_time + 1.0)
-            for d in deliveries
+            (name, release + 1.0, delivery, lost)
+            for name, release, delivery, lost in deliveries
         ]
 
 
@@ -79,9 +77,16 @@ class _TimeTravel(AnalyticNetwork):
     def event_advance(self, time):
         deliveries = super().event_advance(time)
         return [
-            dataclasses.replace(d, delivery_time=d.release_time - 1.0)
-            for d in deliveries
+            (name, release, release - 1.0, lost)
+            for name, release, _, lost in deliveries
         ]
+
+
+class _ListDeliveries(AnalyticNetwork):
+    """Broken on purpose: reports deliveries as lists, not tuples."""
+
+    def event_advance(self, time):
+        return [list(d) for d in super().event_advance(time)]
 
 
 class _StickyReset(AnalyticNetwork):
@@ -93,72 +98,11 @@ class _StickyReset(AnalyticNetwork):
 
 
 @pytest.mark.parametrize(
-    "broken", [_DroppedSubmission, _TimeTravel, _StickyReset]
+    "broken", [_DroppedSubmission, _TimeTravel, _ListDeliveries, _StickyReset]
 )
 def test_kit_rejects_broken_models(broken):
     with pytest.raises(ConformanceError):
         check_network_model(lambda: broken())
-
-
-class _ClaimsCan(AnalyticNetwork):
-    """Broken on purpose: claims the ``"can"`` strategy, whose batch
-    source drives a CAN bus's tuple core, without being a CAN bus."""
-
-    def capabilities(self):
-        return dataclasses.replace(super().capabilities(), batch_strategy="can")
-
-
-class _WrapperClaimsCan(LossyNetwork):
-    """Broken on purpose: a wrapper subclass around a real bus claims
-    ``"can"``, but the batch source would bypass its overrides."""
-
-    def capabilities(self):
-        return dataclasses.replace(super().capabilities(), batch_strategy="can")
-
-
-@pytest.mark.parametrize(
-    "impostor",
-    [
-        _ClaimsCan,
-        lambda: _WrapperClaimsCan(
-            inner=CanBusNetwork(), loss=IIDLoss(rate=0.1, seed=0)
-        ),
-    ],
-    ids=["not-a-bus", "wrapper-subclass"],
-)
-def test_kit_rejects_a_can_claim_without_a_can_bus(impostor):
-    with pytest.raises(ConformanceError, match="can batch strategy"):
-        check_network_model(impostor)
-
-
-class _ClaimsFlexRay(AnalyticNetwork):
-    """Broken on purpose: claims the ``"flexray"`` strategy, whose batch
-    source drives a FlexRay bus's tuple core, without being one."""
-
-    def capabilities(self):
-        return dataclasses.replace(super().capabilities(), batch_strategy="flexray")
-
-
-class _DuckFlexRay:
-    """Broken on purpose: a duck type that carries a real FlexRay bus
-    and delegates to a stock network, yet is not a ``FlexRayNetwork``,
-    so the source would bypass it."""
-
-    def __init__(self):
-        self.inner = FlexRayNetwork(bus=FlexRayBus(config=paper_bus_config()))
-        self.bus = self.inner.bus
-
-    def __getattr__(self, name):
-        return getattr(self.inner, name)
-
-
-@pytest.mark.parametrize(
-    "impostor", [_ClaimsFlexRay, _DuckFlexRay], ids=["not-a-bus", "duck"]
-)
-def test_kit_rejects_a_flexray_claim_without_a_flexray_network(impostor):
-    assert impostor().capabilities().batch_strategy == "flexray"
-    with pytest.raises(ConformanceError, match="flexray batch strategy"):
-        check_network_model(impostor)
 
 
 def test_kit_rejects_missing_surface():

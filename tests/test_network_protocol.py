@@ -1,32 +1,23 @@
-"""Network-backend registry, capability descriptors, batch dispatch (ISSUE 9).
+"""Network-backend registry and the one network interface.
 
 The registry mirrors ``repro.solvers.registry`` (decorator registration,
-sorted names, readable unknown-name errors); ``batch_capability`` now
-interrogates ``capabilities()`` instead of ``isinstance``-sniffing, so
-third-party backends opt in to a batch precomputation strategy by
-*claiming* it — and subclasses of the stock backends never inherit the
-claim: they run the live batch path (or the event kernel, when
-multi-rate) unless they re-claim one.
+sorted names, readable unknown-name errors).  Both kernels drive every
+network through its own methods, so stock backends, their subclasses
+and duck types all run the batch kernel under ``kernel="auto"``,
+bitwise equal to the event kernel.
 """
 
-import dataclasses
 import json
 
 import pytest
 
 from repro.cli import main
-from repro.experiments import traces_bitwise_equal
 from repro.flexray import FlexRayBus, paper_bus_config
-from repro.sim import CoSimulator
-from repro.sim.batch import batch_capability
 from repro.sim.network import (
     AnalyticNetwork,
-    BATCH_STRATEGIES,
     CanBusNetwork,
     FlexRayNetwork,
-    IIDLoss,
     LossyNetwork,
-    NetworkCapabilities,
     NetworkModel,
     UnknownNetworkError,
     build_network,
@@ -51,10 +42,8 @@ class TestRegistry:
         spec = get_network("analytic")
         assert spec.deterministic
         assert spec.analytic_delays
-        assert spec.batch == "analytic"
         can = get_network("can")
         assert can.deterministic
-        assert can.batch == "can"
 
     def test_unknown_name_error_lists_registered(self):
         with pytest.raises(UnknownNetworkError) as excinfo:
@@ -68,7 +57,6 @@ class TestRegistry:
         assert isinstance(network, CanBusNetwork)
         lossy = build_network("can", loss_rate=0.1, seed=3)
         assert isinstance(lossy, LossyNetwork)
-        assert lossy.capabilities().loss == "iid"
 
     def test_duplicate_registration_rejected(self):
         with pytest.raises(ValueError, match="already registered"):
@@ -78,22 +66,10 @@ class TestRegistry:
                 summary="imposter",
                 deterministic=True,
                 analytic_delays=True,
-                batch=None,
                 loss="none",
             )
             def _imposter(**kwargs):
                 raise AssertionError("never built")
-
-    def test_unknown_batch_strategy_rejected(self):
-        """A registry row may only advertise a strategy the batch kernel
-        knows, as a capability descriptor may only claim one."""
-        with pytest.raises(ValueError, match="unknown batch_strategy 'mirrorr'"):
-
-            @register_network("typo-net", batch="mirrorr")
-            def _typo(**kwargs):
-                raise AssertionError("never built")
-
-        assert "typo-net" not in network_names()
 
     def test_register_overwrite_and_unregister(self):
         @register_network(
@@ -101,7 +77,6 @@ class TestRegistry:
             summary="registry round-trip fixture",
             deterministic=True,
             analytic_delays=True,
-            batch=None,
             loss="none",
         )
         def _build_null(**kwargs):
@@ -116,7 +91,6 @@ class TestRegistry:
                 summary="second generation",
                 deterministic=True,
                 analytic_delays=True,
-                batch=None,
                 loss="none",
                 overwrite=True,
             )
@@ -133,150 +107,51 @@ class TestRegistry:
         table = network_table()
         assert [row["name"] for row in table] == network_names()
         for row in table:
-            assert {"name", "summary", "deterministic", "batch"} <= set(row)
+            assert {"name", "summary", "deterministic", "loss"} <= set(row)
 
 
-class TestCapabilities:
-    def test_descriptor_validates_batch_strategy(self):
-        with pytest.raises(ValueError, match="batch_strategy"):
-            NetworkCapabilities(
-                deterministic=True,
-                analytic_delays=False,
-                batch_strategy="warp-drive",
-            )
+class TestEveryNetworkBatches:
+    """``auto`` runs the batch kernel on stock backends, subclasses and
+    duck types alike, for shared-period and multi-rate fleets."""
 
-    def test_descriptor_serializes(self):
-        caps = AnalyticNetwork().capabilities()
-        payload = caps.to_dict()
-        assert payload["batch_strategy"] == "analytic"
-        assert payload["deterministic"] is True
-
-    def test_stock_backends_self_describe(self):
-        assert AnalyticNetwork().capabilities().batch_strategy == "analytic"
-        pristine = FlexRayNetwork(bus=FlexRayBus(config=paper_bus_config()))
-        assert pristine.capabilities().batch_strategy == "flexray"
-        assert pristine.capabilities().deterministic
-        lossy = FlexRayNetwork(
-            bus=FlexRayBus(config=paper_bus_config()), loss_rate=0.1
-        )
-        # The schedule mirror draws the bus's own i.i.d. loss stream.
-        assert lossy.capabilities().batch_strategy == "flexray"
-        assert not lossy.capabilities().deterministic
-        assert lossy.capabilities().loss == "iid"
-        assert CanBusNetwork().capabilities().batch_strategy == "can"
-
-    def test_loss_wrapper_demotes_capabilities(self):
-        wrapped = LossyNetwork(
-            inner=AnalyticNetwork(), loss=IIDLoss(rate=0.2, seed=0)
-        )
-        caps = wrapped.capabilities()
-        assert caps.batch_strategy is None
-        assert not caps.deterministic
-        assert caps.loss == "iid"
-
-
-    def test_loss_wrapper_passes_can_through_around_the_bus_only(self):
-        """The ``"can"`` source drives a bus's tuple core, so only a
-        stock wrapper whose inner *is* a claiming bus keeps the claim."""
-        loss = lambda: IIDLoss(rate=0.2, seed=0)  # noqa: E731
-
-        class TweakedCan(CanBusNetwork):
-            pass
-
-        class TweakedWrapper(LossyNetwork):
-            pass
-
-        wrapped = LossyNetwork(inner=CanBusNetwork(), loss=loss())
-        assert wrapped.capabilities().batch_strategy == "can"
-        assert not wrapped.capabilities().deterministic
-        for composite in (
-            LossyNetwork(inner=wrapped, loss=loss()),
-            LossyNetwork(inner=TweakedCan(), loss=loss()),
-            TweakedWrapper(inner=CanBusNetwork(), loss=loss()),
-        ):
-            assert composite.capabilities().batch_strategy is None
-
-
-class TestBatchCapabilityDispatch:
-    """``batch_capability`` classifies via ``capabilities()`` and the
-    fleet's sampling periods, never via ``isinstance``."""
-
-    def _sim(self, network):
-        return CoSimulator(shared_fleet(), network)
-
-    def test_stock_classification(self):
-        assert batch_capability(self._sim(AnalyticNetwork())) == "analytic"
-        pristine = FlexRayNetwork(bus=FlexRayBus(config=paper_bus_config()))
-        assert batch_capability(self._sim(pristine)) == "flexray"
+    def test_stock_backends(self):
         lossy = lambda: FlexRayNetwork(  # noqa: E731
             bus=FlexRayBus(config=paper_bus_config()), loss_rate=0.1
         )
-        assert batch_capability(self._sim(lossy())) == "flexray"
-        assert batch_capability(self._sim(CanBusNetwork())) == "can"
-        assert_kernels_agree(shared_fleet(), lossy, 3.0, "flexray")
-        assert_kernels_agree(shared_fleet(), CanBusNetwork, 3.0, "can")
+        assert_kernels_agree(shared_fleet(), lossy, 3.0)
+        assert_kernels_agree(shared_fleet(), CanBusNetwork, 3.0)
 
-    def test_duck_typed_network_runs_live(self):
+    def test_duck_typed_network(self):
         class Duck:
             tt_delay = 0.0007
             et_delay = 0.020
 
             def sample_delays(self, time, period, submissions):
-                return {s.name: self.tt_delay for s in submissions}
+                return {name: self.tt_delay for name, _, _, _ in submissions}
 
             def on_slot_change(self, slot, frame):
                 pass
 
-        assert batch_capability(self._sim(Duck())) == "live"
-        assert_kernels_agree(shared_fleet(), Duck, 3.0, "live")
+        assert_kernels_agree(shared_fleet(), Duck, 3.0)
 
-    def test_subclass_without_override_runs_live(self):
+    def test_subclass_without_override(self):
         class Tweaked(AnalyticNetwork):
             pass
 
-        assert Tweaked().capabilities().batch_strategy is None
-        assert batch_capability(self._sim(Tweaked())) == "live"
-        assert_kernels_agree(shared_fleet(), Tweaked, 3.0, "live")
+        assert_kernels_agree(shared_fleet(), Tweaked, 3.0)
 
-    def test_multirate_fleet_without_strategy_stays_on_event(self):
-        """Only multi-rate fleets on strategy-less networks need the
-        event kernel (lazy resolution through the event interface).  A
-        CAN subclass is one: it never inherits the bus's claim."""
+    def test_multirate_fleet_on_a_subclass(self):
+        """A multi-rate fleet on a CAN subclass runs the batch kernel,
+        bitwise."""
 
         class TweakedCan(CanBusNetwork):
             pass
 
-        assert TweakedCan().capabilities().batch_strategy is None
-        sim = CoSimulator(multirate_fleet(), TweakedCan())
-        assert batch_capability(sim) is None
-        sim.run(0.5)
-        assert sim.last_kernel == "event"
-
-    def test_subclass_opting_back_in_runs_batch_bitwise(self):
-        """A subclass that keeps the analytic semantics can re-claim the
-        strategy through ``capabilities()`` — the documented seam — and
-        the batch kernel replays the event kernel bit for bit."""
-
-        class StillAnalytic(AnalyticNetwork):
-            def capabilities(self):
-                return dataclasses.replace(
-                    super().capabilities(), batch_strategy="analytic"
-                )
-
-        sim = CoSimulator(shared_fleet(), StillAnalytic())
-        trace = sim.run(6.0)
-        assert sim.last_kernel == "batch"
-        reference = CoSimulator(
-            shared_fleet(), AnalyticNetwork(), kernel="event"
-        ).run(6.0)
-        assert traces_bitwise_equal(trace, reference)
-
-    def test_strategies_are_frozen(self):
-        assert BATCH_STRATEGIES == ("analytic", "flexray", "can")
+        assert_kernels_agree(multirate_fleet(), TweakedCan, 0.5)
 
 
 class TestNetworksCli:
-    """``repro networks`` — the capability table, satellite (a)."""
+    """``repro networks`` — the backend table."""
 
     def test_text_listing(self, capsys):
         assert main(["networks"]) == 0
@@ -291,8 +166,7 @@ class TestNetworksCli:
         data = json.loads(capsys.readouterr().out)
         rows = {spec["name"]: spec for spec in data["networks"]}
         assert set(rows) == set(network_names())
-        assert rows["analytic"]["batch"] == "analytic"
-        assert rows["can"]["batch"] == "can"
+        assert all("batch" not in row for row in rows.values())
         assert rows["can"]["loss"] == "iid"
         assert rows["flexray"]["deterministic"] is True
 

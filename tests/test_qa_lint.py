@@ -251,7 +251,6 @@ class TestQA004RegistryLiterals:
             summary="QA004 live-registry fixture",
             deterministic=True,
             analytic_delays=True,
-            batch=None,
             loss="none",
         )
         def _build(**kwargs):
