@@ -5,7 +5,7 @@ from repro.experiments.ablations import run_jitter_ablation
 
 def test_bench_jitter_ablation(benchmark, sim_apps):
     result = benchmark.pedantic(
-        lambda: run_jitter_ablation(applications=sim_apps, horizon=20.0),
+        lambda: run_jitter_ablation(wait_step=4, horizon=20.0),
         rounds=1,
         iterations=1,
     )

@@ -7,7 +7,7 @@ from repro.experiments.ablations import run_segment_ablation
 
 
 def test_bench_segment_ablation(benchmark, sim_apps):
-    result = benchmark(lambda: run_segment_ablation(applications=sim_apps))
+    result = benchmark(lambda: run_segment_ablation(wait_step=4))
     print("\n" + result.report())
     assert (
         result.slot_counts["concave-envelope"]

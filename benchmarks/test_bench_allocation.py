@@ -39,6 +39,6 @@ def test_bench_allocation_exhaustive_optimum(benchmark):
 
 
 def test_bench_allocation_simulation_mode(benchmark, sim_apps):
-    comparison = benchmark(lambda: run_simulation_allocation(applications=sim_apps))
+    comparison = benchmark(lambda: run_simulation_allocation(wait_step=4))
     print("\n" + comparison.report())
     assert comparison.non_monotonic.slot_count < comparison.monotonic.slot_count

@@ -40,7 +40,7 @@ import os
 import time
 from pathlib import Path
 
-from repro.experiments import run_kernel_ablation, simulation_applications
+from repro.experiments import run_kernel_ablation, run_table1
 from repro.pipeline import get_scenario, run_many
 from repro.sim import GLOBAL_ZOH_CACHE
 
@@ -73,7 +73,7 @@ def test_bench_cosim_grid_thread_vs_process():
     # Warm the process-wide dwell cache first so both executors measure
     # pure co-simulation throughput (workers fork warm where the
     # platform supports it; thread workers share this cache directly).
-    simulation_applications(wait_step=WAIT_STEP)
+    run_table1(wait_step=WAIT_STEP)
     scenarios = _grid(GRID_SIZE)
     workers = max(2, min(8, os.cpu_count() or 1))
 

@@ -10,7 +10,7 @@ from repro.experiments.fig5 import run_fig5
 
 def test_bench_fig5_flexray(benchmark, sim_apps):
     result = benchmark.pedantic(
-        lambda: run_fig5(applications=sim_apps, use_flexray=True),
+        lambda: run_fig5(wait_step=4, use_flexray=True),
         rounds=1,
         iterations=1,
     )
@@ -20,7 +20,7 @@ def test_bench_fig5_flexray(benchmark, sim_apps):
 
 def test_bench_fig5_analytic(benchmark, sim_apps):
     result = benchmark(
-        lambda: run_fig5(applications=sim_apps, use_flexray=False, horizon=15.0)
+        lambda: run_fig5(wait_step=4, use_flexray=False, horizon=15.0)
     )
     assert result.trace.apps  # trace recorded for every app
 

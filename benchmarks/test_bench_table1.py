@@ -7,8 +7,8 @@ pipeline (that pipeline is what gets benchmarked).
 
 
 from repro.core.timing_params import PAPER_TABLE_I
-from repro.experiments.casestudy import design_case_study_application
 from repro.experiments.table1 import Table1Result, run_table1
+from repro.pipeline.cache import GLOBAL_DWELL_CACHE
 
 
 def test_bench_table1_paper_mode(benchmark):
@@ -23,7 +23,7 @@ def test_bench_table1_paper_mode(benchmark):
 def test_bench_table1_characterization_pipeline(benchmark):
     """Cost of characterising one application end-to-end."""
     app = benchmark.pedantic(
-        lambda: design_case_study_application(
+        lambda: GLOBAL_DWELL_CACHE.characterized(
             "electric-power-steering",
             et_detuning=500.0,
             min_inter_arrival=200.0,

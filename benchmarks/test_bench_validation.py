@@ -5,7 +5,7 @@ from repro.experiments.validation import run_bound_validation, run_pure_et_basel
 
 def test_bench_bound_validation(benchmark, sim_apps):
     result = benchmark.pedantic(
-        lambda: run_bound_validation(applications=sim_apps, seeds=5, horizon=120.0),
+        lambda: run_bound_validation(seeds=5, horizon=120.0, wait_step=4),
         rounds=1,
         iterations=1,
     )
@@ -15,7 +15,7 @@ def test_bench_bound_validation(benchmark, sim_apps):
 
 def test_bench_pure_et_baseline(benchmark, sim_apps):
     result = benchmark.pedantic(
-        lambda: run_pure_et_baseline(applications=sim_apps),
+        lambda: run_pure_et_baseline(wait_step=4),
         rounds=1,
         iterations=1,
     )

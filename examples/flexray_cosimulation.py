@@ -11,20 +11,18 @@ Run with::
     python examples/flexray_cosimulation.py
 """
 
-from repro.experiments import run_fig5, run_simulation_allocation, simulation_applications
+from repro.experiments import run_fig5, run_simulation_allocation
 
 
 def main() -> None:
     print("designing and characterising the six case-study applications...")
-    apps = simulation_applications(wait_step=2)
-
-    comparison = run_simulation_allocation(applications=apps)
+    comparison = run_simulation_allocation(wait_step=2)
     print()
     print(comparison.report())
 
     print()
     print("co-simulating over the FlexRay bus (all disturbances at t = 0)...")
-    result = run_fig5(applications=apps)
+    result = run_fig5(wait_step=2)
     print(result.report(plots=True))
 
     verdict = "ALL DEADLINES MET" if result.all_deadlines_met() else "DEADLINE MISSED"

@@ -97,7 +97,6 @@ from repro.pipeline import (
     StudyResult,
     get_scenario,
     run_many,
-    run_study,
     scenario_grid,
     scenario_names,
 )
@@ -195,7 +194,6 @@ __all__ = [
     "register_allocator",
     "register_analysis_method",
     "run_many",
-    "run_study",
     "scenario_grid",
     "scenario_names",
     "servo_rig",

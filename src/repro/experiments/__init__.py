@@ -1,12 +1,19 @@
 """Experiment drivers: one module per paper artefact plus ablations.
 
+Each driver that needs characterised applications, dwell models or a
+slot allocation runs the design chain through
+:class:`~repro.pipeline.DesignStudy`.
+
+* :mod:`repro.experiments.fig1` — Figure 1, the scheme's state machine;
 * :mod:`repro.experiments.fig3` — E1, the dwell/wait measurement;
 * :mod:`repro.experiments.fig4` — E2, the PWL model comparison;
 * :mod:`repro.experiments.table1` — E3, timing parameters;
 * :mod:`repro.experiments.allocation` — E4, the slot-allocation case study;
 * :mod:`repro.experiments.fig5` — E5, the six-application co-simulation;
 * :mod:`repro.experiments.ablations` — E6-E8, E11 (jitter) and E12
-  (kernel).
+  (kernel);
+* :mod:`repro.experiments.validation` — E9 (bound soundness) and E10
+  (the pure-ET baseline).
 """
 
 from repro.experiments.allocation import (
@@ -26,8 +33,6 @@ from repro.experiments.casestudy import (
     MULTIRATE_CASE_STUDY,
     SIMULATION_CASE_STUDY,
     CaseStudyApplication,
-    design_case_study_application,
-    simulation_applications,
 )
 from repro.experiments.fig1 import Fig1Result, run_fig1
 from repro.experiments.fig3 import Fig3Result, run_fig3
@@ -57,7 +62,6 @@ __all__ = [
     "MULTIRATE_CASE_STUDY",
     "SIMULATION_CASE_STUDY",
     "Table1Result",
-    "design_case_study_application",
     "format_series",
     "format_table",
     "run_fig3",

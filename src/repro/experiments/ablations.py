@@ -27,7 +27,7 @@ from repro.core.schedulability import (
     analyze_application,
 )
 from repro.core.timing_params import TimingParameters
-from repro.experiments.casestudy import CaseStudyApplication, simulation_applications
+from repro.experiments.casestudy import simulated_design
 from repro.experiments.reporting import format_table
 from repro.solvers import allocate
 from repro.testbed.servo import ServoRigConfig, default_servo_testbed
@@ -55,13 +55,9 @@ class SegmentAblationResult:
         )
 
 
-def run_segment_ablation(
-    applications: Optional[List[CaseStudyApplication]] = None,
-    wait_step: int = 2,
-) -> SegmentAblationResult:
+def run_segment_ablation(wait_step: int = 2) -> SegmentAblationResult:
     """E6: richer PWL models never need more slots than coarser ones."""
-    if applications is None:
-        applications = simulation_applications(wait_step=wait_step)
+    applications = simulated_design(wait_step).case_apps
     fits = {
         "conservative-monotonic": fit_conservative_monotonic,
         "two-segment": fit_two_segment,
@@ -243,9 +239,7 @@ class JitterAblationResult:
 
 
 def run_jitter_ablation(
-    applications: Optional[List[CaseStudyApplication]] = None,
-    wait_step: int = 4,
-    horizon: float = 20.0,
+    wait_step: int = 4, horizon: float = 20.0
 ) -> JitterAblationResult:
     """E11: actuating at the design-time delay vs as-soon-as-delivered.
 
@@ -256,33 +250,23 @@ def run_jitter_ablation(
     """
     from repro.control.disturbance import OneShotDisturbance
     from repro.flexray.bus import FlexRayBus
-    from repro.flexray.frame import FrameSpec
     from repro.flexray.params import paper_bus_config
-    from repro.sim.cosim import CoSimApplication, CoSimulator
+    from repro.pipeline.stages import cosim_roster
+    from repro.sim.cosim import CoSimulator
     from repro.sim.network import FlexRayNetwork
     from repro.sim.traffic import heavy_background_traffic
 
-    if applications is None:
-        applications = simulation_applications(wait_step=wait_step)
-    allocation = allocate(
-        "first-fit", [app.analyzed("non-monotonic") for app in applications]
-    )
+    design = simulated_design(wait_step)
+    applications = design.case_apps
     results: Dict[bool, Dict[str, float]] = {}
     episodes: Dict[bool, Dict[str, int]] = {}
     misses: Dict[bool, int] = {}
     for equalize in (True, False):
-        cosim_apps = [
-            CoSimApplication(
-                app=case_app.app,
-                dynamics=case_app.plant.model,
-                disturbance_state=case_app.plant.disturbance,
-                disturbances=OneShotDisturbance(time=0.0),
-                deadline=case_app.params.deadline,
-                slot=allocation.slot_of(case_app.name),
-                frame=FrameSpec(frame_id=index + 1, sender=case_app.name),
-            )
-            for index, case_app in enumerate(applications)
-        ]
+        cosim_apps = cosim_roster(
+            applications,
+            design.allocation,
+            [OneShotDisturbance(time=0.0) for _ in applications],
+        )
         network = FlexRayNetwork(
             bus=FlexRayBus(config=paper_bus_config()),
             traffic=heavy_background_traffic(count=8, first_frame_id=100),

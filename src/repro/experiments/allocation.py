@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 from repro.core.allocation import AllocationResult, compare_resource_usage
-from repro.experiments.casestudy import CaseStudyApplication
 from repro.experiments.reporting import format_table
 
 
@@ -56,97 +55,56 @@ class AllocationComparison:
         )
 
 
-def _comparison_scenarios(base, method: str):
-    """The four scenario variants an :class:`AllocationComparison` needs.
+def _compare(base, method: str, label: str) -> AllocationComparison:
+    """Run the four scenario variants an :class:`AllocationComparison`
+    needs through :func:`repro.pipeline.run_many`.
 
-    The dedicated/optimal baselines always use the closed-form analysis
-    (mirroring the paper's Section V presentation).
+    Both dwell-model shapes use ``method``; the dedicated and optimal
+    baselines always use the closed-form analysis (mirroring the paper's
+    Section V presentation).
     """
-    return [
-        base.derive(name=f"{base.name}/non-monotonic", method=method),
-        base.derive(
-            name=f"{base.name}/monotonic",
-            method=method,
-            dwell_shape="conservative-monotonic",
-        ),
-        base.derive(name=f"{base.name}/dedicated", allocator="dedicated"),
-        base.derive(name=f"{base.name}/optimal", allocator="optimal"),
-    ]
+    from repro.pipeline import run_many
 
-
-def run_paper_allocation(method: str = "closed-form") -> AllocationComparison:
-    """Section V, verbatim: expect 3 vs 5 slots (+67 %).
-
-    Runs four pipeline scenarios (both dwell-model shapes plus the
-    dedicated and exhaustive-optimum baselines) through
-    :func:`repro.pipeline.run_many`.
-    """
-    from repro.pipeline import get_scenario, run_many
-
-    studies = run_many(_comparison_scenarios(get_scenario("paper-table1"), method))
+    studies = run_many(
+        [
+            base.derive(name=f"{base.name}/non-monotonic", method=method),
+            base.derive(
+                name=f"{base.name}/monotonic",
+                method=method,
+                dwell_shape="conservative-monotonic",
+            ),
+            base.derive(name=f"{base.name}/dedicated", allocator="dedicated"),
+            base.derive(name=f"{base.name}/optimal", allocator="optimal"),
+        ]
+    )
     non_monotonic, monotonic, dedicated, optimal = (
         study.raise_for_failure().attachments.allocation for study in studies
     )
     return AllocationComparison(
-        label="paper Table I",
+        label=label,
         non_monotonic=non_monotonic,
         monotonic=monotonic,
         dedicated=dedicated,
         optimal=optimal,
     )
+
+
+def run_paper_allocation(method: str = "closed-form") -> AllocationComparison:
+    """Section V, verbatim: expect 3 vs 5 slots (+67 %)."""
+    from repro.pipeline import get_scenario
+
+    return _compare(get_scenario("paper-table1"), method, "paper Table I")
 
 
 def run_simulation_allocation(
-    applications: Optional[List[CaseStudyApplication]] = None,
-    method: str = "closed-form",
-    wait_step: int = 2,
+    method: str = "closed-form", wait_step: int = 2
 ) -> AllocationComparison:
-    """The same comparison on the simulated plant roster.
+    """The same comparison on the simulated plant roster, whose four
+    ``sim-table1`` studies share one measurement of each dwell curve."""
+    from repro.pipeline import get_scenario
 
-    With the default roster this sweeps four ``sim-table1`` pipeline
-    scenarios whose shared cache measures each dwell curve once; an
-    explicit ``applications`` list is packed directly.
-    """
-    if applications is None:
-        from repro.pipeline import get_scenario, run_many
-
-        base = get_scenario("sim-table1").derive(wait_step=wait_step)
-        studies = run_many(_comparison_scenarios(base, method))
-        non_monotonic, monotonic, dedicated, optimal = (
-            study.raise_for_failure().attachments.allocation for study in studies
-        )
-    else:
-        from repro.solvers import allocate, get_allocator
-
-        non_monotonic = allocate(
-            "first-fit",
-            [app.analyzed("non-monotonic") for app in applications],
-            method=method,
-        )
-        monotonic = allocate(
-            "first-fit",
-            [app.analyzed("conservative-monotonic") for app in applications],
-            method=method,
-        )
-        dedicated = allocate(
-            "dedicated", [app.analyzed("non-monotonic") for app in applications]
-        )
-        # Exhaustive enumeration on toy rosters, branch-and-bound (the
-        # same proven optimum, pruned) once past its practical ceiling.
-        exhaustive_limit = get_allocator("optimal").max_apps or 10
-        exact_backend = (
-            "optimal" if len(applications) <= exhaustive_limit else "branch-and-bound"
-        )
-        optimal = allocate(
-            exact_backend, [app.analyzed("non-monotonic") for app in applications]
-        )
-    return AllocationComparison(
-        label="simulated plants",
-        non_monotonic=non_monotonic,
-        monotonic=monotonic,
-        dedicated=dedicated,
-        optimal=optimal,
-    )
+    base = get_scenario("sim-table1").derive(wait_step=wait_step)
+    return _compare(base, method, "simulated plants")
 
 
 __all__ = [

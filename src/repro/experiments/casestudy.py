@@ -18,13 +18,15 @@ Two flavours:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import TYPE_CHECKING, Tuple
 
 from repro.control.controller import SwitchedApplication
 from repro.control.plants import PlantDefinition
 from repro.core.characterization import CharacterizationResult
-from repro.core.schedulability import AnalyzedApplication
 from repro.core.timing_params import TimingParameters
+
+if TYPE_CHECKING:
+    from repro.pipeline.result import StudyAttachments
 
 #: Simulation-mode roster: (plant name, ET detuning factor, min inter-arrival,
 #: deadline).  The detuning factor multiplies the LQR input weight of the
@@ -67,63 +69,24 @@ class CaseStudyApplication:
     def params(self) -> TimingParameters:
         return self.characterization.params
 
-    def analyzed(self, shape: str = "non-monotonic") -> AnalyzedApplication:
-        """Wrap for schedulability with the chosen dwell-model shape."""
-        if shape == "non-monotonic":
-            model = self.characterization.non_monotonic_model
-        elif shape == "conservative-monotonic":
-            model = self.characterization.monotonic_model
-        else:
-            raise ValueError(
-                f"unknown shape {shape!r}; expected 'non-monotonic' or "
-                "'conservative-monotonic'"
-            )
-        return AnalyzedApplication(params=self.params, dwell_model=model)
 
+def simulated_design(wait_step: int = 2) -> StudyAttachments:
+    """The ``sim-table1`` study's attachments at ``wait_step``.
 
-def design_case_study_application(
-    plant_name: str,
-    et_detuning: float,
-    min_inter_arrival: float,
-    deadline: float,
-    wait_step: int = 2,
-) -> CaseStudyApplication:
-    """Design, characterise and package one simulation-mode application.
-
-    Thin wrapper over the pipeline's memoized dwell-curve cache: the
-    expensive controller design + dwell sweep runs once per
-    (plant, detuning, stride) and is shared across repeated calls and
-    scenario sweeps.
+    ``case_apps`` is the characterised simulation-mode roster and
+    ``allocation`` its first-fit packing under the non-monotonic model
+    and the closed-form analysis.  The dwell curves come from the
+    pipeline's shared cache, so every driver measures them once.
     """
-    from repro.pipeline.cache import GLOBAL_DWELL_CACHE
+    from repro.pipeline import DesignStudy, get_scenario
 
-    return GLOBAL_DWELL_CACHE.characterized(
-        plant_name,
-        et_detuning=et_detuning,
-        min_inter_arrival=min_inter_arrival,
-        deadline=deadline,
-        wait_step=wait_step,
-    )
-
-
-def simulation_applications(wait_step: int = 2) -> List[CaseStudyApplication]:
-    """Design and characterise the full simulation-mode roster."""
-    return [
-        design_case_study_application(
-            plant_name,
-            et_detuning=detuning,
-            min_inter_arrival=inter_arrival,
-            deadline=deadline,
-            wait_step=wait_step,
-        )
-        for plant_name, detuning, inter_arrival, deadline in SIMULATION_CASE_STUDY
-    ]
+    scenario = get_scenario("sim-table1").derive(wait_step=wait_step)
+    return DesignStudy(scenario).run().raise_for_failure().attachments
 
 
 __all__ = [
     "MULTIRATE_CASE_STUDY",
     "SIMULATION_CASE_STUDY",
     "CaseStudyApplication",
-    "design_case_study_application",
-    "simulation_applications",
+    "simulated_design",
 ]

@@ -11,11 +11,9 @@ grows with the wait time, then falls to zero.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from repro.core.characterization import CharacterizationResult, characterize_curve
 from repro.experiments.reporting import format_series, format_table
-from repro.testbed.servo import ServoTestbed
 
 #: The paper's measured reference values (seconds).
 PAPER_XI_TT = 0.68
@@ -62,32 +60,24 @@ class Fig3Result:
         return f"Figure 3 — dwell vs wait (servo rig)\n{table}\n\n{plot}"
 
 
-def run_fig3(
-    testbed: Optional[ServoTestbed] = None,
-    wait_step: int = 2,
-    max_samples: int = 400,
-) -> Fig3Result:
-    """Run the Figure 3 sweep on the servo testbed.
+def run_fig3(wait_step: int = 2, max_samples: int = 400) -> Fig3Result:
+    """Run the Figure 3 sweep on the tuned paper-matching servo testbed.
+
+    The sweep is served from the pipeline's memoized cache, so repeated
+    fig3/fig4 runs and scenario sweeps measure once.
 
     Parameters
     ----------
-    testbed:
-        Rig + controllers; defaults to the tuned paper-matching setup.
     wait_step:
         Sweep stride in samples (2 = every 40 ms).
     max_samples:
         Simulation horizon in samples.
     """
-    from repro.pipeline.cache import GLOBAL_DWELL_CACHE, measure_servo
+    from repro.pipeline.cache import GLOBAL_DWELL_CACHE
 
-    if testbed is None:
-        # Default rig: serve the sweep from the pipeline's memoized cache
-        # so repeated fig3/fig4 runs and scenario sweeps measure once.
-        measured = GLOBAL_DWELL_CACHE.servo_measurement(
-            wait_step=wait_step, max_samples=max_samples
-        )
-    else:
-        measured = measure_servo(testbed, wait_step=wait_step, max_samples=max_samples)
+    measured = GLOBAL_DWELL_CACHE.servo_measurement(
+        wait_step=wait_step, max_samples=max_samples
+    )
     characterization = characterize_curve(
         name="servo-rig",
         curve=measured.curve,

@@ -28,7 +28,6 @@ from repro.core.pwl import (
 )
 from repro.experiments.fig3 import run_fig3
 from repro.experiments.reporting import format_table
-from repro.testbed.servo import ServoTestbed
 
 
 @dataclass(frozen=True)
@@ -80,14 +79,10 @@ class Fig4Result:
         )
 
 
-def run_fig4(
-    curve: Optional[DwellCurve] = None,
-    testbed: Optional[ServoTestbed] = None,
-    wait_step: int = 2,
-) -> Fig4Result:
+def run_fig4(curve: Optional[DwellCurve] = None, wait_step: int = 2) -> Fig4Result:
     """Build the Figure 4 models (measuring the curve if not supplied)."""
     if curve is None:
-        curve = run_fig3(testbed=testbed, wait_step=wait_step).curve
+        curve = run_fig3(wait_step=wait_step).curve
     non_monotonic = fit_two_segment(curve)
     conservative = fit_conservative_monotonic(curve)
     simple = simple_monotonic(curve.xi_tt, curve.xi_et)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 from repro.core.timing_params import PAPER_TABLE_I, TimingParameters
-from repro.experiments.casestudy import CaseStudyApplication
+from repro.experiments.casestudy import CaseStudyApplication, simulated_design
 from repro.experiments.reporting import format_table
 
 _COLUMNS = ["app", "r [s]", "xi_d [s]", "xi_TT [s]", "xi_ET [s]", "xi_M [s]", "k_p [s]", "xi'_M [s]"]
@@ -61,14 +61,7 @@ def run_table1(include_simulation: bool = True, wait_step: int = 2) -> Table1Res
     Simulation mode runs the ``sim-table1`` pipeline scenario, sharing
     its memoized dwell measurements with every other consumer.
     """
-    simulated = None
-    if include_simulation:
-        from repro.pipeline import DesignStudy, get_scenario
-
-        study = DesignStudy(
-            get_scenario("sim-table1").derive(wait_step=wait_step)
-        ).run()
-        simulated = study.raise_for_failure().attachments.case_apps
+    simulated = simulated_design(wait_step).case_apps if include_simulation else None
     return Table1Result(paper=list(PAPER_TABLE_I), simulated=simulated)
 
 

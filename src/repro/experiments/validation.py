@@ -22,45 +22,31 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.control.disturbance import OneShotDisturbance, SporadicDisturbance
-from repro.experiments.casestudy import CaseStudyApplication, simulation_applications
+from repro.experiments.casestudy import simulated_design
 from repro.experiments.reporting import format_table
-from repro.flexray.frame import FrameSpec
-from repro.sim.cosim import CoSimApplication, CoSimulator
+from repro.pipeline.stages import cosim_roster
+from repro.sim.cosim import CoSimulator
 from repro.sim.network import AnalyticNetwork
-from repro.solvers import allocate
 
 
-def _cosim_apps(
-    applications: List[CaseStudyApplication],
-    slot_of: Dict[str, int],
-    seed: Optional[int],
-    horizon: float,
-) -> List[CoSimApplication]:
-    apps = []
-    rng = np.random.default_rng(seed) if seed is not None else None
-    for index, case_app in enumerate(applications):
-        if rng is None:
-            disturbances = OneShotDisturbance(time=0.0)
-        else:
-            r = case_app.params.min_inter_arrival
-            disturbances = SporadicDisturbance(
+def _sporadic(
+    case_apps: list, seed: int, horizon: float
+) -> List[SporadicDisturbance]:
+    """One seeded sporadic disturbance process per application: a random
+    first offset and random extra gaps beyond the minimum inter-arrival."""
+    rng = np.random.default_rng(seed)
+    processes = []
+    for case_app in case_apps:
+        r = case_app.params.min_inter_arrival
+        processes.append(
+            SporadicDisturbance(
                 min_inter_arrival=r,
                 mean_extra_gap=0.5 * r,
                 offset=float(rng.uniform(0.0, min(r, horizon / 4))),
                 seed=int(rng.integers(0, 2**31)),
             )
-        apps.append(
-            CoSimApplication(
-                app=case_app.app,
-                dynamics=case_app.plant.model,
-                disturbance_state=case_app.plant.disturbance,
-                disturbances=disturbances,
-                deadline=case_app.params.deadline,
-                slot=slot_of[case_app.name],
-                frame=FrameSpec(frame_id=index + 1, sender=case_app.name),
-            )
         )
-    return apps
+    return processes
 
 
 @dataclass(frozen=True)
@@ -87,26 +73,21 @@ class ValidationResult:
 
 
 def run_bound_validation(
-    applications: Optional[List[CaseStudyApplication]] = None,
-    seeds: int = 5,
-    horizon: float = 150.0,
-    wait_step: int = 4,
+    seeds: int = 5, horizon: float = 150.0, wait_step: int = 4
 ) -> ValidationResult:
     """E9: no simulated response may exceed its certified bound."""
-    if applications is None:
-        applications = simulation_applications(wait_step=wait_step)
-    allocation = allocate(
-        "first-fit", [app.analyzed("non-monotonic") for app in applications]
-    )
-    slot_of = {app.name: allocation.slot_of(app.name) for app in applications}
+    design = simulated_design(wait_step)
+    applications = design.case_apps
     bounds = {
         name: analysis.worst_response
-        for name, analysis in allocation.analyses.items()
+        for name, analysis in design.allocation.analyses.items()
     }
     worst: Dict[str, float] = {app.name: 0.0 for app in applications}
     violations = 0
     for seed in range(seeds):
-        cosim_apps = _cosim_apps(applications, slot_of, seed=seed, horizon=horizon)
+        cosim_apps = cosim_roster(
+            applications, design.allocation, _sporadic(applications, seed, horizon)
+        )
         trace = CoSimulator(cosim_apps, AnalyticNetwork()).run(horizon)
         for app in applications:
             responses = trace[app.name].response_times
@@ -145,23 +126,21 @@ class PureEtResult:
 
 
 def run_pure_et_baseline(
-    applications: Optional[List[CaseStudyApplication]] = None,
-    wait_step: int = 4,
-    horizon: Optional[float] = None,
+    wait_step: int = 4, horizon: Optional[float] = None
 ) -> PureEtResult:
     """E10: ET alone misses deadlines that the hybrid scheme meets."""
-    if applications is None:
-        applications = simulation_applications(wait_step=wait_step)
-    allocation = allocate(
-        "first-fit", [app.analyzed("non-monotonic") for app in applications]
-    )
-    slot_of = {app.name: allocation.slot_of(app.name) for app in applications}
+    design = simulated_design(wait_step)
+    applications = design.case_apps
     if horizon is None:
         horizon = 2.0 * max(app.params.xi_et for app in applications)
 
     responses: Dict[bool, Dict[str, float]] = {}
     for tt_allowed in (False, True):
-        cosim_apps = _cosim_apps(applications, slot_of, seed=None, horizon=horizon)
+        cosim_apps = cosim_roster(
+            applications,
+            design.allocation,
+            [OneShotDisturbance(time=0.0) for _ in applications],
+        )
         sim = CoSimulator(cosim_apps, AnalyticNetwork(), tt_allowed=tt_allowed)
         trace = sim.run(horizon)
         responses[tt_allowed] = {

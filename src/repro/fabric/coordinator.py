@@ -293,6 +293,8 @@ class SweepCoordinator:
             while True:
                 try:
                     msg = channel.recv_msg(timeout=self.read_deadline)
+                    if msg is not None:
+                        _check_job_id(msg)
                 except ChannelTimeout:
                     # half-open or stalled peer: reclaim the handler
                     # thread; any leases re-queue on release below
@@ -300,8 +302,9 @@ class SweepCoordinator:
                         self.read_timeouts += 1
                     break
                 except ProtocolError:
-                    # a garbled line fails only this connection — the
-                    # accept loop and every other worker keep going
+                    # a garbled line (or a job id that is not a string)
+                    # fails only this connection — the accept loop and
+                    # every other worker keep going
                     with self._lock:
                         self.protocol_errors += 1
                     break
@@ -549,6 +552,17 @@ class SweepCoordinator:
             elapsed=elapsed,
             results=results,
             config=config,
+        )
+
+
+def _check_job_id(msg: Dict[str, Any]) -> None:
+    """Raise :class:`ProtocolError` unless a peer message's ``job_id`` is
+    a string or absent (``null`` counts as absent): a list or an object
+    would reach the lease and job lookups as an unhashable key."""
+    address = msg.get("job_id")
+    if address is not None and not isinstance(address, str):
+        raise ProtocolError(
+            f"job_id must be a string, got {type(address).__name__}"
         )
 
 

@@ -42,7 +42,7 @@ from repro.pipeline.registry import (
     scenarios,
 )
 from repro.pipeline.result import StudyAttachments, StudyResult
-from repro.pipeline.runner import DesignStudy, run_many, run_study
+from repro.pipeline.runner import DesignStudy, run_many
 from repro.pipeline.scenario import (
     ALLOCATORS,
     DISTURBANCES,
@@ -103,7 +103,6 @@ __all__ = [
     "study_row",
     "register_scenario",
     "run_many",
-    "run_study",
     "run_sweep",
     "scenario_grid",
     "scenario_names",

@@ -31,8 +31,7 @@ from repro.core.pwl import DwellCurve
 from repro.core.switching import LinearSwitchedSystem, measure_dwell_curve
 from repro.testbed.servo import ServoRigConfig, ServoTestbed, default_servo_testbed
 
-#: TT-mode sensor-to-actuator delay (the paper's 0.7 ms); re-exported by
-#: :mod:`repro.experiments.casestudy` for the legacy API.
+#: TT-mode sensor-to-actuator delay (the paper's 0.7 ms).
 TT_DELAY = 0.0007
 
 
@@ -306,8 +305,8 @@ def measure_servo(
     )
 
 
-#: Process-wide default cache shared by the legacy free functions, the
-#: pipeline runner, and the CLI.  Pass a private cache to
+#: Process-wide default cache shared by the pipeline runner, the
+#: experiment drivers and the CLI.  Pass a private cache to
 #: :class:`~repro.pipeline.runner.DesignStudy` for isolation.
 GLOBAL_DWELL_CACHE = DwellCurveCache()
 

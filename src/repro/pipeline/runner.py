@@ -137,13 +137,6 @@ class DesignStudy:
         )
 
 
-def run_study(
-    scenario: Union[Scenario, str], cache: Optional[DwellCurveCache] = None
-) -> StudyResult:
-    """Convenience wrapper: ``DesignStudy(scenario, cache).run()``."""
-    return DesignStudy(scenario, cache=cache).run()
-
-
 #: Dwell-cache keys a pool worker already held (inherited via fork) or
 #: already shipped back; lazily initialised on the worker's first task.
 _WORKER_SHIPPED: Optional[set] = None
@@ -237,4 +230,4 @@ def run_many(
         )
 
 
-__all__ = ["DesignStudy", "run_many", "run_study"]
+__all__ = ["DesignStudy", "run_many"]

@@ -8,8 +8,8 @@ Each stage function consumes a mutable :class:`StudyContext` (scenario +
 rich upstream objects) and returns a JSON-safe artifact dict; the runner
 wraps that into a :class:`StageRecord` with status and timing.  The rich
 objects (curves, models, allocations, traces) stay on the context so
-programmatic callers — the legacy experiment drivers among them — can
-reuse them without re-parsing artifacts.
+programmatic callers — the experiment drivers among them — can reuse
+them without re-parsing artifacts.
 """
 
 from __future__ import annotations
@@ -341,6 +341,29 @@ def stage_allocate(ctx: StudyContext) -> Dict[str, Any]:
     }
 
 
+def cosim_roster(
+    case_apps: list, allocation: AllocationResult, disturbances: List[Any]
+) -> List[CoSimApplication]:
+    """The co-simulated fleet of a designed roster.
+
+    Each application runs on its allocated TT slot and sends frame
+    ``index + 1``; ``disturbances`` holds one disturbance process per
+    application, in roster order.
+    """
+    return [
+        CoSimApplication(
+            app=case_app.app,
+            dynamics=case_app.plant.model,
+            disturbance_state=case_app.plant.disturbance,
+            disturbances=process,
+            deadline=case_app.params.deadline,
+            slot=allocation.slot_of(case_app.name),
+            frame=FrameSpec(frame_id=index + 1, sender=case_app.name),
+        )
+        for index, (case_app, process) in enumerate(zip(case_apps, disturbances))
+    ]
+
+
 def stage_cosim(ctx: StudyContext) -> Dict[str, Any]:
     """Verify the allocation by co-simulating all disturbed plants.
 
@@ -362,27 +385,18 @@ def stage_cosim(ctx: StudyContext) -> Dict[str, Any]:
     horizon = scenario.horizon
     if horizon is None:
         horizon = 1.2 * max(app.params.deadline for app in ctx.case_apps)
-    cosim_apps = []
-    for index, case_app in enumerate(ctx.case_apps):
-        if scenario.disturbance == "sporadic":
-            disturbances: Any = SporadicDisturbance(
+    if scenario.disturbance == "sporadic":
+        disturbances: List[Any] = [
+            SporadicDisturbance(
                 min_inter_arrival=case_app.params.min_inter_arrival,
                 mean_extra_gap=0.5 * case_app.params.min_inter_arrival,
                 seed=scenario.seed * 1009 + index,
             )
-        else:
-            disturbances = OneShotDisturbance(time=0.0)
-        cosim_apps.append(
-            CoSimApplication(
-                app=case_app.app,
-                dynamics=case_app.plant.model,
-                disturbance_state=case_app.plant.disturbance,
-                disturbances=disturbances,
-                deadline=case_app.params.deadline,
-                slot=ctx.allocation.slot_of(case_app.name),
-                frame=FrameSpec(frame_id=index + 1, sender=case_app.name),
-            )
-        )
+            for index, case_app in enumerate(ctx.case_apps)
+        ]
+    else:
+        disturbances = [OneShotDisturbance(time=0.0) for _ in ctx.case_apps]
+    cosim_apps = cosim_roster(ctx.case_apps, ctx.allocation, disturbances)
     # Backends resolve by registry name (see repro.sim.network), so a
     # third-party network registered under a new name runs here with no
     # pipeline changes — the same dispatch stage_allocate does through
@@ -465,6 +479,7 @@ __all__ = [
     "StageRecord",
     "StageSkipped",
     "StudyContext",
+    "cosim_roster",
     "measured_curves",
     "stage_allocate",
     "stage_analyze",

@@ -21,7 +21,6 @@ from repro.qa.findings import Finding
 #: Entry points whose first positional string argument is a registry name.
 _FIRST_ARG_KINDS = {
     "get_scenario": "scenario",
-    "run_study": "scenario",
     "DesignStudy": "scenario",
     "get_allocator": "allocator",
     "allocate": "allocator",

@@ -81,33 +81,39 @@ class TestExecution:
 
 
 #: Cheapest invocation of every subcommand (high stride, few seeds, the
-#: analytic network) so the smoke sweep stays fast.
-SMOKE_COMMANDS = [
-    ["fig1"],
-    ["fig3", "--wait-step", "16"],
-    ["fig4", "--wait-step", "16"],
-    ["table1", "--paper-only"],
-    ["allocation"],
-    ["fig5", "--analytic", "--wait-step", "16"],
-    ["ablations", "--which", "fixed-point"],
-    ["validate", "--seeds", "1", "--wait-step", "16"],
-    ["sensitivity", "--scales", "1.0"],
-    ["study", "--scenario", "paper-table1"],
-]
+#: analytic network) so the smoke sweep stays fast, keyed by test id.
+#: The ``-simulated``/``-segments``/``-jitter`` runs reach each driver
+#: that designs the simulated roster through ``sim-table1``.
+SMOKE_COMMANDS = {
+    "fig1": ["fig1"],
+    "fig3": ["fig3", "--wait-step", "16"],
+    "fig4": ["fig4", "--wait-step", "16"],
+    "table1": ["table1", "--paper-only"],
+    "table1-simulated": ["table1", "--wait-step", "16"],
+    "allocation": ["allocation"],
+    "allocation-simulated": ["allocation", "--simulated", "--wait-step", "16"],
+    "fig5": ["fig5", "--analytic", "--wait-step", "16"],
+    "ablations": ["ablations", "--which", "fixed-point"],
+    "ablations-segments": ["ablations", "--which", "segments", "--wait-step", "16"],
+    "ablations-jitter": ["ablations", "--which", "jitter", "--wait-step", "16"],
+    "validate": ["validate", "--seeds", "1", "--wait-step", "16"],
+    "sensitivity": ["sensitivity", "--scales", "1.0"],
+    "study": ["study", "--scenario", "paper-table1"],
+}
 
 
 class TestSmoke:
     """Every subcommand runs to completion and prints something."""
 
     @pytest.mark.parametrize(
-        "argv", SMOKE_COMMANDS, ids=[argv[0] for argv in SMOKE_COMMANDS]
+        "argv", list(SMOKE_COMMANDS.values()), ids=list(SMOKE_COMMANDS)
     )
     def test_subcommand_runs(self, argv, capsys):
         assert main(argv) == 0
         assert capsys.readouterr().out.strip()
 
     @pytest.mark.parametrize(
-        "argv", SMOKE_COMMANDS, ids=[argv[0] for argv in SMOKE_COMMANDS]
+        "argv", list(SMOKE_COMMANDS.values()), ids=list(SMOKE_COMMANDS)
     )
     def test_subcommand_runs_with_json(self, argv, capsys):
         assert main(argv + ["--json"]) == 0

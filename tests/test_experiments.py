@@ -15,7 +15,6 @@ from repro.experiments import (
     run_segment_ablation,
     run_simulation_allocation,
     run_table1,
-    simulation_applications,
 )
 
 
@@ -26,7 +25,7 @@ def fig3_result():
 
 @pytest.fixture(scope="module")
 def sim_apps():
-    return simulation_applications(wait_step=4)
+    return run_table1(wait_step=4).simulated
 
 
 class TestFig3:
@@ -104,8 +103,8 @@ class TestAllocation:
         closed = run_paper_allocation(method="closed-form")
         assert exact.non_monotonic.slot_count <= closed.non_monotonic.slot_count
 
-    def test_simulation_mode_shows_same_direction(self, sim_apps):
-        comparison = run_simulation_allocation(applications=sim_apps)
+    def test_simulation_mode_shows_same_direction(self):
+        comparison = run_simulation_allocation(wait_step=4)
         assert (
             comparison.non_monotonic.slot_count < comparison.monotonic.slot_count
         )
@@ -115,8 +114,8 @@ class TestAllocation:
 
 class TestFig5:
     @pytest.fixture(scope="class")
-    def result(self, sim_apps):
-        return run_fig5(applications=sim_apps)
+    def result(self):
+        return run_fig5(wait_step=4)
 
     def test_all_deadlines_met(self, result):
         assert result.all_deadlines_met()
@@ -136,14 +135,14 @@ class TestFig5:
         assert "Figure 5" in text
         assert "servo-rig" in text
 
-    def test_analytic_network_variant(self, sim_apps):
-        result = run_fig5(applications=sim_apps, use_flexray=False)
+    def test_analytic_network_variant(self):
+        result = run_fig5(wait_step=4, use_flexray=False)
         assert result.all_deadlines_met()
 
 
 class TestAblations:
-    def test_segment_ablation_ordering(self, sim_apps):
-        result = run_segment_ablation(applications=sim_apps)
+    def test_segment_ablation_ordering(self):
+        result = run_segment_ablation(wait_step=4)
         assert (
             result.slot_counts["concave-envelope"]
             <= result.slot_counts["two-segment"]
@@ -159,10 +158,10 @@ class TestAblations:
         assert result.mean_gap >= 0.0
         assert result.max_gap >= result.mean_gap
 
-    def test_jitter_ablation(self, sim_apps):
+    def test_jitter_ablation(self):
         from repro.experiments import run_jitter_ablation
 
-        result = run_jitter_ablation(applications=sim_apps, horizon=15.0)
+        result = run_jitter_ablation(wait_step=4, horizon=15.0)
         assert result.equalized_misses == 0
         for name, equalized in result.equalized.items():
             assert result.raw[name] >= equalized - 1e-9

@@ -463,6 +463,129 @@ class TestHungUpWorker:
         assert coordinator.requeues[0]["worker"] == "gone"
 
 
+class _ScriptedChannel:
+    """A worker channel that replays ``inbox`` and records every reply."""
+
+    def __init__(self, inbox):
+        self.inbox = list(inbox)
+        self.sent = []
+        self.closed = False
+
+    def recv_msg(self, timeout=None):
+        return self.inbox.pop(0) if self.inbox else None
+
+    def send_msg(self, kind, **fields):
+        self.sent.append(dict(fields, type=kind))
+
+    def close(self):
+        self.closed = True
+
+
+class TestMalformedJobId:
+    @pytest.mark.parametrize("kind", ["result", "heartbeat"])
+    @pytest.mark.parametrize(
+        "job_id", [["not", "a", "string"], {"a": 1}], ids=["list", "object"]
+    )
+    def test_non_string_job_id_is_a_counted_protocol_error(self, kind, job_id):
+        """A job id that is neither a string nor absent ends only that
+        connection, like a garbled line: counted, nothing escapes the
+        handler, and the peer's lease re-queues as a disconnect."""
+        coordinator = SweepCoordinator(
+            cheap_base(), axes=None, replications=1, seed0=0, cache=DwellCurveCache()
+        )
+        channel = _ScriptedChannel(
+            [
+                {"type": "hello", "worker": "rogue"},
+                {"type": "lease", "worker": "rogue"},
+                {"type": kind, "worker": "rogue", "job_id": job_id},
+            ]
+        )
+        try:
+            coordinator._serve_connection(channel)
+        finally:
+            coordinator.stop()
+        assert channel.closed
+        assert coordinator.protocol_errors == 1
+        assert [r["reason"] for r in coordinator.requeues] == ["disconnect"]
+
+    def test_heartbeat_without_job_id_is_a_no_op(self):
+        coordinator = SweepCoordinator(
+            cheap_base(), axes=None, replications=1, seed0=0, cache=DwellCurveCache()
+        )
+        channel = _ScriptedChannel(
+            [
+                {"type": "hello", "worker": "idle"},
+                {"type": "heartbeat", "worker": "idle"},
+                {"type": "heartbeat", "worker": "idle", "job_id": None},
+                {"type": "lease", "worker": "idle"},
+            ]
+        )
+        try:
+            coordinator._serve_connection(channel)
+        finally:
+            coordinator.stop()
+        assert coordinator.protocol_errors == 0
+        assert [msg["type"] for msg in channel.sent] == ["ok", "job"]
+
+
+class TestLeaseRenewal:
+    """A heartbeat extends a lease only for the worker that holds it, so
+    one peer cannot keep another peer's lease alive."""
+
+    @pytest.fixture
+    def leased(self, monkeypatch):
+        clock = {"now": 100.0}
+        monkeypatch.setattr(
+            "repro.fabric.coordinator.time.monotonic", lambda: clock["now"]
+        )
+        coordinator = SweepCoordinator(
+            cheap_base(),
+            axes=None,
+            replications=2,
+            seed0=0,
+            lease_timeout=5.0,
+            cache=DwellCurveCache(),
+        )
+        grants = {}
+        for worker in ("A", "B"):
+            channel = _ScriptedChannel([])
+            coordinator._grant(channel, worker)
+            (job,) = channel.sent
+            grants[worker] = job["job_id"]
+        yield coordinator, clock, grants
+        coordinator.stop()
+
+    def test_foreign_heartbeats_leave_the_deadline(self, leased):
+        coordinator, clock, grants = leased
+        lease = coordinator._leases[grants["A"]]
+        assert lease.deadline == 105.0
+        clock["now"] = 104.0
+        coordinator._renew("B", grants["A"])  # another worker's heartbeat
+        coordinator._renew("A", grants["B"])  # an address A does not hold
+        coordinator._renew("A", "no-such-job")
+        assert lease.deadline == 105.0
+        assert coordinator._leases[grants["B"]].deadline == 105.0
+        clock["now"] = 105.5
+        with coordinator._lock:
+            coordinator._reap_locked()
+        assert sorted(
+            (r["worker"], r["reason"]) for r in coordinator.requeues
+        ) == [("A", "lease-expired"), ("B", "lease-expired")]
+
+    def test_holder_heartbeat_moves_the_deadline(self, leased):
+        coordinator, clock, grants = leased
+        clock["now"] = 104.0
+        coordinator._renew("A", grants["A"])
+        assert coordinator._leases[grants["A"]].deadline == 109.0
+        clock["now"] = 105.5
+        with coordinator._lock:
+            coordinator._reap_locked()
+        assert [(r["worker"], r["reason"]) for r in coordinator.requeues] == [
+            ("B", "lease-expired")
+        ]
+        assert grants["A"] in coordinator._leases
+
+
 class TestMalformedResult:
     @pytest.mark.parametrize("payload", ["empty", "with-curves"])
     def test_bad_result_is_a_counted_protocol_error(self, payload):

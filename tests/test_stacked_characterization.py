@@ -297,8 +297,8 @@ def test_servo_variants_bitwise_equal(config):
     _assert_servo_equal(measured, oracle.measurement(config.threshold, 8, 400))
 
 
-def test_fig3_custom_testbed_matches_cached_default(default_servo_oracle):
-    result = run_fig3(testbed=default_servo_testbed(), wait_step=4)
+def test_fig3_matches_the_oracle(default_servo_oracle):
+    result = run_fig3(wait_step=4)
     waits, dwells, xi_tt, xi_et = default_servo_oracle.measurement(0.1, 4, 400)
     assert (result.xi_tt, result.xi_et) == (xi_tt, xi_et)
     assert np.array_equal(result.curve.dwells, dwells)

@@ -5,19 +5,19 @@ import pytest
 from repro.experiments import (
     run_bound_validation,
     run_pure_et_baseline,
-    simulation_applications,
+    run_table1,
 )
 
 
 @pytest.fixture(scope="module")
 def sim_apps():
-    return simulation_applications(wait_step=4)
+    return run_table1(wait_step=4).simulated
 
 
 class TestBoundValidation:
     @pytest.fixture(scope="class")
-    def result(self, sim_apps):
-        return run_bound_validation(applications=sim_apps, seeds=3, horizon=80.0)
+    def result(self):
+        return run_bound_validation(seeds=3, horizon=80.0, wait_step=4)
 
     def test_analysis_is_sound(self, result):
         """The central soundness claim: no simulated response exceeds the
@@ -38,8 +38,8 @@ class TestBoundValidation:
 
 class TestPureEtBaseline:
     @pytest.fixture(scope="class")
-    def result(self, sim_apps):
-        return run_pure_et_baseline(applications=sim_apps)
+    def result(self):
+        return run_pure_et_baseline(wait_step=4)
 
     def test_pure_et_misses_a_deadline(self, result):
         """The paper's premise: ET alone is not enough."""
