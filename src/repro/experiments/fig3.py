@@ -73,16 +73,18 @@ def run_fig3(wait_step: int = 2, max_samples: int = 400) -> Fig3Result:
     max_samples:
         Simulation horizon in samples.
     """
+    from repro.pipeline import stages
     from repro.pipeline.cache import GLOBAL_DWELL_CACHE
 
     measured = GLOBAL_DWELL_CACHE.servo_measurement(
         wait_step=wait_step, max_samples=max_samples
     )
+    # the fig3-servo scenario's characterize stage reads the same pair
     characterization = characterize_curve(
         name="servo-rig",
         curve=measured.curve,
-        deadline=6.0,
-        min_inter_arrival=6.0,
+        deadline=stages.SERVO_DEADLINE,
+        min_inter_arrival=stages.SERVO_MIN_INTER_ARRIVAL,
     )
     return Fig3Result(
         characterization=characterization,

@@ -9,8 +9,10 @@ Per job the worker:
 
 1. merges the coordinator-shipped dwell-cache delta into its local
    cache (fleet-wide sharing, PR 3's ``merge_entries`` seam);
-2. heartbeats on a side thread every ``lease_timeout / 3`` so a slow
-   study keeps its lease while a dead process loses it;
+2. heartbeats every ``lease_timeout / 3`` so a slow study keeps its
+   lease while a dead process loses it — one heartbeat thread per
+   session beats for the job currently held, and sends nothing between
+   jobs;
 3. runs the study and sends the result back together with the dwell
    entries it newly measured (``export_entries`` minus what it already
    knows the coordinator has).  The result's characterize ``curves``
@@ -42,7 +44,7 @@ import sys
 import threading
 import zlib
 from pathlib import Path
-from typing import Optional, Union
+from typing import Optional, Tuple, Union
 
 from repro.fabric.protocol import (
     ChannelTimeout,
@@ -68,6 +70,63 @@ from repro.pipeline.scenario import Scenario
 
 class WorkerDied(RuntimeError):
     """Raised by the ``die_after`` fault-injection hook."""
+
+
+class _Heartbeat:
+    """One session's heartbeat thread.
+
+    While :meth:`hold` names a job, the thread sends a ``heartbeat`` for
+    it every ``lease_timeout / 3``, the first one that long after the
+    hold; between :meth:`release` and the next hold it sends nothing.
+    A beat goes out under the same lock ``hold``/``release`` take, so
+    once ``release`` returns no beat for that job is sent any more.
+    :meth:`stop` ends the thread with the session.
+    """
+
+    def __init__(self, channel: Union[LineChannel, FaultyChannel], worker_id: str):
+        self._channel = channel
+        self._worker_id = worker_id
+        self._cond = threading.Condition()
+        self._job: Optional[Tuple[str, float]] = None  # (address, interval)
+        self._stopped = False
+        self.thread = threading.Thread(
+            target=self._beat, name=f"{worker_id}-heartbeat", daemon=True
+        )
+        self.thread.start()
+
+    def hold(self, address: str, lease_timeout: float) -> None:
+        with self._cond:
+            self._job = (address, lease_timeout / 3.0)
+            self._cond.notify()
+
+    def release(self) -> None:
+        with self._cond:
+            self._job = None
+            self._cond.notify()
+
+    def stop(self) -> None:
+        with self._cond:
+            self._stopped = True
+            self._cond.notify()
+
+    def _beat(self) -> None:
+        with self._cond:
+            while not self._stopped:
+                job = self._job
+                if job is None:
+                    self._cond.wait()
+                    continue
+                # a new hold, a release or the stop wakes the wait early
+                if self._cond.wait_for(
+                    lambda: self._stopped or self._job is not job, timeout=job[1]
+                ):
+                    continue
+                try:
+                    self._channel.send_msg(
+                        "heartbeat", worker=self._worker_id, job_id=job[0]
+                    )
+                except OSError:
+                    return
 
 
 class FabricWorker:
@@ -121,6 +180,7 @@ class FabricWorker:
         self._injector = fault_plan.injector() if fault_plan is not None else None
         self._shipped: set = set()
         self._channel: Optional[Union[LineChannel, FaultyChannel]] = None
+        self._heartbeat: Optional[_Heartbeat] = None
 
     def run(self) -> int:
         """Lease-and-run until the coordinator says ``shutdown``.
@@ -180,6 +240,13 @@ class FabricWorker:
     def _session(self, channel: Union[LineChannel, FaultyChannel]) -> bool:
         """One connection's lease loop; True when shut down cleanly."""
         self._channel = channel
+        self._heartbeat = _Heartbeat(channel, self.worker_id)
+        try:
+            return self._lease_loop(channel)
+        finally:
+            self._heartbeat.stop()
+
+    def _lease_loop(self, channel: Union[LineChannel, FaultyChannel]) -> bool:
         channel.send_msg("hello", worker=self.worker_id)
         if channel.recv_msg(timeout=self.recv_timeout) is None:
             return False
@@ -219,8 +286,8 @@ class FabricWorker:
             self.jobs_done += 1
 
     def _run_job(self, msg: dict) -> None:
-        channel = self._channel
-        assert channel is not None
+        channel, heartbeat = self._channel, self._heartbeat
+        assert channel is not None and heartbeat is not None
         address = msg["job_id"]
         attempt = msg.get("attempt")
         blob = msg.get("cache")
@@ -229,23 +296,7 @@ class FabricWorker:
             self.cache.merge_entries(entries)
             self._shipped.update(entries)
         scenario = Scenario.from_dict(msg["scenario"])
-        lease_timeout = float(msg.get("lease_timeout", 30.0))
-
-        stop_beat = threading.Event()
-
-        def _heartbeat() -> None:
-            while not stop_beat.wait(lease_timeout / 3.0):
-                try:
-                    channel.send_msg(
-                        "heartbeat", worker=self.worker_id, job_id=address
-                    )
-                except OSError:
-                    return
-
-        beat = threading.Thread(
-            target=_heartbeat, name=f"{self.worker_id}-heartbeat", daemon=True
-        )
-        beat.start()
+        heartbeat.hold(address, float(msg.get("lease_timeout", 30.0)))
         error: Optional[str] = None
         result_dict = None
         exports_blob = None
@@ -268,7 +319,7 @@ class FabricWorker:
                     self._shipped.update(exports)
                     exports_blob = encode_entries(exports)
         finally:
-            stop_beat.set()
+            heartbeat.release()
         channel.send_msg(
             "result",
             worker=self.worker_id,

@@ -364,8 +364,16 @@ def cosim_roster(
     ]
 
 
-def stage_cosim(ctx: StudyContext) -> Dict[str, Any]:
-    """Verify the allocation by co-simulating all disturbed plants.
+class CosimBuild(NamedTuple):
+    """A study's co-simulation, built and not yet run."""
+
+    simulator: CoSimulator
+    network: Any
+    horizon: float
+
+
+def cosim_build(ctx: StudyContext) -> CosimBuild:
+    """Build the co-simulation that verifies the allocation.
 
     The scenario picks the kernel (``"auto"`` by default — the batch
     fast path; ``"event"`` the reference kernel), the disturbance
@@ -408,9 +416,19 @@ def stage_cosim(ctx: StudyContext) -> Dict[str, Any]:
         seed=scenario.seed,
     )
     simulator = CoSimulator(cosim_apps, network, kernel=scenario.kernel)
-    ctx.trace = simulator.run(horizon)
+    return CosimBuild(simulator, network, horizon)
+
+
+def cosim_summarize(
+    ctx: StudyContext, build: CosimBuild, trace: SimulationTrace
+) -> Dict[str, Any]:
+    """The cosim artifact of a run ``build``; keeps ``trace`` on ``ctx``."""
+    scenario = ctx.scenario
+    assert ctx.allocation is not None
+    ctx.trace = trace
+    simulator, network = build.simulator, build.network
     rows = []
-    for row in ctx.trace.summary_rows():
+    for row in trace.summary_rows():
         rows.append(
             {
                 "name": row["app"],
@@ -427,11 +445,11 @@ def stage_cosim(ctx: StudyContext) -> Dict[str, Any]:
         "kernel_used": simulator.last_kernel,
         "disturbance": scenario.disturbance,
         "seed": scenario.seed,
-        "horizon": horizon,
+        "horizon": build.horizon,
         "slots": to_jsonable(ctx.allocation.slot_names),
         "applications": rows,
-        "all_deadlines_met": bool(ctx.trace.all_deadlines_met()),
-        "qoc": ctx.trace.qoc(),
+        "all_deadlines_met": bool(trace.all_deadlines_met()),
+        "qoc": trace.qoc(),
         "jitter_violations": simulator.jitter_violations,
     }
     if scenario.network == "flexray":
@@ -446,6 +464,15 @@ def stage_cosim(ctx: StudyContext) -> Dict[str, Any]:
         # for existing consumers.
         artifact["network_stats"] = to_jsonable(network.statistics())
     return artifact
+
+
+def stage_cosim(ctx: StudyContext) -> Dict[str, Any]:
+    """Verify the allocation by co-simulating all disturbed plants:
+    :func:`cosim_build`, run, :func:`cosim_summarize`.  (A sweep's pool
+    worker runs the three apart, to advance compatible studies
+    together; see :func:`repro.pipeline.runner.run_chunk`.)"""
+    build = cosim_build(ctx)
+    return cosim_summarize(ctx, build, build.simulator.run(build.horizon))
 
 
 STAGES = {
@@ -479,7 +506,10 @@ __all__ = [
     "StageRecord",
     "StageSkipped",
     "StudyContext",
+    "CosimBuild",
+    "cosim_build",
     "cosim_roster",
+    "cosim_summarize",
     "measured_curves",
     "stage_allocate",
     "stage_analyze",

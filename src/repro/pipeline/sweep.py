@@ -12,7 +12,10 @@ A *sweep* is a two-level expansion of one base scenario:
 :func:`run_sweep` dispatches replications in **rounds** through an
 :class:`~repro.pipeline.adaptive.AdaptiveScheduler` (thread or process
 pools; co-sim-heavy grids want ``executor="process"`` — the simulation
-loop is pure Python and GIL-bound).  In the default *fixed* mode every
+loop is pure Python and GIL-bound).  A pool gets each round as one
+contiguous chunk of jobs per worker, and the worker co-simulates the
+chunk's compatible studies together
+(:func:`~repro.pipeline.runner.run_chunk`).  In the default *fixed* mode every
 cell receives exactly ``replications`` runs.  Passing ``ci_target``
 switches to *adaptive* mode: a cell stops as soon as the Student-t 95 %
 half-width of its QoC mean reaches the target, and the freed budget is
@@ -21,9 +24,9 @@ re-granted to the highest-variance open cells, up to
 
 Per-cell statistics are maintained incrementally (Welford accumulators
 updated as rows land — aggregation never re-scans the row log), each
-finished study can stream one JSON line to disk as it completes (rows
-carry the dispatch ``round``), and a replication that *crashes* inside
-the pool is recorded as a synthetic failed row
+finished study can stream one JSON line to disk as its chunk lands
+(rows carry the dispatch ``round``), and a replication that *crashes*
+inside the pool is recorded as a synthetic failed row
 (``failed_stage="worker"``) instead of aborting the sweep — the rows
 already landed stay aggregated.
 """
@@ -47,7 +50,13 @@ from typing import Any, Dict, IO, List, Optional, Sequence, Tuple, Union
 from repro.pipeline.adaptive import METRICS, AdaptiveScheduler, CellState
 from repro.pipeline.cache import DwellCurveCache, GLOBAL_DWELL_CACHE
 from repro.pipeline.result import StudyResult
-from repro.pipeline.runner import DesignStudy, _process_worker
+from repro.pipeline.runner import (
+    DesignStudy,
+    _process_chunk,
+    chunked,
+    run_chunk,
+    usable_cpus,
+)
 from repro.pipeline.scenario import Scenario
 from repro.pipeline.serialize import to_jsonable
 
@@ -455,11 +464,17 @@ def run_sweep(
         ``"thread"`` shares one in-process dwell cache (best when
         measurements dominate); ``"process"`` sidesteps the GIL for
         co-simulation-heavy grids and merges worker caches on return.
+        Either pool hands each worker one contiguous chunk of a round,
+        ``ceil(jobs / max_workers)`` jobs, and the worker co-simulates
+        the chunk's compatible studies together; rows are bitwise those
+        of serial runs.
     max_workers:
-        Pool size; defaults to ``min(first round, cpu_count)``.
+        Pool size; defaults to ``min(first round, usable CPUs)``, the
+        CPUs being the process's affinity set where the platform has
+        one.  ``1`` runs serially, study by study.
     jsonl_path:
         If given, stream one JSON line per finished study (written as
-        results land, so a long sweep is inspectable while running;
+        each chunk lands, so a long sweep is inspectable while running;
         parent directories are created, encoding is UTF-8).
     keep_results:
         Keep the full :class:`StudyResult` objects on the returned
@@ -480,8 +495,6 @@ def run_sweep(
         Nominal per-cell replications granted per adaptive round
         (default: ``replications``).
     """
-    import os
-
     cells = expand_cells(base, axes)
     if isinstance(base, str):
         from repro.pipeline.registry import get_scenario
@@ -505,7 +518,7 @@ def run_sweep(
     )
     jobs = scheduler.initial_grants()
     if max_workers is None:
-        max_workers = min(len(jobs), os.cpu_count() or 4)
+        max_workers = min(len(jobs), usable_cpus())
     serial = max_workers <= 1 or len(jobs) == 1
 
     started = time.perf_counter()
@@ -526,7 +539,7 @@ def run_sweep(
                 for cell, r in jobs
             ]
             outcomes = _run_round(
-                prepared, round_no, executor, pool, cache, writer
+                prepared, round_no, executor, pool, max_workers, cache, writer
             )
             # Rows fold into the Welford accumulators in job order — a
             # deterministic order regardless of pool completion order,
@@ -563,30 +576,35 @@ def _run_round(
     round_no: int,
     executor: str,
     pool: Optional[Executor],
+    workers: int,
     cache: DwellCurveCache,
     writer: Optional[IO[str]],
 ) -> List[Optional[Tuple[Dict[str, Any], Optional[StudyResult]]]]:
     """Execute one dispatch round; returns ``(row, result)`` in job order.
 
-    Rows are streamed to ``writer`` the moment each study lands
-    (completion order), while the returned list preserves job order for
-    deterministic aggregation.  A replication that raises — in a worker
-    process, a thread, or inline — becomes a synthetic failed row
-    (``failed_stage="worker"``) rather than aborting the round.
+    A pool gets the round as ``workers`` contiguous chunks of
+    ``ceil(jobs / workers)`` jobs, and each worker co-simulates its
+    chunk's compatible studies together
+    (:func:`~repro.pipeline.runner.run_chunk`).  Rows are streamed to
+    ``writer`` as each chunk lands (completion order), while the
+    returned list preserves job order for deterministic aggregation.  A
+    replication that raises — in a worker process, a thread, or inline —
+    becomes a synthetic failed row (``failed_stage="worker"``) rather
+    than aborting the round; a worker that dies takes its chunk's rows
+    with it.
     """
     outcomes: List[Optional[Tuple[Dict[str, Any], Optional[StudyResult]]]] = [
         None
     ] * len(prepared)
 
-    def land(index: int, result: Optional[StudyResult], exc: Optional[BaseException]):
+    def land(index: int, outcome: Union[StudyResult, BaseException]):
         cell, scenario = prepared[index]
-        if exc is not None:
-            row = crash_row(cell.name, scenario, round_no, exc)
+        if isinstance(outcome, BaseException):
+            row = crash_row(cell.name, scenario, round_no, outcome)
             outcomes[index] = (row, None)
         else:
-            assert result is not None
-            row = study_row(cell.name, result, round_no)
-            outcomes[index] = (row, result)
+            row = study_row(cell.name, outcome, round_no)
+            outcomes[index] = (row, outcome)
         if writer is not None:
             writer.write(json.dumps(to_jsonable(row)) + "\n")
             writer.flush()
@@ -596,42 +614,35 @@ def _run_round(
             try:
                 result = DesignStudy(scenario, cache=cache).run()
             except Exception as exc:  # crash-proof: record, keep sweeping
-                land(index, None, exc)
+                land(index, exc)
             else:
-                land(index, result, None)
+                land(index, result)
         return outcomes
 
-    if executor == "process":
-        pending = {
-            pool.submit(_process_worker, scenario): index
-            for index, (_, scenario) in enumerate(prepared)
-        }
-        while pending:
-            done, _ = wait(pending, return_when=FIRST_COMPLETED)
-            for future in done:
-                index = pending.pop(future)
-                try:
-                    result, exports = future.result()
-                except Exception as exc:  # worker died mid-replication
-                    land(index, None, exc)
-                else:
-                    cache.merge_entries(exports)
-                    land(index, result, None)
-    else:
-        pending = {
-            pool.submit(DesignStudy(scenario, cache=cache).run): index
-            for index, (_, scenario) in enumerate(prepared)
-        }
-        while pending:
-            done, _ = wait(pending, return_when=FIRST_COMPLETED)
-            for future in done:
-                index = pending.pop(future)
-                try:
-                    result = future.result()
-                except Exception as exc:
-                    land(index, None, exc)
-                else:
-                    land(index, result, None)
+    pending = {}
+    first = 0
+    for chunk in chunked([scenario for _, scenario in prepared], workers):
+        if executor == "process":
+            future = pool.submit(_process_chunk, chunk)
+        else:
+            future = pool.submit(run_chunk, chunk, cache)
+        pending[future] = range(first, first + len(chunk))
+        first += len(chunk)
+    while pending:
+        done, _ = wait(pending, return_when=FIRST_COMPLETED)
+        for future in done:
+            indices = pending.pop(future)
+            try:
+                landed = future.result()
+            except Exception as exc:  # the worker died mid-chunk
+                for index in indices:
+                    land(index, exc)
+                continue
+            if executor == "process":
+                landed, exports = landed
+                cache.merge_entries(exports)
+            for index, outcome in zip(indices, landed):
+                land(index, outcome)
     return outcomes
 
 

@@ -45,32 +45,45 @@ and statistics all stay with the network.  The ownership walk only runs
 when the arbiter moved a holder since the last walk, which changes none
 of the calls the walk makes.
 
-Norms and controls stay per application — ``sqrt(x.dot(x))`` and
-``(-K).dot(concatenate((x, held)))`` — and plants left alone in their
-bucket step with scalar products.  Grouped formulations (row-stacked
-norms, one matmul per same-gain group, 3-D matmuls across different
-dynamics) need a start-up probe per platform to stay bitwise exact, and
-on a shared 2-core x86-64 host each lost to the scalar path (median of
-12 alternating pairs, ``CoSimulator.run`` CPU time): the fig5 analytic
-run took 0.78x the time with the cross-dynamics stacking off, 0.83x
-with norm groups off against forced on, and fleets of 2 and 6 identical
+Within one run, norms and controls are per application —
+``sqrt(x.dot(x))`` and ``(-K).dot(concatenate((x, held)))`` — and plants
+left alone in their bucket step with scalar products.  Grouping across
+the applications of one fleet (row-stacked norms, one matmul per
+same-gain group, 3-D matmuls across different dynamics) needs a
+start-up probe per platform to stay bitwise exact, and on a shared
+2-core x86-64 host each lost to the scalar path (median of 12
+alternating pairs, ``CoSimulator.run`` CPU time): the fig5 analytic run
+took 0.78x the time with the cross-dynamics stacking off, 0.83x with
+norm groups off against forced on, and fleets of 2 and 6 identical
 plants 0.77x and 0.83x with control groups off against forced on.
+
+Grouping one application across *studies* does pay.  The eager loop
+(:func:`run_lockstep`) advances K >= 1 kernels that share one
+:func:`lockstep_key` — tick grid and design — barrier by barrier: each
+study runs its own barrier sequence, and between barriers each
+application's control product and plant sweep run once for the group as
+batched 3-D matmuls, exact where the
+:func:`~repro.sim.stepper.stacked_safe` probe holds.  Nine fig5 studies
+(FlexRay, analytic and CAN at three loss rates) co-simulated 1.8x faster
+together than one by one (0.61 s against 1.09-1.15 s of CPU on a shared
+2-core x86-64 host), most of what remains being each study's own
+network and bookkeeping.  A lone kernel keeps the scalar products.
 """
 
 from __future__ import annotations
 
 from math import inf, isfinite, sqrt
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 # Importing cosim here is safe: cosim never imports this module at load
-# time (only lazily inside CoSimulator.run), so there is no cycle.
+# time (only lazily inside its functions), so there is no cycle.
 # Sharing _TIME_TOL matters — the disturbance-to-tick mapping must use
 # the exact same ceil() product as the event kernel.
 from repro.sim.cosim import _TIME_TOL
 from repro.sim.runtime import CommState
-from repro.sim.stepper import GLOBAL_ZOH_CACHE, _dynamics_key, delay_key
+from repro.sim.stepper import GLOBAL_ZOH_CACHE, _dynamics_key, delay_key, stacked_safe
 from repro.sim.trace import AppTrace, SimulationTrace
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -108,9 +121,10 @@ class _BatchKernel:
         self.held: List[np.ndarray] = []
         self.dist_state: List[np.ndarray] = []
         self.appenders: List[Tuple] = []
-        #: per app: bound ``(-gain_et).dot, (-gain_tt).dot`` — negation
-        #: distributes exactly over the matmul, so ``(-K) @ z == -(K @ z)``
-        #: bitwise.
+        #: per app: ``(-gain_et, -gain_tt)`` — negation distributes
+        #: exactly over the matmul, so ``(-K) @ z == -(K @ z)`` bitwise —
+        #: and their bound ``.dot`` methods.
+        self.neg_gains: List[Tuple[np.ndarray, np.ndarray]] = []
         self.controls: List[Tuple] = []
         self.designs: List[Tuple[float, float]] = []  # (et, tt) mode delays
         group_ids: Dict[Tuple, int] = {}
@@ -139,7 +153,9 @@ class _BatchKernel:
                     trace.delays.append,
                 )
             )
-            self.controls.append(((-app.app.et.gain).dot, (-app.app.tt.gain).dot))
+            neg_gains = (-app.app.et.gain, -app.app.tt.gain)
+            self.neg_gains.append(neg_gains)
+            self.controls.append((neg_gains[0].dot, neg_gains[1].dot))
             self.designs.append((app.app.et.plant.delay, app.app.tt.plant.delay))
         # Disturbance arrivals on the owning application's tick grid —
         # the event kernel's exact ceil() product decides the tick.
@@ -153,14 +169,21 @@ class _BatchKernel:
                 self.dist_at[i].setdefault(k, []).append(event)
         #: per app and mode: delay -> ``(delay, violation, member, lost)``.
         self.rules: List[Tuple[Dict, Dict]] = [({}, {}) for _ in range(n)]
-        #: ``(group, delay bucket)`` token -> hoisted operators.
-        self.token_mats: Dict[Tuple, Tuple] = {}
+        #: ``(group, delay bucket)`` token -> ``(Gamma0, Gamma1)``.
+        self.token_gammas: Dict[Tuple, Tuple[np.ndarray, np.ndarray]] = {}
         #: tuple of ``(app, token)`` members -> plant-sweep plan.
         self.plans: Dict[Tuple, List[Tuple]] = {}
         #: slot -> holder the network was last told about
         self.slot_owner: Dict[int, Optional[str]] = {a.slot: None for a in apps}
         #: the arbiter's hand-over count at the last ownership walk
         self.handovers_seen: Optional[int] = None
+        #: what the eager barrier hands its products, rewritten in place
+        #: every instant: per app the mode (``True`` over the TT slot) and
+        #: the ``(app, token)`` sweep member, and the apps whose frame was
+        #: lost.
+        self.modes: List[bool] = [False] * n
+        self.members: List[Optional[Tuple]] = [None] * n
+        self.lost: List[int] = []
 
     # -- the interval rule and the sweep plan ------------------------------
 
@@ -188,37 +211,37 @@ class _BatchKernel:
                 violation = 1
         gid = self.group_of[i]
         token = (gid, delay_key(delay))
-        if token not in self.token_mats:
-            self.token_mats[token] = self._token_mats(gid, delay)
+        if token not in self.token_gammas:
+            self.token_gammas[token] = self.discs[gid].gammas(delay)
         rule = (delay, violation, (i, token), lost)
         self.rules[i][mode][raw] = rule
         return rule
-
-    def _token_mats(self, gid: int, delay: float):
-        """Hoisted operators for one ``(group, delay-bucket)``: bound
-        ``.dot`` methods of the same arrays (and ``.T`` views)
-        ``step_all`` would fetch per call.  ``ndarray.dot`` and ``@``
-        dispatch to the same BLAS routines for these shapes (the parity
-        tests pin the bitwise identity); the bound method skips the
-        operator protocol on every hot-loop call."""
-        disc = self.discs[gid]
-        gamma0, gamma1 = disc.gammas(delay)
-        phi = disc.phi
-        return (phi.dot, gamma0.dot, gamma1.dot, phi.T, gamma0.T, gamma1.T)
 
     def _plan(self, members: Tuple) -> List[Tuple]:
         """The plant-sweep plan for one tuple of ``(app, token)``
         members, memoised in :attr:`plans`: one entry per bucket,
         carrying its hoisted operators, its index list and, for a bucket
         of one, that index.  Bucket order is free: plants are mutually
-        independent within one instant."""
+        independent within one instant.
+
+        The operators are bound ``.dot`` methods of the same arrays (and
+        ``.T`` views) ``step_all`` would fetch per call.  ``ndarray.dot``
+        and ``@`` dispatch to the same BLAS routines for these shapes
+        (the parity tests pin the bitwise identity); the bound method
+        skips the operator protocol on every hot-loop call."""
         buckets: Dict[Tuple, List[int]] = {}
         for i, token in members:
             buckets.setdefault(token, []).append(i)
-        plan = [
-            (*self.token_mats[token], idxs, idxs[0] if len(idxs) == 1 else None)
-            for token, idxs in buckets.items()
-        ]
+        plan = []
+        for token, idxs in buckets.items():
+            phi = self.discs[token[0]].phi
+            gamma0, gamma1 = self.token_gammas[token]
+            plan.append(
+                (
+                    phi.dot, gamma0.dot, gamma1.dot, phi.T, gamma0.T, gamma1.T,
+                    idxs, idxs[0] if len(idxs) == 1 else None,
+                )
+            )
         self.plans[members] = plan
         return plan
 
@@ -280,41 +303,44 @@ class _BatchKernel:
 
     def run(self) -> SimulationTrace:
         if self.eager:
-            self._run_eager()
+            run_lockstep([self])
         else:
             self._run_lazy()
         return self.traces
 
-    def _run_eager(self) -> None:
-        """Shared-period sweep: the event kernel's eager barrier sequence
-        (disturb, grant, update, re-grant, hand over slots, control,
-        resolve one interval, equalize, sweep), one pass per sampling
-        instant.
+    def _ticks(self) -> Iterator[None]:
+        """This study's half of the event kernel's eager barrier sequence
+        (disturb, grant, update, re-grant, hand over slots, resolve one
+        interval, equalize), one step per sampling instant.
+
+        Each step ends with :attr:`modes`, :attr:`members` and
+        :attr:`lost` rewritten for the instant and then yields, so the
+        caller can run the control products and plant sweeps —
+        :func:`run_lockstep` does them for a whole group of studies at
+        once.  Past the last instant it records the horizon samples.
 
         Hot-loop structure:
 
         * state-machine updates take a fast path while an application
           sits below threshold in ``ET_STEADY`` — ``update()`` is a
           no-op there by inspection, so the call is skipped;
-        * the interval rule and the plant-sweep plan are memoised, and
-          consecutive instants rarely change either;
-        * every matrix product goes through a pre-bound ``.dot``.
+        * the interval rule is memoised, and consecutive instants rarely
+          change it.
         """
         sim = self.sim
         arbiter = sim.arbiter
         sample_delays = sim.network.sample_delays
         names = self.names
         frames = self.frames
-        n = self.n
-        app_range = range(n)
+        app_range = range(self.n)
         period = self.periods[0]
         states = self.states
-        held = self.held
         runtimes = self.runtimes
         appenders = self.appenders
-        controls = self.controls
         rules = self.rules
-        plans = self.plans
+        modes = self.modes
+        members = self.members
+        lost = self.lost
         thresholds = [rt.threshold for rt in runtimes]
         fastable = [rt.tt_allowed for rt in runtimes]
         dist_state = self.dist_state
@@ -322,26 +348,21 @@ class _BatchKernel:
         et_steady = CommState.ET_STEADY
         tt_holding = CommState.TT_HOLDING
         waiting = CommState.WAITING
-        concat = np.concatenate
         # Disturbances flattened per step, application-major.
         dist_steps: Dict[int, List[Tuple[int, object]]] = {}
         for i, by_k in enumerate(self.dist_at):
             for k, events in by_k.items():
                 dist_steps.setdefault(k, []).extend((i, e) for e in events)
-        norms = [0.0] * n
-        comms: List[CommState] = [et_steady] * n
-        #: per app: whether this sample goes over the TT slot (the mode
-        #: index of ``controls``, ``rules`` and ``designs``)
-        modes = [False] * n
-        us: List[Optional[np.ndarray]] = [None] * n
-        members: List[Optional[Tuple]] = [None] * n
+        norms = [0.0] * self.n
+        comms: List[CommState] = [et_steady] * self.n
         violations = 0
         for k in range(self.steps[0]):
             t = k * period
             events = dist_steps.get(k)
             if events is not None:
                 for i, event in events:
-                    states[i] = states[i] + event.magnitude * dist_state[i]
+                    # in place: the state may be a row of a lockstep group
+                    states[i] += event.magnitude * dist_state[i]
                     runtimes[i].on_disturbance(t)
             arbiter.grant_pending()
             handovers = arbiter.handovers
@@ -371,34 +392,58 @@ class _BatchKernel:
                 period,
                 [(name, frame, tt, t) for name, frame, tt in zip(names, frames, modes)],
             )
-            latched = []
+            lost.clear()
             for i in app_range:
                 mode = modes[i]
-                us[i] = controls[i][mode](concat((states[i], held[i])))
                 raw = delays[names[i]]
                 rule = rules[i][mode].get(raw)
                 if rule is None:
                     rule = self._rule(i, mode, raw)
-                delay, violation, members[i], lost = rule
+                delay, violation, members[i], dropped = rule
                 violations += violation
-                if lost:
-                    latched.append((i, held[i]))
+                if dropped:
+                    lost.append(i)
                 append = appenders[i]
                 append[0](t)
                 append[1](norms[i])
                 append[2](comms[i])
                 append[3](delay)
-            key = tuple(members)
-            plan = plans.get(key)
-            if plan is None:
-                plan = self._plan(key)
-            self._sweep(plan, us)
-            held[:] = us
-            for i, previous in latched:
-                held[i] = previous
+            yield
         sim.jitter_violations += violations
         for i in app_range:
             self._finish(i)
+
+    def _products(self) -> Callable[[], None]:
+        """One instant's control products and plant sweep for this study
+        alone: per application ``(-K).dot(concatenate((x, held)))``, then
+        the memoised sweep plan (a lost frame's input is computed and
+        swept with ``Gamma0 = 0``, but the previous input stays held)."""
+        states = self.states
+        held = self.held
+        controls = self.controls
+        modes = self.modes
+        members = self.members
+        lost = self.lost
+        plans = self.plans
+        plan_for = self._plan
+        sweep = self._sweep
+        app_range = range(self.n)
+        concat = np.concatenate
+        us: List[Optional[np.ndarray]] = [None] * self.n
+
+        def products() -> None:
+            for i in app_range:
+                us[i] = controls[i][modes[i]](concat((states[i], held[i])))
+            key = tuple(members)
+            plan = plans.get(key)
+            if plan is None:
+                plan = plan_for(key)
+            sweep(plan, us)
+            for i in lost:
+                us[i] = held[i]
+            held[:] = us
+
+        return products
 
     def _run_lazy(self) -> None:
         """Multi-rate sweep: barriers on integer-ns timestamps; the
@@ -562,3 +607,129 @@ class _BatchKernel:
                 pending[i] = [u, release, mode, len(delay_lists[i]) - 1, None, False]
             event_submit(flush, flush if window_end is None else window_end, submissions)
         sim.jitter_violations += violations
+
+
+def lockstep_key(sim: "CoSimulator", horizon: float) -> Optional[Tuple]:
+    """What simulators must share to advance in lockstep, or ``None`` for
+    one that runs alone.
+
+    A lockstep group shares one tick grid — a shared-period fleet on the
+    batch kernel with the same period and step count — and one design:
+    application by application the same dynamics bytes and ET/TT gains,
+    so one ``Phi`` and one gain pair serve every study's row.  A roster
+    that repeats a dynamics runs alone: its same-delay plants step in the
+    in-study 2-D bucket form, whose rows differ from the scalar products
+    the batched matmuls reproduce.  So does a roster with a plant shape
+    whose batched products the :func:`~repro.sim.stepper.stacked_safe`
+    probe does not certify on this platform.
+    """
+    if sim.kernel != "auto" or sim.period is None:
+        return None
+    apps = sim.applications
+    dynamics = [_dynamics_key(app.dynamics) for app in apps]
+    if len(set(dynamics)) < len(dynamics):
+        return None
+    shapes = {(app.dynamics.n_states, app.app.et.plant.n_inputs) for app in apps}
+    if not all(stacked_safe(*shape) for shape in sorted(shapes)):
+        return None
+    designs = tuple(
+        (key, app.app.et.gain.tobytes(), app.app.tt.gain.tobytes())
+        for key, app in zip(dynamics, apps)
+    )
+    return (sim.period, int(np.ceil(horizon / sim.period)), designs)
+
+
+def run_lockstep(kernels: Sequence[_BatchKernel]) -> None:
+    """Advance eager batch kernels that share one lockstep key together,
+    barrier by barrier.
+
+    Every study keeps its own disturbances, arbitration, state machines,
+    slot hand-over, ``sample_delays``, interval rule and trace appends,
+    in the order of its own run (:meth:`_BatchKernel._ticks`).  Between
+    barriers the products run: a lone study keeps its scalar ``.dot``
+    products (:meth:`_BatchKernel._products`); a group runs each
+    application's control product and plant sweep once for all its
+    studies (:func:`_group_products`).
+    """
+    ticks = [kernel._ticks() for kernel in kernels]
+    if len(kernels) == 1:
+        products = kernels[0]._products()
+    else:
+        products = _group_products(kernels)
+    for _ in range(kernels[0].steps[0]):
+        for tick in ticks:
+            next(tick)
+        products()
+    for tick in ticks:
+        next(tick, None)  # the horizon samples
+
+
+def _group_products(kernels: Sequence[_BatchKernel]) -> Callable[[], None]:
+    """One instant's control products and plant sweeps for K >= 2
+    studies, as batched 3-D matmuls per application.
+
+    Application ``i``'s state and held input live as the rows of one
+    ``(K, n + m)`` ``[x | held]`` array; each study's ``states[i]`` and
+    ``held[i]`` are views of its row, written in place.  Per instant the
+    control is ``(-K)[rows] @ Z[:, :, None]`` and the sweep is ``Phi @ x
+    + Gamma0[rows] @ u + Gamma1[rows] @ held`` — the per-row gain stack
+    memoised per tuple of the studies' modes, the ``Gamma`` stacks per
+    tuple of their delay tokens.  Each slice is the scalar product of
+    one study, bitwise, where :func:`~repro.sim.stepper.stacked_safe`
+    holds for the shape (a lockstep key requires it).
+    """
+    lead = kernels[0]
+    height = len(kernels)
+    mode_lists = [kernel.modes for kernel in kernels]
+    member_lists = [kernel.members for kernel in kernels]
+    lost_lists = [kernel.lost for kernel in kernels]
+    apps = []
+    for i in range(lead.n):
+        n_states = lead.states[i].shape[0]
+        z = np.zeros((height, n_states + lead.held[i].shape[0]))
+        for row, kernel in enumerate(kernels):
+            kernel.states[i] = z[row, :n_states]
+            kernel.held[i] = z[row, n_states:]
+        phi = lead.discs[lead.group_of[i]].phi[None]
+        apps.append(
+            (
+                i, z[:, :, None], z[:, :n_states, None], z[:, n_states:, None],
+                phi, lead.neg_gains[i], {}, {},
+            )
+        )
+
+    def gamma_stacks(members: Tuple) -> Tuple[np.ndarray, np.ndarray]:
+        pairs = [
+            kernel.token_gammas[token]
+            for kernel, (_, token) in zip(kernels, members)
+        ]
+        return np.stack([p[0] for p in pairs]), np.stack([p[1] for p in pairs])
+
+    def products() -> None:
+        latched: Dict[int, List[int]] = {}
+        for row, lost in enumerate(lost_lists):
+            for i in lost:
+                latched.setdefault(i, []).append(row)
+        for i, z, x, held, phi, neg_gains, gain_memo, gamma_memo in apps:
+            modes = tuple([m[i] for m in mode_lists])
+            gains = gain_memo.get(modes)
+            if gains is None:
+                gains = gain_memo[modes] = np.stack([neg_gains[m] for m in modes])
+            u = gains @ z
+            members = tuple([m[i] for m in member_lists])
+            gammas = gamma_memo.get(members)
+            if gammas is None:
+                gammas = gamma_memo[members] = gamma_stacks(members)
+            advanced = phi @ x
+            advanced += gammas[0] @ u
+            advanced += gammas[1] @ held
+            x[...] = advanced
+            rows = latched.get(i)
+            if rows is None:
+                held[...] = u
+            else:
+                previous = held[rows]
+                held[...] = u
+                held[rows] = previous
+
+    return products

@@ -26,6 +26,11 @@ Two simulation kernels are provided (``kernel=`` selects between them):
   it runs every fleet on every network.  Traces are bitwise identical
   to the event kernel's, which the test suite asserts.
 
+:func:`run_together` advances several simulators that share one tick
+grid and design (:func:`lockstep_groups`) in lockstep on the batch
+kernel: a sweep's pool worker runs its chunk's compatible studies this
+way, each study's results bitwise those of its own :meth:`CoSimulator.run`.
+
 Network backends live in the :mod:`repro.sim.network` package — a
 :class:`~repro.sim.network.NetworkModel` protocol on plain-tuple
 records, a decorator registry (``analytic``, ``flexray``, ``can``
@@ -600,8 +605,69 @@ class CoSimulator:
         self.last_kernel = "batch"
         return _BatchKernel(self, horizon).run()
 
+
+def lockstep_groups(
+    simulators: Sequence[CoSimulator], horizons: Sequence[float]
+) -> List[List[int]]:
+    """Partition runs into groups that :func:`run_together` advances in
+    lockstep: indices sharing one :func:`~repro.sim.batch.lockstep_key`,
+    in order of their first member.  A run without a key is a group of
+    its own."""
+    from repro.sim.batch import lockstep_key
+
+    groups: List[List[int]] = []
+    by_key: Dict[Tuple, List[int]] = {}
+    for index, (simulator, horizon) in enumerate(zip(simulators, horizons)):
+        key = lockstep_key(simulator, horizon)
+        group = None if key is None else by_key.get(key)
+        if group is None:
+            group = []
+            groups.append(group)
+            if key is not None:
+                by_key[key] = group
+        group.append(index)
+    return groups
+
+
+def run_together(
+    simulators: Sequence[CoSimulator], horizons: Sequence[float]
+) -> List[SimulationTrace]:
+    """Run simulators that share one tick grid and design in lockstep.
+
+    One simulator is :meth:`CoSimulator.run`.  Two or more must form one
+    :func:`lockstep_groups` group; each study's trace, network counters
+    and ``jitter_violations`` are bitwise those of its own run, while
+    each application's control product and plant sweep run once per
+    instant for the whole group (see :func:`repro.sim.batch.run_lockstep`).
+    """
+    if len(simulators) != len(horizons):
+        raise ValueError("need one horizon per simulator")
+    if len(simulators) == 1:
+        return [simulators[0].run(horizons[0])]
+    from repro.sim.batch import _BatchKernel, lockstep_key, run_lockstep
+
+    for horizon in horizons:
+        check_positive(horizon, "horizon")
+    if len({id(sim.network) for sim in simulators}) < len(simulators):
+        # interleaved calls on one network would not be either run's own
+        raise ValueError("simulators run together need one network each")
+    keys = {lockstep_key(sim, horizon) for sim, horizon in zip(simulators, horizons)}
+    if len(keys) != 1 or None in keys:
+        raise ValueError(
+            "simulators run together only on one shared tick grid and design "
+            "(see lockstep_groups)"
+        )
+    kernels = [_BatchKernel(sim, horizon) for sim, horizon in zip(simulators, horizons)]
+    run_lockstep(kernels)
+    for simulator in simulators:
+        simulator.last_kernel = "batch"
+    return [kernel.traces for kernel in kernels]
+
+
 __all__ = [
     "CoSimApplication",
     "CoSimulator",
     "KERNELS",
+    "lockstep_groups",
+    "run_together",
 ]

@@ -29,7 +29,9 @@ same-dynamics, same-delay buckets exactly the way the bank does, but
 steps every singleton with the scalar products; for stacked plants of
 different dynamics, the equality of the two kernels' traces therefore
 rests on the :func:`stacked_safe` probe, which the batch-vs-event
-parity suites exercise on the running platform.
+parity suites exercise on the running platform.  So does the lockstep
+kernel's (:func:`repro.sim.batch.run_lockstep`) batching of one
+application across the studies of a sweep.
 """
 
 from __future__ import annotations
@@ -59,17 +61,30 @@ _STACKED_PROBE: Dict[Tuple[int, int], bool] = {}
 
 
 def stacked_safe(n_states: int, n_inputs: int) -> bool:
-    """Whether batched ``(m,n,n) @ (m,n,1)`` matmul matches the scalar
+    """Whether batched ``(m,n,n) @ (m,n,1)`` matmuls match the scalar
     per-plant products bitwise on this platform, for one plant shape.
+
+    Two batched forms are probed, each against the scalar products it
+    replaces:
+
+    * the stepper bank's plant step across different dynamics, against
+      ``phi @ x + gamma0 @ u + gamma1 @ u_prev``;
+    * the lockstep kernel's (:func:`repro.sim.batch.run_lockstep`) on
+      the rows of one ``[x | held]`` array: the control product
+      ``(-K)[rows] @ Z[:, :, None]`` against ``(-K).dot(z)``, and the
+      sweep with one shared ``Phi`` against the batch kernel's
+      ``phi.dot(x)``, ``+= gamma0.dot(u)``, ``+= gamma1.dot(held)``.
 
     numpy may route the batched gufunc and the plain 2-D ``@`` through
     BLAS kernels whose multiply-adds fuse differently.  Such divergence
     is value-dependent but frequent under random inputs (several percent
     of samples on an affected platform), so a seeded probe with dozens
     of trials per batch height rejects an unsafe platform with
-    overwhelming probability; a pass licenses the stacked formulation
+    overwhelming probability; a pass licenses the stacked formulations
     for all inputs of this ``(n_states, n_inputs)`` shape, decided once
-    per shape per process.
+    per shape per process.  The batched matmul loops over the stack one
+    slice at a time, with the same BLAS call per slice, so a slice's
+    bits do not depend on the stack's height.
     """
     key = (n_states, n_inputs)
     cached = _STACKED_PROBE.get(key)
@@ -85,17 +100,30 @@ def stacked_safe(n_states: int, n_inputs: int) -> bool:
             xs = rng.standard_normal((m, n_states))
             us = rng.standard_normal((m, n_inputs))
             ups = rng.standard_normal((m, n_inputs))
+            gains = rng.standard_normal((m, n_inputs, n_states + n_inputs))
             batched = (
                 phis @ xs[:, :, None]
                 + g0s @ us[:, :, None]
                 + g1s @ ups[:, :, None]
             )
-            if not all(
-                np.array_equal(
-                    batched[i, :, 0],
-                    phis[i] @ xs[i] + g0s[i] @ us[i] + g1s[i] @ ups[i],
-                )
-                for i in range(m)
+            z = np.concatenate((xs, ups), axis=1)
+            controls = gains @ z[:, :, None]
+            lockstep = phis[0][None] @ z[:, :n_states, None]
+            lockstep += g0s @ controls
+            lockstep += g1s @ z[:, n_states:, None]
+            scalars = np.empty((2, m, n_states))
+            scalar_controls = np.empty((m, n_inputs))
+            for i in range(m):
+                scalars[0, i] = phis[i] @ xs[i] + g0s[i] @ us[i] + g1s[i] @ ups[i]
+                scalar_controls[i] = gains[i].dot(z[i])
+                swept = phis[0].dot(xs[i])
+                swept += g0s[i].dot(scalar_controls[i])
+                swept += g1s[i].dot(ups[i])
+                scalars[1, i] = swept
+            if not (
+                np.array_equal(batched[:, :, 0], scalars[0])
+                and np.array_equal(controls[:, :, 0], scalar_controls)
+                and np.array_equal(lockstep[:, :, 0], scalars[1])
             ):
                 safe = False
                 break

@@ -47,6 +47,19 @@ class TestFig3:
         text = fig3_result.report()
         assert "xi_TT" in text and "Figure 3" in text
 
+    def test_characterization_follows_the_servo_stage_constants(self, monkeypatch):
+        """``repro fig3`` and the ``fig3-servo`` scenario read one
+        deadline/inter-arrival pair, so neither can drift alone."""
+        from repro.pipeline import DesignStudy, get_scenario, stages
+
+        monkeypatch.setattr(stages, "SERVO_DEADLINE", 5.0)
+        monkeypatch.setattr(stages, "SERVO_MIN_INTER_ARRIVAL", 7.5)
+        params = run_fig3(wait_step=4).characterization.params
+        assert (params.deadline, params.min_inter_arrival) == (5.0, 7.5)
+        study = DesignStudy(get_scenario("fig3-servo").derive(wait_step=4)).run()
+        (row,) = study.artifact("characterize")["applications"]
+        assert (row["deadline"], row["min_inter_arrival"]) == (5.0, 7.5)
+
 
 class TestFig4:
     @pytest.fixture(scope="class")

@@ -528,6 +528,87 @@ class TestMalformedJobId:
         assert [msg["type"] for msg in channel.sent] == ["ok", "job"]
 
 
+class _BeatRecorder:
+    """A worker-side channel: replays ``inbox`` and records what the
+    worker sends from either of its threads."""
+
+    def __init__(self, inbox):
+        self.inbox = list(inbox)
+        self.sent = []
+        self.changed = threading.Condition()
+
+    def recv_msg(self, timeout=None):
+        return self.inbox.pop(0) if self.inbox else None
+
+    def send_msg(self, kind, **fields):
+        with self.changed:
+            self.sent.append(dict(fields, type=kind))
+            self.changed.notify_all()
+
+    def wait_for_heartbeat(self, job_id):
+        with self.changed:
+            assert self.changed.wait_for(
+                lambda: {"type": "heartbeat", "worker": "w", "job_id": job_id}
+                in self.sent,
+                timeout=60.0,
+            )
+
+
+class TestOneHeartbeatThreadPerSession:
+    def test_one_thread_beats_for_the_held_job_only(self, monkeypatch):
+        """Three jobs in one session start one heartbeat thread; every
+        heartbeat names the job held at the time, none goes out between
+        jobs, and the thread ends with the session."""
+        from repro.fabric import worker as worker_module
+
+        done = DesignStudy(get_scenario("paper-table1"), cache=DwellCurveCache()).run()
+        jobs = [f"job{i}" for i in range(3)]
+        channel = _BeatRecorder(
+            [{"type": "ok"}]
+            + [
+                {
+                    "type": "job",
+                    "job_id": job,
+                    "attempt": 1,
+                    "scenario": get_scenario("paper-table1").derive(name=job).to_dict(),
+                    "lease_timeout": 0.03,
+                }
+                for job in jobs
+            ]
+            + [{"type": "shutdown"}]
+        )
+
+        class WaitsForItsHeartbeat:
+            def __init__(self, scenario, cache):
+                self.job = scenario.name
+
+            def run(self):
+                channel.wait_for_heartbeat(self.job)
+                return done
+
+        started = []
+        real_start = threading.Thread.start
+
+        def start(thread):
+            started.append(thread.name)
+            real_start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", start)
+        monkeypatch.setattr(worker_module, "DesignStudy", WaitsForItsHeartbeat)
+        worker = FabricWorker("127.0.0.1", 1, worker_id="w", cache=DwellCurveCache())
+        assert worker._session(channel) is True
+        assert started == ["w-heartbeat"]
+        worker._heartbeat.thread.join(timeout=60.0)
+        assert not worker._heartbeat.thread.is_alive()
+        sent = channel.sent
+        results = [i for i, msg in enumerate(sent) if msg["type"] == "result"]
+        assert [sent[i]["job_id"] for i in results] == jobs
+        for job, start_at, end_at in zip(jobs, [0] + results, results):
+            beats = [m for m in sent[start_at:end_at] if m["type"] == "heartbeat"]
+            assert beats and all(m["job_id"] == job for m in beats)
+        assert all(m["type"] != "heartbeat" for m in sent[results[-1]:])
+
+
 class TestLeaseRenewal:
     """A heartbeat extends a lease only for the worker that holds it, so
     one peer cannot keep another peer's lease alive."""

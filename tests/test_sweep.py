@@ -10,7 +10,7 @@ from repro.pipeline import (
     run_many,
     run_sweep,
 )
-from repro.pipeline.runner import DesignStudy
+from repro.pipeline.stages import STAGES
 from repro.pipeline.sweep import expand_cells, expand_sweep
 from repro.sim.stats import t_critical_95
 
@@ -169,19 +169,21 @@ class TestRunSweep:
 
 
 def _crash_on_seed(monkeypatch, crash_seed):
-    """Patch ``DesignStudy.run`` to raise for one replication seed.
+    """Make the design chain of one replication seed raise.
 
     A RuntimeError is *not* one of the domain errors the stage runner
     converts into a failed StudyResult — it used to propagate out of
-    ``future.result()`` and abort the whole sweep."""
-    real_run = DesignStudy.run
+    ``future.result()`` and abort the whole sweep.  It is raised by the
+    first stage, which every path runs: ``DesignStudy.run`` and a pool
+    worker's chunk alike."""
+    real_stage = STAGES["characterize"]
 
-    def run(self):
-        if self.scenario.seed == crash_seed:
+    def characterize(ctx):
+        if ctx.scenario.seed == crash_seed:
             raise RuntimeError("injected crash")
-        return real_run(self)
+        return real_stage(ctx)
 
-    monkeypatch.setattr(DesignStudy, "run", run)
+    monkeypatch.setitem(STAGES, "characterize", characterize)
 
 
 class TestCrashProofReplication:
