@@ -2,12 +2,15 @@
 
 The coordinator turns one fixed sweep spec into content-addressed
 :class:`~repro.pipeline.sweep.SweepJob` s
-(:func:`~repro.pipeline.sweep.fixed_jobs`), serves them to workers over
-the line-JSON protocol, and folds finished rows back together with
-:func:`~repro.pipeline.sweep.merge_rows` **in dispatch order** — so the
-distributed result is bitwise identical (row values, per-cell Welford
-statistics) to serial :func:`~repro.pipeline.sweep.run_sweep` on the
-same spec, whatever order the fleet lands rows in.
+(:func:`~repro.pipeline.sweep.fixed_jobs`, the round a fixed
+:func:`~repro.pipeline.sweep.run_sweep` dispatches), serves them to
+workers over the line-JSON protocol, and folds finished rows the way
+``run_sweep`` does: **in job order** into a fixed-mode
+:class:`~repro.pipeline.adaptive.AdaptiveScheduler`'s cells, then
+through :func:`~repro.pipeline.sweep.sweep_result` — so the distributed
+result is bitwise identical (row values, per-cell Welford statistics)
+to serial ``run_sweep`` on the same spec, whatever order the fleet
+lands rows in, repeated cells included.
 
 Fault model:
 
@@ -71,6 +74,7 @@ from repro.fabric.protocol import (
     ProtocolError,
 )
 from repro.fabric.store import ResultStore
+from repro.pipeline.adaptive import AdaptiveScheduler
 from repro.pipeline.cache import (
     DwellCurveCache,
     GLOBAL_DWELL_CACHE,
@@ -87,9 +91,9 @@ from repro.pipeline.sweep import (
     crash_row,
     expand_cells,
     fixed_jobs,
-    merge_rows,
     open_jsonl,
     study_row,
+    sweep_result,
 )
 
 
@@ -294,7 +298,7 @@ class SweepCoordinator:
                 try:
                     msg = channel.recv_msg(timeout=self.read_deadline)
                     if msg is not None:
-                        _check_job_id(msg)
+                        _check_fields(msg)
                 except ChannelTimeout:
                     # half-open or stalled peer: reclaim the handler
                     # thread; any leases re-queue on release below
@@ -302,7 +306,7 @@ class SweepCoordinator:
                         self.read_timeouts += 1
                     break
                 except ProtocolError:
-                    # a garbled line (or a job id that is not a string)
+                    # a garbled line (or a malformed job id or attempt)
                     # fails only this connection — the accept loop and
                     # every other worker keep going
                     with self._lock:
@@ -510,8 +514,8 @@ class SweepCoordinator:
     def result(self) -> SweepResult:
         """Merge the collected rows into a :class:`SweepResult` that is
         bitwise identical (row values, per-cell statistics) to serial
-        ``run_sweep`` on the same spec — rows fold in dispatch order,
-        not arrival order."""
+        ``run_sweep`` on the same spec — rows fold in job order, not
+        arrival order, each into its own job's cell."""
         if not self._done.is_set():
             raise RuntimeError(
                 "sweep incomplete; call wait() before result()"
@@ -543,27 +547,38 @@ class SweepCoordinator:
             config["fabric"]["worker_stats"] = {
                 worker: dict(stats) for worker, stats in self.worker_stats.items()
             }
-        elapsed = self._elapsed if self._elapsed is not None else 0.0
-        return merge_rows(
+        scheduler = AdaptiveScheduler(
+            self._cells, min_replications=config["min_replications"]
+        )
+        for job, row in zip(self.jobs, rows):
+            scheduler.cells[job.cell_index].record(row)
+        scheduler.next_grants()  # a fixed sweep: every cell stops "fixed"
+        return sweep_result(
             self.base,
-            self._cells,
+            scheduler,
             rows,
             executor="fabric",
-            elapsed=elapsed,
+            elapsed=self._elapsed if self._elapsed is not None else 0.0,
+            rounds=1,
             results=results,
             config=config,
         )
 
 
-def _check_job_id(msg: Dict[str, Any]) -> None:
+def _check_fields(msg: Dict[str, Any]) -> None:
     """Raise :class:`ProtocolError` unless a peer message's ``job_id`` is
-    a string or absent (``null`` counts as absent): a list or an object
-    would reach the lease and job lookups as an unhashable key."""
+    a string and its ``attempt`` a positive ``int`` (not a ``bool``);
+    either may be absent or ``null``.  A list or an object ``job_id``
+    would reach the lease and job lookups as an unhashable key, and
+    ``attempt`` is copied into the landed row and its JSONL line."""
     address = msg.get("job_id")
     if address is not None and not isinstance(address, str):
         raise ProtocolError(
             f"job_id must be a string, got {type(address).__name__}"
         )
+    attempt = msg.get("attempt")
+    if attempt is not None and (type(attempt) is not int or attempt < 1):
+        raise ProtocolError(f"attempt must be a positive int, got {attempt!r:.40}")
 
 
 def _decode_result(job: SweepJob, payload: Any) -> Tuple[StudyResult, Dict[str, Any]]:
@@ -632,7 +647,6 @@ def run_fabric_sweep(
     chaos_seed: Optional[int] = None,
     chaos_profile: Optional[str] = None,
     fault_plans: Optional[Sequence[Any]] = None,
-    worker_recv_timeout: Optional[float] = 60.0,
 ) -> SweepResult:
     """Run one fixed sweep on a local fleet; the drop-in distributed
     twin of :func:`~repro.pipeline.sweep.run_sweep`.
@@ -717,7 +731,6 @@ def run_fabric_sweep(
                             if fault_plans is not None and i < len(fault_plans)
                             else None
                         ),
-                        recv_timeout=worker_recv_timeout,
                     )
                     fleet.append(fw)
                     t = threading.Thread(

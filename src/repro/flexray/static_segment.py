@@ -1,11 +1,11 @@
-"""Static (TT) segment: TDMA slot schedule and transmission timing.
+"""Static (TT) segment: the TDMA slot schedule the bus transmits by.
 
 A message assigned to a static slot is transmitted inside that slot's
-fixed window, so its delivery time is known exactly in advance — this
-determinism is what makes TT slots the valuable resource the paper
-economises.  If the payload misses the slot start, the whole slot of
-length ``Psi`` goes unused and the message waits for the slot's next
-occurrence (paper Section II-A).
+fixed window (:class:`~repro.flexray.bus.FlexRayBus`), so its delivery
+time is known exactly in advance — this determinism is what makes TT
+slots the valuable resource the paper economises.  If the payload
+misses the slot start, the whole slot of length ``Psi`` goes unused and
+the message waits for the slot's next occurrence (paper Section II-A).
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.flexray.frame import FrameSpec, Message
+from repro.flexray.frame import FrameSpec
 from repro.flexray.params import FlexRayConfig
 
 
@@ -133,81 +133,6 @@ class StaticSchedule:
     def slot_of(self, frame_id: int) -> Optional[int]:
         """Slot currently owned by ``frame_id`` (None if it owns none)."""
         return self._walk()[1].get(frame_id)
-
-    def cycle_filter_of(self, frame_id: int) -> Optional[CycleFilter]:
-        """Cycle filter under which ``frame_id`` owns its slot."""
-        for entries in self._owners.values():
-            for cycle_filter, spec in entries:
-                if spec.frame_id == frame_id:
-                    return cycle_filter
-        return None
-
-    def free_slots(self):
-        """Sorted list of slot indices with no assignment at all."""
-        return [
-            slot
-            for slot in range(self.config.static_slots)
-            if not self._owners.get(slot)
-        ]
-
-    def transmit(self, message: Message, slot: int, cycle: int) -> float:
-        """Deliver ``message`` in ``slot`` of ``cycle`` and return the time.
-
-        The message must belong to the slot owner *in this cycle* and
-        must have been released by the slot start; otherwise the slot
-        goes unused this cycle and :class:`SlotAssignmentError` /
-        :class:`ValueError` explains why.
-        """
-        owner = self.owner(slot, cycle)
-        if owner is None or owner.frame_id != message.spec.frame_id:
-            raise SlotAssignmentError(
-                f"frame {message.spec.frame_id} does not own slot {slot} "
-                f"in cycle {cycle}"
-            )
-        start, end = self.config.static_slot_window(cycle, slot)
-        if message.release_time > start + 1e-12:
-            raise ValueError(
-                f"message released at {message.release_time:.6f}s missed the "
-                f"slot start {start:.6f}s; the slot goes unused this cycle"
-            )
-        message.delivery_time = end
-        return end
-
-    def next_transmission_time(
-        self, slot: int, release_time: float, frame_id: Optional[int] = None
-    ) -> float:
-        """Earliest delivery time for a payload released at ``release_time``.
-
-        This is the deterministic TT latency: wait for the next matching
-        occurrence of the slot whose start is at or after the release,
-        then one slot length of wire time.  For cycle-multiplexed frames
-        pass ``frame_id`` so the filter is honoured.
-        """
-        self._check_slot(slot)
-        cfg = self.config
-        cycle_filter = (
-            self.cycle_filter_of(frame_id) if frame_id is not None else None
-        ) or CycleFilter()
-        cycle = cfg.cycle_of(release_time) if release_time > 0 else 0
-        for candidate in range(cycle, cycle + cycle_filter.repetition + 1):
-            if not cycle_filter.matches(candidate):
-                continue
-            start, end = cfg.static_slot_window(candidate, slot)
-            if start >= release_time - 1e-12:
-                return end
-        raise AssertionError("unreachable: the filter matches within its period")
-
-    def worst_case_latency(self, slot: int, frame_id: Optional[int] = None) -> float:
-        """Maximum TT latency: just missed the slot, wait a full filter
-        period (one cycle for unfiltered assignments)."""
-        self._check_slot(slot)
-        cycle_filter = (
-            self.cycle_filter_of(frame_id) if frame_id is not None else None
-        ) or CycleFilter()
-        return (
-            cycle_filter.repetition * self.config.cycle_length
-            + self.config.static_slot_length
-        )
 
     def _walk(self) -> Tuple[List[Tuple], Dict[int, int], Optional[int]]:
         """The owned-slot walk the bus runs every cycle, rebuilt only

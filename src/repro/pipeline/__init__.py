@@ -62,9 +62,7 @@ from repro.pipeline.sweep import (
     SweepResult,
     crash_row,
     expand_cells,
-    expand_sweep,
     fixed_jobs,
-    merge_rows,
     run_sweep,
     study_row,
 )
@@ -96,10 +94,8 @@ __all__ = [
     "SweepResult",
     "crash_row",
     "expand_cells",
-    "expand_sweep",
     "fixed_jobs",
     "get_scenario",
-    "merge_rows",
     "study_row",
     "register_scenario",
     "run_many",

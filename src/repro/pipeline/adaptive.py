@@ -126,7 +126,11 @@ class AdaptiveScheduler:
     min_replications:
         Replications every cell receives in round 0; in adaptive mode
         also the floor below which the stopping rule never fires
-        (a CI from fewer than two samples is meaningless, so >= 2).
+        (a CI from fewer than two samples is meaningless, so >= 2), and
+        the nominal per-cell grant of every follow-up round.  A round's
+        total pool is ``len(cells) * min_replications`` — stopped cells
+        still contribute their share, which is what gets re-granted to
+        high-variance cells.
     ci_target:
         QoC 95 % half-width at which a cell stops.  Interpreted as an
         absolute half-width, or as a fraction of ``|mean|`` when
@@ -138,11 +142,6 @@ class AdaptiveScheduler:
         (adaptive mode).  At least one of ``max_replications`` /
         ``budget`` must bound an adaptive sweep or a never-converging
         cell would replicate forever.
-    step:
-        Nominal per-cell grant per follow-up round; defaults to
-        ``min_replications``.  The round's total pool is
-        ``len(cells) * step`` — stopped cells still contribute their
-        share, which is what gets re-granted to high-variance cells.
     """
 
     def __init__(
@@ -154,7 +153,6 @@ class AdaptiveScheduler:
         ci_relative: bool = False,
         max_replications: Optional[int] = None,
         budget: Optional[int] = None,
-        step: Optional[int] = None,
     ):
         if not cells:
             raise ValueError("a sweep needs at least one cell")
@@ -190,8 +188,6 @@ class AdaptiveScheduler:
                 )
             if budget is not None and budget < 1:
                 raise ValueError(f"budget must be >= 1, got {budget}")
-        if step is not None and step < 1:
-            raise ValueError(f"step must be >= 1, got {step}")
         self.cells = [
             CellState(name, scenario, index)
             for index, (name, scenario) in enumerate(cells)
@@ -201,7 +197,6 @@ class AdaptiveScheduler:
         self.ci_relative = ci_relative
         self.max_replications = max_replications
         self.budget = budget
-        self.step = step if step is not None else min_replications
         self.granted = 0
 
     # -- mode ---------------------------------------------------------
@@ -219,7 +214,8 @@ class AdaptiveScheduler:
             "ci_relative": self.ci_relative,
             "max_replications": self.max_replications,
             "budget": self.budget,
-            "step": self.step,
+            # the per-cell grant of follow-up rounds; sweep JSON keeps it
+            "step": self.min_replications,
         }
 
     # -- stopping rule ------------------------------------------------
@@ -291,7 +287,7 @@ class AdaptiveScheduler:
         open_cells = self._open()
         if not open_cells:
             return []
-        pool = len(self.cells) * self.step
+        pool = len(self.cells) * self.min_replications
         if self.budget is not None:
             pool = min(pool, self.budget - self.granted)
         if pool <= 0:
@@ -311,7 +307,9 @@ class AdaptiveScheduler:
         grants = {id(cell): 0 for cell in ranked}
         remaining = pool
         for cell in ranked:
-            give = int(min(self.step, self._headroom(cell), remaining))
+            give = int(
+                min(self.min_replications, self._headroom(cell), remaining)
+            )
             grants[id(cell)] = give
             remaining -= give
         # Freed budget (stopped cells' share of the pool) goes to the

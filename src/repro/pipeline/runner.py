@@ -7,13 +7,14 @@ domain error (infeasible allocation, overloaded slot, bad roster name)
 marks the study failed and skips the remaining stages — sweeps over
 aggressive grids keep going instead of crashing.
 
-:func:`run_many` executes a scenario list with
-:mod:`concurrent.futures` thread workers sharing one
-:class:`~repro.pipeline.cache.DwellCurveCache`, so a grid that varies
-deadlines, shapes, and allocators measures each dwell curve exactly
-once.  Each worker gets one contiguous chunk of the list and runs it
-with :func:`run_chunk`, which co-simulates the chunk's compatible
-studies together.
+A :class:`Dispatcher` runs a scenario list serially, study by study,
+or on a :mod:`concurrent.futures` pool, one contiguous chunk per worker,
+which runs it with :func:`run_chunk` and so co-simulates the chunk's
+compatible studies together.  :func:`run_many` and
+:func:`~repro.pipeline.sweep.run_sweep` both run through it.  Thread
+workers share one :class:`~repro.pipeline.cache.DwellCurveCache`, so a
+grid that varies deadlines, shapes, and allocators measures each dwell
+curve exactly once.
 """
 
 from __future__ import annotations
@@ -21,7 +22,13 @@ from __future__ import annotations
 import os
 import pickle
 import time
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import (
+    FIRST_COMPLETED,
+    Executor,
+    ProcessPoolExecutor,
+    ThreadPoolExecutor,
+    wait,
+)
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.core.schedulability import UnschedulableError
@@ -341,6 +348,100 @@ def _process_chunk(
     return outcomes, exports
 
 
+class Dispatcher:
+    """Runs study lists, inline or on a pool, and lands every outcome.
+
+    The one home of how :func:`run_many` and
+    :func:`~repro.pipeline.sweep.run_sweep` spread studies over workers.
+    :meth:`run` calls ``land(index, outcome)`` once per study, the
+    outcome being its :class:`StudyResult` or the exception it raised
+    (a domain error fails the study instead, as in
+    :meth:`DesignStudy.run`).
+
+    The first list run sizes the pool: ``max_workers`` workers, by
+    default ``min(len(list), usable_cpus())``.  With one worker, or a
+    first list of at most one study, every list runs serially: each
+    study alone and inline (:meth:`DesignStudy.run`), landing as it
+    ends.  Otherwise each list is cut into contiguous chunks of
+    ``ceil(len / workers)`` studies, a worker runs its chunk with
+    :func:`run_chunk` (co-simulating its compatible studies together),
+    and a chunk's outcomes land together, chunks in completion order.
+    Thread workers share ``cache``; a process worker keeps its own
+    process-wide cache (inherited warm where the platform forks), and
+    what it measured merges into ``cache`` as its chunk lands.  A worker
+    that dies lands its whole chunk as the exception.  The pool lives
+    until :meth:`close`, so a sweep's rounds share it.
+    """
+
+    def __init__(
+        self,
+        executor: str,
+        max_workers: Optional[int],
+        cache: Optional[DwellCurveCache],
+    ):
+        if executor not in ("thread", "process"):
+            raise ValueError(
+                f"unknown executor {executor!r}; expected 'thread' or 'process'"
+            )
+        self.executor = executor
+        self.workers = max_workers
+        self.cache = cache if cache is not None else GLOBAL_DWELL_CACHE
+        #: decided by the first :meth:`run`
+        self.serial: Optional[bool] = None
+        self._pool: Optional[Executor] = None
+
+    def run(
+        self, scenarios: Sequence[Scenario], land: Callable[[int, Outcome], None]
+    ) -> None:
+        if self.serial is None:
+            if self.workers is None:
+                self.workers = min(len(scenarios), usable_cpus())
+            self.serial = self.workers <= 1 or len(scenarios) <= 1
+            if not self.serial:
+                pool_cls = (
+                    ProcessPoolExecutor
+                    if self.executor == "process"
+                    else ThreadPoolExecutor
+                )
+                self._pool = pool_cls(max_workers=self.workers)
+        if self.serial:
+            for index, scenario in enumerate(scenarios):
+                try:
+                    outcome: Outcome = DesignStudy(scenario, cache=self.cache).run()
+                except Exception as exc:  # crash-proof: the caller records it
+                    outcome = exc
+                land(index, outcome)
+            return
+        pending = {}
+        first = 0
+        for chunk in chunked(scenarios, self.workers):
+            if self.executor == "process":
+                future = self._pool.submit(_process_chunk, chunk)
+            else:
+                future = self._pool.submit(run_chunk, chunk, self.cache)
+            pending[future] = range(first, first + len(chunk))
+            first += len(chunk)
+        while pending:
+            done, _ = wait(pending, return_when=FIRST_COMPLETED)
+            for future in done:
+                indices = pending.pop(future)
+                try:
+                    landed = future.result()
+                except Exception as exc:  # the worker died mid-chunk
+                    landed = [exc] * len(indices)
+                else:
+                    if self.executor == "process":
+                        landed, exports = landed
+                        self.cache.merge_entries(exports)
+                for index, outcome in zip(indices, landed):
+                    land(index, outcome)
+
+    def close(self) -> None:
+        if self._pool is not None:
+            self._pool.shutdown()
+            self._pool = None
+
+
 def run_many(
     scenarios: Iterable[Union[Scenario, str]],
     max_workers: Optional[int] = None,
@@ -349,14 +450,13 @@ def run_many(
 ) -> List[StudyResult]:
     """Execute many scenarios, sharing one dwell-measurement cache.
 
-    Results come back in input order.
-
-    The pool hands each worker one contiguous chunk of the scenarios
-    (``ceil(len / max_workers)`` of them), and the worker co-simulates
-    the chunk's compatible studies together (:func:`run_chunk`); results
-    are bitwise those of serial runs.  Thread workers (the default)
-    share one in-process cache, so a grid that varies deadlines, shapes,
-    and allocators measures each dwell curve exactly once — but the
+    Results come back in input order, and they are bitwise those of
+    serial runs.  The studies run through a :class:`Dispatcher`: serially
+    one by one, or as one contiguous chunk per pool worker, which
+    co-simulates its chunk's compatible studies together
+    (:func:`run_chunk`).  Thread workers (the default) share one
+    in-process cache, so a grid that varies deadlines, shapes, and
+    allocators measures each dwell curve exactly once — but the
     co-simulation stage is pure-Python and GIL-bound, so co-sim-heavy
     grids gain little wall-clock from threads.  ``executor="process"``
     fans the chunks out over a
@@ -364,8 +464,8 @@ def run_many(
     are pickled to the workers, each worker keeps a per-process dwell
     cache (inherited warm where the platform forks), and whatever a
     worker measures is merged back into the parent's cache when its
-    results return.  A study that raises re-raises here, after every
-    chunk finished.
+    results return.  Once every study has landed, the first exception
+    a study raised, in input order, re-raises here.
 
     Parameters
     ----------
@@ -381,10 +481,7 @@ def run_many(
     executor:
         ``"thread"`` or ``"process"``.
     """
-    if executor not in ("thread", "process"):
-        raise ValueError(
-            f"unknown executor {executor!r}; expected 'thread' or 'process'"
-        )
+    dispatcher = Dispatcher(executor, max_workers, cache)
     scenario_list: List[Scenario] = []
     for scenario in scenarios:
         if isinstance(scenario, str):
@@ -392,28 +489,15 @@ def run_many(
 
             scenario = get_scenario(scenario)
         scenario_list.append(scenario)
-    cache = cache if cache is not None else GLOBAL_DWELL_CACHE
-    if not scenario_list:
-        return []
-    if max_workers is None:
-        max_workers = min(len(scenario_list), usable_cpus())
-    if max_workers <= 1 or len(scenario_list) == 1:
-        return [DesignStudy(s, cache=cache).run() for s in scenario_list]
-    chunks = chunked(scenario_list, max_workers)
-    outcomes: List[Outcome] = []
-    if executor == "process":
-        with ProcessPoolExecutor(max_workers=max_workers) as pool:
-            for chunk_outcomes, exports in pool.map(_process_chunk, chunks):
-                cache.merge_entries(exports)
-                outcomes.extend(chunk_outcomes)
-    else:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            for chunk_outcomes in pool.map(lambda c: run_chunk(c, cache), chunks):
-                outcomes.extend(chunk_outcomes)
+    outcomes: List[Optional[Outcome]] = [None] * len(scenario_list)
+    try:
+        dispatcher.run(scenario_list, outcomes.__setitem__)
+    finally:
+        dispatcher.close()
     for outcome in outcomes:
         if isinstance(outcome, Exception):
             raise outcome
     return outcomes  # type: ignore[return-value]
 
 
-__all__ = ["DesignStudy", "run_chunk", "run_many", "usable_cpus"]
+__all__ = ["DesignStudy", "Dispatcher", "run_chunk", "run_many", "usable_cpus"]

@@ -9,12 +9,14 @@ A *sweep* is a two-level expansion of one base scenario:
   (``seed0 + r``), which re-draws sporadic disturbance arrivals and
   FlexRay frame loss while holding the design fixed.
 
-:func:`run_sweep` dispatches replications in **rounds** through an
-:class:`~repro.pipeline.adaptive.AdaptiveScheduler` (thread or process
-pools; co-sim-heavy grids want ``executor="process"`` — the simulation
-loop is pure Python and GIL-bound).  A pool gets each round as one
-contiguous chunk of jobs per worker, and the worker co-simulates the
-chunk's compatible studies together
+:func:`run_sweep` grants replications in **rounds** through an
+:class:`~repro.pipeline.adaptive.AdaptiveScheduler`, and the
+:class:`~repro.pipeline.runner.Dispatcher` that
+:func:`~repro.pipeline.runner.run_many` also uses runs each round:
+serially, study by study, or on a thread or process pool
+(co-sim-heavy grids want ``executor="process"`` — the simulation loop
+is pure Python and GIL-bound) as one contiguous chunk of jobs per
+worker, which co-simulates the chunk's compatible studies together
 (:func:`~repro.pipeline.runner.run_chunk`).  In the default *fixed* mode every
 cell receives exactly ``replications`` runs.  Passing ``ci_target``
 switches to *adaptive* mode: a cell stops as soon as the Student-t 95 %
@@ -24,8 +26,8 @@ re-granted to the highest-variance open cells, up to
 
 Per-cell statistics are maintained incrementally (Welford accumulators
 updated as rows land — aggregation never re-scans the row log), each
-finished study can stream one JSON line to disk as its chunk lands
-(rows carry the dispatch ``round``), and a replication that *crashes*
+finished study can stream one JSON line to disk as it lands (rows carry
+the dispatch ``round``), and a replication that *crashes*
 inside the pool is recorded as a synthetic failed row
 (``failed_stage="worker"``) instead of aborting the sweep — the rows
 already landed stay aggregated.
@@ -36,27 +38,14 @@ from __future__ import annotations
 import itertools
 import json
 import time
-from concurrent.futures import (
-    FIRST_COMPLETED,
-    Executor,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-    wait,
-)
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, IO, List, Optional, Sequence, Tuple, Union
 
 from repro.pipeline.adaptive import METRICS, AdaptiveScheduler, CellState
-from repro.pipeline.cache import DwellCurveCache, GLOBAL_DWELL_CACHE
+from repro.pipeline.cache import DwellCurveCache
 from repro.pipeline.result import StudyResult
-from repro.pipeline.runner import (
-    DesignStudy,
-    _process_chunk,
-    chunked,
-    run_chunk,
-    usable_cpus,
-)
+from repro.pipeline.runner import Dispatcher
 from repro.pipeline.scenario import Scenario
 from repro.pipeline.serialize import to_jsonable
 
@@ -109,28 +98,6 @@ def _replication_scenario(cell: Scenario, seed0: int, r: int) -> Scenario:
     return cell.derive(name=f"{cell.name}#seed{seed}", seed=seed)
 
 
-def expand_sweep(
-    base: Union[Scenario, str],
-    axes: Optional[Dict[str, Sequence[Any]]] = None,
-    replications: int = 1,
-    seed0: int = 0,
-) -> List[Tuple[str, Scenario]]:
-    """Expand ``base`` into the fixed grid's ``(cell_name, scenario)`` runs.
-
-    Cells are the cartesian product of the axis values; each cell is
-    replicated with seeds ``seed0 .. seed0 + replications - 1``.  (This
-    is the precomputed run list adaptive mode generalises; it remains
-    the public way to inspect a grid without running it.)
-    """
-    if replications < 1:
-        raise ValueError(f"replications must be >= 1, got {replications}")
-    return [
-        (name, _replication_scenario(cell, seed0, r))
-        for name, cell in expand_cells(base, axes)
-        for r in range(replications)
-    ]
-
-
 @dataclass(frozen=True)
 class SweepJob:
     """One schedulable replication of a fixed sweep grid.
@@ -156,74 +123,32 @@ def fixed_jobs(
 ) -> List[SweepJob]:
     """Decompose a fixed grid into content-addressed jobs.
 
-    Jobs come out in the same replication-major dispatch order the
-    :class:`~repro.pipeline.adaptive.AdaptiveScheduler` grants a fixed
-    sweep (cell 0 rep 0, cell 1 rep 0, ..., cell 0 rep 1, ...), so a
-    distributed executor that merges rows back in ``index`` order
-    reproduces serial :func:`run_sweep` bit for bit.
+    The jobs are the one round a fixed :func:`run_sweep` dispatches,
+    :meth:`AdaptiveScheduler.initial_grants
+    <repro.pipeline.adaptive.AdaptiveScheduler.initial_grants>`:
+    replication-major (cell 0 rep 0, cell 1 rep 0, ..., cell 0 rep 1,
+    ...), replication ``r`` with seed ``seed0 + r``.  A distributed
+    executor that folds rows back in ``index`` order therefore
+    reproduces serial :func:`run_sweep` bit for bit; the list is also
+    the public way to inspect a grid without running it.
     """
-    if replications < 1:
-        raise ValueError(f"replications must be >= 1, got {replications}")
-    cells = expand_cells(base, axes)
-    jobs: List[SweepJob] = []
-    for r in range(replications):
-        for cell_index, (name, cell) in enumerate(cells):
-            scenario = _replication_scenario(cell, seed0, r)
-            jobs.append(
-                SweepJob(
-                    index=len(jobs),
-                    cell_index=cell_index,
-                    cell=name,
-                    rep=r,
-                    scenario=scenario,
-                    address=scenario.content_address(),
-                )
-            )
-    return jobs
-
-
-def merge_rows(
-    base: Union[Scenario, str],
-    cells: Sequence[Tuple[str, Scenario]],
-    rows: Sequence[Dict[str, Any]],
-    *,
-    executor: str,
-    elapsed: float,
-    results: Sequence[StudyResult] = (),
-    config: Optional[Dict[str, Any]] = None,
-) -> SweepResult:
-    """Fold result rows (in dispatch order) into a fixed-mode
-    :class:`SweepResult`.
-
-    This is the aggregation half of :func:`run_sweep`, split out so the
-    sweep fabric — which collects rows from remote workers in whatever
-    order they land — can re-impose the deterministic job order and
-    produce per-cell statistics bitwise identical to a serial run.
-    """
-    if isinstance(base, str):
-        from repro.pipeline.registry import get_scenario
-
-        base = get_scenario(base)
-    states = [
-        CellState(name, scenario, index)
-        for index, (name, scenario) in enumerate(cells)
-    ]
-    by_name = {state.name: state for state in states}
-    for row in rows:
-        by_name[row["cell"]].record(row)
-    for state in states:
-        state.stopped_reason = "fixed"
-    return SweepResult(
-        base=base,
-        executor=executor,
-        elapsed=elapsed,
-        rows=list(rows),
-        cells=[CellStats.of(state) for state in states],
-        results=list(results),
-        mode="fixed",
-        rounds=1,
-        config=dict(config or {}),
+    scheduler = AdaptiveScheduler(
+        expand_cells(base, axes), min_replications=replications
     )
+    jobs: List[SweepJob] = []
+    for index, (cell, r) in enumerate(scheduler.initial_grants()):
+        scenario = _replication_scenario(cell.scenario, seed0, r)
+        jobs.append(
+            SweepJob(
+                index=index,
+                cell_index=cell.index,
+                cell=cell.name,
+                rep=r,
+                scenario=scenario,
+                address=scenario.content_address(),
+            )
+        )
+    return jobs
 
 
 def study_row(cell: str, result: StudyResult, round_no: int) -> Dict[str, Any]:
@@ -419,6 +344,34 @@ class SweepResult:
         return f"{head}\n{table}"
 
 
+def sweep_result(
+    base: Scenario,
+    scheduler: AdaptiveScheduler,
+    rows: List[Dict[str, Any]],
+    *,
+    executor: str,
+    elapsed: float,
+    rounds: int,
+    results: List[StudyResult],
+    config: Optional[Dict[str, Any]] = None,
+) -> SweepResult:
+    """A finished sweep: ``rows`` in job order, folded in that order into
+    ``scheduler``'s cells, and per-cell statistics from those cells.
+    ``config`` defaults to the scheduler's knobs.  :func:`run_sweep` and
+    the fabric coordinator both build their result here."""
+    return SweepResult(
+        base=base,
+        executor=executor,
+        elapsed=elapsed,
+        rows=rows,
+        cells=[CellStats.of(state, scheduler.saved(state)) for state in scheduler.cells],
+        results=results,
+        mode="adaptive" if scheduler.adaptive else "fixed",
+        rounds=rounds,
+        config=scheduler.config() if config is None else config,
+    )
+
+
 def open_jsonl(jsonl_path: Optional[str], mode: str = "w") -> Optional[IO[str]]:
     """UTF-8 stream with parent directories created on demand, so
     ``repro sweep -o out/rows.jsonl`` works on a fresh checkout.
@@ -446,7 +399,6 @@ def run_sweep(
     ci_relative: bool = False,
     max_replications: Optional[int] = None,
     budget: Optional[int] = None,
-    round_size: Optional[int] = None,
 ) -> SweepResult:
     """Run a seeded replication grid and aggregate per-cell statistics.
 
@@ -467,15 +419,16 @@ def run_sweep(
         Either pool hands each worker one contiguous chunk of a round,
         ``ceil(jobs / max_workers)`` jobs, and the worker co-simulates
         the chunk's compatible studies together; rows are bitwise those
-        of serial runs.
+        of serial runs (:class:`~repro.pipeline.runner.Dispatcher`).
     max_workers:
         Pool size; defaults to ``min(first round, usable CPUs)``, the
         CPUs being the process's affinity set where the platform has
         one.  ``1`` runs serially, study by study.
     jsonl_path:
         If given, stream one JSON line per finished study (written as
-        each chunk lands, so a long sweep is inspectable while running;
-        parent directories are created, encoding is UTF-8).
+        it lands, per study serially and per chunk on a pool, so a long
+        sweep is inspectable while running; parent directories are
+        created, encoding is UTF-8).
     keep_results:
         Keep the full :class:`StudyResult` objects on the returned
         :class:`SweepResult` (set False for very large sweeps).
@@ -491,9 +444,6 @@ def run_sweep(
     budget:
         Adaptive global replication ceiling across all cells.  Adaptive
         mode requires ``max_replications`` and/or ``budget``.
-    round_size:
-        Nominal per-cell replications granted per adaptive round
-        (default: ``replications``).
     """
     cells = expand_cells(base, axes)
     if isinstance(base, str):
@@ -502,11 +452,7 @@ def run_sweep(
         base_scenario = get_scenario(base)
     else:
         base_scenario = base
-    cache = cache if cache is not None else GLOBAL_DWELL_CACHE
-    if executor not in ("thread", "process"):
-        raise ValueError(
-            f"unknown executor {executor!r}; expected 'thread' or 'process'"
-        )
+    dispatcher = Dispatcher(executor, max_workers, cache)
     scheduler = AdaptiveScheduler(
         cells,
         min_replications=replications,
@@ -514,33 +460,21 @@ def run_sweep(
         ci_relative=ci_relative,
         max_replications=max_replications,
         budget=budget,
-        step=round_size,
     )
     jobs = scheduler.initial_grants()
-    if max_workers is None:
-        max_workers = min(len(jobs), usable_cpus())
-    serial = max_workers <= 1 or len(jobs) == 1
 
     started = time.perf_counter()
     rows: List[Dict[str, Any]] = []
     results: List[StudyResult] = []
     writer = open_jsonl(jsonl_path)
-    pool: Optional[Executor] = None
     round_no = 0
     try:
-        if not serial:
-            pool_cls = (
-                ProcessPoolExecutor if executor == "process" else ThreadPoolExecutor
-            )
-            pool = pool_cls(max_workers=max_workers)
         while jobs:
             prepared = [
                 (cell, _replication_scenario(cell.scenario, seed0, r))
                 for cell, r in jobs
             ]
-            outcomes = _run_round(
-                prepared, round_no, executor, pool, max_workers, cache, writer
-            )
+            outcomes = _run_round(dispatcher, prepared, round_no, writer)
             # Rows fold into the Welford accumulators in job order — a
             # deterministic order regardless of pool completion order,
             # so thread/process/serial sweeps agree bit-for-bit.
@@ -552,46 +486,35 @@ def run_sweep(
             round_no += 1
             jobs = scheduler.next_grants()
     finally:
-        if pool is not None:
-            pool.shutdown()
+        dispatcher.close()
         if writer is not None:
             writer.close()
-    elapsed = time.perf_counter() - started
-
-    return SweepResult(
-        base=base_scenario,
-        executor="serial" if serial else executor,
-        elapsed=elapsed,
-        rows=rows,
-        cells=[CellStats.of(state, scheduler.saved(state)) for state in scheduler.cells],
-        results=results,
-        mode="adaptive" if scheduler.adaptive else "fixed",
+    return sweep_result(
+        base_scenario,
+        scheduler,
+        rows,
+        executor="serial" if dispatcher.serial else executor,
+        elapsed=time.perf_counter() - started,
         rounds=round_no,
-        config=scheduler.config(),
+        results=results,
     )
 
 
 def _run_round(
+    dispatcher: Dispatcher,
     prepared: List[Tuple[CellState, Scenario]],
     round_no: int,
-    executor: str,
-    pool: Optional[Executor],
-    workers: int,
-    cache: DwellCurveCache,
     writer: Optional[IO[str]],
 ) -> List[Optional[Tuple[Dict[str, Any], Optional[StudyResult]]]]:
     """Execute one dispatch round; returns ``(row, result)`` in job order.
 
-    A pool gets the round as ``workers`` contiguous chunks of
-    ``ceil(jobs / workers)`` jobs, and each worker co-simulates its
-    chunk's compatible studies together
-    (:func:`~repro.pipeline.runner.run_chunk`).  Rows are streamed to
-    ``writer`` as each chunk lands (completion order), while the
-    returned list preserves job order for deterministic aggregation.  A
-    replication that raises — in a worker process, a thread, or inline —
-    becomes a synthetic failed row (``failed_stage="worker"``) rather
-    than aborting the round; a worker that dies takes its chunk's rows
-    with it.
+    Each outcome the dispatcher lands becomes its row at once: a result
+    its :func:`study_row`, and a replication that raised — in a worker
+    process, a thread, or inline — a synthetic failed row
+    (:func:`crash_row`, ``failed_stage="worker"``) rather than aborting
+    the round.  Rows stream to ``writer`` as they land (per study
+    serially, per chunk on a pool), while the returned list keeps job
+    order for deterministic aggregation.
     """
     outcomes: List[Optional[Tuple[Dict[str, Any], Optional[StudyResult]]]] = [
         None
@@ -609,40 +532,7 @@ def _run_round(
             writer.write(json.dumps(to_jsonable(row)) + "\n")
             writer.flush()
 
-    if pool is None:
-        for index, (_, scenario) in enumerate(prepared):
-            try:
-                result = DesignStudy(scenario, cache=cache).run()
-            except Exception as exc:  # crash-proof: record, keep sweeping
-                land(index, exc)
-            else:
-                land(index, result)
-        return outcomes
-
-    pending = {}
-    first = 0
-    for chunk in chunked([scenario for _, scenario in prepared], workers):
-        if executor == "process":
-            future = pool.submit(_process_chunk, chunk)
-        else:
-            future = pool.submit(run_chunk, chunk, cache)
-        pending[future] = range(first, first + len(chunk))
-        first += len(chunk)
-    while pending:
-        done, _ = wait(pending, return_when=FIRST_COMPLETED)
-        for future in done:
-            indices = pending.pop(future)
-            try:
-                landed = future.result()
-            except Exception as exc:  # the worker died mid-chunk
-                for index in indices:
-                    land(index, exc)
-                continue
-            if executor == "process":
-                landed, exports = landed
-                cache.merge_entries(exports)
-            for index, outcome in zip(indices, landed):
-                land(index, outcome)
+    dispatcher.run([scenario for _, scenario in prepared], land)
     return outcomes
 
 
@@ -653,9 +543,7 @@ __all__ = [
     "SweepResult",
     "crash_row",
     "expand_cells",
-    "expand_sweep",
     "fixed_jobs",
-    "merge_rows",
     "run_sweep",
     "study_row",
 ]

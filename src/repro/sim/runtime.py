@@ -46,13 +46,6 @@ class DisturbanceRecord:
             return None
         return self.settled_at - self.arrival
 
-    @property
-    def wait_time(self) -> Optional[float]:
-        """Time spent in ET mode before the slot grant (None = never granted)."""
-        if self.granted_at is None:
-            return None
-        return self.granted_at - self.arrival
-
 
 @dataclass
 class SwitchingRuntime:
@@ -144,10 +137,6 @@ class SwitchingRuntime:
     def response_times(self) -> List[float]:
         """Response times of all completed disturbance episodes."""
         return [r.response_time for r in self.records if r.response_time is not None]
-
-    def wait_times(self) -> List[float]:
-        """ET-mode wait before the slot grant, per granted episode."""
-        return [r.wait_time for r in self.records if r.wait_time is not None]
 
     def deadline_misses(self) -> int:
         return sum(1 for r in self.response_times() if r > self.deadline + 1e-9)

@@ -36,9 +36,6 @@ class AppTrace:
         self.states.append(state)
         self.delays.append(delay)
 
-    def as_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
-        return np.asarray(self.times), np.asarray(self.norms)
-
     def tt_intervals(self) -> List[Tuple[float, float]]:
         """Closed time intervals during which the app held a TT slot.
 

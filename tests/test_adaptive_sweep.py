@@ -114,7 +114,7 @@ class TestSchedulerStopping:
         jobs = sched.next_grants()
         assert quiet.stopped_reason == "ci-target"
         assert noisy.stopped_reason is None
-        # the whole round pool (2 cells x step 2) goes to the open cell
+        # the whole round pool (2 cells x 2 replications) goes to the open cell
         assert all(cell is noisy for cell, _ in jobs)
         assert len(jobs) == 4
 

@@ -67,6 +67,14 @@ def stripped(rows):
     return [{k: v for k, v in row.items() if k not in FABRIC_ONLY} for row in rows]
 
 
+def stripped_cells(sweep):
+    """Per-cell statistics without the wall-clock ``duration`` metric."""
+    cells = [cell.to_dict() for cell in sweep.cells]
+    for cell in cells:
+        cell["metrics"].pop("duration", None)
+    return cells
+
+
 def serial_baseline(**kwargs):
     return run_sweep(
         cheap_base(),
@@ -257,16 +265,7 @@ class TestFabricParity:
         # row values: exact equality, not approx — JSON floats round-trip
         assert stripped(fabric.rows) == stripped(serial.rows)
         # per-cell Welford statistics identical apart from wall clock
-        for fab_cell, ser_cell in zip(fabric.cells, serial.cells):
-            fab_stats = dict(fab_cell.to_dict())
-            ser_stats = dict(ser_cell.to_dict())
-            fab_stats["metrics"] = {
-                k: v for k, v in fab_stats["metrics"].items() if k != "duration"
-            }
-            ser_stats["metrics"] = {
-                k: v for k, v in ser_stats["metrics"].items() if k != "duration"
-            }
-            assert fab_stats == ser_stats
+        assert stripped_cells(fabric) == stripped_cells(serial)
         # every row is attributed to a worker and carries its address
         assert all(row["worker"].startswith("local-") for row in fabric.rows)
         assert len({row["address"] for row in fabric.rows}) == len(fabric.rows)
@@ -285,6 +284,27 @@ class TestFabricParity:
             cache=DwellCurveCache(),
             timeout=300.0,
         )
+        assert stripped(fabric.rows) == stripped(serial.rows)
+
+    def test_repeated_cells_fold_like_serial(self):
+        """Two cells with one scenario share their content addresses;
+        each still gets its own replications (2 runs each), as in
+        ``run_sweep``, not all four in the last cell of that name."""
+        base = get_scenario("paper-table1")
+        axes = {"deadline_scale": [1.0, 1.0]}
+        serial = run_sweep(
+            base, axes, replications=2, max_workers=1, cache=DwellCurveCache()
+        )
+        fabric = run_fabric_sweep(
+            base,
+            axes,
+            replications=2,
+            workers=1,
+            cache=DwellCurveCache(),
+            timeout=300.0,
+        )
+        assert [cell.runs for cell in serial.cells] == [2, 2]
+        assert stripped_cells(fabric) == stripped_cells(serial)
         assert stripped(fabric.rows) == stripped(serial.rows)
 
 
@@ -526,6 +546,56 @@ class TestMalformedJobId:
             coordinator.stop()
         assert coordinator.protocol_errors == 0
         assert [msg["type"] for msg in channel.sent] == ["ok", "job"]
+
+
+class TestMalformedAttempt:
+    """A result's ``attempt`` is copied into its row, so anything but a
+    positive int (or absent) fails the connection like a bad job id."""
+
+    def serve(self, attempt):
+        coordinator = SweepCoordinator(
+            get_scenario("paper-table1"), replications=1, cache=DwellCurveCache()
+        )
+        (job,) = coordinator.jobs
+        result = {
+            "type": "result",
+            "worker": "peer",
+            "job_id": job.address,
+            "attempt": attempt,
+            "result": None,
+            "error": "boom",
+            "cache": None,
+        }
+        channel = _ScriptedChannel(
+            [
+                {"type": "hello", "worker": "peer"},
+                {"type": "lease", "worker": "peer"},
+                result,
+            ]
+        )
+        try:
+            coordinator._serve_connection(channel)
+        finally:
+            coordinator.stop()
+        return coordinator, channel
+
+    @pytest.mark.parametrize(
+        "attempt", [[1], "1", True, 0], ids=["list", "string", "bool", "zero"]
+    )
+    def test_bad_attempt_is_a_counted_protocol_error(self, attempt):
+        coordinator, channel = self.serve(attempt)
+        assert channel.closed
+        assert coordinator.protocol_errors == 1
+        assert [r["reason"] for r in coordinator.requeues] == ["disconnect"]
+        assert len(coordinator.store) == 0
+
+    @pytest.mark.parametrize("attempt", [1, None], ids=["int", "absent"])
+    def test_valid_attempt_lands(self, attempt):
+        coordinator, _ = self.serve(attempt)
+        assert coordinator.protocol_errors == 0 and coordinator.requeues == []
+        (row,) = coordinator.result().rows
+        assert (row["worker"], row["attempt"]) == ("peer", attempt)
+        assert row["detail"] == "boom"
 
 
 class _BeatRecorder:

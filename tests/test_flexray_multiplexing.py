@@ -61,23 +61,6 @@ class TestMultiplexedSchedule:
         assert schedule.owner(0, cycle=0) is None
         assert schedule.owner(0, cycle=1) is b
 
-    def test_next_transmission_honours_filter(self, schedule):
-        cfg = schedule.config
-        spec = FrameSpec(frame_id=1)
-        schedule.assign(2, spec, CycleFilter(base=1, repetition=4))
-        # Released at t=0: the first matching cycle is 1.
-        t = schedule.next_transmission_time(2, 0.0, frame_id=1)
-        _, end = cfg.static_slot_window(1, 2)
-        assert t == pytest.approx(end)
-
-    def test_worst_case_latency_scales_with_repetition(self, schedule):
-        spec = FrameSpec(frame_id=1)
-        schedule.assign(0, spec, CycleFilter(base=0, repetition=4))
-        cfg = schedule.config
-        assert schedule.worst_case_latency(0, frame_id=1) == pytest.approx(
-            4 * cfg.cycle_length + cfg.static_slot_length
-        )
-
 
 class TestMultiplexedBus:
     def test_two_frames_alternate_one_slot(self):

@@ -46,7 +46,6 @@ class TestStaticSchedule:
         schedule.assign(3, spec)
         assert schedule.owner(3) is spec
         assert schedule.slot_of(7) == 3
-        assert 3 not in schedule.free_slots()
 
     def test_conflicting_assignment_rejected(self, schedule):
         schedule.assign(3, FrameSpec(frame_id=7))
@@ -64,42 +63,6 @@ class TestStaticSchedule:
         schedule.release(3)
         assert schedule.owner(3) is None
         assert schedule.slot_of(7) is None
-
-    def test_transmit_delivers_at_slot_end(self, schedule):
-        spec = FrameSpec(frame_id=7)
-        schedule.assign(2, spec)
-        msg = Message(spec=spec, release_time=0.0)
-        delivery = schedule.transmit(msg, slot=2, cycle=0)
-        _, end = schedule.config.static_slot_window(0, 2)
-        assert delivery == pytest.approx(end)
-        assert msg.delivered
-
-    def test_transmit_requires_ownership(self, schedule):
-        msg = Message(spec=FrameSpec(frame_id=9), release_time=0.0)
-        with pytest.raises(SlotAssignmentError, match="does not own"):
-            schedule.transmit(msg, slot=0, cycle=0)
-
-    def test_late_release_misses_slot(self, schedule):
-        spec = FrameSpec(frame_id=7)
-        schedule.assign(0, spec)
-        start, _ = schedule.config.static_slot_window(0, 0)
-        msg = Message(spec=spec, release_time=start + 1e-6)
-        with pytest.raises(ValueError, match="missed the slot start"):
-            schedule.transmit(msg, slot=0, cycle=0)
-
-    def test_next_transmission_time_waits_for_slot(self, schedule):
-        cfg = schedule.config
-        # Release just after slot 1 started: wait until its next cycle.
-        start, end = cfg.static_slot_window(0, 1)
-        t = schedule.next_transmission_time(1, start + 1e-6)
-        _, end_next = cfg.static_slot_window(1, 1)
-        assert t == pytest.approx(end_next)
-
-    def test_worst_case_latency(self, schedule):
-        cfg = schedule.config
-        assert schedule.worst_case_latency(0) == pytest.approx(
-            cfg.cycle_length + cfg.static_slot_length
-        )
 
 
 class TestDynamicSegment:

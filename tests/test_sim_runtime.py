@@ -58,7 +58,7 @@ class TestStateMachine:
         arbiter.grant_pending()
         assert second.update(0.42, norm=0.8) is CommState.TT_HOLDING
         record = second.records[-1]
-        assert record.wait_time == pytest.approx(0.42)
+        assert record.granted_at - record.arrival == pytest.approx(0.42)
 
     def test_settles_while_waiting(self):
         arbiter = TTSlotArbiter()

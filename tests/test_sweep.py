@@ -11,7 +11,7 @@ from repro.pipeline import (
     run_sweep,
 )
 from repro.pipeline.stages import STAGES
-from repro.pipeline.sweep import expand_cells, expand_sweep
+from repro.pipeline.sweep import expand_cells, fixed_jobs
 from repro.sim.stats import t_critical_95
 
 #: Cheap co-sim base for every test: two-plant multirate roster subset,
@@ -29,49 +29,48 @@ def cheap_base(**overrides):
     )
 
 
-class TestExpandSweep:
+class TestFixedJobs:
     def test_grid_times_replications(self):
-        runs = expand_sweep(
+        jobs = fixed_jobs(
             cheap_base(),
             axes={"loss_rate": [0.0, 0.1], "dwell_shape": ["non-monotonic"]},
             replications=3,
             seed0=5,
         )
-        assert len(runs) == 6
-        cells = {cell for cell, _ in runs}
+        assert len(jobs) == 6
+        cells = {job.cell for job in jobs}
         assert len(cells) == 2
-        seeds = sorted(s.seed for _, s in runs)
+        seeds = sorted(job.scenario.seed for job in jobs)
         assert seeds == [5, 5, 6, 6, 7, 7]
 
     def test_cell_names_encode_overrides(self):
-        runs = expand_sweep(cheap_base(), axes={"loss_rate": [0.25]})
-        cell, scenario = runs[0]
-        assert "loss_rate=0.25" in cell
-        assert scenario.loss_rate == 0.25
-        assert scenario.name.endswith("#seed0")
+        (job,) = fixed_jobs(cheap_base(), axes={"loss_rate": [0.25]})
+        assert "loss_rate=0.25" in job.cell
+        assert job.scenario.loss_rate == 0.25
+        assert job.scenario.name.endswith("#seed0")
 
     def test_no_axes_is_pure_replication(self):
-        runs = expand_sweep(cheap_base(), replications=4)
-        assert len(runs) == 4
-        assert len({cell for cell, _ in runs}) == 1
+        jobs = fixed_jobs(cheap_base(), replications=4)
+        assert len(jobs) == 4
+        assert len({job.cell for job in jobs}) == 1
 
     def test_unknown_axis_field_raises(self):
         with pytest.raises(ValueError, match="unknown scenario field"):
-            expand_sweep(cheap_base(), axes={"bogus_field": [1]})
+            fixed_jobs(cheap_base(), axes={"bogus_field": [1]})
 
     def test_bad_replications_rejected(self):
         with pytest.raises(ValueError, match="replications"):
-            expand_sweep(cheap_base(), replications=0)
+            fixed_jobs(cheap_base(), replications=0)
 
     def test_empty_axis_rejected(self):
         with pytest.raises(ValueError, match="non-empty"):
-            expand_sweep(cheap_base(), axes={"loss_rate": []})
+            fixed_jobs(cheap_base(), axes={"loss_rate": []})
 
     def test_seed_axis_rejected(self):
         """Replication seeding owns the seed field; an axis over it would
         be silently clobbered, so it must be refused."""
         with pytest.raises(ValueError, match="seed"):
-            expand_sweep(cheap_base(), axes={"seed": [1, 2]})
+            fixed_jobs(cheap_base(), axes={"seed": [1, 2]})
 
 
 class TestRunSweep:
@@ -292,6 +291,27 @@ class TestExpandCells:
         assert len(cells) == 2
         assert all(s.seed == 0 for _, s in cells)
         assert "#seed" not in cells[0][0]
+
+
+class TestRunManyRaises:
+    @pytest.mark.parametrize("workers", [1, 2], ids=["serial", "thread"])
+    def test_first_crash_in_input_order_after_every_study(
+        self, monkeypatch, workers
+    ):
+        real_stage = STAGES["characterize"]
+        ran = []
+
+        def characterize(ctx):
+            ran.append(ctx.scenario.seed)
+            if ctx.scenario.seed in (1, 2):
+                raise RuntimeError(f"crash {ctx.scenario.seed}")
+            return real_stage(ctx)
+
+        monkeypatch.setitem(STAGES, "characterize", characterize)
+        scenarios = [cheap_base(cosim=False).derive(seed=s) for s in range(4)]
+        with pytest.raises(RuntimeError, match="crash 1"):
+            run_many(scenarios, max_workers=workers, cache=DwellCurveCache())
+        assert sorted(ran) == [0, 1, 2, 3]
 
 
 class TestRunManyProcess:
