@@ -356,7 +356,6 @@ def _cmd_worker(args):
         host,
         port,
         worker_id=args.id,
-        die_after=args.die_after,
         fault_plan=fault_plan,
     )
     done = worker.run()
@@ -756,13 +755,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_worker.add_argument(
         "--id", default=None, metavar="NAME", help="worker id (default pid-derived)"
-    )
-    p_worker.add_argument(
-        "--die-after",
-        type=int,
-        default=None,
-        metavar="N",
-        help="fault injection: drop the connection when leasing job N+1",
     )
     p_worker.add_argument(
         "--chaos-profile",

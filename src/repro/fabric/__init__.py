@@ -70,7 +70,7 @@ from repro.fabric.service import (
     sweep_address,
 )
 from repro.fabric.store import ResultStore, ResumeReport
-from repro.fabric.worker import FabricWorker, WorkerDied, spawn_worker_process
+from repro.fabric.worker import FabricWorker, spawn_worker_process
 
 __all__ = [
     "CHAOS_PROFILES",
@@ -93,7 +93,6 @@ __all__ = [
     "ServiceClient",
     "StudyService",
     "SweepCoordinator",
-    "WorkerDied",
     "chaos_plan",
     "connect",
     "fleet_plans",

@@ -39,11 +39,13 @@ Fault model:
   typed :class:`~repro.fabric.protocol.ChannelTimeout`, its
   connection is dropped and its leases re-queued, and the handler
   thread is reclaimed — it can never hang the coordinator;
-* a garbled line (:class:`~repro.fabric.protocol.ProtocolError`), or
-  a ``result`` that does not decode or carries anything but ``null``
-  curves, fails only the connection that sent it — counted in
-  ``config["fabric"]["protocol_errors"]``, leases re-queued, accept
-  loop untouched;
+* a garbled line (:class:`~repro.fabric.protocol.ProtocolError`), a
+  ``result`` that does not decode or carries anything but ``null``
+  curves, or a message under another worker's name than the one the
+  connection's first ``hello`` or ``lease`` gave, fails only the
+  connection that sent it — counted in
+  ``config["fabric"]["protocol_errors"]``, its own leases re-queued,
+  accept loop untouched;
 * resuming from a torn JSONL (the artifact of a killed writer)
   recovers the intact prefix and reports the torn row in
   ``config["fabric"]["recovered_tail"]``.
@@ -292,6 +294,7 @@ class SweepCoordinator:
     # -- worker connection plane --------------------------------------
 
     def _serve_connection(self, channel: LineChannel) -> None:
+        # the connection's worker name, fixed by its first hello or lease
         worker = None
         try:
             while True:
@@ -299,6 +302,7 @@ class SweepCoordinator:
                     msg = channel.recv_msg(timeout=self.read_deadline)
                     if msg is not None:
                         _check_fields(msg)
+                        claimed = _claimed_worker(msg, worker)
                 except ChannelTimeout:
                     # half-open or stalled peer: reclaim the handler
                     # thread; any leases re-queue on release below
@@ -306,9 +310,9 @@ class SweepCoordinator:
                         self.read_timeouts += 1
                     break
                 except ProtocolError:
-                    # a garbled line (or a malformed job id or attempt)
-                    # fails only this connection — the accept loop and
-                    # every other worker keep going
+                    # a garbled line (a malformed job id or attempt, or
+                    # another worker's name) fails only this connection
+                    # — the accept loop and every other worker keep going
                     with self._lock:
                         self.protocol_errors += 1
                     break
@@ -319,7 +323,7 @@ class SweepCoordinator:
                 kind = msg["type"]
                 if kind == "result":
                     try:
-                        self._land(str(msg.get("worker", worker)), msg)
+                        self._land(str(claimed), msg)
                     except ProtocolError:
                         # an undecodable result is handled like a
                         # garbled line: counted, connection dropped
@@ -328,18 +332,18 @@ class SweepCoordinator:
                         break
                     continue
                 try:
+                    if kind in ("hello", "lease") and worker is None:
+                        worker = claimed or "anonymous"
                     if kind == "hello":
-                        worker = str(msg.get("worker", "anonymous"))
                         with self._lock:
                             if worker not in self._workers_seen:
                                 self._workers_seen.append(worker)
                             self._shipped.setdefault(worker, set())
                         channel.send_msg("ok", worker=worker)
                     elif kind == "lease":
-                        worker = str(msg.get("worker", worker or "anonymous"))
                         self._grant(channel, worker)
                     elif kind == "heartbeat":
-                        self._renew(str(msg.get("worker", worker)), msg.get("job_id"))
+                        self._renew(claimed, msg.get("job_id"))
                     else:
                         channel.send_msg(
                             "error", detail=f"unexpected {kind!r} on the sweep plane"
@@ -579,6 +583,27 @@ def _check_fields(msg: Dict[str, Any]) -> None:
     attempt = msg.get("attempt")
     if attempt is not None and (type(attempt) is not int or attempt < 1):
         raise ProtocolError(f"attempt must be a positive int, got {attempt!r:.40}")
+
+
+def _claimed_worker(msg: Dict[str, Any], worker: Optional[str]) -> Optional[str]:
+    """The worker a peer message speaks for on a connection named
+    ``worker`` (``None`` before its first hello or lease): its own
+    ``worker`` field, or the connection's name when it has none.
+
+    Raise :class:`ProtocolError` when a named connection speaks for
+    another worker: a lease, heartbeat or result under a second name
+    would move leases between workers, and a disconnect would re-queue
+    the other worker's jobs instead of this connection's own.
+    """
+    claimed = msg.get("worker")
+    if claimed is None:
+        return worker
+    claimed = str(claimed)
+    if worker is not None and claimed != worker:
+        raise ProtocolError(
+            f"connection of worker {worker!r} spoke for {claimed!r:.40}"
+        )
+    return claimed
 
 
 def _decode_result(job: SweepJob, payload: Any) -> Tuple[StudyResult, Dict[str, Any]]:

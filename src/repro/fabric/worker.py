@@ -28,12 +28,12 @@ carries a deadline (``recv_timeout``) so a half-open coordinator can
 never hang the process; :attr:`FabricWorker.stats` tallies the
 recoveries.
 
-Fault injection: ``die_after=N`` abruptly drops the connection when
-leasing job ``N+1`` (the PR 7 hook), and ``fault_plan`` runs the whole
-connection under a seeded
-:class:`~repro.fabric.resilience.FaultyChannel` storm — drop / delay /
-duplicate / garble / stall / crash — for the chaos matrix and the CI
-``chaos-smoke`` job.
+Fault injection: ``fault_plan`` runs the whole connection under a
+seeded :class:`~repro.fabric.resilience.FaultyChannel` storm — drop /
+delay / duplicate / garble / stall / crash — for the chaos matrix and
+the CI ``chaos-smoke`` job; ``FaultPlan(crash_at_message=N)`` alone
+kills the worker in place of its N-th result, holding that job's
+lease.
 """
 
 from __future__ import annotations
@@ -66,10 +66,6 @@ from repro.pipeline.cache import (
 )
 from repro.pipeline.runner import DesignStudy
 from repro.pipeline.scenario import Scenario
-
-
-class WorkerDied(RuntimeError):
-    """Raised by the ``die_after`` fault-injection hook."""
 
 
 class _Heartbeat:
@@ -148,7 +144,6 @@ class FabricWorker:
         *,
         worker_id: Optional[str] = None,
         cache: Optional[DwellCurveCache] = None,
-        die_after: Optional[int] = None,
         fault_plan: Optional[FaultPlan] = None,
         retry: Optional[RetryPolicy] = None,
         recv_timeout: Optional[float] = 60.0,
@@ -157,7 +152,6 @@ class FabricWorker:
         self.port = port
         self.worker_id = worker_id or f"worker-{os.getpid()}-{id(self) & 0xFFFF:04x}"
         self.cache = cache if cache is not None else GLOBAL_DWELL_CACHE
-        self.die_after = die_after
         self.fault_plan = fault_plan
         self.retry = (
             retry
@@ -187,10 +181,9 @@ class FabricWorker:
 
         Returns the number of jobs completed.  Transport failures —
         refused dials, EOF mid-session, garbled replies, read
-        deadlines — retry under :attr:`retry`; ``die_after`` and an
-        injected crash exit by dropping the socket mid-lease
-        (simulated crash), leaving any leased job for the coordinator
-        to re-queue.
+        deadlines — retry under :attr:`retry`; an injected crash exits
+        by dropping the socket mid-lease (simulated crash), leaving any
+        leased job for the coordinator to re-queue.
         """
         failures = 0
         try:
@@ -227,7 +220,7 @@ class FabricWorker:
                 if failures >= self.retry.max_attempts:
                     break
                 self.retry.sleep(failures)
-        except (WorkerDied, InjectedCrash):
+        except InjectedCrash:
             pass
         return self.jobs_done
 
@@ -276,11 +269,6 @@ class FabricWorker:
                 continue
             if msg["type"] != "job":
                 continue
-            if self.die_after is not None and self.jobs_done >= self.die_after:
-                # simulated crash: vanish mid-lease without releasing it
-                raise WorkerDied(
-                    f"{self.worker_id} died after {self.jobs_done} job(s)"
-                )
             wait_attempt = 0
             self._run_job(msg)
             self.jobs_done += 1
@@ -336,7 +324,6 @@ def spawn_worker_process(
     port: int,
     *,
     worker_id: Optional[str] = None,
-    die_after: Optional[int] = None,
     chaos_seed: Optional[int] = None,
     chaos_profile: Optional[str] = None,
     chaos_index: int = 0,
@@ -360,8 +347,6 @@ def spawn_worker_process(
     cmd = [sys.executable, "-m", "repro", "worker", "--connect", f"{host}:{port}"]
     if worker_id:
         cmd += ["--id", worker_id]
-    if die_after is not None:
-        cmd += ["--die-after", str(die_after)]
     if chaos_profile is not None:
         cmd += [
             "--chaos-profile",
@@ -378,4 +363,4 @@ def spawn_worker_process(
     )
 
 
-__all__ = ["FabricWorker", "WorkerDied", "spawn_worker_process"]
+__all__ = ["FabricWorker", "spawn_worker_process"]

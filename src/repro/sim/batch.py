@@ -13,13 +13,11 @@ bookkeeping:
 * the **interval rule** — a lost frame holds the previous input for the
   whole period, any other delay is equalized to the mode's design delay
   — is memoised per ``(application, mode, delay)`` together with its
-  jitter-violation flag and plant-sweep bucket;
-* same-dynamics plants stepping with the same delay advance in
-  **NumPy-stacked sweeps**, exactly the way
-  :meth:`~repro.sim.stepper.PlantStepperBank.step_all` stacks them so
-  the arithmetic stays bitwise identical; the sweep plan is memoised per
-  tuple of ``(application, bucket)`` and the ``Phi``/``Gamma``
-  transposes are hoisted out of the loop.
+  jitter-violation flag and delay token;
+* each plant steps with the scalar products
+  :meth:`~repro.sim.stepper.PlantStepperBank.step_all` reproduces, over
+  bound ``.dot`` methods of its cached ``Phi``/``Gamma`` operators; the
+  sweep plan is memoised per tuple of ``(application, delay)`` tokens.
 
 The fast path reproduces the event kernel **bitwise**: same operation
 sequence per barrier (disturbances, arbitration, state-machine updates,
@@ -45,17 +43,17 @@ and statistics all stay with the network.  The ownership walk only runs
 when the arbiter moved a holder since the last walk, which changes none
 of the calls the walk makes.
 
-Within one run, norms and controls are per application —
-``sqrt(x.dot(x))`` and ``(-K).dot(concatenate((x, held)))`` — and plants
-left alone in their bucket step with scalar products.  Grouping across
-the applications of one fleet (row-stacked norms, one matmul per
-same-gain group, 3-D matmuls across different dynamics) needs a
-start-up probe per platform to stay bitwise exact, and on a shared
-2-core x86-64 host each lost to the scalar path (median of 12
-alternating pairs, ``CoSimulator.run`` CPU time): the fig5 analytic run
-took 0.78x the time with the cross-dynamics stacking off, 0.83x with
-norm groups off against forced on, and fleets of 2 and 6 identical
-plants 0.77x and 0.83x with control groups off against forced on.
+Within one run, norms, controls and plant steps are per application —
+``sqrt(x.dot(x))``, ``(-K).dot(concatenate((x, held)))`` and the
+scalar plant products.  Grouping across the applications of one fleet
+(row-stacked norms, one matmul per same-gain group, 3-D matmuls across
+different dynamics) needs a start-up probe per platform to stay bitwise
+exact, and on a shared 2-core x86-64 host each lost to the scalar path
+(median of 12 alternating pairs, ``CoSimulator.run`` CPU time): the
+fig5 analytic run took 0.78x the time with the cross-dynamics stacking
+off, 0.83x with norm groups off against forced on, and fleets of 2 and
+6 identical plants 0.77x and 0.83x with control groups off against
+forced on.
 
 Grouping one application across *studies* does pay.  The eager loop
 (:func:`run_lockstep`) advances K >= 1 kernels that share one
@@ -100,9 +98,7 @@ class _BatchKernel:
       kernel's eager operation sequence with the per-sample network and
       bookkeeping costs hoisted out of the loop;
     * **lazy** (multi-rate): each application's interval is stepped at
-      its *next* tick, exactly when the event kernel resolves it, so
-      the plant-sweep stacking — and therefore the floating-point
-      result — matches barrier for barrier.
+      its *next* tick, exactly when the event kernel resolves it.
     """
 
     def __init__(self, sim: "CoSimulator", horizon: float):
@@ -110,7 +106,7 @@ class _BatchKernel:
         self.apps = apps = sim.applications
         self.n = n = len(apps)
         self.periods = [sim.period_of(a) for a in apps]
-        self.eager = len({round(p, 12) for p in self.periods}) == 1
+        self.eager = sim.period is not None
         self.steps = [int(np.ceil(horizon / p)) for p in self.periods]
         self.traces = SimulationTrace(horizon=horizon)
         cache = GLOBAL_ZOH_CACHE
@@ -127,17 +123,9 @@ class _BatchKernel:
         self.neg_gains: List[Tuple[np.ndarray, np.ndarray]] = []
         self.controls: List[Tuple] = []
         self.designs: List[Tuple[float, float]] = []  # (et, tt) mode delays
-        group_ids: Dict[Tuple, int] = {}
-        self.group_of: List[int] = []
-        self.discs: List = []  # per group, the cached discretisation
-        for i, app in enumerate(apps):
-            period = self.periods[i]
-            disc = cache.plant(app.dynamics, period)
-            key = (_dynamics_key(app.dynamics), round(period, 12))
-            gid = group_ids.setdefault(key, len(group_ids))
-            if gid == len(self.discs):
-                self.discs.append(disc)
-            self.group_of.append(gid)
+        #: per app, the cached discretisation
+        self.discs = [cache.plant(a.dynamics, p) for a, p in zip(apps, self.periods)]
+        for app in apps:
             self.states.append(np.zeros(app.dynamics.n_states))
             self.held.append(np.zeros(app.app.et.plant.n_inputs))
             self.dist_state.append(app.disturbance_state)
@@ -167,11 +155,11 @@ class _BatchKernel:
                 if k >= self.steps[i]:
                     continue
                 self.dist_at[i].setdefault(k, []).append(event)
-        #: per app and mode: delay -> ``(delay, violation, member, lost)``.
+        #: per app and mode: delay -> ``(delay, violation, token, lost)``.
         self.rules: List[Tuple[Dict, Dict]] = [({}, {}) for _ in range(n)]
-        #: ``(group, delay bucket)`` token -> ``(Gamma0, Gamma1)``.
+        #: ``(app, delay key)`` token -> ``(Gamma0, Gamma1)``.
         self.token_gammas: Dict[Tuple, Tuple[np.ndarray, np.ndarray]] = {}
-        #: tuple of ``(app, token)`` members -> plant-sweep plan.
+        #: tuple of tokens -> plant-sweep plan.
         self.plans: Dict[Tuple, List[Tuple]] = {}
         #: slot -> holder the network was last told about
         self.slot_owner: Dict[int, Optional[str]] = {a.slot: None for a in apps}
@@ -179,24 +167,23 @@ class _BatchKernel:
         self.handovers_seen: Optional[int] = None
         #: what the eager barrier hands its products, rewritten in place
         #: every instant: per app the mode (``True`` over the TT slot) and
-        #: the ``(app, token)`` sweep member, and the apps whose frame was
-        #: lost.
+        #: the delay token, and the apps whose frame was lost.
         self.modes: List[bool] = [False] * n
-        self.members: List[Optional[Tuple]] = [None] * n
+        self.tokens: List[Optional[Tuple]] = [None] * n
         self.lost: List[int] = []
 
     # -- the interval rule and the sweep plan ------------------------------
 
     def _rule(self, i: int, mode: int, delay: float) -> Tuple:
-        """``(delay, violation, member, lost)`` for one interval of
+        """``(delay, violation, token, lost)`` for one interval of
         application ``i`` in ``mode`` whose message took ``delay``,
         memoised in :attr:`rules`.
 
         A lost frame (a non-finite delay) never reached the actuator:
         the previous input holds for the whole period and stays latched,
         and nothing is equalized.  Any other delay is equalized to the
-        mode's design delay when the simulator equalizes.  ``member`` is
-        ``(i, token)``, the application's plant-sweep bucket.
+        mode's design delay when the simulator equalizes.  ``token`` is
+        ``(i, delay key)``, which names the plant step's ``Gamma`` pair.
         """
         raw = delay
         lost = not isfinite(delay)
@@ -209,64 +196,41 @@ class _BatchKernel:
                 delay = design
             else:
                 violation = 1
-        gid = self.group_of[i]
-        token = (gid, delay_key(delay))
+        token = (i, delay_key(delay))
         if token not in self.token_gammas:
-            self.token_gammas[token] = self.discs[gid].gammas(delay)
-        rule = (delay, violation, (i, token), lost)
+            self.token_gammas[token] = self.discs[i].gammas(delay)
+        rule = (delay, violation, token, lost)
         self.rules[i][mode][raw] = rule
         return rule
 
-    def _plan(self, members: Tuple) -> List[Tuple]:
-        """The plant-sweep plan for one tuple of ``(app, token)``
-        members, memoised in :attr:`plans`: one entry per bucket,
-        carrying its hoisted operators, its index list and, for a bucket
-        of one, that index.  Bucket order is free: plants are mutually
-        independent within one instant.
+    def _plan(self, tokens: Tuple) -> List[Tuple]:
+        """The plant-sweep plan for one tuple of delay tokens, memoised
+        in :attr:`plans`: per application its index and the bound
+        ``.dot`` methods of its ``Phi``, ``Gamma0`` and ``Gamma1``.
 
-        The operators are bound ``.dot`` methods of the same arrays (and
-        ``.T`` views) ``step_all`` would fetch per call.  ``ndarray.dot``
-        and ``@`` dispatch to the same BLAS routines for these shapes
-        (the parity tests pin the bitwise identity); the bound method
-        skips the operator protocol on every hot-loop call."""
-        buckets: Dict[Tuple, List[int]] = {}
-        for i, token in members:
-            buckets.setdefault(token, []).append(i)
+        ``ndarray.dot`` and ``@`` dispatch to the same BLAS routines for
+        these shapes (the parity tests pin the bitwise identity); the
+        bound method skips the operator protocol on every hot-loop
+        call."""
         plan = []
-        for token, idxs in buckets.items():
-            phi = self.discs[token[0]].phi
+        for token in tokens:
+            i = token[0]
             gamma0, gamma1 = self.token_gammas[token]
-            plan.append(
-                (
-                    phi.dot, gamma0.dot, gamma1.dot, phi.T, gamma0.T, gamma1.T,
-                    idxs, idxs[0] if len(idxs) == 1 else None,
-                )
-            )
-        self.plans[members] = plan
+            plan.append((i, self.discs[i].phi.dot, gamma0.dot, gamma1.dot))
+        self.plans[tokens] = plan
         return plan
 
     def _sweep(self, plan: List[Tuple], us: List) -> None:
-        """Advance the planned plants one interval — the arithmetic of
-        ``PlantStepperBank.step_all``: scalar matvecs for a bucket of
-        one, a stacked ``x @ Phi.T`` sweep otherwise (in-place
-        accumulation adds the same values without the temporaries)."""
+        """Advance the planned plants one interval with the scalar
+        products of ``PlantStepperBank.step_all`` (in-place accumulation
+        adds the same values without the temporaries)."""
         states = self.states
         held = self.held
-        for phi_dot, g0_dot, g1_dot, phi_t, g0t, g1t, idxs, solo in plan:
-            if solo is not None:
-                advanced = phi_dot(states[solo])
-                advanced += g0_dot(us[solo])
-                advanced += g1_dot(held[solo])
-                states[solo] = advanced
-            else:
-                x = np.stack([states[i] for i in idxs])
-                u = np.stack([us[i] for i in idxs])
-                u_prev = np.stack([held[i] for i in idxs])
-                advanced = x.dot(phi_t)
-                advanced += u.dot(g0t)
-                advanced += u_prev.dot(g1t)
-                for row, i in enumerate(idxs):
-                    states[i] = advanced[row]
+        for i, phi_dot, g0_dot, g1_dot in plan:
+            advanced = phi_dot(states[i])
+            advanced += g0_dot(us[i])
+            advanced += g1_dot(held[i])
+            states[i] = advanced
 
     def _propagate_slots(self) -> None:
         """The event kernel's transmit-phase ownership hand-over, told to
@@ -313,7 +277,7 @@ class _BatchKernel:
         (disturb, grant, update, re-grant, hand over slots, resolve one
         interval, equalize), one step per sampling instant.
 
-        Each step ends with :attr:`modes`, :attr:`members` and
+        Each step ends with :attr:`modes`, :attr:`tokens` and
         :attr:`lost` rewritten for the instant and then yields, so the
         caller can run the control products and plant sweeps —
         :func:`run_lockstep` does them for a whole group of studies at
@@ -339,7 +303,7 @@ class _BatchKernel:
         appenders = self.appenders
         rules = self.rules
         modes = self.modes
-        members = self.members
+        tokens = self.tokens
         lost = self.lost
         thresholds = [rt.threshold for rt in runtimes]
         fastable = [rt.tt_allowed for rt in runtimes]
@@ -399,7 +363,7 @@ class _BatchKernel:
                 rule = rules[i][mode].get(raw)
                 if rule is None:
                     rule = self._rule(i, mode, raw)
-                delay, violation, members[i], dropped = rule
+                delay, violation, tokens[i], dropped = rule
                 violations += violation
                 if dropped:
                     lost.append(i)
@@ -422,7 +386,7 @@ class _BatchKernel:
         held = self.held
         controls = self.controls
         modes = self.modes
-        members = self.members
+        tokens = self.tokens
         lost = self.lost
         plans = self.plans
         plan_for = self._plan
@@ -434,7 +398,7 @@ class _BatchKernel:
         def products() -> None:
             for i in app_range:
                 us[i] = controls[i][modes[i]](concat((states[i], held[i])))
-            key = tuple(members)
+            key = tuple(tokens)
             plan = plans.get(key)
             if plan is None:
                 plan = plan_for(key)
@@ -523,7 +487,7 @@ class _BatchKernel:
             #    event kernel's _resolve: due first, then finals); the
             #    trace delay is patched like the event kernel's NaN
             #    placeholder.
-            members = []
+            tokens = []
             fresh = []
             for i in [*(i for i, _ in due), *finals]:
                 record = pending[i]
@@ -543,15 +507,15 @@ class _BatchKernel:
                 rule = rules[i][mode].get(delay)
                 if rule is None:
                     rule = self._rule(i, mode, delay)
-                delay, violation, member, lost = rule
+                delay, violation, token, lost = rule
                 violations += violation
                 delay_lists[i][trace_index] = delay
                 us[i] = u
-                members.append(member)
+                tokens.append(token)
                 if not lost:
                     fresh.append(i)
-            if members:
-                plan_key = tuple(members)
+            if tokens:
+                plan_key = tuple(tokens)
                 plan = plans.get(plan_key)
                 if plan is None:
                     plan = self._plan(plan_key)
@@ -617,18 +581,15 @@ def lockstep_key(sim: "CoSimulator", horizon: float) -> Optional[Tuple]:
     batch kernel with the same period and step count — and one design:
     application by application the same dynamics bytes and ET/TT gains,
     so one ``Phi`` and one gain pair serve every study's row.  A roster
-    that repeats a dynamics runs alone: its same-delay plants step in the
-    in-study 2-D bucket form, whose rows differ from the scalar products
-    the batched matmuls reproduce.  So does a roster with a plant shape
-    whose batched products the :func:`~repro.sim.stepper.stacked_safe`
-    probe does not certify on this platform.
+    may repeat a plant: each copy is an application of its own, with
+    its own row stack.  A roster with a plant shape whose batched
+    products the :func:`~repro.sim.stepper.stacked_safe` probe does not
+    certify on this platform runs alone.
     """
     if sim.kernel != "auto" or sim.period is None:
         return None
     apps = sim.applications
     dynamics = [_dynamics_key(app.dynamics) for app in apps]
-    if len(set(dynamics)) < len(dynamics):
-        return None
     shapes = {(app.dynamics.n_states, app.app.et.plant.n_inputs) for app in apps}
     if not all(stacked_safe(*shape) for shape in sorted(shapes)):
         return None
@@ -681,7 +642,7 @@ def _group_products(kernels: Sequence[_BatchKernel]) -> Callable[[], None]:
     lead = kernels[0]
     height = len(kernels)
     mode_lists = [kernel.modes for kernel in kernels]
-    member_lists = [kernel.members for kernel in kernels]
+    token_lists = [kernel.tokens for kernel in kernels]
     lost_lists = [kernel.lost for kernel in kernels]
     apps = []
     for i in range(lead.n):
@@ -690,7 +651,7 @@ def _group_products(kernels: Sequence[_BatchKernel]) -> Callable[[], None]:
         for row, kernel in enumerate(kernels):
             kernel.states[i] = z[row, :n_states]
             kernel.held[i] = z[row, n_states:]
-        phi = lead.discs[lead.group_of[i]].phi[None]
+        phi = lead.discs[i].phi[None]
         apps.append(
             (
                 i, z[:, :, None], z[:, :n_states, None], z[:, n_states:, None],
@@ -698,10 +659,9 @@ def _group_products(kernels: Sequence[_BatchKernel]) -> Callable[[], None]:
             )
         )
 
-    def gamma_stacks(members: Tuple) -> Tuple[np.ndarray, np.ndarray]:
+    def gamma_stacks(tokens: Tuple) -> Tuple[np.ndarray, np.ndarray]:
         pairs = [
-            kernel.token_gammas[token]
-            for kernel, (_, token) in zip(kernels, members)
+            kernel.token_gammas[token] for kernel, token in zip(kernels, tokens)
         ]
         return np.stack([p[0] for p in pairs]), np.stack([p[1] for p in pairs])
 
@@ -716,10 +676,10 @@ def _group_products(kernels: Sequence[_BatchKernel]) -> Callable[[], None]:
             if gains is None:
                 gains = gain_memo[modes] = np.stack([neg_gains[m] for m in modes])
             u = gains @ z
-            members = tuple([m[i] for m in member_lists])
-            gammas = gamma_memo.get(members)
+            tokens = tuple([m[i] for m in token_lists])
+            gammas = gamma_memo.get(tokens)
             if gammas is None:
-                gammas = gamma_memo[members] = gamma_stacks(members)
+                gammas = gamma_memo[tokens] = gamma_stacks(tokens)
             advanced = phi @ x
             advanced += gammas[0] @ u
             advanced += gammas[1] @ held

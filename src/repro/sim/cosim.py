@@ -11,16 +11,17 @@ the paper's Figure 5).
 Two simulation kernels are provided (``kernel=`` selects between them):
 
 * the **event-driven kernel** (``kernel="event"``) is the reference.
-  It schedules sampling ticks, disturbance arrivals, slot grant
-  hand-overs and message transmission on a
-  :class:`~repro.sim.events.EventQueue`.  Applications may use
-  *different* sampling periods — a 2 ms current loop can share the bus
-  with 20 ms chassis loops — and each application's state machine,
-  plant step and trace samples advance at its own rate.
-* the **batch kernel** (``kernel="auto"``, the default) is a vectorized
-  fast path.  It skips per-event dispatch entirely: sampling-tick grids
-  are precomputed and same-dynamics plants advance in NumPy-batched
-  sweeps.  It has one eager loop (shared period) and one lazy loop
+  Every application's sampling ticks and every disturbance arrival are
+  events of their own on a :class:`~repro.sim.events.EventQueue`;
+  coinciding ticks meet at one barrier, where slots are arbitrated
+  and messages transmitted.  Applications may use *different*
+  sampling periods — a 2 ms current loop can share the bus with 20 ms
+  chassis loops — and each application's state machine, plant step
+  and trace samples advance at its own rate.
+* the **batch kernel** (``kernel="auto"``, the default) is the fast
+  path.  It skips per-event dispatch entirely: sampling-tick grids are
+  precomputed and the interval rule and plant operators are memoised.
+  It has one eager loop (shared period) and one lazy loop
   (multi-rate), and both drive the network through the same calls, in
   the same order, as the event kernel (see :mod:`repro.sim.batch`), so
   it runs every fleet on every network.  Traces are bitwise identical
@@ -106,10 +107,9 @@ class CoSimApplication:
 
 @dataclass
 class _InFlight:
-    """A sampling interval awaiting its delay (lazy-resolution kernel)."""
+    """A sampling interval awaiting its delay."""
 
     release: float
-    period: float
     u: np.ndarray
     uses_tt: bool
     trace_index: int
@@ -120,26 +120,20 @@ class _InFlight:
 class _EventKernel:
     """Event-driven co-simulation over an :class:`EventQueue`.
 
-    Per-application sampling ticks, disturbance arrivals and message
-    transmission are scheduled events; ticks that coincide are coalesced
-    into one barrier so that slot arbitration still happens fleet-wide
-    at sampling instants, exactly as in the paper.  Two instants belong
-    to the same barrier iff they round to the same **integer-nanosecond
-    timestamp**: per-application tick times are independent
-    ``k * period`` float products whose nominally coincident values
-    drift apart by a few ulps on long horizons, and ulps stay far below
-    half a nanosecond for any realistic horizon, so the rounding
-    coalesces them without an epsilon comparison.
+    Every application's sampling ticks and horizon sample, and every
+    disturbance arrival, are events of their own.  Ticks that coincide
+    are coalesced into one barrier so that slot arbitration still
+    happens fleet-wide at sampling instants, exactly as in the paper:
+    the barrier opens once no other event shares its instant.  Two
+    instants belong to the same barrier iff they round to the same
+    **integer-nanosecond timestamp**: per-application tick times are
+    independent ``k * period`` float products whose nominally
+    coincident values drift apart by a few ulps on long horizons, and
+    ulps stay far below half a nanosecond for any realistic horizon, so
+    the rounding coalesces them without an epsilon comparison.
 
-    Hot-path notes: callbacks are pre-bound per application (no closure
-    allocation per tick), queue entries are plain tuples (see
-    :mod:`repro.sim.events`), shared-period fleets tick through a single
-    coalesced *barrier event* instead of one event per application, and
-    the grant/transmit phases run as direct calls — by the time a
-    barrier opens, no other event shares its timestamp, so scheduling
-    them as same-time events (as earlier revisions did) bought nothing.
-
-    Delay resolution runs in one of two modes:
+    Delay resolution runs in one of two modes, as the network contract
+    requires:
 
     * **eager** (all applications share one period): the network is
       advanced one full interval at transmission time through
@@ -159,7 +153,7 @@ class _EventKernel:
         self.network = sim.network
         self.index = {a.name: i for i, a in enumerate(self.apps)}
         self.periods = {a.name: sim.period_of(a) for a in self.apps}
-        self.eager = len({round(p, 12) for p in self.periods.values()}) == 1
+        self.eager = sim.period is not None
         self.horizon = horizon
         self.steps = {
             name: int(np.ceil(horizon / p)) for name, p in self.periods.items()
@@ -173,10 +167,8 @@ class _EventKernel:
         self.inflight: Dict[str, _InFlight] = {}
         self.traces = SimulationTrace(horizon=horizon)
         self.slot_owner: Dict[int, Optional[str]] = {}
-        self._names = [a.name for a in self.apps]
         self._due: List[str] = []
         self._final_due: List[str] = []
-        self._all_due = False
         self._tick_cbs: Dict[str, Callable[[float], None]] = {}
         self._comm_states: Dict[str, CommState] = {}
 
@@ -201,7 +193,7 @@ class _EventKernel:
                 return
             if round(nxt * 1e9) == round(t * 1e9):
                 return
-        if self._due or self._final_due or self._all_due:
+        if self._due or self._final_due:
             self._sample_phase(t)
 
     # -- setup ------------------------------------------------------------
@@ -233,15 +225,10 @@ class _EventKernel:
                 if k >= self.steps[name]:
                     continue
                 self.queue.schedule(k * p, partial(self._on_disturbance, name, event))
-        if self.eager:
-            # Shared period: every application ticks at every instant,
-            # so one barrier event replaces n per-application events.
-            self.queue.schedule(0.0, self._on_barrier)
-        else:
-            for name in self._names:
-                cb = partial(self._on_tick, name)
-                self._tick_cbs[name] = cb
-                self.queue.schedule(0.0, cb)
+        for app in self.apps:
+            cb = partial(self._on_tick, app.name)
+            self._tick_cbs[app.name] = cb
+            self.queue.schedule(0.0, cb)
         self.queue.run()
         return self.traces
 
@@ -251,16 +238,8 @@ class _EventKernel:
         self._due.append(name)
         self._maybe_flush(t)
 
-    def _on_barrier(self, t: float) -> None:
-        self._all_due = True
-        self._maybe_flush(t)
-
     def _on_final(self, name: str, t: float) -> None:
         self._final_due.append(name)
-        self._maybe_flush(t)
-
-    def _on_final_barrier(self, t: float) -> None:
-        self._final_due = list(self._names)
         self._maybe_flush(t)
 
     def _on_disturbance(self, name: str, event: DisturbanceEvent, t: float) -> None:
@@ -271,14 +250,10 @@ class _EventKernel:
 
     def _sample_phase(self, t: float) -> None:
         """Resolve finished intervals, apply disturbances, advance the
-        per-application state machines; chains into the grant phase."""
+        per-application state machines, then grant and transmit."""
         sim = self.sim
-        if self._all_due:
-            self._all_due = False
-            due = self._names
-        else:
-            due = sorted(self._due, key=self.index.__getitem__)
-            self._due = []
+        due = sorted(self._due, key=self.index.__getitem__)
+        self._due = []
         finals = sorted(self._final_due, key=self.index.__getitem__)
         self._final_due = []
         if not self.eager:
@@ -298,16 +273,11 @@ class _EventKernel:
                 # when no control loop sampled at this one.
                 self.network.event_submit(t, self.queue.peek_time(), [])
             return
-        # In the eager (shared-period) case every due tick time is the
-        # barrier time itself — the same k * period float product the
-        # barrier event was scheduled with — so the per-application
-        # products are skipped.
-        eager = self.eager
         for name in due:
             app = self.by_name[name]
             events = self.pending[name]
             if events:
-                tick = t if eager else self._tick_time(name)
+                tick = self._tick_time(name)
                 while events:
                     event = events.popleft()
                     self.states[name] = (
@@ -319,12 +289,12 @@ class _EventKernel:
         runtimes = sim.runtimes
         for name in due:
             comm_states[name] = runtimes[name].update(
-                t if eager else self._tick_time(name), self._norm(name)
+                self._tick_time(name), self._norm(name)
             )
-        self._active_due = due
-        self._grant_phase(t)
+        self._grant_phase()
+        self._transmit_phase(t, due)
 
-    def _grant_phase(self, t: float) -> None:
+    def _grant_phase(self) -> None:
         """Hand freed slots over; a grant may flip a *due* application
         from WAITING to TT for this very sample (sample-aligned switch)."""
         sim = self.sim
@@ -337,15 +307,13 @@ class _EventKernel:
                 and runtime.state is CommState.WAITING
             ):
                 self._comm_states[name] = runtime.update(
-                    t if self.eager else self._tick_time(name), self._norm(name)
+                    self._tick_time(name), self._norm(name)
                 )
-        self._transmit_phase(t)
 
-    def _transmit_phase(self, t: float) -> None:
+    def _transmit_phase(self, t: float, due: List[str]) -> None:
         """Propagate slot ownership, compute control inputs, put the
         messages on the bus, and schedule the next sampling ticks."""
         sim = self.sim
-        due = self._active_due
         for app in self.apps:
             holder = sim.arbiter.holder_of_slot(app.slot)
             if self.slot_owner[app.slot] != holder:
@@ -355,54 +323,39 @@ class _EventKernel:
                 self.network.on_slot_change(app.slot, spec)
                 self.slot_owner[app.slot] = holder
         submissions: List[Submission] = []
-        inputs: Dict[str, np.ndarray] = {}
-        eager = self.eager
         for name in due:
             app = self.by_name[name]
-            uses_tt = self._comm_states[name] is CommState.TT_HOLDING
+            comm_state = self._comm_states[name]
+            uses_tt = comm_state is CommState.TT_HOLDING
             controller = app.app.tt if uses_tt else app.app.et
             u = controller.control(self.states[name], self.held[name])
-            inputs[name] = u
-            submissions.append(
-                (name, app.frame, uses_tt, t if eager else self._tick_time(name))
+            release = self._tick_time(name)
+            trace = self.traces[name]
+            trace.append(
+                release,
+                self._norm(name),
+                comm_state,
+                float("nan"),  # patched when the interval resolves
             )
+            self.inflight[name] = _InFlight(
+                release=release,
+                u=np.asarray(u, dtype=float),
+                uses_tt=uses_tt,
+                trace_index=len(trace.delays) - 1,
+            )
+            submissions.append((name, app.frame, uses_tt, release))
         if self.eager:
-            self._resolve_eager(t, due, inputs, submissions)
-        else:
-            for name in due:
-                uses_tt = self._comm_states[name] is CommState.TT_HOLDING
-                trace = self.traces[name]
-                trace.append(
-                    self._tick_time(name),
-                    self._norm(name),
-                    self._comm_states[name],
-                    float("nan"),  # patched when the interval resolves
-                )
-                self.inflight[name] = _InFlight(
-                    release=self._tick_time(name),
-                    period=self.periods[name],
-                    u=np.asarray(inputs[name], dtype=float),
-                    uses_tt=uses_tt,
-                    trace_index=len(trace.delays) - 1,
-                )
+            delays = self.network.sample_delays(t, self.sim.period, submissions)
+            self._step(due, [delays[name] for name in due])
         for name in due:
             self.tick_index[name] += 1
-        if self.eager:
-            lead = due[0]
-            k = self.tick_index[lead]
-            if k < self.steps[lead]:
-                self.queue.schedule(k * self.periods[lead], self._on_barrier)
-            elif k == self.steps[lead]:
-                self.queue.schedule(k * self.periods[lead], self._on_final_barrier)
-        else:
-            for name in due:
-                k = self.tick_index[name]
-                if k < self.steps[name]:
-                    self.queue.schedule(k * self.periods[name], self._tick_cbs[name])
-                elif k == self.steps[name]:
-                    self.queue.schedule(
-                        k * self.periods[name], partial(self._on_final, name)
-                    )
+            k = self.tick_index[name]
+            if k < self.steps[name]:
+                self.queue.schedule(k * self.periods[name], self._tick_cbs[name])
+            elif k == self.steps[name]:
+                self.queue.schedule(
+                    k * self.periods[name], partial(self._on_final, name)
+                )
         if not self.eager:
             window_end = self.queue.peek_time()
             if window_end is None:
@@ -411,52 +364,9 @@ class _EventKernel:
 
     # -- delay resolution -------------------------------------------------
 
-    def _resolve_eager(
-        self,
-        t: float,
-        due: List[str],
-        inputs: Dict[str, np.ndarray],
-        submissions: List[Submission],
-    ) -> None:
-        """Shared-period resolution: one ``sample_delays`` call per
-        barrier covering the whole interval."""
-        sim = self.sim
-        period = self.periods[due[0]]
-        delays = self.network.sample_delays(t, period, submissions)
-        if sim.equalize_delays:
-            for name in due:
-                if not np.isfinite(delays[name]):
-                    continue  # lost frame: nothing to equalize
-                app = self.by_name[name]
-                uses_tt = self._comm_states[name] is CommState.TT_HOLDING
-                design = (app.app.tt if uses_tt else app.app.et).plant.delay
-                if delays[name] <= design + 1e-12:
-                    delays[name] = design
-                else:
-                    sim.jitter_violations += 1
-        requests: Dict[str, Tuple[np.ndarray, np.ndarray, float]] = {}
-        lost_names = set()
-        for name in due:
-            delay = delays[name]
-            lost = not np.isfinite(delay)
-            if lost:
-                # The command never reached the actuator: the previous
-                # input holds for the whole period and stays latched.
-                delay = self.periods[name]
-                lost_names.add(name)
-            self.traces[name].append(
-                t, self._norm(name), self._comm_states[name], delay
-            )
-            requests[name] = (inputs[name], self.held[name], delay)
-        self.bank.step_all(self.states, requests)
-        for name in due:
-            if name not in lost_names:
-                self.held[name] = np.asarray(inputs[name], dtype=float)
-
     def _resolve(self, t: float, names: List[str]) -> None:
-        """Multi-rate resolution: advance the bus to ``t`` and settle
-        every interval that ends at this barrier."""
-        sim = self.sim
+        """Lazy resolution: advance the bus to ``t`` and settle every
+        interval that ends at this barrier, each clamped to its period."""
         for name, release, delivery, lost in self.network.event_advance(t):
             record = self.inflight.get(name)
             if record is None:
@@ -468,23 +378,45 @@ class _EventKernel:
                 record.delivery = delivery
                 record.lost = lost
             # else: stale delivery from an interval already clamped
-        requests: Dict[str, Tuple[np.ndarray, np.ndarray, float]] = {}
-        resolved: List[Tuple[str, _InFlight, bool]] = []
+        settled = []
+        delays = []
         for name in names:
-            record = self.inflight.pop(name, None)
+            record = self.inflight.get(name)
             if record is None:
                 continue  # the very first tick has no interval behind it
-            period = record.period
             if record.lost:
-                delay = period
+                delay = float("inf")
+            elif record.delivery is None:
+                # missed the whole interval
+                delay = self.periods[name]
+                clamped = getattr(self.network, "event_clamped", None)
+                if clamped is not None:
+                    clamped()
             else:
-                if record.delivery is None:
-                    delay = period
-                    clamped = getattr(self.network, "event_clamped", None)
-                    if clamped is not None:
-                        clamped()
-                else:
-                    delay = min(record.delivery - record.release, period)
+                delay = min(record.delivery - record.release, self.periods[name])
+            settled.append(name)
+            delays.append(delay)
+        self._step(settled, delays)
+
+    def _step(self, names: List[str], delays: List[float]) -> None:
+        """Apply the interval rule to each named application's in-flight
+        interval and advance its plant over it.
+
+        A lost frame (a non-finite delay) never reached the actuator:
+        the previous input holds for the whole period and stays latched,
+        and nothing is equalized.  Any other delay is equalized to the
+        mode's design delay when the simulator equalizes; a later one
+        keeps its true value and counts as a jitter violation.
+        """
+        sim = self.sim
+        requests: Dict[str, Tuple[np.ndarray, np.ndarray, float]] = {}
+        latched: List[Tuple[str, np.ndarray]] = []
+        for name, delay in zip(names, delays):
+            record = self.inflight.pop(name)
+            if not np.isfinite(delay):
+                delay = self.periods[name]
+            else:
+                latched.append((name, record.u))
                 if sim.equalize_delays:
                     app = self.by_name[name]
                     design = (
@@ -496,11 +428,9 @@ class _EventKernel:
                         sim.jitter_violations += 1
             self.traces[name].delays[record.trace_index] = delay
             requests[name] = (record.u, self.held[name], delay)
-            resolved.append((name, record, record.lost))
         self.bank.step_all(self.states, requests)
-        for name, record, lost in resolved:
-            if not lost:
-                self.held[name] = record.u
+        for name, u in latched:
+            self.held[name] = u
 
 
 #: Kernel names accepted by :class:`CoSimulator`.
@@ -514,8 +444,7 @@ class CoSimulator:
 
     * ``"auto"`` (default) — the batch fast path, for every fleet;
     * ``"event"`` — the event-driven reference kernel (disturbance
-      arrivals, per-application ticks and transmissions are queue
-      events).
+      arrivals and per-application ticks are queue events).
 
     Both run fleets with *mixed* sampling periods.  Disturbances are
     applied at the owning application's first sampling instant at or
@@ -528,7 +457,6 @@ class CoSimulator:
         self,
         applications: Sequence[CoSimApplication],
         network: NetworkModel,
-        period: Optional[float] = None,
         equalize_delays: bool = True,
         tt_allowed: bool = True,
         kernel: str = "auto",
@@ -543,20 +471,11 @@ class CoSimulator:
         if len(set(names)) != len(names):
             raise ValueError(f"application names must be unique, got {names}")
         periods = {round(a.app.period, 12) for a in applications}
-        if period is not None:
-            if len(periods) != 1:
-                raise ValueError(
-                    "an explicit period override would resample a multi-rate "
-                    f"fleet (native periods {sorted(periods)}) with controllers "
-                    "designed for other rates; omit period= to run each "
-                    "application at its own"
-                )
-            check_positive(period, "period")
-            self.period: Optional[float] = period
-        elif len(periods) == 1:
-            self.period = applications[0].app.period
-        else:
-            self.period = None  # multi-rate: each application keeps its own
+        #: the fleet's shared period, or ``None`` for a multi-rate fleet,
+        #: whose applications each keep their own
+        self.period: Optional[float] = (
+            applications[0].app.period if len(periods) == 1 else None
+        )
         self.kernel = kernel
         self.last_kernel: Optional[str] = None
         self.applications = list(applications)

@@ -1,18 +1,14 @@
 """Minimal deterministic discrete-event kernel.
 
 The co-simulator schedules sampling instants, disturbance arrivals and
-bus-cycle boundaries on this queue.  Events at equal times fire in
-insertion order (a monotonically increasing sequence number breaks
-ties), which keeps multi-application runs reproducible.
+horizon samples on this queue.  Events at equal times fire in insertion
+order (a monotonically increasing sequence number breaks ties), which
+keeps multi-application runs reproducible.
 
 The queue is a hot path: a 20 s co-simulation of a six-application
 fleet pushes and pops tens of thousands of events, so entries are plain
 ``(time, order, callback)`` tuples (tuple comparison short-circuits on
 the leading floats — no per-entry object, no generated ``__lt__``).
-Cancellation is tracked in side sets keyed by the order number, the
-live-entry count is maintained incrementally (``len()`` is O(1)), and
-cancelled entries still parked in the heap are compacted away once they
-outnumber half of it.
 """
 
 from __future__ import annotations
@@ -20,35 +16,22 @@ from __future__ import annotations
 import heapq
 from typing import Callable, List, Optional, Tuple
 
-#: A scheduled event: ``(time, order, callback)``.  Treat as opaque —
-#: returned by :meth:`EventQueue.schedule`, accepted by
-#: :meth:`EventQueue.cancel`.
+#: A scheduled event: ``(time, order, callback)``.
 Entry = Tuple[float, int, Callable[[float], None]]
 
 
 class EventQueue:
     """Priority queue of timed callbacks."""
 
-    __slots__ = ("_heap", "_next_order", "_now", "_live", "_pending", "_cancelled")
+    __slots__ = ("_heap", "_next_order", "_now")
 
     def __init__(self):
         self._heap: List[Entry] = []
         self._next_order = 0
         self._now = 0.0
-        self._live = 0  # scheduled, not yet fired, not cancelled
-        self._pending = set()  # orders still parked in the heap
-        self._cancelled = set()  # pending orders marked cancelled
 
-    @property
-    def now(self) -> float:
-        """Time of the most recently fired event (0 before any fire)."""
-        return self._now
-
-    def __len__(self) -> int:
-        return self._live
-
-    def schedule(self, time: float, callback: Callable[[float], None]) -> Entry:
-        """Schedule ``callback(time)`` and return a cancellable handle.
+    def schedule(self, time: float, callback: Callable[[float], None]) -> None:
+        """Schedule ``callback(time)``.
 
         Raises
         ------
@@ -61,107 +44,29 @@ class EventQueue:
             )
         order = self._next_order
         self._next_order = order + 1
-        entry = (time, order, callback)
-        heapq.heappush(self._heap, entry)
-        self._pending.add(order)
-        self._live += 1
-        return entry
-
-    def cancel(self, entry: Entry) -> None:
-        """Cancel a previously scheduled event (idempotent).
-
-        Cancelling an event that already fired is a harmless no-op.
-        Cancelled entries stay parked in the heap until popped past or
-        compacted; once they exceed half the heap the queue rebuilds
-        itself without them so mass cancellation cannot leak memory.
-        """
-        order = entry[1]
-        if order not in self._pending or order in self._cancelled:
-            return
-        self._cancelled.add(order)
-        self._live -= 1
-        if len(self._cancelled) > len(self._heap) // 2:
-            self._compact()
-
-    def is_cancelled(self, entry: Entry) -> bool:
-        """Whether ``entry`` is queued but marked cancelled."""
-        return entry[1] in self._cancelled
+        heapq.heappush(self._heap, (time, order, callback))
 
     def peek_time(self) -> Optional[float]:
-        """Time of the next live event, or ``None`` when empty."""
-        if self._cancelled:
-            self._drop_cancelled()
+        """Time of the next event, or ``None`` when empty."""
         heap = self._heap
         return heap[0][0] if heap else None
-
-    def step(self) -> bool:
-        """Fire the next event; returns False when the queue is empty."""
-        heap = self._heap
-        cancelled = self._cancelled
-        while heap:
-            time, order, callback = heapq.heappop(heap)
-            self._pending.discard(order)
-            if cancelled and order in cancelled:
-                cancelled.discard(order)
-                continue
-            self._live -= 1
-            self._now = time
-            callback(time)
-            return True
-        return False
-
-    def run_until(self, horizon: float) -> None:
-        """Fire all events with time <= ``horizon`` (inclusive)."""
-        while True:
-            next_time = self.peek_time()
-            if next_time is None or next_time > horizon + 1e-12:
-                break
-            self.step()
-        self._now = max(self._now, horizon)
 
     def run(self) -> int:
         """Fire events until the queue drains; returns the fire count.
 
         Callbacks may keep scheduling new events (the co-simulation
-        kernel chains barriers this way); the queue simply runs until
-        nothing is left.
+        kernel chains sampling ticks this way); the queue simply runs
+        until nothing is left.
         """
-        # The co-simulation inner loop: aliases are safe because every
-        # mutation (schedule, cancel, compaction) edits these containers
-        # in place rather than rebinding the attributes.
         heap = self._heap
-        pending = self._pending
-        cancelled = self._cancelled
         pop = heapq.heappop
         fired = 0
         while heap:
-            time, order, callback = pop(heap)
-            pending.discard(order)
-            if cancelled and order in cancelled:
-                cancelled.discard(order)
-                continue
-            self._live -= 1
+            time, _, callback = pop(heap)
             self._now = time
             callback(time)
             fired += 1
         return fired
-
-    def _drop_cancelled(self) -> None:
-        heap = self._heap
-        cancelled = self._cancelled
-        while heap and heap[0][1] in cancelled:
-            _, order, _ = heapq.heappop(heap)
-            self._pending.discard(order)
-            cancelled.discard(order)
-
-    def _compact(self) -> None:
-        """Rebuild the heap without cancelled entries (in place, so the
-        ``run()`` loop's alias stays valid)."""
-        cancelled = self._cancelled
-        self._heap[:] = [e for e in self._heap if e[1] not in cancelled]
-        heapq.heapify(self._heap)
-        self._pending.difference_update(cancelled)
-        cancelled.clear()
 
 
 __all__ = ["Entry", "EventQueue"]

@@ -138,9 +138,6 @@ class SwitchingRuntime:
         """Response times of all completed disturbance episodes."""
         return [r.response_time for r in self.records if r.response_time is not None]
 
-    def deadline_misses(self) -> int:
-        return sum(1 for r in self.response_times() if r > self.deadline + 1e-9)
-
     def client(self) -> SlotClient:
         return SlotClient(name=self.name, deadline=self.deadline)
 

@@ -1,4 +1,4 @@
-"""Plant stepping for the co-simulation: cached ZOH + stacked states.
+"""Plant stepping for the co-simulation: cached ZOH + stacked shapes.
 
 Stepping a plant over one sampling interval needs the exact delayed
 zero-order-hold discretisation ``(Phi, Gamma0(d), Gamma1(d))`` of its
@@ -12,26 +12,20 @@ bytes, the sampling period and the delay (on the 0.1 us grid the
 original co-simulator used) — so a 32-scenario Monte-Carlo sweep pays
 for each matrix exponential once, not once per run.
 
-:class:`PlantStepperBank` layers fleet-level stepping on top: it groups
-applications by identical ``(dynamics, period)`` and, whenever several
-group members step with the same delay in the same sampling instant,
-advances their stacked state rows with one matrix product instead of one
-per application.  Plants that remain singletons after that grouping —
-*different* dynamics sharing only their ``(n_states, n_inputs)`` shape —
-are additionally merged into one batched ``(m, n, n) @ (m, n, 1)``
-matmul per shape, gated by :func:`stacked_safe`: a seeded per-shape
-probe that engages the stacked formulation only where this platform's
-batched matmul is bitwise identical, slice for slice, to the scalar
-products (reduction order is shape-dependent, not value-dependent, so
-the probe decides once per shape per process).  The event-driven
-kernel routes all stepping through one bank.  The batch kernel stacks
-same-dynamics, same-delay buckets exactly the way the bank does, but
-steps every singleton with the scalar products; for stacked plants of
-different dynamics, the equality of the two kernels' traces therefore
-rests on the :func:`stacked_safe` probe, which the batch-vs-event
-parity suites exercise on the running platform.  So does the lockstep
-kernel's (:func:`repro.sim.batch.run_lockstep`) batching of one
-application across the studies of a sweep.
+:class:`PlantStepperBank` steps the event kernel's fleet over those
+discretisations, each plant over its own; plants that share their
+``(n_states, n_inputs)`` shape are merged into one batched
+``(m, n, n) @ (m, n, 1)`` matmul per shape, gated by
+:func:`stacked_safe`: a seeded per-shape probe that engages the stacked
+formulation only where this platform's batched matmul is bitwise
+identical, slice for slice, to the scalar products (reduction order is
+shape-dependent, not value-dependent, so the probe decides once per
+shape per process).  The batch kernel steps every plant with the scalar
+products; the equality of the two kernels' traces therefore rests on
+the :func:`stacked_safe` probe, which the batch-vs-event parity suites
+exercise on the running platform.  So does the lockstep kernel's
+(:func:`repro.sim.batch.run_lockstep`) batching of one application
+across the studies of a sweep.
 """
 
 from __future__ import annotations
@@ -67,8 +61,8 @@ def stacked_safe(n_states: int, n_inputs: int) -> bool:
     Two batched forms are probed, each against the scalar products it
     replaces:
 
-    * the stepper bank's plant step across different dynamics, against
-      ``phi @ x + gamma0 @ u + gamma1 @ u_prev``;
+    * the stepper bank's plant step across the plants of one shape,
+      against ``phi @ x + gamma0 @ u + gamma1 @ u_prev``;
     * the lockstep kernel's (:func:`repro.sim.batch.run_lockstep`) on
       the rows of one ``[x | held]`` array: the control product
       ``(-K)[rows] @ Z[:, :, None]`` against ``(-K).dot(z)``, and the
@@ -224,32 +218,24 @@ GLOBAL_ZOH_CACHE = ZOHCache()
 
 
 class PlantStepperBank:
-    """Steps a fleet of plants, vectorizing same-dynamics groups.
+    """Steps a fleet of plants, each over its own cached discretisation.
 
-    Applications registered with identical ``(dynamics, period)`` share
-    one cached discretisation; when two or more of them step with the
-    same delay at the same instant, their states are advanced as stacked
-    rows with a single matrix product per term.  Plants left over as
-    singletons — heterogeneous dynamics sharing only their state/input
-    shape — are merged into one batched 3-D matmul per shape when
-    :func:`stacked_safe` certifies the platform reproduces the scalar
-    products bitwise; otherwise they step with per-application products.
+    Plants that share their state/input shape are merged into one
+    batched 3-D matmul per shape when :func:`stacked_safe` certifies the
+    platform reproduces the scalar products bitwise; otherwise each
+    steps with its own scalar products.
     """
 
     def __init__(self, cache: Optional[ZOHCache] = None):
         self._cache = cache if cache is not None else GLOBAL_ZOH_CACHE
-        self._members: Dict[str, Tuple[Tuple, _PlantDiscretization]] = {}
-        self._groups: Dict[Tuple, List[str]] = {}
-        self.vector_steps = 0
+        self._members: Dict[str, _PlantDiscretization] = {}
         self.scalar_steps = 0
         self.stacked_steps = 0
 
     def register(
         self, name: str, dynamics: ContinuousStateSpace, period: float
     ) -> None:
-        key = (_dynamics_key(dynamics), round(period, 12))
-        self._members[name] = (key, self._cache.plant(dynamics, period))
-        self._groups.setdefault(key, []).append(name)
+        self._members[name] = self._cache.plant(dynamics, period)
 
     def step_all(
         self,
@@ -260,58 +246,25 @@ class PlantStepperBank:
 
         ``requests`` maps application name to ``(u, u_prev, delay)``.
         ``states`` is mutated with the post-interval states.
+
+        Plants are mutually independent within one instant, and the
+        stacked 3-D matmul is used only where the :func:`stacked_safe`
+        probe holds, so every state written is bitwise that of the
+        scalar ``phi @ x + gamma0 @ u + gamma1 @ u_prev``.
         """
-        remaining = set(requests)
-        solos: List[Tuple[str, np.ndarray, np.ndarray, np.ndarray]] = []
-        for members in self._groups.values():
-            due = [name for name in members if name in remaining]
-            if not due:
-                continue
-            remaining.difference_update(due)
-            disc = self._members[due[0]][1]
-            by_delay: Dict[int, List[str]] = {}
-            for name in due:
-                by_delay.setdefault(delay_key(requests[name][2]), []).append(name)
-            for names in by_delay.values():
-                gamma0, gamma1 = disc.gammas(requests[names[0]][2])
-                if len(names) == 1:
-                    solos.append((names[0], disc.phi, gamma0, gamma1))
-                else:
-                    x = np.stack([states[name] for name in names])
-                    u = np.stack([requests[name][0] for name in names])
-                    u_prev = np.stack([requests[name][1] for name in names])
-                    advanced = (
-                        x @ disc.phi.T + u @ gamma0.T + u_prev @ gamma1.T
-                    )
-                    for row, name in enumerate(names):
-                        states[name] = advanced[row]
-                    self.vector_steps += len(names)
-        if remaining:
+        unknown = [name for name in requests if name not in self._members]
+        if unknown:
             raise KeyError(
-                f"step requested for unregistered application(s) {sorted(remaining)}"
+                f"step requested for unregistered application(s) {sorted(unknown)}"
             )
-        if solos:
-            self._step_solos(states, requests, solos)
-
-    def _step_solos(
-        self,
-        states: Dict[str, np.ndarray],
-        requests: Dict[str, Tuple[np.ndarray, np.ndarray, float]],
-        solos: List[Tuple[str, np.ndarray, np.ndarray, np.ndarray]],
-    ) -> None:
-        """Step the plants that ended up alone in their (group, delay)
-        bucket, stacking same-shape ones across different dynamics.
-
-        Plants are mutually independent within one instant, so deferring
-        the singleton steps behind the vectorized groups cannot change
-        any value; the stacked 3-D matmul is used only where the
-        :func:`stacked_safe` probe holds, so the states it writes are
-        bitwise those of the scalar products.
-        """
-        scalar = solos
-        if len(solos) >= 2:
+        steps = []
+        for name, (_, _, delay) in requests.items():
+            disc = self._members[name]
+            steps.append((name, disc.phi, *disc.gammas(delay)))
+        scalar = steps
+        if len(steps) >= 2:
             by_shape: Dict[Tuple[int, int], List[Tuple]] = {}
-            for entry in solos:
+            for entry in steps:
                 by_shape.setdefault(
                     (entry[1].shape[0], entry[2].shape[1]), []
                 ).append(entry)

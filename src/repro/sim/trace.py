@@ -150,19 +150,6 @@ class SimulationTrace:
             np.mean([trace.qoc() for trace in self.apps.values()])
         )
 
-    def write_csv(self, directory) -> List[str]:
-        """Write one ``<app>.csv`` per application; returns the paths."""
-        import os
-
-        os.makedirs(directory, exist_ok=True)
-        paths = []
-        for name, trace in sorted(self.apps.items()):
-            path = os.path.join(directory, f"{name}.csv")
-            with open(path, "w") as handle:
-                handle.write(trace.to_csv())
-            paths.append(path)
-        return paths
-
     def summary_rows(self) -> List[Dict[str, object]]:
         """One summary dict per application (for reports and benches)."""
         rows = []

@@ -189,6 +189,31 @@ class TestBatchParity:
         batch = CoSimulator(multirate_fleet(), AnalyticNetwork()).run(6.0)
         assert traces_bitwise_equal(batch, event)
 
+    @pytest.mark.parametrize("network", ["analytic", "flexray"])
+    def test_multirate_parity_with_repeated_plants(self, network):
+        """Each rate's plant appears twice, with its own frame and
+        disturbances: every copy steps on its own in both kernels."""
+
+        def fleet():
+            return [
+                make_app("current-a", motor_current_loop(), 0, 1, 0.5, period=0.002),
+                make_app("current-b", motor_current_loop(), 1, 2, 0.5,
+                         PeriodicDisturbance(period=1.3, offset=0.4), period=0.002),
+                make_app("servo-a", servo_rig(), 0, 3, 5.0,
+                         PeriodicDisturbance(period=2.0, offset=0.1)),
+                make_app("servo-b", servo_rig(), 1, 4, 5.0),
+            ]
+
+        def build():
+            if network == "analytic":
+                return AnalyticNetwork()
+            return FlexRayNetwork(
+                bus=FlexRayBus(config=paper_bus_config()), loss_rate=0.05, loss_seed=3
+            )
+
+        stats = assert_kernels_agree(fleet(), build, 4.0).statistics()
+        assert stats.get("delivered", stats.get("tt_deliveries")) > 0
+
 
 class TestEligibilityAndFallback:
     def test_auto_picks_batch_on_analytic_fleets(self):

@@ -35,6 +35,8 @@ from repro.sim import (
     CoSimApplication,
     CoSimulator,
     FlexRayNetwork,
+    IIDLoss,
+    LossyNetwork,
     PlantStepperBank,
     SimulationTrace,
     Submission,
@@ -261,8 +263,9 @@ class TestSharedPeriodEquivalence:
         assert event_sim.jitter_violations == reference_sim.jitter_violations
 
     def test_duplicate_dynamics_still_equivalent(self):
-        """Same-dynamics fleets take the vectorized stepping path; the
-        kernel and the oracle share it, so equality must survive."""
+        """A fleet that repeats a plant steps each copy on its own; the
+        kernel and the oracle share the stepper, so equality must
+        survive."""
 
         def fleet():
             return [
@@ -333,16 +336,140 @@ class TestMultiRate:
         assert trace.all_deadlines_met()
 
 
+#: A shared-period fleet resolves delays eagerly (one ``sample_delays``
+#: per barrier), a multi-rate one lazily (the event interface); the
+#: interval rule must read the same on both.
+RESOLUTIONS = {"eager": shared_fleet, "lazy": multirate_fleet}
+
+
+def lossy_analytic():
+    """Analytic delays below every period, with seeded i.i.d. losses."""
+    return LossyNetwork(
+        inner=AnalyticNetwork(et_delay=0.0015), loss=IIDLoss(rate=0.2, seed=11)
+    )
+
+
+def intervals(sim, trace):
+    """Per application: its period, and the recorded delay and TT use of
+    every interval (the horizon sample has no interval behind it)."""
+    out = {}
+    for app in sim.applications:
+        app_trace = trace[app.name]
+        delays = np.asarray(app_trace.delays[:-1])
+        tt = np.array([s is CommState.TT_HOLDING for s in app_trace.states[:-1]])
+        out[app.name] = (sim.period_of(app), delays, tt)
+    return out
+
+
+@pytest.mark.parametrize("fleet", list(RESOLUTIONS.values()), ids=list(RESOLUTIONS))
+class TestIntervalRule:
+    """The reference kernel's rule for each resolved interval: a lost
+    frame holds for the period, any other delay is equalized to the
+    mode's design delay (0.7 ms TT, one period ET) or, when later,
+    keeps its value and counts as a jitter violation."""
+
+    def test_lost_frames_hold_for_the_period(self, fleet):
+        network = lossy_analytic()
+        sim = CoSimulator(fleet(), network, equalize_delays=False, kernel="event")
+        held = 0
+        for period, delays, _ in intervals(sim, sim.run(2.0)).values():
+            lost = delays == period
+            held += int(lost.sum())
+            assert np.all(delays[~lost] < period)
+        assert network.lost > 0
+        assert held == network.lost
+        assert sim.jitter_violations == 0
+
+    def test_lost_frames_are_never_equalized(self, fleet):
+        """Losses draw once per delivery in roster order, so both runs
+        lose the same intervals; equalizing must leave exactly those at
+        the period, TT ones included."""
+        raw = CoSimulator(
+            fleet(), lossy_analytic(), equalize_delays=False, kernel="event"
+        )
+        raw_intervals = intervals(raw, raw.run(2.0))
+        sim = CoSimulator(fleet(), lossy_analytic(), kernel="event")
+        tt_lost = 0
+        for name, (period, delays, tt) in intervals(sim, sim.run(2.0)).items():
+            lost = raw_intervals[name][1] == period
+            tt_lost += int((lost & tt).sum())
+            expected = np.where(lost, period, np.where(tt, 0.0007, period))
+            np.testing.assert_array_equal(delays, expected)
+        assert tt_lost > 0
+        assert sim.jitter_violations == 0
+
+    def test_early_delays_are_equalized_to_the_design_delay(self, fleet):
+        network = AnalyticNetwork(tt_delay=0.0005, et_delay=0.0015)
+        sim = CoSimulator(fleet(), network, kernel="event")
+        tt_intervals = 0
+        for period, delays, tt in intervals(sim, sim.run(2.0)).values():
+            tt_intervals += int(tt.sum())
+            assert np.all(delays[tt] == 0.0007)
+            assert np.all(delays[~tt] == period)
+        assert tt_intervals > 0
+        assert sim.jitter_violations == 0
+
+    def test_late_delays_keep_their_value_and_count(self, fleet):
+        network = AnalyticNetwork(tt_delay=0.0009, et_delay=0.0015)
+        sim = CoSimulator(fleet(), network, kernel="event")
+        tt_intervals = 0
+        for period, delays, tt in intervals(sim, sim.run(2.0)).values():
+            tt_intervals += int(tt.sum())
+            np.testing.assert_allclose(delays[tt], 0.0009, rtol=1e-9)
+            assert np.all(delays[tt] > 0.0007)
+            assert np.all(delays[~tt] == period)
+        assert tt_intervals > 0
+        assert sim.jitter_violations == tt_intervals
+
+
 class TestStepperBank:
-    def test_vectorized_groups_engage_for_same_dynamics(self):
+    def test_same_dynamics_one_delay_equal_scalar_products(self):
+        """Same-dynamics plants stepping with one delay each come out
+        bitwise equal to the scalar ``phi @ x + gamma0 @ u + gamma1 @
+        u_prev``, stacked by shape or not."""
         plant = servo_rig()
-        bank = PlantStepperBank(cache=ZOHCache())
+        cache = ZOHCache()
+        bank = PlantStepperBank(cache=cache)
         for name in ("a", "b", "c"):
             bank.register(name, plant.model, plant.period)
-        states = {n: np.ones(2) for n in "abc"}
-        u = np.array([0.1])
-        bank.step_all(states, {n: (u, u, 0.0007) for n in "abc"})
-        assert bank.vector_steps == 3 and bank.scalar_steps == 0
+        rng = np.random.default_rng(3)
+        states = {n: rng.standard_normal(2) for n in "abc"}
+        inputs = {n: (rng.standard_normal(1), rng.standard_normal(1)) for n in "abc"}
+        disc = cache.plant(plant.model, plant.period)
+        gamma0, gamma1 = disc.gammas(0.0007)
+        expected = {
+            n: disc.phi @ states[n] + gamma0 @ inputs[n][0] + gamma1 @ inputs[n][1]
+            for n in "abc"
+        }
+        bank.step_all(states, {n: (*inputs[n], 0.0007) for n in "abc"})
+        assert bank.scalar_steps + bank.stacked_steps == 3
+        for name in "abc":
+            np.testing.assert_array_equal(states[name], expected[name])
+
+    def test_same_dynamics_distinct_delays_equal_scalar_products(self):
+        """Same-dynamics plants stepping over different delays in one
+        request (TT, ET and a held lost frame) each get their own
+        ``gammas(delay)``: no plant takes another's delay."""
+        plant = servo_rig()
+        cache = ZOHCache()
+        bank = PlantStepperBank(cache=cache)
+        delays = {"tt": 0.0007, "et": 0.013, "lost": plant.period}
+        for name in delays:
+            bank.register(name, plant.model, plant.period)
+        rng = np.random.default_rng(5)
+        states = {n: rng.standard_normal(2) for n in delays}
+        inputs = {n: (rng.standard_normal(1), rng.standard_normal(1)) for n in delays}
+        disc = cache.plant(plant.model, plant.period)
+        expected = {}
+        for name, delay in delays.items():
+            gamma0, gamma1 = disc.gammas(delay)
+            u, u_prev = inputs[name]
+            expected[name] = disc.phi @ states[name] + gamma0 @ u + gamma1 @ u_prev
+        bank.step_all(states, {n: (*inputs[n], delays[n]) for n in delays})
+        assert bank.scalar_steps + bank.stacked_steps == 3
+        for name in delays:
+            np.testing.assert_array_equal(states[name], expected[name])
+        assert not np.array_equal(states["tt"], states["et"])
 
     def test_vectorized_matches_physics_of_scalar_path(self):
         plant = servo_rig()
@@ -358,7 +485,7 @@ class TestStepperBank:
         solo_states = {"solo": x0.copy()}
         batched.step_all(batch_states, {n: (u, 0 * u, 0.001) for n in ("a", "b")})
         single.step_all(solo_states, {"solo": (u, 0 * u, 0.001)})
-        np.testing.assert_allclose(batch_states["a"], solo_states["solo"], rtol=1e-12)
+        np.testing.assert_array_equal(batch_states["a"], solo_states["solo"])
         np.testing.assert_array_equal(batch_states["a"], batch_states["b"])
 
     def test_unregistered_step_request_raises(self):
@@ -442,14 +569,3 @@ class TestEventKernelDetails:
         )
         trace = CoSimulator([app], AnalyticNetwork()).run(1.0)
         assert max(trace["servo"].norms) == 0.0
-
-    def test_period_override_applies_to_all(self):
-        apps = [make_app("servo", servo_rig(), 0, 1, 5.0)]
-        trace = CoSimulator(apps, AnalyticNetwork(), period=0.01).run(1.0)
-        assert trace["servo"].times[1] - trace["servo"].times[0] == pytest.approx(0.01)
-
-    def test_period_override_rejected_for_multirate_fleet(self):
-        """Resampling a mixed-rate fleet at one override period would run
-        controllers designed for other rates — refuse loudly."""
-        with pytest.raises(ValueError, match="multi-rate"):
-            CoSimulator(multirate_fleet(), AnalyticNetwork(), period=0.02)

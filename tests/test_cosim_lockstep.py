@@ -82,6 +82,14 @@ KINDS = {
 }
 
 
+def _copy(plant, index):
+    """The shared design of ``plant`` as the roster's ``index``-th
+    application: a repeated plant's copy gets a name of its own."""
+    app = _designed(plant)
+    name = f"{plant}-{index}"
+    return dataclasses.replace(app, app=dataclasses.replace(app.app, name=name))
+
+
 def _study(roster, seed):
     """One study of a lockstep group: the shared designs on its own
     slots, frames, deadlines and disturbances, over its own network,
@@ -98,11 +106,12 @@ def _study(roster, seed):
                 mean_extra_gap=rng.uniform(0.0, 1.0),
                 seed=rng.randrange(1000),
             )
+        app = _copy(plant, index)
         fleet.append(
             dataclasses.replace(
-                _designed(plant),
+                app,
                 slot=rng.choice(slots),
-                frame=FrameSpec(frame_id=index + 1, sender=plant),
+                frame=FrameSpec(frame_id=index + 1, sender=app.name),
                 deadline=rng.uniform(2.0, 6.0),
                 disturbances=disturbances,
             )
@@ -135,7 +144,7 @@ def _outcome(simulator, trace):
 @given(
     seed=st.integers(0, 2**31 - 1),
     height=st.integers(2, 9),
-    roster=st.lists(st.sampled_from(sorted(PLANTS)), min_size=1, max_size=4, unique=True),
+    roster=st.lists(st.sampled_from(sorted(PLANTS)), min_size=1, max_size=4),
     horizon=st.floats(0.6, 2.0),
 )
 def test_lockstep_runs_equal_solo_runs(seed, height, roster, horizon):
@@ -147,6 +156,24 @@ def test_lockstep_runs_equal_solo_runs(seed, height, roster, horizon):
     group = [_study(roster, s) for s in seeds]
     assert lockstep_groups(group, [horizon] * height) == [list(range(height))]
     traces = run_together(group, [horizon] * height)
+    for (solo, solo_trace), simulator, trace in zip(solos, group, traces):
+        assert traces_bitwise_equal(solo_trace, trace)
+        assert _outcome(solo, solo_trace) == _outcome(simulator, trace)
+
+
+@needs_probe
+@pytest.mark.parametrize("roster", [["servo", "servo"], ["cruise", "servo", "cruise"]])
+def test_rosters_repeating_a_plant_run_in_lockstep(roster):
+    """Every copy of a repeated plant is an application with its own row
+    stack, so such rosters group like any other, bitwise."""
+    seeds = range(40, 44)
+    solos = []
+    for seed in seeds:
+        simulator = _study(roster, seed)
+        solos.append((simulator, simulator.run(1.2)))
+    group = [_study(roster, seed) for seed in seeds]
+    assert lockstep_groups(group, [1.2] * len(group)) == [list(range(len(group)))]
+    traces = run_together(group, [1.2] * len(group))
     for (solo, solo_trace), simulator, trace in zip(solos, group, traces):
         assert traces_bitwise_equal(solo_trace, trace)
         assert _outcome(solo, solo_trace) == _outcome(simulator, trace)
@@ -182,18 +209,11 @@ def test_incompatible_members_run_alone():
     event = _study(roster, 3)
     event.kernel = "event"
     longer = _study(roster, 4)
-    repeated = CoSimulator(
-        [
-            _designed("servo"),
-            dataclasses.replace(
-                _designed("servo"),
-                app=dataclasses.replace(_designed("servo").app, name="servo-2"),
-                frame=FrameSpec(frame_id=2, sender="servo-2"),
-            ),
-        ],
-        AnalyticNetwork(),
-    )
-    mixed = [compatible[0], multirate, compatible[1], event, longer, repeated, compatible[2]]
+    other_design = _study(["servo", "motor", "servo"], 5)
+    mixed = [
+        compatible[0], multirate, compatible[1], event, longer, other_design,
+        compatible[2],
+    ]
     horizons = [1.0, 1.0, 1.0, 1.0, 1.5, 1.0, 1.0]
     assert lockstep_groups(mixed, horizons) == [[0, 2, 6], [1], [3], [4], [5]]
     together = run_together([mixed[i] for i in (0, 2, 6)], [1.0] * 3)

@@ -20,6 +20,7 @@ import pytest
 
 from repro.fabric import (
     FabricWorker,
+    FaultPlan,
     LineChannel,
     MESSAGE_TYPES,
     ProtocolError,
@@ -796,6 +797,160 @@ class TestMalformedResult:
         assert comparable(fabric.results) == comparable(serial.results)
 
 
+def _requeued(coordinator, count, timeout=10.0):
+    """The coordinator's requeue ledger once it holds ``count`` events
+    (a dropped connection releases its leases on its handler thread)."""
+    deadline = time.monotonic() + timeout
+    while len(coordinator.requeues) < count and time.monotonic() < deadline:
+        time.sleep(0.01)
+    return [(event["address"], event["worker"], event["reason"])
+            for event in coordinator.requeues]
+
+
+class TestConnectionIdentity:
+    def test_a_second_worker_name_drops_only_that_connection(self):
+        """A connection that said hello as ``a`` and then leases as
+        ``b`` is a counted protocol error: it is dropped, its own lease
+        re-queues, and the live ``b`` keeps the job it holds."""
+        coordinator = SweepCoordinator(
+            cheap_base(),
+            AXES,
+            replications=2,
+            seed0=3,
+            lease_timeout=30.0,
+            cache=DwellCurveCache(),
+        )
+        coordinator.start()
+        x = y = None
+        try:
+            x = connect(coordinator.host, coordinator.port)
+            y = connect(coordinator.host, coordinator.port)
+            leases = {}
+            for channel, name in ((x, "a"), (y, "b")):
+                channel.send_msg("hello", worker=name)
+                assert channel.recv_msg(timeout=5.0)["type"] == "ok"
+                channel.send_msg("lease", worker=name)
+                job = channel.recv_msg(timeout=5.0)
+                assert job["type"] == "job"
+                leases[name] = job["job_id"]
+            x.send_msg("lease", worker="b")
+            assert x.recv_msg(timeout=5.0) is None  # dropped, no job
+            assert _requeued(coordinator, 1) == [(leases["a"], "a", "disconnect")]
+            assert coordinator.protocol_errors == 1
+            y.close()
+            assert _requeued(coordinator, 2)[1] == (leases["b"], "b", "disconnect")
+        finally:
+            for channel in (x, y):
+                if channel is not None:
+                    channel.close()
+            coordinator.stop()
+
+    def test_messages_without_a_name_speak_for_the_connection(self):
+        coordinator = SweepCoordinator(
+            cheap_base(), axes=None, replications=1, seed0=0, cache=DwellCurveCache()
+        )
+        channel = _ScriptedChannel(
+            [
+                {"type": "hello", "worker": "named"},
+                {"type": "lease"},
+                {"type": "hello", "worker": "named"},
+            ]
+        )
+        try:
+            coordinator._serve_connection(channel)
+        finally:
+            coordinator.stop()
+        assert coordinator.protocol_errors == 0
+        assert [msg["type"] for msg in channel.sent] == ["ok", "job", "ok"]
+        assert [r["worker"] for r in coordinator.requeues] == ["named"]
+
+    @staticmethod
+    def serve(messages):
+        """Replay ``messages`` on one connection to a one-job sweep; a
+        ``job_id`` of ``None`` stands for that job's address."""
+        coordinator = SweepCoordinator(
+            get_scenario("paper-table1"), replications=1, cache=DwellCurveCache()
+        )
+        (job,) = coordinator.jobs
+        inbox = [
+            dict(msg, job_id=job.address) if "job_id" in msg else msg
+            for msg in messages
+        ]
+        channel = _ScriptedChannel(inbox)
+        try:
+            coordinator._serve_connection(channel)
+        finally:
+            coordinator.stop()
+        return coordinator, channel
+
+    @pytest.mark.parametrize("kind", ["lease", "heartbeat", "result"])
+    def test_any_message_under_another_name_drops_the_connection(self, kind):
+        """After ``hello`` as ``own``, a lease, heartbeat or result under
+        ``other`` is a counted protocol error: the connection drops
+        before it serves another message, its own lease re-queues, and
+        nothing lands for ``other``."""
+        message = {"type": kind, "worker": "other"}
+        if kind != "lease":
+            message["job_id"] = None
+        if kind == "result":
+            message.update(attempt=1, result=None, error="boom", cache=None)
+        coordinator, channel = self.serve(
+            [
+                {"type": "hello", "worker": "own"},
+                {"type": "lease", "worker": "own"},
+                message,
+                {"type": "lease", "worker": "own"},
+            ]
+        )
+        assert channel.closed
+        assert coordinator.protocol_errors == 1
+        assert [msg["type"] for msg in channel.sent] == ["ok", "job"]
+        assert [(r["worker"], r["reason"]) for r in coordinator.requeues] == [
+            ("own", "disconnect")
+        ]
+        assert len(coordinator.store) == 0
+
+    def test_a_first_lease_fixes_the_name(self):
+        """A connection that leases before any hello is named by that
+        lease; a later hello under another name is refused like any
+        other second name."""
+        coordinator, channel = self.serve(
+            [
+                {"type": "lease", "worker": "early"},
+                {"type": "hello", "worker": "late"},
+            ]
+        )
+        assert coordinator.protocol_errors == 1
+        assert [msg["type"] for msg in channel.sent] == ["job"]
+        assert [(r["worker"], r["reason"]) for r in coordinator.requeues] == [
+            ("early", "disconnect")
+        ]
+
+    def test_own_name_result_lands_under_it(self):
+        """Honest workers repeat their own name on every message, and
+        their rows land under it exactly as before."""
+        coordinator, channel = self.serve(
+            [
+                {"type": "hello", "worker": "own"},
+                {"type": "lease", "worker": "own"},
+                {"type": "heartbeat", "worker": "own", "job_id": None},
+                {
+                    "type": "result",
+                    "worker": "own",
+                    "job_id": None,
+                    "attempt": 1,
+                    "result": None,
+                    "error": "boom",
+                    "cache": None,
+                },
+            ]
+        )
+        assert coordinator.protocol_errors == 0 and coordinator.requeues == []
+        assert [msg["type"] for msg in channel.sent] == ["ok", "job"]
+        (row,) = coordinator.result().rows
+        assert (row["worker"], row["attempt"]) == ("own", 1)
+
+
 def freed(ref, timeout=10.0):
     """Whether ``ref`` dies within ``timeout`` (a handler thread may still
     be unwinding from its peer's hangup)."""
@@ -864,7 +1019,7 @@ class TestLeaseAndResume:
             coordinator.port,
             worker_id="dier",
             cache=DwellCurveCache(),
-            die_after=1,
+            fault_plan=FaultPlan(crash_at_message=2),
         )
         steady = FabricWorker(
             coordinator.host,
@@ -925,9 +1080,9 @@ class TestLeaseAndResume:
         assert len(finished) == len(set(finished)) == 4
 
     def test_attempt_cap_synthesizes_worker_row(self):
-        # a fleet made only of immediately-dying workers must still
-        # finish: every job exhausts its single attempt and lands as a
-        # crash row instead of hanging the sweep
+        # a fleet made only of workers that die holding their first
+        # lease must still finish: every job exhausts its single attempt
+        # and lands as a crash row instead of hanging the sweep
         coordinator = SweepCoordinator(
             cheap_base(),
             axes=None,
@@ -943,7 +1098,7 @@ class TestLeaseAndResume:
             coordinator.port,
             worker_id="dier",
             cache=DwellCurveCache(),
-            die_after=0,
+            fault_plan=FaultPlan(crash_at_message=1),
         )
         thread = threading.Thread(target=dier.run, daemon=True)
         thread.start()

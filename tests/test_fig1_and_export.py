@@ -1,7 +1,5 @@
 """Tests for the Figure 1 demonstration and trace CSV export."""
 
-import os
-
 import pytest
 
 from repro.experiments.fig1 import run_fig1
@@ -45,11 +43,3 @@ class TestCsvExport:
         first = lines[1].split(",")
         assert len(first) == 4
         assert first[2] in {s.value for s in CommState}
-
-    def test_write_csv_files(self, fig1_result, tmp_path):
-        paths = fig1_result.trace.write_csv(tmp_path)
-        assert len(paths) == 2
-        for path in paths:
-            assert os.path.exists(path)
-            with open(path) as handle:
-                assert handle.readline().startswith("time,")

@@ -12,142 +12,18 @@ class TestEventQueue:
         queue.schedule(2.0, lambda t: fired.append(("b", t)))
         queue.schedule(1.0, lambda t: fired.append(("a", t)))
         queue.schedule(3.0, lambda t: fired.append(("c", t)))
-        queue.run_until(10.0)
+        assert queue.peek_time() == 1.0
+        assert queue.run() == 3
         assert fired == [("a", 1.0), ("b", 2.0), ("c", 3.0)]
+        assert queue.peek_time() is None
 
     def test_equal_times_fire_in_insertion_order(self):
         queue = EventQueue()
         fired = []
         for tag in "abc":
             queue.schedule(1.0, lambda t, tag=tag: fired.append(tag))
-        queue.run_until(1.0)
+        queue.run()
         assert fired == ["a", "b", "c"]
-
-    def test_run_until_is_inclusive(self):
-        queue = EventQueue()
-        fired = []
-        queue.schedule(1.0, lambda t: fired.append(t))
-        queue.schedule(1.0 + 1e-3, lambda t: fired.append(t))
-        queue.run_until(1.0)
-        assert fired == [1.0]
-        assert len(queue) == 1
-
-    def test_cancel(self):
-        queue = EventQueue()
-        fired = []
-        handle = queue.schedule(1.0, lambda t: fired.append(t))
-        queue.cancel(handle)
-        queue.run_until(2.0)
-        assert fired == []
-        assert len(queue) == 0
-
-    def test_events_can_schedule_events(self):
-        queue = EventQueue()
-        fired = []
-
-        def recurring(t):
-            fired.append(t)
-            if t < 3.0:
-                queue.schedule(t + 1.0, recurring)
-
-        queue.schedule(1.0, recurring)
-        queue.run_until(10.0)
-        assert fired == [1.0, 2.0, 3.0]
-
-    def test_cannot_schedule_in_past(self):
-        queue = EventQueue()
-        queue.schedule(1.0, lambda t: None)
-        queue.run_until(5.0)
-        with pytest.raises(ValueError, match="past|current time"):
-            queue.schedule(2.0, lambda t: None)
-
-    def test_now_tracks_last_fire(self):
-        queue = EventQueue()
-        queue.schedule(1.5, lambda t: None)
-        queue.step()
-        assert queue.now == 1.5
-
-    def test_step_on_empty_returns_false(self):
-        assert EventQueue().step() is False
-
-    def test_cancel_is_idempotent_and_skips_only_the_target(self):
-        queue = EventQueue()
-        fired = []
-        keep = queue.schedule(1.0, lambda t: fired.append("keep"))
-        drop = queue.schedule(1.0, lambda t: fired.append("drop"))
-        queue.cancel(drop)
-        queue.cancel(drop)  # double-cancel must be harmless
-        assert queue.is_cancelled(drop) and not queue.is_cancelled(keep)
-        queue.run_until(2.0)
-        assert fired == ["keep"]
-
-    def test_cancel_after_fire_is_a_noop(self):
-        queue = EventQueue()
-        fired = []
-        handle = queue.schedule(1.0, lambda t: fired.append(t))
-        later = queue.schedule(2.0, lambda t: fired.append(t))
-        queue.run_until(1.0)
-        queue.cancel(handle)  # already fired: must not corrupt the count
-        assert len(queue) == 1
-        queue.run_until(3.0)
-        assert fired == [1.0, 2.0]
-        assert len(queue) == 0
-        queue.cancel(later)  # and again, after everything drained
-        assert len(queue) == 0
-
-    def test_len_is_live_count_and_stays_consistent(self):
-        queue = EventQueue()
-        handles = [queue.schedule(float(i), lambda t: None) for i in range(10)]
-        assert len(queue) == 10
-        for handle in handles[::2]:
-            queue.cancel(handle)
-        assert len(queue) == 5
-        queue.run_until(20.0)
-        assert len(queue) == 0
-
-    def test_mass_cancellation_compacts_the_heap(self):
-        """Cancelled entries must not accumulate: after cancelling more
-        than half the queue, the heap itself shrinks."""
-        queue = EventQueue()
-        handles = [queue.schedule(float(i), lambda t: None) for i in range(100)]
-        for handle in handles[:80]:
-            queue.cancel(handle)
-        assert len(queue) == 20
-        assert len(queue._heap) <= 40  # compaction actually ran
-        fired = queue.run()
-        assert fired == 20
-
-    def test_cancel_head_updates_peek(self):
-        queue = EventQueue()
-        head = queue.schedule(1.0, lambda t: None)
-        queue.schedule(2.0, lambda t: None)
-        queue.cancel(head)
-        assert queue.peek_time() == 2.0
-        assert len(queue) == 1
-
-    def test_same_time_insertion_order_survives_interleaved_cancels(self):
-        queue = EventQueue()
-        fired = []
-        handles = [
-            queue.schedule(1.0, lambda t, tag=tag: fired.append(tag))
-            for tag in "abcd"
-        ]
-        queue.cancel(handles[1])  # drop "b"
-        queue.cancel(handles[3])  # drop "d"
-        queue.run_until(1.0)
-        assert fired == ["a", "c"]
-
-    def test_run_until_boundary_tolerance(self):
-        """Events within 1e-12 of the horizon fire; beyond it they wait."""
-        queue = EventQueue()
-        fired = []
-        queue.schedule(1.0 + 5e-13, lambda t: fired.append("inside"))
-        queue.schedule(1.0 + 1e-9, lambda t: fired.append("outside"))
-        queue.run_until(1.0)
-        assert fired == ["inside"]
-        assert queue.now >= 1.0  # clock reached the horizon
-        queue.run_until(1.0 + 1e-9)
-        assert fired == ["inside", "outside"]
 
     def test_run_drains_chained_events(self):
         queue = EventQueue()
@@ -161,4 +37,61 @@ class TestEventQueue:
         queue.schedule(1.0, chain)
         assert queue.run() == 3
         assert fired == [1.0, 2.0, 3.0]
-        assert len(queue) == 0
+        assert queue.peek_time() is None
+
+    def test_callbacks_see_the_next_event_time(self):
+        """The co-simulator opens a barrier once ``peek_time`` moves past
+        the instant that is firing."""
+        queue = EventQueue()
+        seen = []
+        for time in (1.0, 1.0, 2.0):
+            queue.schedule(time, lambda t: seen.append((t, queue.peek_time())))
+        queue.run()
+        assert seen == [(1.0, 1.0), (1.0, 2.0), (2.0, None)]
+
+    def test_cannot_schedule_in_past(self):
+        queue = EventQueue()
+        errors = []
+
+        def late(t):
+            with pytest.raises(ValueError, match="past|current time") as excinfo:
+                queue.schedule(2.0, lambda t: None)
+            errors.append(excinfo.value)
+
+        queue.schedule(5.0, late)
+        queue.run()
+        assert len(errors) == 1
+
+    def test_same_instant_within_tolerance_is_not_past(self):
+        queue = EventQueue()
+        fired = []
+
+        def now(t):
+            queue.schedule(t - 5e-13, lambda t: fired.append(t))
+
+        queue.schedule(1.0, now)
+        assert queue.run() == 2
+        assert fired == [1.0 - 5e-13]
+
+    def test_event_scheduled_at_the_firing_instant_follows_queued_ties(self):
+        """A callback that schedules at its own instant queues behind the
+        events already waiting there, within the same ``run``."""
+        queue = EventQueue()
+        fired = []
+
+        def first(t):
+            fired.append("first")
+            queue.schedule(t, lambda t: fired.append("added"))
+
+        queue.schedule(1.0, first)
+        queue.schedule(1.0, lambda t: fired.append("queued"))
+        queue.schedule(2.0, lambda t: fired.append("later"))
+        assert queue.run() == 4
+        assert fired == ["first", "queued", "added", "later"]
+
+    def test_run_on_an_empty_queue_fires_nothing(self):
+        queue = EventQueue()
+        assert queue.run() == 0
+        assert queue.peek_time() is None
+        queue.schedule(0.0, lambda t: None)  # nothing fired: time 0 is not past
+        assert queue.run() == 1

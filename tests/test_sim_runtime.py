@@ -81,13 +81,6 @@ class TestStateMachine:
         assert runtime.state is CommState.TT_HOLDING
         assert runtime.records[-1].arrival == 1.0
 
-    def test_deadline_misses_counted(self):
-        runtime, _ = make_runtime(deadline=0.3)
-        runtime.on_disturbance(0.0)
-        runtime.update(0.0, norm=1.0)
-        runtime.update(0.5, norm=0.01)  # response 0.5 > deadline 0.3
-        assert runtime.deadline_misses() == 1
-
     def test_multiple_episodes(self):
         runtime, _ = make_runtime()
         for start in (0.0, 10.0):
