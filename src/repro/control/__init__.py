@@ -55,6 +55,12 @@ from repro.control.plants import (
     make_plant,
     servo_rig,
 )
+from repro.utils.linalg import pin_blas_threads
+
+# After the imports above have loaded scipy.linalg, and with it scipy's
+# OpenBLAS: every process that imports repro, pool and fabric workers
+# included, solves its at most 5x5 problems on one BLAS thread.
+pin_blas_threads()
 
 __all__ = [
     "AugmentedStateSpace",

@@ -42,6 +42,27 @@ def zoh_integrals(a: np.ndarray, b: np.ndarray, tau: float):
     return exp_block[:n, :n], exp_block[:n, n:]
 
 
+def delayed_gammas(
+    a: np.ndarray, b: np.ndarray, period: float, delay: float, gamma_full: np.ndarray
+):
+    """``(Gamma0, Gamma1)`` for sampling period ``h`` and input delay ``d``.
+
+    ``gamma_full`` is the full-interval integral (the second block of
+    ``zoh_integrals(a, b, h)``): all of it acts on the new input at
+    ``d <= 0`` and on the old one at ``d >= h``.  In between, Gamma0
+    integrates the new input over the trailing ``h - d`` of the
+    interval, and Gamma1 propagates the leading ``d``-portion's integral
+    forward by ``h - d``.
+    """
+    if delay <= 0.0:
+        return gamma_full, np.zeros_like(gamma_full)
+    if delay >= period:
+        return np.zeros_like(gamma_full), gamma_full
+    exp_trail, gamma0 = zoh_integrals(a, b, period - delay)
+    _, gamma_lead = zoh_integrals(a, b, delay)
+    return gamma0, exp_trail @ gamma_lead
+
+
 def discretize(plant: ContinuousStateSpace, period: float) -> DelayedStateSpace:
     """Standard delay-free ZOH discretisation (``Gamma1 = 0``)."""
     return discretize_with_delay(plant, period=period, delay=0.0)
@@ -72,22 +93,7 @@ def discretize_with_delay(
     delay = check_in_range(delay, "delay", low=0.0, high=period)
 
     phi, gamma_full = zoh_integrals(plant.a, plant.b, period)
-    if delay == 0.0:
-        gamma0 = gamma_full
-        gamma1 = np.zeros_like(gamma_full)
-    elif delay == period:
-        gamma0 = np.zeros_like(gamma_full)
-        gamma1 = gamma_full
-    else:
-        # Gamma0 integrates the new input over the trailing (h - d) of the
-        # interval; Gamma1 is what remains of the full-interval integral
-        # after propagating the leading d-portion forward by (h - d).
-        phi_lead, gamma_lead = zoh_integrals(plant.a, plant.b, delay)
-        exp_trail, gamma0 = zoh_integrals(plant.a, plant.b, period - delay)
-        gamma1 = exp_trail @ gamma_lead
-        # Consistency: Phi = exp_trail @ phi_lead and
-        # gamma_full = gamma1 + gamma0 must hold up to rounding.
-        del phi_lead
+    gamma0, gamma1 = delayed_gammas(plant.a, plant.b, period, delay, gamma_full)
     return DelayedStateSpace(
         phi=phi,
         gamma0=gamma0,
@@ -99,4 +105,4 @@ def discretize_with_delay(
     )
 
 
-__all__ = ["discretize", "discretize_with_delay", "zoh_integrals"]
+__all__ = ["delayed_gammas", "discretize", "discretize_with_delay", "zoh_integrals"]

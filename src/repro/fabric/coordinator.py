@@ -106,6 +106,10 @@ class FabricTimeout(RuntimeError):
 @dataclass
 class _Lease:
     worker: str
+    #: the connection that took the lease: only its heartbeats renew it,
+    #: and only its hang-up re-queues it (two live connections may share
+    #: one worker name)
+    channel: Any
     deadline: float
     attempt: int
 
@@ -343,7 +347,7 @@ class SweepCoordinator:
                     elif kind == "lease":
                         self._grant(channel, worker)
                     elif kind == "heartbeat":
-                        self._renew(claimed, msg.get("job_id"))
+                        self._renew(channel, msg.get("job_id"))
                     else:
                         channel.send_msg(
                             "error", detail=f"unexpected {kind!r} on the sweep plane"
@@ -354,8 +358,7 @@ class SweepCoordinator:
                     break
         finally:
             channel.close()
-            if worker is not None:
-                self._release_worker(worker)
+            self._release_connection(channel)
 
     def _grant(self, channel: LineChannel, worker: str) -> None:
         with self._lock:
@@ -371,6 +374,7 @@ class SweepCoordinator:
                 self._attempts[address] = attempt
                 self._leases[address] = _Lease(
                     worker=worker,
+                    channel=channel,
                     deadline=time.monotonic() + self.lease_timeout,
                     attempt=attempt,
                 )
@@ -399,12 +403,12 @@ class SweepCoordinator:
             cache=encode_entries(exports) if exports else None,
         )
 
-    def _renew(self, worker: str, address: Optional[str]) -> None:
+    def _renew(self, channel: LineChannel, address: Optional[str]) -> None:
         if address is None:
             return
         with self._lock:
             lease = self._leases.get(address)
-            if lease is not None and lease.worker == worker:
+            if lease is not None and lease.channel is channel:
                 lease.deadline = time.monotonic() + self.lease_timeout
 
     def _land(self, worker: str, msg: Dict[str, Any]) -> None:
@@ -438,12 +442,12 @@ class SweepCoordinator:
             self._leases.pop(address, None)
             self._record_locked(address, row, result)
 
-    def _release_worker(self, worker: str) -> None:
+    def _release_connection(self, channel: LineChannel) -> None:
         with self._lock:
             held = [
                 address
                 for address, lease in self._leases.items()
-                if lease.worker == worker
+                if lease.channel is channel
             ]
             for address in held:
                 self._requeue_locked(address, reason="disconnect")
@@ -592,8 +596,8 @@ def _claimed_worker(msg: Dict[str, Any], worker: Optional[str]) -> Optional[str]
 
     Raise :class:`ProtocolError` when a named connection speaks for
     another worker: a lease, heartbeat or result under a second name
-    would move leases between workers, and a disconnect would re-queue
-    the other worker's jobs instead of this connection's own.
+    would record rows and requeues under a worker that never took the
+    job.
     """
     claimed = msg.get("worker")
     if claimed is None:

@@ -46,6 +46,7 @@ from repro.pipeline.stages import (
     cosim_summarize,
 )
 from repro.sim.cosim import lockstep_groups, run_together
+from repro.sim.stepper import adopt_probe_verdicts, probe_verdicts
 from repro.sim.trace import SimulationTrace
 
 
@@ -312,30 +313,35 @@ def chunked(items: Sequence, workers: int) -> List[list]:
     return [list(items[i:i + size]) for i in range(0, len(items), size)]
 
 
-#: Dwell-cache keys a pool worker already held (inherited via fork) or
-#: already shipped back; lazily initialised on the worker's first task.
+#: Dwell-cache keys and ``stacked_safe`` shapes a pool worker already
+#: held (inherited via fork) or already shipped back; lazily initialised
+#: on the worker's first task.
 _WORKER_SHIPPED: Optional[set] = None
+_WORKER_PROBED: Optional[set] = None
 
 
 def _process_chunk(
     scenarios: List[Scenario],
-) -> Tuple[List[Outcome], Dict[Tuple, object]]:
-    """Run one chunk in a pool worker and report new cache entries.
+) -> Tuple[List[Outcome], Dict[Tuple, object], Dict[Tuple[int, int], bool]]:
+    """Run one chunk in a pool worker and report new cache entries and
+    probe verdicts.
 
-    Each worker keeps its own process-global dwell cache (warm from the
-    start under a fork start method); whatever it measures *beyond* that
-    baseline is returned alongside the outcomes so the parent can merge
-    it — later thread-mode or serial runs in the parent then hit instead
-    of re-measuring.
+    Each worker keeps its own process-global dwell cache and
+    :func:`~repro.sim.stepper.stacked_safe` memo (warm from the start
+    under a fork start method); whatever it measures or probes *beyond*
+    that baseline is returned alongside the outcomes so the parent can
+    adopt it — later thread-mode or serial runs in the parent then hit
+    instead of re-measuring, and the next pool forks with the verdicts.
 
     An exception that would not survive the trip back (pickling it, or
     rebuilding it in the parent, raises) travels as a ``RuntimeError``
     of its ``repr``, so it stays its own study's crash instead of
     failing the whole chunk.
     """
-    global _WORKER_SHIPPED
+    global _WORKER_SHIPPED, _WORKER_PROBED
     if _WORKER_SHIPPED is None:
         _WORKER_SHIPPED = GLOBAL_DWELL_CACHE.keys_snapshot()
+        _WORKER_PROBED = set(probe_verdicts())
     outcomes = run_chunk(scenarios, cache=GLOBAL_DWELL_CACHE)
     for index, outcome in enumerate(outcomes):
         if isinstance(outcome, Exception):
@@ -345,7 +351,13 @@ def _process_chunk(
                 outcomes[index] = RuntimeError(repr(outcome))
     exports = GLOBAL_DWELL_CACHE.export_entries(exclude=_WORKER_SHIPPED)
     _WORKER_SHIPPED.update(exports)
-    return outcomes, exports
+    verdicts = {
+        shape: safe
+        for shape, safe in probe_verdicts().items()
+        if shape not in _WORKER_PROBED
+    }
+    _WORKER_PROBED.update(verdicts)
+    return outcomes, exports, verdicts
 
 
 class Dispatcher:
@@ -368,7 +380,9 @@ class Dispatcher:
     and a chunk's outcomes land together, chunks in completion order.
     Thread workers share ``cache``; a process worker keeps its own
     process-wide cache (inherited warm where the platform forks), and
-    what it measured merges into ``cache`` as its chunk lands.  A worker
+    what it measured merges into ``cache`` as its chunk lands, as do the
+    :func:`~repro.sim.stepper.stacked_safe` verdicts it reached into
+    this process's memo, so the next pool forks with them.  A worker
     that dies lands its whole chunk as the exception.  The pool lives
     until :meth:`close`, so a sweep's rounds share it.
     """
@@ -431,8 +445,9 @@ class Dispatcher:
                     landed = [exc] * len(indices)
                 else:
                     if self.executor == "process":
-                        landed, exports = landed
+                        landed, exports, verdicts = landed
                         self.cache.merge_entries(exports)
+                        adopt_probe_verdicts(verdicts)
                 for index, outcome in zip(indices, landed):
                     land(index, outcome)
 

@@ -35,7 +35,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.control.discretization import zoh_integrals
+from repro.control.discretization import delayed_gammas, zoh_integrals
 from repro.control.lti import ContinuousStateSpace
 
 
@@ -127,6 +127,20 @@ def stacked_safe(n_states: int, n_inputs: int) -> bool:
     return safe
 
 
+def probe_verdicts() -> Dict[Tuple[int, int], bool]:
+    """This process's :func:`stacked_safe` verdicts so far, by shape."""
+    return dict(_STACKED_PROBE)
+
+
+def adopt_probe_verdicts(verdicts: Dict[Tuple[int, int], bool]) -> None:
+    """Take the :func:`stacked_safe` verdicts a process forked from this
+    one reached (a local pool worker: the same platform and libraries),
+    so later forks inherit them instead of probing again.  A verdict
+    this process already holds stays."""
+    for shape, safe in verdicts.items():
+        _STACKED_PROBE.setdefault(shape, safe)
+
+
 class _PlantDiscretization:
     """Cached ``Phi``/``Gamma`` family of one ``(dynamics, period)`` pair."""
 
@@ -142,17 +156,9 @@ class _PlantDiscretization:
         cached = self.pairs.get(key)
         if cached is not None:
             return cached
-        delay = min(max(delay, 0.0), self.period)
-        if delay <= 0.0:
-            pair = (self.gamma_full, np.zeros_like(self.gamma_full))
-        elif delay >= self.period:
-            pair = (np.zeros_like(self.gamma_full), self.gamma_full)
-        else:
-            exp_trail, gamma0 = zoh_integrals(
-                self.dynamics.a, self.dynamics.b, self.period - delay
-            )
-            _, gamma_lead = zoh_integrals(self.dynamics.a, self.dynamics.b, delay)
-            pair = (gamma0, exp_trail @ gamma_lead)
+        pair = delayed_gammas(
+            self.dynamics.a, self.dynamics.b, self.period, delay, self.gamma_full
+        )
         self.pairs[key] = pair
         return pair
 
@@ -295,6 +301,8 @@ __all__ = [
     "GLOBAL_ZOH_CACHE",
     "PlantStepperBank",
     "ZOHCache",
+    "adopt_probe_verdicts",
     "delay_key",
+    "probe_verdicts",
     "stacked_safe",
 ]

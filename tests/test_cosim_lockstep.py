@@ -36,7 +36,7 @@ from repro.pipeline import DesignStudy, DwellCurveCache, get_scenario, run_sweep
 from repro.pipeline import runner, stages
 from repro.pipeline.runner import run_chunk
 from repro.sim import CoSimulator
-from repro.sim import batch
+from repro.sim import batch, stepper
 from repro.sim.cosim import lockstep_groups, run_together
 from repro.sim.network import AnalyticNetwork, CanBusNetwork, IIDLoss, LossyNetwork
 from repro.sim.stepper import stacked_safe
@@ -331,6 +331,35 @@ def test_sweep_rows_equal_across_executors(adaptive):
         assert pooled.executor == executor
         assert _placement_free(pooled.rows) == _placement_free(serial.rows)
         assert _cells(pooled) == _cells(serial)
+
+
+@needs_probe
+def test_pool_workers_hand_their_probe_verdicts_back(monkeypatch):
+    """A process pool's workers probe the plant shapes they group; their
+    verdicts land in the parent's memo, equal to the verdicts probed in
+    process, and the next pool forks with them, so its workers probe
+    nothing and hand nothing back."""
+    landed = []
+    adopt = runner.adopt_probe_verdicts
+
+    def recording(verdicts):
+        landed.append(verdicts)
+        adopt(verdicts)
+
+    monkeypatch.setattr(stepper, "_STACKED_PROBE", {})
+    monkeypatch.setattr(runner, "adopt_probe_verdicts", recording)
+    _sweep("process", 2)
+    adopted = stepper.probe_verdicts()
+    roster = [PLANTS[name]().model for name in ("cruise", "suspension", "servo")]
+    assert set(adopted) == {(model.n_states, model.b.shape[1]) for model in roster}
+    # the first chunk to land was its worker's first, on an empty memo
+    assert len(landed) == 2 and landed[0] == adopted
+
+    monkeypatch.setattr(stepper, "_STACKED_PROBE", {})
+    assert {shape: stacked_safe(*shape) for shape in adopted} == adopted
+    landed.clear()
+    _sweep("process", 2)
+    assert landed == [{}, {}]
 
 
 class _Exploding:

@@ -113,3 +113,19 @@ class TestDiscretizeWithDelay:
     def test_rejects_delay_beyond_period(self):
         with pytest.raises(ValueError):
             discretize_with_delay(damped_system(), period=0.1, delay=0.11)
+
+    def test_cosim_stepper_takes_the_same_split(self):
+        """The co-simulation's cached family hands out the same Gamma
+        pair, bit for bit, clamping a delay outside ``[0, h]`` to its
+        edge."""
+        from repro.sim.stepper import ZOHCache
+
+        sys = damped_system()
+        h = 0.1
+        family = ZOHCache().plant(sys, h)
+        for delay, clamped in ((-1e-3, 0.0), (0.0, 0.0), (0.04, 0.04), (h, h), (0.2, h)):
+            model = discretize_with_delay(sys, period=h, delay=clamped)
+            gamma0, gamma1 = family.gammas(delay)
+            assert gamma0.tobytes() == model.gamma0.tobytes()
+            assert gamma1.tobytes() == model.gamma1.tobytes()
+            assert family.phi.tobytes() == model.phi.tobytes()

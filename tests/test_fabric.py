@@ -681,8 +681,8 @@ class TestOneHeartbeatThreadPerSession:
 
 
 class TestLeaseRenewal:
-    """A heartbeat extends a lease only for the worker that holds it, so
-    one peer cannot keep another peer's lease alive."""
+    """A heartbeat extends a lease only on the connection that holds it,
+    so one peer cannot keep another peer's lease alive."""
 
     @pytest.fixture
     def leased(self, monkeypatch):
@@ -698,23 +698,24 @@ class TestLeaseRenewal:
             lease_timeout=5.0,
             cache=DwellCurveCache(),
         )
-        grants = {}
+        grants, channels = {}, {}
         for worker in ("A", "B"):
-            channel = _ScriptedChannel([])
+            channel = channels[worker] = _ScriptedChannel([])
             coordinator._grant(channel, worker)
             (job,) = channel.sent
             grants[worker] = job["job_id"]
-        yield coordinator, clock, grants
+        yield coordinator, clock, grants, channels
         coordinator.stop()
 
     def test_foreign_heartbeats_leave_the_deadline(self, leased):
-        coordinator, clock, grants = leased
+        coordinator, clock, grants, channels = leased
         lease = coordinator._leases[grants["A"]]
         assert lease.deadline == 105.0
         clock["now"] = 104.0
-        coordinator._renew("B", grants["A"])  # another worker's heartbeat
-        coordinator._renew("A", grants["B"])  # an address A does not hold
-        coordinator._renew("A", "no-such-job")
+        coordinator._renew(channels["B"], grants["A"])  # another worker's heartbeat
+        coordinator._renew(channels["A"], grants["B"])  # an address A does not hold
+        coordinator._renew(channels["A"], "no-such-job")
+        coordinator._renew(_ScriptedChannel([]), grants["A"])  # a connection holding none
         assert lease.deadline == 105.0
         assert coordinator._leases[grants["B"]].deadline == 105.0
         clock["now"] = 105.5
@@ -725,9 +726,9 @@ class TestLeaseRenewal:
         ) == [("A", "lease-expired"), ("B", "lease-expired")]
 
     def test_holder_heartbeat_moves_the_deadline(self, leased):
-        coordinator, clock, grants = leased
+        coordinator, clock, grants, channels = leased
         clock["now"] = 104.0
-        coordinator._renew("A", grants["A"])
+        coordinator._renew(channels["A"], grants["A"])
         assert coordinator._leases[grants["A"]].deadline == 109.0
         clock["now"] = 105.5
         with coordinator._lock:
@@ -844,6 +845,45 @@ class TestConnectionIdentity:
                 if channel is not None:
                     channel.close()
             coordinator.stop()
+
+    def test_a_shared_name_keeps_each_connection_its_own_leases(self):
+        """Two live connections that say hello under one name each hold
+        their own lease: closing the first re-queues only its job, and
+        the second keeps the job it is running."""
+        coordinator = SweepCoordinator(
+            cheap_base(),
+            AXES,
+            replications=2,
+            seed0=3,
+            lease_timeout=30.0,
+            cache=DwellCurveCache(),
+        )
+        coordinator.start()
+        x = y = None
+        try:
+            x = connect(coordinator.host, coordinator.port)
+            y = connect(coordinator.host, coordinator.port)
+            leased = []
+            for channel in (x, y):
+                channel.send_msg("hello", worker="same")
+                assert channel.recv_msg(timeout=5.0)["type"] == "ok"
+                channel.send_msg("lease", worker="same")
+                job = channel.recv_msg(timeout=5.0)
+                assert job["type"] == "job"
+                leased.append(job["job_id"])
+            x.close()
+            assert _requeued(coordinator, 1) == [(leased[0], "same", "disconnect")]
+            with coordinator._lock:  # a release re-queues all it holds at once
+                assert len(coordinator.requeues) == 1
+                assert leased[1] in coordinator._leases
+            y.close()
+            assert _requeued(coordinator, 2)[1] == (leased[1], "same", "disconnect")
+        finally:
+            for channel in (x, y):
+                if channel is not None:
+                    channel.close()
+            coordinator.stop()
+        assert coordinator.protocol_errors == 0
 
     def test_messages_without_a_name_speak_for_the_connection(self):
         coordinator = SweepCoordinator(
