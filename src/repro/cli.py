@@ -34,7 +34,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 from repro.core.sensitivity import deadline_sensitivity
 from repro.core.timing_params import PAPER_TABLE_I
@@ -499,6 +499,29 @@ def _cmd_all(args):
     return rule.join(texts), data
 
 
+def _section_flags() -> Dict[str, argparse.ArgumentParser]:
+    """Each artefact section's own flags, as a parent parser per section
+    (``all`` takes every one, so the two cannot drift apart)."""
+    flags = {
+        name: argparse.ArgumentParser(add_help=False)
+        for name in ("table1", "allocation", "fig5", "ablations", "validate", "sensitivity")
+    }
+    flags["table1"].add_argument("--paper-only", action="store_true")
+    flags["allocation"].add_argument("--simulated", action="store_true")
+    flags["fig5"].add_argument("--plots", action="store_true")
+    flags["fig5"].add_argument("--analytic", action="store_true")
+    flags["ablations"].add_argument(
+        "--which",
+        choices=["segments", "fixed-point", "threshold", "jitter", "kernel", "all"],
+        default="all",
+    )
+    flags["validate"].add_argument("--seeds", type=int, default=5)
+    flags["sensitivity"].add_argument(
+        "--scales", type=float, nargs="+", default=[0.5, 0.75, 1.0, 1.5, 2.0]
+    )
+    return flags
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -532,19 +555,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub.add_parser("fig4", parents=[common], help="Figure 4: PWL dwell models")
 
-    p_table = sub.add_parser(
-        "table1", parents=[common], help="Table I timing parameters"
+    flags = _section_flags()
+    sub.add_parser(
+        "table1", parents=[common, flags["table1"]], help="Table I timing parameters"
     )
-    p_table.add_argument("--paper-only", action="store_true")
-
-    p_alloc = sub.add_parser(
-        "allocation", parents=[common], help="Section V slot allocation"
+    sub.add_parser(
+        "allocation", parents=[common, flags["allocation"]], help="Section V slot allocation"
     )
-    p_alloc.add_argument("--simulated", action="store_true")
-
-    p_fig5 = sub.add_parser("fig5", parents=[common], help="Figure 5 co-simulation")
-    p_fig5.add_argument("--plots", action="store_true")
-    p_fig5.add_argument("--analytic", action="store_true")
+    p_fig5 = sub.add_parser(
+        "fig5", parents=[common, flags["fig5"]], help="Figure 5 co-simulation"
+    )
     p_fig5.add_argument(
         "--kernel",
         choices=list(KERNELS),
@@ -555,27 +575,16 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
 
-    p_abl = sub.add_parser(
+    sub.add_parser(
         "ablations",
-        parents=[common],
+        parents=[common, flags["ablations"]],
         help="E6-E8, E11 (jitter) and E12 (kernel) ablations",
     )
-    p_abl.add_argument(
-        "--which",
-        choices=["segments", "fixed-point", "threshold", "jitter", "kernel", "all"],
-        default="all",
+    sub.add_parser(
+        "validate", parents=[common, flags["validate"]], help="E9-E10 soundness validation"
     )
-
-    p_val = sub.add_parser(
-        "validate", parents=[common], help="E9-E10 soundness validation"
-    )
-    p_val.add_argument("--seeds", type=int, default=5)
-
-    p_sens = sub.add_parser(
-        "sensitivity", parents=[common], help="deadline-tightness sweep"
-    )
-    p_sens.add_argument(
-        "--scales", type=float, nargs="+", default=[0.5, 0.75, 1.0, 1.5, 2.0]
+    sub.add_parser(
+        "sensitivity", parents=[common, flags["sensitivity"]], help="deadline-tightness sweep"
     )
 
     p_study = sub.add_parser(
@@ -834,18 +843,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="run only this rule (repeatable), e.g. --rule QA003",
     )
 
+    # A fresh set: ``set_defaults`` would change the shared actions'
+    # defaults, and ``validate`` keeps its own ``--seeds`` default.
     p_all = sub.add_parser(
-        "all", parents=[common], help="regenerate every artefact in one pass"
+        "all",
+        parents=[common, *_section_flags().values()],
+        help="regenerate every artefact in one pass",
     )
-    p_all.add_argument("--paper-only", action="store_true")
-    p_all.add_argument("--simulated", action="store_true")
-    p_all.add_argument("--plots", action="store_true")
-    p_all.add_argument("--analytic", action="store_true")
-    p_all.add_argument("--which", default="all")
-    p_all.add_argument("--seeds", type=int, default=3)
-    p_all.add_argument(
-        "--scales", type=float, nargs="+", default=[0.5, 0.75, 1.0, 1.5, 2.0]
-    )
+    p_all.set_defaults(seeds=3)
 
     return parser
 

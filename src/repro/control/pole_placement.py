@@ -14,7 +14,6 @@ from __future__ import annotations
 from typing import Sequence
 
 import numpy as np
-from scipy.signal import place_poles
 
 from repro.control.controller import ModeController
 from repro.control.discretization import discretize_with_delay
@@ -32,6 +31,10 @@ def place_gain(a: np.ndarray, b: np.ndarray, poles: Sequence[complex]) -> np.nda
 
     Poles must be conjugate-closed and strictly inside the unit circle.
     """
+    # Imported here: scipy.signal pulls in scipy.stats, .interpolate and
+    # .optimize, which only the servo rig's ET design needs.
+    from scipy.signal import place_poles
+
     poles = np.asarray(poles, dtype=complex)
     if poles.size != np.asarray(a).shape[0]:
         raise PolePlacementError(

@@ -547,7 +547,7 @@ class SweepCoordinator:
             "duplicates_ignored": self.duplicates_ignored,
             "protocol_errors": self.protocol_errors,
             "read_timeouts": self.read_timeouts,
-            "cache_hits": self.resumed + self.store.hits,
+            "cache_hits": self.resumed,
         }
         if self.chaos_info is not None:
             config["fabric"]["chaos"] = dict(self.chaos_info)

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, NamedTuple, Optional
+from typing import Any, Dict, Iterable, NamedTuple, Optional
 
 
 class ResumeReport(NamedTuple):
@@ -47,7 +47,6 @@ class ResultStore:
 
     def __init__(self) -> None:
         self._rows: Dict[str, Dict[str, Any]] = {}
-        self.hits = 0
 
     def __len__(self) -> int:
         return len(self._rows)
@@ -66,16 +65,6 @@ class ResultStore:
             return False
         self._rows[address] = row
         return True
-
-    def lookup(self, address: str) -> Optional[Dict[str, Any]]:
-        """Like :meth:`get` but counts a hit when the row exists."""
-        row = self._rows.get(address)
-        if row is not None:
-            self.hits += 1
-        return row
-
-    def rows(self) -> List[Dict[str, Any]]:
-        return list(self._rows.values())
 
     def load_jsonl(
         self,

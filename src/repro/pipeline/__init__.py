@@ -44,12 +44,9 @@ from repro.pipeline.registry import (
 from repro.pipeline.result import StudyAttachments, StudyResult
 from repro.pipeline.runner import DesignStudy, run_many
 from repro.pipeline.scenario import (
-    ALLOCATORS,
     DISTURBANCES,
     DWELL_SHAPES,
     KERNELS,
-    METHODS,
-    NETWORKS,
     SOURCES,
     BusSpec,
     Scenario,
@@ -68,7 +65,6 @@ from repro.pipeline.sweep import (
 )
 
 __all__ = [
-    "ALLOCATORS",
     "AdaptiveScheduler",
     "BusSpec",
     "CellState",
@@ -79,9 +75,7 @@ __all__ = [
     "DwellCurveCache",
     "GLOBAL_DWELL_CACHE",
     "KERNELS",
-    "METHODS",
     "MeasuredApplication",
-    "NETWORKS",
     "SOURCES",
     "STAGE_ORDER",
     "Scenario",

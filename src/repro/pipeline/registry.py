@@ -16,39 +16,21 @@ is built for.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Union
+from typing import List, Sequence, Union
 
 from repro.pipeline.scenario import BusSpec, Scenario
+from repro.utils.registry import Registry
 
-_REGISTRY: Dict[str, Scenario] = {}
+SCENARIO_REGISTRY: Registry[Scenario] = Registry("scenario", "registered")
+
+get_scenario = SCENARIO_REGISTRY.get
+scenario_names = SCENARIO_REGISTRY.names
+scenarios = SCENARIO_REGISTRY.entries
 
 
 def register_scenario(scenario: Scenario, overwrite: bool = False) -> Scenario:
     """Add a scenario to the registry (keyed by its name)."""
-    if not overwrite and scenario.name in _REGISTRY:
-        raise ValueError(f"scenario {scenario.name!r} is already registered")
-    _REGISTRY[scenario.name] = scenario
-    return scenario
-
-
-def get_scenario(name: str) -> Scenario:
-    """Look up a registered scenario by name."""
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown scenario {name!r}; registered: {scenario_names()}"
-        ) from None
-
-
-def scenario_names() -> List[str]:
-    """All registered scenario names, sorted."""
-    return sorted(_REGISTRY)
-
-
-def scenarios() -> List[Scenario]:
-    """All registered scenarios, sorted by name."""
-    return [_REGISTRY[name] for name in scenario_names()]
+    return SCENARIO_REGISTRY.add(scenario.name, scenario, overwrite)
 
 
 def scenario_grid(
@@ -266,6 +248,7 @@ register_scenario(
 
 
 __all__ = [
+    "SCENARIO_REGISTRY",
     "get_scenario",
     "register_scenario",
     "scenario_grid",

@@ -20,30 +20,12 @@ from typing import Any, Dict, Optional, Tuple
 
 from repro.flexray.params import FlexRayConfig
 from repro.sim.cosim import KERNELS
+from repro.utils.registry import Registry
 
 #: Where the application set comes from.
 SOURCES = ("paper", "simulation", "multirate", "servo")
 #: Dwell-model shapes supported by the characterisation pipeline.
 DWELL_SHAPES = ("non-monotonic", "conservative-monotonic")
-#: Built-in wait-time analysis methods.  Validation goes through the
-#: :mod:`repro.solvers` registry, so third-party registrations are
-#: accepted too; this tuple documents what ships in the box.
-METHODS = ("closed-form", "fixed-point", "lower-bound")
-#: Built-in TT-slot allocator backends (same registry-backed deal).
-ALLOCATORS = (
-    "first-fit",
-    "best-fit",
-    "worst-fit",
-    "dedicated",
-    "optimal",
-    "branch-and-bound",
-    "anneal",
-)
-#: Built-in co-simulation network backends.  Like METHODS/ALLOCATORS
-#: this tuple documents what ships in the box; validation runs against
-#: the live :mod:`repro.sim.network` registry, so third-party backends
-#: registered with ``register_network`` are accepted too.
-NETWORKS = ("analytic", "can", "flexray")
 # Co-simulation kernels: KERNELS is re-exported from repro.sim.cosim
 # (imported above) so the accepted names live in one place.  "auto"
 # (default) runs the batch fast path; "event" the reference kernel.
@@ -177,9 +159,17 @@ class Scenario:
             raise ValueError("a scenario needs a non-empty name")
         _check_choice("source", self.source, SOURCES)
         _check_choice("dwell_shape", self.dwell_shape, DWELL_SHAPES)
-        _check_registered_method(self.method)
-        _check_registered_allocator(self.allocator)
-        _check_registered_network(self.network)
+        # Imported lazily: the backends import ``repro.core`` and must
+        # not load while this module does.
+        from repro.sim.network.registry import NETWORK_REGISTRY
+        from repro.solvers.registry import ALLOCATOR_REGISTRY, METHOD_REGISTRY
+
+        for value, registry, hook in (
+            (self.method, METHOD_REGISTRY, "repro.solvers.register_analysis_method"),
+            (self.allocator, ALLOCATOR_REGISTRY, "repro.solvers.register_allocator"),
+            (self.network, NETWORK_REGISTRY, "repro.sim.network.register_network"),
+        ):
+            _check_registered(value, registry, hook)
         if self.apps is not None:
             object.__setattr__(self, "apps", tuple(str(a) for a in self.apps))
         if self.deadline_scale <= 0:
@@ -267,53 +257,21 @@ def _check_choice(field_name: str, value: str, choices: Tuple[str, ...]) -> None
         )
 
 
-def _check_registered_allocator(value: str) -> None:
-    """Validate against the live solver registry (not a frozen tuple),
-    so an allocator registered by a third party is immediately a legal
-    scenario value.  Imported lazily: the backends import ``repro.core``
-    and must not load while this module does."""
-    from repro.solvers import UnknownSolverError, get_allocator
-
+def _check_registered(value: str, registry: Registry, hook: str) -> None:
+    """Validate against the live registry (not a frozen tuple), so a
+    backend registered by a third party is immediately a legal scenario
+    value."""
     try:
-        get_allocator(value)
-    except UnknownSolverError as exc:
-        raise ValueError(
-            f"{exc} (register your own with repro.solvers.register_allocator)"
-        ) from None
-
-
-def _check_registered_method(value: str) -> None:
-    """Same registry-backed validation for the wait-analysis method."""
-    from repro.solvers import UnknownSolverError, get_analysis_method
-
-    try:
-        get_analysis_method(value)
-    except UnknownSolverError as exc:
-        raise ValueError(
-            f"{exc} (register your own with repro.solvers.register_analysis_method)"
-        ) from None
-
-
-def _check_registered_network(value: str) -> None:
-    """Same registry-backed validation for the network backend."""
-    from repro.sim.network import UnknownNetworkError, get_network
-
-    try:
-        get_network(value)
-    except UnknownNetworkError as exc:
-        raise ValueError(
-            f"{exc} (register your own with repro.sim.network.register_network)"
-        ) from None
+        registry.get(value)
+    except registry.error as exc:
+        raise ValueError(f"{exc} (register your own with {hook})") from None
 
 
 __all__ = [
-    "ALLOCATORS",
     "BusSpec",
     "DISTURBANCES",
     "DWELL_SHAPES",
     "KERNELS",
-    "METHODS",
-    "NETWORKS",
     "SOURCES",
     "Scenario",
 ]

@@ -1,7 +1,9 @@
 """Decorator registry of co-simulable network backends.
 
-Mirrors :mod:`repro.solvers.registry`: backends register a *factory*
-under a short name together with family metadata, and everything
+A :class:`~repro.utils.registry.Registry`, like the solver tables in
+:mod:`repro.solvers.registry`: backends register a *factory* under a
+short name together with family metadata (the fields of
+:class:`NetworkSpec`), and everything
 downstream — ``Scenario.network`` validation, the pipeline's
 ``stage_cosim``, the ``repro networks`` CLI table, QA004's literal
 resolution, and the CI conformance job — resolves backends through
@@ -32,6 +34,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List
 
+from repro.utils.registry import Registry
+
 
 class UnknownNetworkError(KeyError):
     """Raised when a network-backend name is not in the registry."""
@@ -59,9 +63,6 @@ class NetworkSpec:
     analytic_delays: bool = False
     loss: str = "none"
 
-    def build(self, **kwargs: Any) -> Any:
-        return self.factory(**kwargs)
-
     def to_dict(self) -> Dict[str, Any]:
         return {
             "name": self.name,
@@ -72,53 +73,15 @@ class NetworkSpec:
         }
 
 
-_NETWORK_REGISTRY: Dict[str, NetworkSpec] = {}
+NETWORK_REGISTRY: Registry[NetworkSpec] = Registry(
+    "network backend", "registered", UnknownNetworkError
+)
 
-
-def register_network(
-    name: str,
-    *,
-    summary: str = "",
-    deterministic: bool = True,
-    analytic_delays: bool = False,
-    loss: str = "none",
-    overwrite: bool = False,
-) -> Callable[[Callable[..., Any]], Callable[..., Any]]:
-    """Class decorator/registration hook for network-backend factories."""
-
-    def decorator(factory: Callable[..., Any]) -> Callable[..., Any]:
-        if name in _NETWORK_REGISTRY and not overwrite:
-            raise ValueError(
-                f"network backend {name!r} is already registered; "
-                "pass overwrite=True to replace it"
-            )
-        _NETWORK_REGISTRY[name] = NetworkSpec(
-            name=name,
-            factory=factory,
-            summary=summary,
-            deterministic=deterministic,
-            analytic_delays=analytic_delays,
-            loss=loss,
-        )
-        return factory
-
-    return decorator
-
-
-def unregister_network(name: str) -> None:
-    """Remove a backend (primarily for test isolation)."""
-    _NETWORK_REGISTRY.pop(name, None)
-
-
-def get_network(name: str) -> NetworkSpec:
-    """Look up a backend spec by name, or raise :class:`UnknownNetworkError`."""
-    try:
-        return _NETWORK_REGISTRY[name]
-    except KeyError:
-        known = ", ".join(sorted(_NETWORK_REGISTRY)) or "<none>"
-        raise UnknownNetworkError(
-            f"unknown network backend {name!r}; registered: {known}"
-        ) from None
+register_network = NETWORK_REGISTRY.decorator(NetworkSpec)
+unregister_network = NETWORK_REGISTRY.remove
+get_network = NETWORK_REGISTRY.get
+network_names = NETWORK_REGISTRY.names
+networks = NETWORK_REGISTRY.entries
 
 
 def build_network(name: str, **kwargs: Any) -> Any:
@@ -128,17 +91,7 @@ def build_network(name: str, **kwargs: Any) -> Any:
     ``loss_rate``, ``seed``, ``traffic``); only pass what you mean —
     factories reject unsupported combinations.
     """
-    return get_network(name).build(**kwargs)
-
-
-def network_names() -> List[str]:
-    """Sorted names of all registered backends."""
-    return sorted(_NETWORK_REGISTRY)
-
-
-def networks() -> List[NetworkSpec]:
-    """All registered specs, sorted by name."""
-    return [_NETWORK_REGISTRY[name] for name in network_names()]
+    return get_network(name).factory(**kwargs)
 
 
 def network_table() -> List[Dict[str, Any]]:
@@ -147,6 +100,7 @@ def network_table() -> List[Dict[str, Any]]:
 
 
 __all__ = [
+    "NETWORK_REGISTRY",
     "NetworkSpec",
     "UnknownNetworkError",
     "build_network",

@@ -78,9 +78,9 @@ from repro.solvers.types import (
     UnknownSolverError,
 )
 
-# Importing the backend modules registers the built-ins eagerly for
-# anyone importing the package; the registry also lazy-loads them for
-# callers that reach `repro.solvers.registry` directly.
+# Importing the backend modules registers the built-ins; any
+# `import repro.solvers.<module>` runs this file first, so no lookup can
+# miss them.
 from repro.solvers import analysis as _analysis  # noqa: F401
 from repro.solvers import anneal as _anneal  # noqa: F401
 from repro.solvers import branch_and_bound as _branch_and_bound  # noqa: F401

@@ -17,173 +17,52 @@ Third parties extend the toolchain without touching the pipeline::
 The name is immediately valid everywhere a built-in is:
 ``Scenario(allocator="one-big-slot")`` validates against this registry,
 ``DesignStudy`` dispatches through it, and ``repro solvers`` lists it
-with its capability metadata.
+with its capability metadata.  The keyword metadata are the fields of
+:class:`~repro.solvers.types.AllocatorSpec` and
+:class:`~repro.solvers.types.AnalysisMethodSpec`; both tables are
+:class:`~repro.utils.registry.Registry` instances.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Dict, List
 
 from repro.solvers.types import (
     AllocatorSpec,
     AnalysisMethodSpec,
     UnknownSolverError,
 )
+from repro.utils.registry import Registry
 
 # Populated by the backend modules' registration decorators when the
 # package is imported: any `import repro.solvers.<anything>` first runs
 # the package __init__, which imports every built-in backend module, so
 # by the time a lookup below can execute the built-ins are registered.
-_ALLOCATOR_REGISTRY: Dict[str, AllocatorSpec] = {}
-_METHOD_REGISTRY: Dict[str, AnalysisMethodSpec] = {}
+ALLOCATOR_REGISTRY: Registry[AllocatorSpec] = Registry(
+    "allocator", "registered allocators", UnknownSolverError
+)
+# "unknown method" is the historical prefix that downstream error
+# handling (and tests) match on.
+METHOD_REGISTRY: Registry[AnalysisMethodSpec] = Registry(
+    "method", "registered analysis methods", UnknownSolverError
+)
 
+register_allocator = ALLOCATOR_REGISTRY.decorator(AllocatorSpec)
+unregister_allocator = ALLOCATOR_REGISTRY.remove
+get_allocator = ALLOCATOR_REGISTRY.get
+allocator_names = ALLOCATOR_REGISTRY.names
+allocators = ALLOCATOR_REGISTRY.entries
 
-# ---------------------------------------------------------------------------
-# Allocators
-# ---------------------------------------------------------------------------
-
-
-def register_allocator(
-    name: str,
-    *,
-    summary: str = "",
-    optimal: bool = False,
-    complexity: str = "unspecified",
-    methods: Optional[Sequence[str]] = None,
-    max_apps: Optional[int] = None,
-    randomized: bool = False,
-    overwrite: bool = False,
-) -> Callable[[Callable], Callable]:
-    """Decorator: register ``func`` as the allocator backend ``name``.
-
-    The decorated function is returned unchanged; the registry stores an
-    :class:`~repro.solvers.types.AllocatorSpec` wrapping it together
-    with the capability metadata.
-    """
-
-    def decorator(func: Callable) -> Callable:
-        if not overwrite and name in _ALLOCATOR_REGISTRY:
-            raise ValueError(f"allocator {name!r} is already registered")
-        _ALLOCATOR_REGISTRY[name] = AllocatorSpec(
-            name=name,
-            func=func,
-            summary=summary,
-            optimal=optimal,
-            complexity=complexity,
-            methods=tuple(methods) if methods is not None else None,
-            max_apps=max_apps,
-            randomized=randomized,
-        )
-        return func
-
-    return decorator
-
-
-def unregister_allocator(name: str) -> None:
-    """Remove a registered allocator (primarily for test isolation)."""
-    _ALLOCATOR_REGISTRY.pop(name, None)
-
-
-def get_allocator(name: str) -> AllocatorSpec:
-    """Look up an allocator spec by name.
-
-    Raises
-    ------
-    UnknownSolverError
-        Listing the registered names, so typos diagnose themselves.
-    """
-    try:
-        return _ALLOCATOR_REGISTRY[name]
-    except KeyError:
-        raise UnknownSolverError(
-            f"unknown allocator {name!r}; registered allocators: "
-            f"{allocator_names()}"
-        ) from None
-
-
-def allocator_names() -> List[str]:
-    """All registered allocator names, sorted."""
-    return sorted(_ALLOCATOR_REGISTRY)
-
-
-def allocators() -> List[AllocatorSpec]:
-    """All registered allocator specs, sorted by name."""
-    return [_ALLOCATOR_REGISTRY[name] for name in allocator_names()]
+register_analysis_method = METHOD_REGISTRY.decorator(AnalysisMethodSpec)
+unregister_analysis_method = METHOD_REGISTRY.remove
+get_analysis_method = METHOD_REGISTRY.get
+analysis_method_names = METHOD_REGISTRY.names
+analysis_methods = METHOD_REGISTRY.entries
 
 
 def allocate(name: str, apps, method: str = "closed-form", **options):
     """Run the named allocator: ``get_allocator(name)(apps, ...)``."""
     return get_allocator(name)(apps, method=method, **options)
-
-
-# ---------------------------------------------------------------------------
-# Analysis methods
-# ---------------------------------------------------------------------------
-
-
-def register_analysis_method(
-    name: str,
-    *,
-    summary: str = "",
-    exact: bool = False,
-    bound: str = "upper",
-    safe: bool = True,
-    overwrite: bool = False,
-) -> Callable[[Callable], Callable]:
-    """Decorator: register ``func(lower, higher) -> max_wait`` as ``name``."""
-    if bound not in ("upper", "exact", "lower"):
-        raise ValueError(
-            f"bound must be 'upper', 'exact', or 'lower', got {bound!r}"
-        )
-
-    def decorator(func: Callable) -> Callable:
-        if not overwrite and name in _METHOD_REGISTRY:
-            raise ValueError(f"analysis method {name!r} is already registered")
-        _METHOD_REGISTRY[name] = AnalysisMethodSpec(
-            name=name,
-            func=func,
-            summary=summary,
-            exact=exact,
-            bound=bound,
-            safe=safe,
-        )
-        return func
-
-    return decorator
-
-
-def unregister_analysis_method(name: str) -> None:
-    """Remove a registered analysis method (primarily for tests)."""
-    _METHOD_REGISTRY.pop(name, None)
-
-
-def get_analysis_method(name: str) -> AnalysisMethodSpec:
-    """Look up an analysis-method spec by name.
-
-    Raises
-    ------
-    UnknownSolverError
-        With the registered names in the message.  The wording keeps the
-        historical ``unknown method`` prefix that downstream error
-        handling (and tests) match on.
-    """
-    try:
-        return _METHOD_REGISTRY[name]
-    except KeyError:
-        raise UnknownSolverError(
-            f"unknown method {name!r}; registered analysis methods: "
-            f"{analysis_method_names()}"
-        ) from None
-
-
-def analysis_method_names() -> List[str]:
-    """All registered analysis-method names, sorted."""
-    return sorted(_METHOD_REGISTRY)
-
-
-def analysis_methods() -> List[AnalysisMethodSpec]:
-    """All registered analysis-method specs, sorted by name."""
-    return [_METHOD_REGISTRY[name] for name in analysis_method_names()]
 
 
 def solver_table() -> Dict[str, List[Dict]]:
@@ -199,6 +78,8 @@ def solver_table() -> Dict[str, List[Dict]]:
 
 
 __all__ = [
+    "ALLOCATOR_REGISTRY",
+    "METHOD_REGISTRY",
     "allocate",
     "allocator_names",
     "allocators",

@@ -97,8 +97,8 @@ class AllocatorSpec:
         Informal complexity class (``"O(n^2) analyses"``, ``"Bell(n)"``,
         ...), for capability listings only.
     methods:
-        Analysis methods the backend supports; ``None`` means every
-        registered method.
+        Analysis methods the backend supports, stored as a tuple;
+        ``None`` means every registered method.
     max_apps:
         Practical instance-size ceiling (``None`` = unbounded).  Purely
         informational here; backends enforce their own limits so callers
@@ -115,6 +115,10 @@ class AllocatorSpec:
     methods: Optional[Tuple[str, ...]] = None
     max_apps: Optional[int] = None
     randomized: bool = False
+
+    def __post_init__(self) -> None:
+        if self.methods is not None:
+            object.__setattr__(self, "methods", tuple(self.methods))
 
     def supports_method(self, method: str) -> bool:
         return self.methods is None or method in self.methods
@@ -176,6 +180,12 @@ class AnalysisMethodSpec:
     exact: bool = False
     bound: str = "upper"
     safe: bool = True
+
+    def __post_init__(self) -> None:
+        if self.bound not in ("upper", "exact", "lower"):
+            raise ValueError(
+                f"bound must be 'upper', 'exact', or 'lower', got {self.bound!r}"
+            )
 
     def __call__(
         self,

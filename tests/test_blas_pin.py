@@ -12,9 +12,12 @@ import ctypes
 import itertools
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import repro
 from repro.control.controller import design_mode_controller
 from repro.control.discretization import zoh_integrals
 from repro.control.plants import CASE_STUDY_PLANTS, PLANT_REGISTRY, make_plant
@@ -129,3 +132,27 @@ def test_a_second_pin_is_harmless():
     assert pin_blas_threads() == first
     assert sorted(first) == sorted(name for name, _, _ in LIBRARIES)
     assert all(getter() == 1 for _, getter, _ in LIBRARIES)
+
+
+def test_import_leaves_scipy_signal_out_and_the_pin_holds():
+    """``import repro`` does not load ``scipy.signal`` (only the servo
+    rig's ET pole placement needs it), and building the rig, which does
+    load it, leaves every mapped OpenBLAS on one thread."""
+    code = (
+        "import json, sys\n"
+        "import repro, repro.pipeline, repro.fabric, repro.cli\n"
+        "assert 'scipy.signal' not in sys.modules, 'import loaded scipy.signal'\n"
+        "repro.default_servo_testbed()\n"
+        "assert 'scipy.signal' in sys.modules\n"
+        "from test_blas_pin import _mapped_openblas\n"
+        "print(json.dumps({name: getter() for name, getter, _ in _mapped_openblas()}))\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    tests = os.path.dirname(os.path.abspath(__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, tests]))
+    run = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert run.returncode == 0, run.stderr
+    threads = json.loads(run.stdout)
+    assert threads == {name: 1 for name in threads}

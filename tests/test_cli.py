@@ -51,6 +51,18 @@ class TestParser:
         usage = re.search(r"ablations \[--which ([\w|-]+)\]", repro.cli.__doc__)
         assert usage.group(1).split("|") == list(which.choices)
 
+    @pytest.mark.parametrize("command", ["ablations", "all"])
+    def test_unknown_ablation_rejected(self, command, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args([command, "--which", "typo"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'typo'" in capsys.readouterr().err
+
+    def test_all_keeps_its_own_seeds_default(self):
+        parser = build_parser()
+        assert parser.parse_args(["all"]).seeds == 3
+        assert parser.parse_args(["validate"]).seeds == 5
+
     def test_kernel_choices_are_auto_and_event(self, capsys):
         parser = build_parser()
         assert parser.parse_args(["fig5", "--kernel", "event"]).kernel == "event"

@@ -193,12 +193,6 @@ class TestResultStore:
         assert store.get("a+0") == {"ok": True}
         assert len(store) == 1 and "a+0" in store
 
-    def test_lookup_counts_hits(self):
-        store = ResultStore()
-        store.put("a+0", {"ok": True})
-        assert store.lookup("missing") is None and store.hits == 0
-        assert store.lookup("a+0") == {"ok": True} and store.hits == 1
-
     def test_load_jsonl_skips_worker_failures_and_foreign_rows(self, tmp_path):
         path = tmp_path / "resume.jsonl"
         rows = [
